@@ -96,7 +96,7 @@ def _drive(db, spec, tmp_dir, *, chaos: bool, retries: int) -> dict:
     summary["pool_rebuilds"] = service.metrics.counter(
         "repro_pool_rebuilds_total"
     )
-    summary["cache_corrupt"] = service.metrics.counter(
+    summary["cache_corrupt"] = service.metrics.total(
         "repro_cache_corrupt_total"
     )
     return summary

@@ -38,7 +38,6 @@ from .interpreter import compile_model, lower_collective, model_messages
 from .machine import ANY_SOURCE, MachineResult, ModelDeadlock, ProcContext, VirtualMachine
 from .parallel import (
     VECTOR_BATCH,
-    PredictionCache,
     RunGroup,
     RunOutcome,
     as_seed_sequence,
@@ -54,6 +53,7 @@ from ..stats import PrecisionTarget
 from .predict import (
     AdaptiveResult,
     Prediction,
+    PredictionCache,
     build_prediction,
     compare_timing_modes,
     evaluate_with_precision,

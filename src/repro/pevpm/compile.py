@@ -290,8 +290,8 @@ def compile_program(
 
 
 # -- the compile cache -----------------------------------------------------------
-# Keyed by (model fingerprint, nprocs): the same identity the on-disk
-# PredictionCache hashes, so any model the prediction cache can address
+# Keyed by (model fingerprint, nprocs): the same identity prediction_key
+# hashes, so any model the prediction cache can address
 # compiles exactly once per process (workers included -- each worker
 # process carries its own cache).  Unfingerprintable models (closures
 # pickle refuses) compile per call; the per-group program cache in

@@ -1,4 +1,4 @@
-"""Parallel Monte Carlo prediction engine with an on-disk result cache.
+"""Parallel Monte Carlo prediction engine.
 
 The paper's Section 6 cost claim ("PEVPM simulated the Jacobi program on
 Perseus at about 67.5 times its actual execution speed") is a statement
@@ -20,25 +20,19 @@ with its own RNG stream -- so this module fans them out over a
   worker once (pool initializer), not once per run, and each worker
   compiles directive models once per run group.
 
-:class:`PredictionCache` persists finished evaluations to JSON keyed by
-a fingerprint of (model, params, timing source, seed, runs, machine
-shape), following the ``benchmarks/out/cache`` pattern: a re-run of a
-study reuses every prediction it has already paid for.
+The module does no file I/O: caching finished evaluations is
+:mod:`repro.pevpm.predict`'s job.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import signal
-import tempfile
 import time as _time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Generator
 
 import numpy as np
@@ -53,7 +47,6 @@ from .vector import BatchedVirtualMachine
 __all__ = [
     "RunGroup",
     "RunOutcome",
-    "PredictionCache",
     "POOL_REBUILD_LIMIT",
     "POOL_WEDGE_TIMEOUT",
     "VECTOR_BATCH",
@@ -109,17 +102,12 @@ def run_seeds(root: np.random.SeedSequence, runs: int) -> list[np.random.SeedSeq
     Equivalent to ``root.spawn(runs)`` but without mutating the parent's
     spawn counter, so the same root yields the same children on every
     call -- repeated ``predict`` invocations with one seed stay
-    deterministic, and the disk cache can key on the root alone.
+    deterministic, and the prediction cache can key on the root alone.
     """
     return [
         np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (i,))
         for i in range(runs)
     ]
-
-
-def seed_token(root: np.random.SeedSequence) -> list:
-    """A JSON-able identity for a seed stream (cache-key component)."""
-    return [str(root.entropy), list(root.spawn_key)]
 
 
 # -- run groups -----------------------------------------------------------------
@@ -547,173 +535,3 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
             os.kill(proc.pid, signal.SIGKILL)
         except (OSError, ProcessLookupError):
             pass
-
-
-# -- the on-disk prediction cache -----------------------------------------------
-class PredictionCache:
-    """Keyed JSON store of finished Monte Carlo evaluations.
-
-    Follows the ``benchmarks/out/cache`` pattern: content-addressed files
-    under one directory, safe to delete wholesale to force fresh
-    evaluation.  Values hold the per-run predicted times and per-run host
-    wall times -- everything :class:`~repro.pevpm.predict.Prediction`
-    needs except the (unserialisable, rarely wanted) ``MachineResult``
-    objects.
-    """
-
-    VERSION = 3
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        #: corrupt entries quarantined by :meth:`get` since construction
-        self.corruptions = 0
-        #: optional callback(path) fired when an entry is quarantined
-        self.on_corrupt: Callable[[Path], None] | None = None
-
-    def key(
-        self,
-        model,
-        params: dict | None,
-        nprocs: int,
-        timing_fingerprint: str,
-        seed: np.random.SeedSequence,
-        runs: int,
-        nic_serialisation: str,
-        ppn: int,
-        vector_runs: bool = False,
-        vector_batch: int = VECTOR_BATCH,
-        compiled: bool = True,
-        precision: dict | None = None,
-        run_offset: int = 0,
-    ) -> str:
-        """Content fingerprint of one ``predict`` call.
-
-        Batch-mode evaluations use their own seed-stream convention, so
-        the vector flag (and, when set, the chunk size) is part of the
-        key -- scalar and batched results for the same seed are distinct
-        cache entries.  The compiled-schedule flag is keyed too: compiled
-        and interpreted evaluations are bit-identical by contract, but a
-        distinct key keeps any violation of that contract observable
-        instead of silently papered over by the cache.
-
-        *precision* (the JSON-able form of a
-        :class:`~repro.stats.PrecisionTarget`) keys an **adaptive**
-        evaluation: the run count is decided by the stopping rule, so
-        the target replaces ``runs`` in the fingerprint (``runs`` is
-        nulled).  Fixed-``runs`` keys are byte-identical to the
-        pre-adaptive scheme -- existing caches stay warm.
-        """
-        try:
-            model_blob = pickle.dumps((model, params), protocol=4)
-        except Exception:
-            model_blob = repr((model, params)).encode()
-        ident = {
-            "v": self.VERSION,
-            "nprocs": nprocs,
-            "timing": timing_fingerprint,
-            "seed": seed_token(seed),
-            "runs": runs,
-            "nic": nic_serialisation,
-            "ppn": ppn,
-            "vector": bool(vector_runs),
-            "vbatch": vector_batch if vector_runs else None,
-            "compiled": bool(compiled),
-        }
-        if precision is not None:
-            ident["runs"] = None
-            ident["precision"] = dict(sorted(precision.items()))
-        if run_offset:
-            # Offset slices (adaptive increments) are distinct content;
-            # zero offsets omit the field so pre-offset keys are stable.
-            ident["offset"] = run_offset
-        h = hashlib.sha256()
-        h.update(model_blob)
-        h.update(json.dumps(ident, sort_keys=True).encode())
-        return h.hexdigest()
-
-    def group_key(self, group: RunGroup) -> str:
-        """The cache key of one :class:`RunGroup` -- the shared entry
-        point for :func:`~repro.pevpm.predict.predict` and the
-        prediction service's cache tiers."""
-        return self.key(
-            group.model,
-            group.params,
-            group.nprocs,
-            group.timing.fingerprint(),
-            group.seed,
-            group.runs,
-            group.nic_serialisation,
-            group.ppn,
-            vector_runs=group.vector_runs,
-            vector_batch=group.vector_batch,
-            compiled=group.compiled,
-            run_offset=group.run_offset,
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"predict-{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """Load one entry; a corrupt/truncated entry is a miss **and** is
-        quarantined (renamed to ``*.corrupt``) so later lookups do not
-        keep re-reading and re-failing on the poisoned file."""
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            doc = json.loads(text)
-            if not isinstance(doc, dict):
-                raise ValueError("cache entry is not a JSON object")
-        except ValueError:
-            self._quarantine(path)
-            return None
-        if doc.get("version") != self.VERSION:
-            return None
-        return doc
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a poisoned entry out of the lookup path (unlink if even
-        the rename fails) and notify the owner's corruption counter."""
-        self.corruptions += 1
-        try:
-            path.replace(path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if self.on_corrupt is not None:
-            self.on_corrupt(path)
-
-    def put(self, key: str, doc: dict) -> None:
-        """Persist *doc* crash- and concurrency-safely.
-
-        The entry is serialised to a uniquely-named temporary file in the
-        cache directory and atomically renamed into place: a writer
-        killed mid-write leaves only a stray ``.tmp`` file (never a
-        truncated entry that would poison later reads), and concurrent
-        writers of the same key cannot interleave -- the last complete
-        rename wins with a whole document either way.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        doc = dict(doc, version=self.VERSION)
-        path = self._path(key)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"predict-{key[:16]}-", suffix=".tmp", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(doc))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise

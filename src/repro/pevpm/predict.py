@@ -19,17 +19,20 @@ machine (:mod:`repro.pevpm.vector`) -- the highest-throughput mode.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pickle
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from ..cas import ContentStore
 from ..stats import PrecisionTarget, achieved_rse, next_total
 from ..stats.ci import ConfidenceInterval, mean_ci
 from .machine import MachineResult
 from .parallel import (
-    PredictionCache,
     RunGroup,
     as_seed_sequence,
     evaluate_groups,
@@ -40,12 +43,14 @@ from .trace import LossReport
 
 __all__ = [
     "Prediction",
+    "PredictionCache",
     "AdaptiveResult",
     "build_prediction",
     "prediction_from_doc",
     "evaluate_with_precision",
     "precision_doc",
     "predict",
+    "prediction_key",
     "predict_speedups",
     "compare_timing_modes",
 ]
@@ -174,8 +179,8 @@ def build_prediction(group: RunGroup, outcomes, wall: float) -> Prediction:
 
 def prediction_from_doc(doc: dict) -> Prediction:
     """Rehydrate a cached prediction document (the JSON form stored by
-    :class:`~repro.pevpm.parallel.PredictionCache` and the service's
-    in-memory tier) into a :class:`Prediction`."""
+    :class:`PredictionCache` and the service's in-memory tier) into a
+    :class:`Prediction`."""
     return Prediction(
         nprocs=int(doc.get("nprocs", 0)),
         timing_name=str(doc.get("timing", "")),
@@ -198,6 +203,64 @@ def prediction_doc(group: RunGroup, pred: Prediction) -> dict:
     }
 
 
+# -- the prediction cache -------------------------------------------------------
+class PredictionCache(ContentStore):
+    """Finished evaluations (:func:`prediction_doc`), one
+    ``predict-<key>.json`` per :func:`prediction_key`; safe to delete
+    wholesale.  A non-object document is corrupt, one of another
+    :attr:`VERSION` a plain miss."""
+
+    VERSION = 3
+
+    def __init__(self, root):
+        super().__init__(root, "predict-{}.json", self._decode)
+
+    def _decode(self, key: str, doc) -> dict | None:
+        if not isinstance(doc, dict):
+            raise ValueError("cache entry is not a JSON object")
+        return doc if doc.get("version") == self.VERSION else None
+
+    def put(self, key: str, doc: dict) -> int:
+        return super().put(key, dict(doc, version=self.VERSION))
+
+
+def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) -> str:
+    """Content fingerprint of one group's evaluation (the cache key).
+
+    The vector flag and chunk size are keyed (batch mode has its own
+    seed-stream convention), and so is the compiled flag: compiled and
+    interpreted evaluations are bit-identical by contract, and distinct
+    keys keep any violation observable.  With *precision* it is the key
+    of an adaptive request's pointer entry: the target replaces
+    ``runs``, which the stopping rule decides.
+    """
+    try:
+        model_blob = pickle.dumps((group.model, group.params), protocol=4)
+    except Exception:
+        model_blob = repr((group.model, group.params)).encode()
+    ident = {
+        "v": PredictionCache.VERSION,
+        "nprocs": group.nprocs,
+        "timing": group.timing.fingerprint(),
+        "seed": [str(group.seed.entropy), list(group.seed.spawn_key)],
+        "runs": group.runs,
+        "nic": group.nic_serialisation,
+        "ppn": group.ppn,
+        "vector": bool(group.vector_runs),
+        "vbatch": group.vector_batch if group.vector_runs else None,
+        "compiled": bool(group.compiled),
+    }
+    if precision is not None:
+        ident["runs"] = None
+        ident["precision"] = dict(sorted(precision.to_doc().items()))
+    elif group.run_offset:  # zero offsets omit the field: older keys stay stable
+        ident["offset"] = group.run_offset
+    h = hashlib.sha256()
+    h.update(model_blob)
+    h.update(json.dumps(ident, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def _evaluate_predictions(
     groups: list[RunGroup],
     workers: int | None,
@@ -215,7 +278,7 @@ def _evaluate_predictions(
         if cache is None or group.trace_last:
             misses.append(i)
             continue
-        key = keys[i] = cache.group_key(group)
+        key = keys[i] = prediction_key(group)
         doc = cache.get(key)
         if doc is not None:
             preds[i] = prediction_from_doc(doc)
@@ -370,25 +433,6 @@ def precision_doc(target: PrecisionTarget, result: AdaptiveResult) -> dict:
     }
 
 
-def _adaptive_key(cache: PredictionCache, group: RunGroup, target: PrecisionTarget) -> str:
-    """Pointer-entry key of one adaptive request (the run count is the
-    rule's output, so the target replaces ``runs`` in the fingerprint)."""
-    return cache.key(
-        group.model,
-        group.params,
-        group.nprocs,
-        group.timing.fingerprint(),
-        group.seed,
-        0,
-        group.nic_serialisation,
-        group.ppn,
-        vector_runs=group.vector_runs,
-        vector_batch=group.vector_batch,
-        compiled=group.compiled,
-        precision=target.to_doc(),
-    )
-
-
 def _evaluate_adaptive_predictions(
     groups: list[RunGroup],
     targets: list[PrecisionTarget],
@@ -415,11 +459,11 @@ def _evaluate_adaptive_predictions(
             miss_pairs.append((group, target))
             miss_idx.append(i)
             continue
-        pkey = pointer_keys[i] = _adaptive_key(cache, group, target)
+        pkey = pointer_keys[i] = prediction_key(group, target)
         pointer = cache.get(pkey)
         if pointer is not None and isinstance(pointer.get("achieved_runs"), int):
             achieved = pointer["achieved_runs"]
-            doc = cache.get(cache.group_key(replace(group, runs=achieved)))
+            doc = cache.get(prediction_key(replace(group, runs=achieved)))
             if doc is not None:
                 pred = prediction_from_doc(doc)
                 pred.precision = pointer.get("precision")
@@ -437,9 +481,7 @@ def _evaluate_adaptive_predictions(
             pred.precision = precision_doc(target, result)
             preds[i] = pred
             if cache is not None:
-                cache.put(
-                    cache.group_key(finished), prediction_doc(finished, pred)
-                )
+                cache.put(prediction_key(finished), prediction_doc(finished, pred))
                 cache.put(pointer_keys[i], {
                     "kind": "adaptive",
                     "achieved_runs": result.runs,

@@ -1,46 +1,30 @@
-"""Content-addressed, versioned store of distribution databases.
+"""Versioned store of distribution databases, with aliases.
 
-Layout (under one registry root, shared by every shard of a
-deployment):
+Three :class:`~repro.cas.ContentStore` namespaces under one registry
+root, shared by every shard of a deployment (in memory when
+``root=None``):
 
     root/cas/db-<fingerprint>.json   -- the DB document (``to_doc``)
     root/meta/db-<fingerprint>.json  -- ownership + size accounting
     root/aliases/<alias>.json        -- one file per alias
 
-Every write follows the prediction cache's atomicity discipline
-(``mkstemp`` + ``fsync`` + ``os.replace``), so concurrent shard
-processes need no coordination: two uploads of the same content race
-to one CAS path and the last complete rename wins with identical
-bytes, and an alias promotion is a single atomic file replacement --
-a reader sees the old fingerprint or the new one, never a torn index.
-Keeping one file *per alias* (instead of one shared index document)
-is what removes the read-modify-write race entirely.
-
-Entries are immutable once written (the path *is* the content hash),
-so the per-process LRU of deserialised databases can never serve
-stale data; alias resolution re-reads its one small file per lookup,
-which is what makes a promotion on any shard instantly visible to all
-of them.  A corrupt CAS entry follows the cache's quarantine path:
-renamed to ``*.corrupt``, counted, and treated as a plain miss so the
-same content can simply be uploaded again.
-
-With ``root=None`` the store is purely in-memory -- the default for an
-un-sharded, un-configured service, preserving the old single-database
-behaviour with the registry API on top.
+:mod:`repro.cas` supplies atomic writes, quarantine and the LRU; this
+module adds the database codec (a load must hash to its fingerprint)
+and the alias index.  One file *per alias* makes a promotion a single
+atomic replacement: a reader sees the old fingerprint or the new one,
+never a torn index.  Resolution re-reads that small file per lookup, so
+a promotion on any shard is instantly visible to all of them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import tempfile
-import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable
 
+from ..cas import ContentStore, NotOwner, UnknownRef
+from ..cas import StoreError as RegistryError
 from ..mpibench.results import DistributionDB
 
 __all__ = ["NotOwner", "RegistryError", "RegistryStore", "UnknownRef"]
@@ -51,81 +35,29 @@ ALIAS_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._@-]{0,63}$")
 FINGERPRINT_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
-class RegistryError(ValueError):
-    """A malformed registry operation (HTTP 400)."""
-
-
-class UnknownRef(KeyError):
-    """A ref (alias or fingerprint) that resolves to nothing (HTTP 404)."""
-
-    def __str__(self) -> str:  # KeyError quotes its repr by default
-        return self.args[0] if self.args else "unknown registry ref"
-
-
-class NotOwner(RegistryError):
-    """A mutation attempted by a tenant that does not own the entry
-    (HTTP 403)."""
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write *text* to *path* crash- and concurrency-safely (the
-    ``PredictionCache.put`` discipline: unique temp file in the same
-    directory, fsync, atomic rename)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f"{path.stem[:24]}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _decode_db(fingerprint: str, doc) -> DistributionDB:
+    db = DistributionDB.from_doc(doc)
+    if db.fingerprint() != fingerprint:
+        raise ValueError("content does not match its fingerprint")
+    db.freeze()
+    return db
 
 
 class RegistryStore:
     """CAS + alias index + LRU over :class:`DistributionDB` artifacts."""
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        lru_size: int = 8,
-    ):
+    def __init__(self, root: str | Path | None = None, lru_size: int = 8):
         self.root = Path(root) if root is not None else None
-        self.lru_size = lru_size
-        #: corrupt CAS entries quarantined since construction
-        self.corruptions = 0
-        #: optional callback(path) fired on quarantine
-        self.on_corrupt: Callable[[Path], None] | None = None
-        # fingerprint -> frozen deserialised DistributionDB
-        self._lru: OrderedDict[str, DistributionDB] = OrderedDict()
-        # The store is touched from the event-loop thread and tests'
-        # worker threads; the lock covers the LRU and the in-memory
-        # maps (disk operations are already atomic per file).
-        self._lock = threading.Lock()
-        if self.root is not None:
-            for sub in ("cas", "aliases", "meta"):
-                (self.root / sub).mkdir(parents=True, exist_ok=True)
-        # In-memory mode state (root=None): same semantics, no files.
-        self._mem_cas: dict[str, str] = {}
-        self._mem_meta: dict[str, dict] = {}
-        self._mem_alias: dict[str, dict] = {}
+        under = (lambda name: None) if root is None else self.root.joinpath
+        #: the database documents (the entries chaos may corrupt)
+        self.cas = ContentStore(under("cas"), "db-{}.json", _decode_db, lru_size)
+        self._meta = ContentStore(under("meta"), "db-{}.json")
+        self._aliases = ContentStore(under("aliases"))
 
-    # -- paths -------------------------------------------------------------------
-    def _cas_path(self, fingerprint: str) -> Path:
-        return self.root / "cas" / f"db-{fingerprint}.json"
-
-    def _meta_path(self, fingerprint: str) -> Path:
-        return self.root / "meta" / f"db-{fingerprint}.json"
-
-    def _alias_path(self, alias: str) -> Path:
-        return self.root / "aliases" / f"{alias}.json"
+    @property
+    def corruptions(self) -> int:
+        """Corrupt CAS entries quarantined since construction."""
+        return self.cas.corruptions
 
     # -- population --------------------------------------------------------------
     def put(
@@ -135,175 +67,71 @@ class RegistryStore:
         source: str | None = None,
         check: Callable[[int], None] | None = None,
     ) -> dict:
-        """Register *db* under its content fingerprint; returns its meta.
-
-        Freezes *db* (post-registration ``add()`` raises -- the content
-        behind a fingerprint must never change) and serialises it once.
-        *check(nbytes)* runs before anything is written -- the tenant
-        quota hook -- and is skipped entirely when the content is
-        already stored: re-uploading existing bytes is free and
-        idempotent.  Concurrent same-content uploads converge on one
-        CAS entry via the atomic rename.
-        """
+        """Register and freeze *db* (the content behind a fingerprint
+        must never change); returns its meta.  *check(nbytes)*, the
+        quota hook, is skipped for already-stored content, whose first
+        uploader keeps ownership."""
         fingerprint = db.fingerprint()
         db.freeze()
-        existing = self.meta(fingerprint)
-        if existing is not None:
-            with self._lock:
-                self._lru_insert(fingerprint, db)
-            return existing
-        text = json.dumps(db.to_doc(include_samples=True))
-        if check is not None:
-            check(len(text))
-        meta = {
-            "fingerprint": fingerprint,
-            "cluster": db.cluster,
-            "tenant": tenant,
-            "bytes": len(text),
-            "results": len(db),
-            "ops": db.ops(),
-            "created_ns": time.time_ns(),
-        }
-        if source is not None:
-            meta["source"] = source
-        if self.root is None:
-            with self._lock:
-                self._mem_cas[fingerprint] = text
-                self._mem_meta.setdefault(fingerprint, meta)
-                self._lru_insert(fingerprint, db)
-            return meta
-        cas = self._cas_path(fingerprint)
-        if not cas.exists():
-            _atomic_write(cas, text)
-        meta_path = self._meta_path(fingerprint)
-        if not meta_path.exists():
-            _atomic_write(meta_path, json.dumps(meta))
-        with self._lock:
-            self._lru_insert(fingerprint, db)
+        nbytes = self.cas.put(
+            fingerprint, db.to_doc(include_samples=True), value=db, check=check
+        )
+        meta = self.meta(fingerprint)
+        if meta is None:
+            meta = {
+                "fingerprint": fingerprint,
+                "cluster": db.cluster,
+                "tenant": tenant,
+                "bytes": nbytes,
+                "results": len(db),
+                "ops": db.ops(),
+                "created_ns": time.time_ns(),
+            }
+            if source is not None:
+                meta["source"] = source
+            self._meta.put(fingerprint, meta)
         return meta
-
-    def _lru_insert(self, fingerprint: str, db: DistributionDB) -> None:
-        """Insert under the lock; evict beyond ``lru_size``."""
-        if self.lru_size <= 0:
-            return
-        self._lru[fingerprint] = db
-        self._lru.move_to_end(fingerprint)
-        while len(self._lru) > self.lru_size:
-            self._lru.popitem(last=False)
 
     # -- resolution --------------------------------------------------------------
     def resolve(self, ref: str) -> str:
-        """Resolve an alias or full fingerprint to a stored fingerprint.
-
-        A fingerprint ref is checked against the CAS (so a deleted
-        database 404s even if an LRU copy lingers); an alias ref reads
-        its index file fresh each call -- that single read is what
-        makes cross-process hot-swap coherent.
-        """
+        """Resolve an alias or full fingerprint to a stored fingerprint
+        (checked against the CAS, so a deleted database 404s even if an
+        LRU copy lingers)."""
         if not isinstance(ref, str) or not ref:
             raise RegistryError("registry ref must be a non-empty string")
         if FINGERPRINT_RE.match(ref):
-            if self._cas_exists(ref):
+            if ref in self.cas:
                 return ref
             raise UnknownRef(f"no database with fingerprint {ref[:16]}...")
         if not ALIAS_RE.match(ref):
             raise RegistryError(f"malformed registry ref {ref!r}")
-        entry = self._read_alias(ref)
-        if entry is None:
+        found = self._aliases.raw(ref)
+        entry = found[0] if found else None
+        if not isinstance(entry, dict) or "fingerprint" not in entry:
             raise UnknownRef(f"no database or alias named {ref!r}")
-        fingerprint = entry.get("fingerprint", "")
-        if not self._cas_exists(fingerprint):
+        fingerprint = str(entry["fingerprint"])
+        if fingerprint not in self.cas:
             raise UnknownRef(
                 f"alias {ref!r} points at a deleted database "
                 f"({fingerprint[:16]}...)"
             )
         return fingerprint
 
-    def _cas_exists(self, fingerprint: str) -> bool:
-        if self.root is None:
-            with self._lock:
-                return fingerprint in self._mem_cas
-        return self._cas_path(fingerprint).exists()
-
-    def _read_alias(self, alias: str) -> dict | None:
-        if self.root is None:
-            with self._lock:
-                entry = self._mem_alias.get(alias)
-                return dict(entry) if entry else None
-        path = self._alias_path(alias)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
     def get(self, ref: str) -> DistributionDB:
-        """Load (alias or fingerprint) -> frozen :class:`DistributionDB`.
-
-        LRU hits are free; misses read the CAS entry, verify its
-        content hash, and freeze the result.  A corrupt (or tampered)
-        entry is quarantined to ``*.corrupt`` and reported as a plain
-        miss, so re-uploading the same content repairs the registry.
-        """
+        """Load (alias or fingerprint) -> frozen :class:`DistributionDB`;
+        a corrupt entry is quarantined and its meta dropped."""
         fingerprint = self.resolve(ref)
-        with self._lock:
-            db = self._lru.get(fingerprint)
-            if db is not None:
-                self._lru.move_to_end(fingerprint)
-                return db
-        if self.root is None:
-            with self._lock:
-                text = self._mem_cas.get(fingerprint)
-            if text is None:
-                raise UnknownRef(
-                    f"no database with fingerprint {fingerprint[:16]}..."
-                )
-        else:
-            try:
-                text = self._cas_path(fingerprint).read_text()
-            except OSError:
-                raise UnknownRef(
-                    f"no database with fingerprint {fingerprint[:16]}..."
-                ) from None
-        try:
-            db = DistributionDB.from_doc(json.loads(text))
-            if db.fingerprint() != fingerprint:
-                raise ValueError("content does not match its fingerprint")
-        except (KeyError, TypeError, ValueError):
-            self._quarantine(fingerprint)
-            raise UnknownRef(
-                f"database {fingerprint[:16]}... was corrupt and has been "
-                f"quarantined; upload it again"
-            ) from None
-        db.freeze()
-        with self._lock:
-            self._lru_insert(fingerprint, db)
-        return db
-
-    def _quarantine(self, fingerprint: str) -> None:
-        """Move a poisoned CAS entry (and its meta) out of the lookup
-        path, mirroring ``PredictionCache``: later reads plain-miss and
-        a re-upload of the same content restores service."""
-        self.corruptions += 1
-        if self.root is None:
-            with self._lock:
-                self._mem_cas.pop(fingerprint, None)
-                self._mem_meta.pop(fingerprint, None)
-            return
-        path = self._cas_path(fingerprint)
-        try:
-            path.replace(path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        try:
-            self._meta_path(fingerprint).unlink()
-        except OSError:
-            pass
-        if self.on_corrupt is not None:
-            self.on_corrupt(path)
+        seen = self.cas.corruptions
+        db = self.cas.get(fingerprint)
+        if db is not None:
+            return db
+        if self.cas.corruptions == seen:
+            raise UnknownRef(f"no database with fingerprint {fingerprint[:16]}...")
+        self._meta.delete(fingerprint)
+        raise UnknownRef(
+            f"database {fingerprint[:16]}... was corrupt and has been "
+            f"quarantined; upload it again"
+        )
 
     # -- aliases -----------------------------------------------------------------
     def set_alias(self, alias: str, ref: str, tenant: str = "public") -> str:
@@ -318,157 +146,72 @@ class RegistryStore:
         if FINGERPRINT_RE.match(alias):
             raise RegistryError("an alias cannot look like a fingerprint")
         fingerprint = self.resolve(ref)
-        entry = {
+        self._aliases.write(alias, {
             "alias": alias,
             "fingerprint": fingerprint,
             "tenant": tenant,
             "updated_ns": time.time_ns(),
-        }
-        if self.root is None:
-            with self._lock:
-                self._mem_alias[alias] = entry
-        else:
-            _atomic_write(self._alias_path(alias), json.dumps(entry))
+        })
         return fingerprint
 
     def aliases(self) -> dict[str, dict]:
         """alias -> ``{"fingerprint", "tenant", "updated_ns"}``."""
-        if self.root is None:
-            with self._lock:
-                return {a: dict(e) for a, e in sorted(self._mem_alias.items())}
-        out: dict[str, dict] = {}
-        for path in sorted((self.root / "aliases").glob("*.json")):
-            try:
-                doc = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(doc, dict) and "fingerprint" in doc:
-                out[path.stem] = doc
-        return out
+        return {
+            alias: doc
+            for alias, doc, _ in self._aliases.entries()
+            if isinstance(doc, dict) and "fingerprint" in doc
+        }
 
     # -- removal -----------------------------------------------------------------
     def delete(self, ref: str, tenant: str | None = None) -> str:
-        """Remove a database (and every alias pointing at it).
-
-        With *tenant*, the caller must own the entry (the uploading
-        tenant recorded in its meta); ``tenant=None`` is the
-        administrative path.  Returns the removed fingerprint.
-        """
+        """Remove a database and its aliases; returns its fingerprint.
+        With *tenant* the caller must own it (``None``: admin)."""
         fingerprint = self.resolve(ref)
-        meta = self.meta(fingerprint)
-        owner = (meta or {}).get("tenant")
-        if tenant is not None and owner is not None and owner != tenant:
-            raise NotOwner(
-                f"database {fingerprint[:16]}... belongs to tenant "
-                f"{owner!r}, not {tenant!r}"
-            )
-        doomed = [
-            alias
-            for alias, entry in self.aliases().items()
-            if entry.get("fingerprint") == fingerprint
-        ]
-        if self.root is None:
-            with self._lock:
-                self._mem_cas.pop(fingerprint, None)
-                self._mem_meta.pop(fingerprint, None)
-                for alias in doomed:
-                    self._mem_alias.pop(alias, None)
-                self._lru.pop(fingerprint, None)
-            return fingerprint
-        for path in (
-            self._cas_path(fingerprint),
-            self._meta_path(fingerprint),
-            *(self._alias_path(alias) for alias in doomed),
-        ):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        with self._lock:
-            self._lru.pop(fingerprint, None)
+        self._meta.delete(fingerprint, tenant)  # ownership checked first
+        self.cas.delete(fingerprint)
+        for alias, entry in self.aliases().items():
+            if entry.get("fingerprint") == fingerprint:
+                self._aliases.delete(alias)
         return fingerprint
 
     # -- introspection -----------------------------------------------------------
     def meta(self, fingerprint: str) -> dict | None:
-        if self.root is None:
-            with self._lock:
-                meta = self._mem_meta.get(fingerprint)
-                return dict(meta) if meta else None
-        try:
-            doc = json.loads(self._meta_path(fingerprint).read_text())
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
-    def fingerprints(self) -> list[str]:
-        if self.root is None:
-            with self._lock:
-                return sorted(self._mem_cas)
-        return sorted(
-            p.stem[3:]
-            for p in (self.root / "cas").glob("db-*.json")
-            if FINGERPRINT_RE.match(p.stem[3:])
-        )
+        found = self._meta.raw(fingerprint)
+        return found[0] if found and isinstance(found[0], dict) else None
 
     def entries(self) -> list[dict]:
         """One meta document per stored database, aliases attached --
         the ``GET /distributions`` fleet listing."""
-        by_fingerprint: dict[str, list[str]] = {}
-        for alias, entry in self.aliases().items():
-            by_fingerprint.setdefault(entry.get("fingerprint", ""), []).append(
-                alias
+        aliases = self.aliases().items()
+        return [
+            dict(
+                self.meta(fp) or {"fingerprint": fp},
+                aliases=[a for a, entry in aliases if entry["fingerprint"] == fp],
             )
-        out = []
-        for fingerprint in self.fingerprints():
-            meta = self.meta(fingerprint) or {"fingerprint": fingerprint}
-            meta = dict(meta)
-            meta["aliases"] = sorted(by_fingerprint.get(fingerprint, []))
-            out.append(meta)
-        return out
+            for fp in self.cas.keys()
+        ]
 
     def tenant_usage(self, tenant: str) -> tuple[int, int]:
         """(database count, total bytes) owned by *tenant*."""
-        count = total = 0
-        for fingerprint in self.fingerprints():
-            meta = self.meta(fingerprint)
-            if meta is not None and meta.get("tenant") == tenant:
-                count += 1
-                total += int(meta.get("bytes", 0))
-        return count, total
+        owned = [
+            meta
+            for meta in map(self.meta, self.cas.keys())
+            if meta is not None and meta.get("tenant") == tenant
+        ]
+        return len(owned), sum(int(meta.get("bytes", 0)) for meta in owned)
 
     def stats(self) -> dict:
         """Registry state for ``/healthz`` and the metrics gauges."""
-        total = 0
-        fingerprints = self.fingerprints()
-        for fingerprint in fingerprints:
-            meta = self.meta(fingerprint)
-            if meta is not None:
-                total += int(meta.get("bytes", 0))
-        index_mtime: float | None = None
-        if self.root is not None:
-            mtimes = [
-                p.stat().st_mtime
-                for p in (self.root / "aliases").glob("*.json")
-            ]
-            index_mtime = max(mtimes) if mtimes else None
-        else:
-            with self._lock:
-                stamps = [
-                    e.get("updated_ns", 0) for e in self._mem_alias.values()
-                ]
-            index_mtime = max(stamps) / 1e9 if stamps else None
+        cas = self.cas.stats()
+        stamps = [entry.get("updated_ns", 0) for entry in self.aliases().values()]
         return {
-            "dbs": len(fingerprints),
-            "bytes": total,
-            "aliases": len(self.aliases()),
-            "corruptions": self.corruptions,
-            "index_mtime": index_mtime,
+            "dbs": cas["entries"],
+            "bytes": cas["bytes"],
+            "aliases": len(stamps),
+            "corruptions": cas["corruptions"],
+            "index_mtime": max(stamps) / 1e9 if stamps else None,
             "root": str(self.root) if self.root is not None else None,
         }
 
     def __len__(self) -> int:
-        return len(self.fingerprints())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self.root if self.root is not None else "memory"
-        return f"<RegistryStore {where} dbs={len(self)}>"
+        return len(self.cas.keys())

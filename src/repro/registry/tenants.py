@@ -3,7 +3,8 @@
 A tenant is named by the ``X-Repro-Tenant`` request header (default
 ``public``).  Two enforcement points:
 
-* **upload quota** -- database count and total bytes per tenant,
+* **upload quota** -- database count and total bytes per tenant
+  (databases and imported programs alike count toward the bytes),
   checked *before* the CAS write so a rejected upload leaves no
   partial state (and re-uploading already-stored content is always
   free: content-addressing makes it a no-op);
@@ -98,6 +99,9 @@ class TenantManager:
         clock=time.monotonic,
     ):
         self.store = store
+        #: the program store whose bytes also count toward ``max_bytes``
+        #: (the service attaches its own)
+        self.programs = None
         self.quota = quota or TenantQuota()
         self._clock = clock
         self._buckets: dict[str, _Bucket] = {}
@@ -136,11 +140,19 @@ class TenantManager:
         )
 
     # -- storage quota -----------------------------------------------------------
+    def _usage(self, tenant: str) -> tuple[int, int]:
+        """(database count, bytes across databases and programs)."""
+        count, used = self.store.tenant_usage(tenant)
+        if self.programs is not None:
+            used += self.programs.tenant_usage(tenant)[1]
+        return count, used
+
     def check_upload(self, tenant: str, nbytes: int) -> None:
         """Admit or refuse an upload of *nbytes* new content by
-        *tenant*; called by :meth:`RegistryStore.put` before writing."""
+        *tenant*; the quota hook :meth:`RegistryStore.put` and
+        :meth:`~repro.trace_import.ProgramStore.put` run before writing."""
         quota = self.quota
-        count, used = self.store.tenant_usage(tenant)
+        count, used = self._usage(tenant)
         if count + 1 > quota.max_dbs:
             raise QuotaExceeded(
                 f"tenant {tenant!r} already stores {count} databases "
@@ -155,7 +167,7 @@ class TenantManager:
             )
 
     def usage(self, tenant: str) -> dict:
-        count, used = self.store.tenant_usage(tenant)
+        count, used = self._usage(tenant)
         return {
             "tenant": tenant,
             "dbs": count,

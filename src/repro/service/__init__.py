@@ -12,8 +12,6 @@ the request funnel a production serving layer needs:
   ``vector_runs`` work units are ``BatchedVirtualMachine`` chunks);
 * :mod:`.dedup`   -- singleflight collapse of identical in-flight
   requests;
-* :mod:`.cache`   -- in-memory LRU tier over the on-disk
-  :class:`~repro.pevpm.parallel.PredictionCache`;
 * :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines
   (504) and the engine-health circuit breaker (503);
 * :mod:`.faults`  -- deterministic fault injection (worker kills,
@@ -36,7 +34,6 @@ directly.
 """
 
 from .batcher import MicroBatcher
-from .cache import TieredCache
 from .client import (
     LoadGenerator,
     LoadResult,
@@ -91,7 +88,6 @@ __all__ = [
     "ShardRouter",
     "SingleFlight",
     "Supervisor",
-    "TieredCache",
     "prediction_record",
     "routing_key_for",
 ]

@@ -11,9 +11,10 @@ inject:
 * ``kill_worker``      -- SIGKILL one process of the engine's
   :class:`~concurrent.futures.ProcessPoolExecutor` mid-evaluation
   (exercises the ``BrokenProcessPool`` rebuild/re-dispatch path);
-* ``corrupt_cache``    -- overwrite an on-disk prediction-cache entry
-  (or, when the service has an on-disk registry, a registry CAS entry)
-  with truncated garbage (exercises quarantine-on-read);
+* ``corrupt_cache``    -- overwrite an on-disk entry of one of the
+  service's content stores (prediction cache, registry databases,
+  imported programs) with truncated garbage (exercises the one
+  quarantine-on-read path of :mod:`repro.cas`);
 * ``delay_cache``      -- stall the next disk-cache read;
 * ``stall_evaluator``  -- put the evaluator thread to sleep before the
   next micro-batch (exercises deadlines, admission and the breaker).
@@ -134,20 +135,13 @@ class FaultInjector:
     (stalls, pool kills) or the event-loop thread (cache reads).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        cache_root: str | Path | None = None,
-        registry_root: str | Path | None = None,
-    ):
+    def __init__(self, seed: int = 0):
         self._lock = threading.Lock()
         self._rng = random.Random(seed)
-        self.cache_root = Path(cache_root) if cache_root is not None else None
-        #: on-disk registry root (set by the service when it has one);
-        #: makes ``corrupt_cache`` also consider registry CAS entries
-        self.registry_root = (
-            Path(registry_root) if registry_root is not None else None
-        )
+        #: name -> :class:`~repro.cas.ContentStore` (or ``None``) whose
+        #: entries ``corrupt_cache`` may poison; the service attaches its
+        #: ``prediction``, ``registry`` and ``program`` stores
+        self.stores: dict = {}
         self._armed: dict[str, list[FaultSpec]] = {k: [] for k in FAULT_KINDS}
         #: site -> events seen so far
         self.events: dict[str, int] = {
@@ -194,27 +188,25 @@ class FaultInjector:
 
     # -- direct injection --------------------------------------------------------
     def corrupt_now(self, key: str | None = None) -> Path | None:
-        """Overwrite a stored prediction-cache entry -- or a registry
-        CAS entry, when an on-disk registry exists -- with truncated
-        garbage; returns the poisoned path (None when nothing to hit).
+        """Overwrite a stored entry with truncated garbage; returns the
+        poisoned path (None when nothing to hit).
 
         With *key* the target is that specific prediction-cache entry;
-        keyless corruption draws seeded from every eligible file, so a
-        chaos plan exercises both stores' quarantine paths.
+        keyless corruption draws seeded from every on-disk entry of
+        every attached store, in store order, so a chaos plan exercises
+        the quarantine path for each kind of artifact.
         """
-        candidates: list[Path] = []
-        root = self.cache_root
         if key is not None:
-            if root is not None:
-                candidates = [root / f"predict-{key}.json"]
-                candidates = [p for p in candidates if p.exists()]
+            store = self.stores.get("prediction")
+            path = None if store is None else store.path(key)
+            candidates = [path] if path is not None and path.exists() else []
         else:
-            if root is not None and root.is_dir():
-                candidates.extend(sorted(root.glob("predict-*.json")))
-            if self.registry_root is not None:
-                cas = self.registry_root / "cas"
-                if cas.is_dir():
-                    candidates.extend(sorted(cas.glob("db-*.json")))
+            candidates = [
+                path
+                for store in self.stores.values()
+                if store is not None
+                for path in store.paths()
+            ]
         if not candidates:
             return None
         path = candidates[self._rng.randrange(len(candidates))]
@@ -278,10 +270,9 @@ class FaultInjector:
                 "armed": {k: len(v) for k, v in self._armed.items()},
                 "injected": dict(self.injected),
                 "events": dict(self.events),
-                "cache_root": (
-                    str(self.cache_root) if self.cache_root else None
-                ),
-                "registry_root": (
-                    str(self.registry_root) if self.registry_root else None
-                ),
+                "stores": {
+                    name: str(store.root)
+                    for name, store in self.stores.items()
+                    if store is not None and store.root is not None
+                },
             }

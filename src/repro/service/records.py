@@ -360,8 +360,8 @@ class PredictRequest:
         call would produce bit-identical times for both, so serving one
         evaluation (or one cached document) to all of them preserves the
         reproducibility contract.  Stable across server restarts and
-        hosts (unlike pickled closures, which the on-disk
-        ``PredictionCache`` falls back to for callable models).
+        hosts (unlike pickled closures, which the on-disk prediction
+        cache's ``prediction_key`` falls back to for callable models).
         """
         blob = json.dumps(
             {"db": db_fingerprint, "request": self.canonical()}, sort_keys=True

@@ -27,7 +27,7 @@ PEVPM engine and the MPIBench distribution database:
   :mod:`repro.obs`).
 
 The ``/predict`` funnel, in order: parse/validate -> content key ->
-LRU/disk cache (:mod:`.cache`) -> singleflight (:mod:`.dedup`) ->
+LRU/disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
 admission (:mod:`.jobs`, 429 when full) -> micro-batcher
 (:mod:`.batcher`) -> :func:`~repro.pevpm.parallel.evaluate_groups`.
 Deadlines produce 504 without cancelling the evaluation (the result
@@ -47,17 +47,18 @@ import time as _time
 from dataclasses import replace
 from urllib.parse import parse_qsl, urlsplit
 
+from ..cas import LRU
 from ..mpibench.results import DistributionDB
 from ..obs import ENGINE_PHASES, JsonLogger, Tracer, clean_trace_id, merge_phases
 from ..pevpm import parallel as _parallel
 from ..pevpm.machine import ModelDeadlock
 from ..pevpm.parallel import (
-    PredictionCache,
     RunGroup,
     as_seed_sequence,
     evaluate_groups,
 )
 from ..pevpm.predict import (
+    PredictionCache,
     build_prediction,
     evaluate_with_precision,
     precision_doc,
@@ -78,7 +79,6 @@ from ..registry.store import NotOwner
 from ..simnet import perseus
 from ..trace_import import ProgramStore, TraceError, parse_trace
 from .batcher import MicroBatcher
-from .cache import TieredCache
 from .dedup import LeaderCancelled, SingleFlight
 from .faults import FaultPlan
 from .jobs import BreakerOpen, CircuitBreaker, JobQueue, QueueFull
@@ -210,18 +210,15 @@ class PredictionService:
             )
         self.faults = fault_injector
         if fault_injector is not None:
-            if fault_injector.cache_root is None and cache_dir:
-                from pathlib import Path
-
-                fault_injector.cache_root = Path(cache_dir)
             # Pool-kill faults fire inside the engine module.
             _parallel.install_fault_injector(fault_injector)
-        self.cache = TieredCache(
-            lru_size if caching else 0,
-            PredictionCache(cache_dir) if (caching and cache_dir) else None,
-            self.metrics,
-            faults=fault_injector,
-        )
+        # The prediction cache: an LRU of finished documents (the memory
+        # tier, no encoding on either path) in front of the optional
+        # on-disk store shared by every process writing the directory.
+        # Keys are content-addressed request keys, so a hit is by
+        # construction bit-identical to re-evaluating the request.
+        self.lru = LRU(lru_size if caching else 0)
+        self.disk = PredictionCache(cache_dir) if (caching and cache_dir) else None
         self.dedup = SingleFlight(self.metrics)
         # The registry is the data plane the service reads through: the
         # injected startup db is entry zero (registered under its
@@ -240,11 +237,6 @@ class PredictionService:
             self.registry.set_alias(
                 "default", self.db_fingerprint, tenant="builtin"
             )
-        self.tenants = (
-            tenants
-            if tenants is not None
-            else TenantManager(self.registry, TenantQuota(rate=tenant_rate))
-        )
         # Imported trace programs share the registry's disk root (one
         # ``--registry-root`` wires both planes, so every shard of a
         # sharded deployment sees every uploaded program); with an
@@ -255,6 +247,28 @@ class PredictionService:
             self.programs = ProgramStore(self.registry.root / "programs")
         else:
             self.programs = ProgramStore()
+        self.tenants = (
+            tenants
+            if tenants is not None
+            else TenantManager(self.registry, TenantQuota(rate=tenant_rate))
+        )
+        if self.tenants.programs is None:
+            self.tenants.programs = self.programs
+        # One corruption path: every store quarantines through the CAS,
+        # and every quarantine is counted, labelled by store; the chaos
+        # harness poisons entries of the same stores.
+        stores = {
+            "prediction": self.disk,
+            "registry": self.registry.cas,
+            "program": self.programs.cas,
+        }
+        for name, store in stores.items():
+            if store is not None:
+                store.on_corrupt = lambda key, name=name: self.metrics.inc(
+                    "repro_cache_corrupt_total", store=name
+                )
+        if fault_injector is not None:
+            fault_injector.stores = stores
         self.jobs = JobQueue(
             queue_limit,
             self.metrics,
@@ -267,11 +281,6 @@ class PredictionService:
         self.metrics.register_gauge(
             "repro_registry_bytes", lambda: self.registry.stats()["bytes"]
         )
-        if (
-            fault_injector is not None
-            and getattr(fault_injector, "registry_root", None) is None
-        ):
-            fault_injector.registry_root = self.registry.root
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold,
             cooldown=breaker_cooldown,
@@ -514,7 +523,7 @@ class PredictionService:
     ) -> tuple[dict, str]:
         """Resolve one validated request to (document, served-from)."""
         if self.caching:
-            doc = self.cache.get(key, trace)
+            doc = self._cache_get(key, trace)
             if doc is not None:
                 return doc, "cache"
         if not self.dedup_enabled:
@@ -540,6 +549,42 @@ class PredictionService:
             self.dedup.reject(key, exc)
             raise
 
+    def _cache_get(self, key: str, trace=None) -> dict | None:
+        """Memory tier, then disk (promoting a hit); traced as a ``cache``
+        span whose ``tier`` is ``memory``, ``disk`` or ``miss``."""
+        start = None if trace is None else trace.now()
+        doc, tier = self.lru.get(key), "memory"
+        if doc is None and self.disk is not None:
+            if self.faults is not None:
+                self.faults.on_cache_read(self.disk.path(key))
+            doc, tier = self.disk.get(key), "disk"
+            if doc is not None:
+                self._remember(key, doc)
+        if doc is None:
+            tier = "miss"
+            self.metrics.inc("repro_cache_misses_total")
+        else:
+            self.metrics.inc("repro_cache_hits_total", tier=tier)
+        if trace is not None:
+            trace.add_span("cache", start, trace.now(), tier=tier)
+        return doc
+
+    def _remember(self, key: str, doc: dict) -> None:
+        evicted = self.lru.put(key, doc)
+        if evicted:
+            self.metrics.inc("repro_cache_evictions_total", evicted)
+
+    def _cache_put(self, key: str, doc: dict) -> None:
+        self._remember(key, doc)
+        if self.disk is not None:
+            try:
+                self.disk.put(key, doc)
+            except OSError:
+                # Persistence is best-effort (full disk, permissions):
+                # the caller already has the document, and the memory
+                # tier keeps serving it.
+                self.metrics.inc("repro_cache_write_errors_total")
+
     def _cache_store(self, req: PredictRequest, key: str, doc: dict) -> None:
         """Persist one engine result in the cache tiers.
 
@@ -550,13 +595,13 @@ class PredictionService:
         construction, so a later ``runs=N`` request is a cache hit
         instead of a re-evaluation.
         """
-        self.cache.put(key, doc)
+        self._cache_put(key, doc)
         if req.adaptive and isinstance(doc.get("times"), list):
             fixed_doc = {k: v for k, v in doc.items() if k != "precision"}
             fingerprint = (
                 getattr(req, "_registry_fpr", None) or self.db_fingerprint
             )
-            self.cache.put(
+            self._cache_put(
                 req.fixed_key(fingerprint, len(doc["times"])), fixed_doc
             )
 
@@ -1201,7 +1246,7 @@ class PredictionService:
             "batching": self.batcher.enabled,
             "dedup": self.dedup_enabled,
             "caching": self.caching,
-            "lru_entries": len(self.cache),
+            "lru_entries": len(self.lru),
             "breaker": self.breaker.state,
             "draining": self.draining,
             "tracing": self.tracer is not None and self.tracer.enabled,

@@ -6,8 +6,8 @@ and breaker -- the whole :class:`~.server.PredictionService` funnel)
 and binds them together into one deployment:
 
 * **shared cache plane** -- every shard points its disk tier at one
-  cache directory.  ``PredictionCache`` writes are already atomic
-  (mkstemp + fsync + rename) and corrupt entries quarantine on read,
+  cache directory.  Content-store writes are already atomic
+  (:mod:`repro.cas`) and corrupt entries quarantine on read,
   so concurrent shard processes need no further coordination: a
   prediction computed by any shard (or by ``repro predict`` against
   the same directory) is a disk hit for all of them.

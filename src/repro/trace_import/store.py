@@ -1,40 +1,36 @@
 """Content-addressed store of imported trace programs.
 
-The registry's little sibling: the same CAS discipline
-(:func:`repro.registry.store._atomic_write` -- mkstemp + fsync + atomic
-rename) over :class:`~repro.trace_import.importer.TraceProgram`
-documents, so every shard of a deployment sharing one disk root sees
-every upload with no coordination.  Programs are *only* addressed by
-fingerprint -- no aliases -- which keeps them immutable end to end: a
-``/predict`` keyed on a program ref can be cached forever, and the
-model-group cache in the service never goes stale.
-
-Layout (``root/programs/`` lives under the registry root when the
-service has one, so one ``--registry-root`` wires up both planes):
-
-    root/prog-<fingerprint>.json   -- canonical doc + name/meta envelope
-
-With ``root=None`` the store is in-memory, the un-configured default.
+One :class:`~repro.cas.ContentStore` of ``root/prog-<fingerprint>.json``
+envelopes (the canonical program plus name, owning tenant and source);
+the service puts ``root`` at ``programs/`` under the registry root, or
+in memory without one.  Programs are *only* addressed by fingerprint --
+no aliases -- so a ``/predict`` keyed on a program ref can be cached
+forever.  Loads re-validate and re-fingerprint the stored document, so
+a corrupt or tampered file can never impersonate its address.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable
 
-from ..registry.store import (
-    FINGERPRINT_RE,
-    NotOwner,
-    RegistryError,
-    UnknownRef,
-    _atomic_write,
-)
+from ..cas import ContentStore
+from ..registry.store import FINGERPRINT_RE, RegistryError, UnknownRef
 from .importer import TraceProgram
 
 __all__ = ["ProgramStore"]
+
+
+def _decode_program(fingerprint: str, envelope) -> TraceProgram:
+    doc = envelope["program"]
+    program = TraceProgram.build(
+        str(envelope.get("name", "trace")),
+        doc["nprocs"],
+        [[tuple(event) for event in rank] for rank in doc["ranks"]],
+    )
+    if program.fingerprint != fingerprint:
+        raise ValueError("content does not match its fingerprint")
+    return program
 
 
 class ProgramStore:
@@ -42,17 +38,8 @@ class ProgramStore:
 
     def __init__(self, root: str | Path | None = None, lru_size: int = 16):
         self.root = Path(root) if root is not None else None
-        self.lru_size = lru_size
-        self._lru: OrderedDict[str, TraceProgram] = OrderedDict()
-        self._lock = threading.Lock()
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._mem: dict[str, str] = {}
+        self.cas = ContentStore(self.root, "prog-{}.json", _decode_program, lru_size)
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.root / f"prog-{fingerprint}.json"
-
-    # -- population --------------------------------------------------------------
     def put(
         self,
         program: TraceProgram,
@@ -61,210 +48,69 @@ class ProgramStore:
         check: Callable[[int], None] | None = None,
     ) -> dict:
         """Store *program* under its fingerprint; returns its meta.
-
-        *check(nbytes)* is the tenant quota hook, run before any write
-        and skipped when the content is already stored (re-importing an
-        existing trace is free and idempotent).
-        """
-        fingerprint = program.fingerprint
-        existing = self.meta(fingerprint)
-        if existing is not None:
-            with self._lock:
-                self._lru_insert(fingerprint, program)
-            return existing
-        envelope = {
-            "name": program.name,
-            "tenant": tenant,
-            "program": program.canonical(),
-        }
+        *check(nbytes)*, the quota hook, is skipped for stored content."""
+        envelope = {"name": program.name, "tenant": tenant}
+        envelope["program"] = program.canonical()
         if source is not None:
             envelope["source"] = source
-        text = json.dumps(envelope, sort_keys=True)
-        if check is not None:
-            check(len(text))
-        if self.root is None:
-            with self._lock:
-                self._mem.setdefault(fingerprint, text)
-                self._lru_insert(fingerprint, program)
-        else:
-            path = self._path(fingerprint)
-            if not path.exists():
-                _atomic_write(path, text)
-            with self._lock:
-                self._lru_insert(fingerprint, program)
-        meta = dict(program.meta())
-        meta["tenant"] = tenant
-        meta["bytes"] = len(text)
-        if source is not None:
-            meta["source"] = source
-        return meta
+        self.cas.put(program.fingerprint, envelope, value=program, check=check)
+        return self.meta(program.fingerprint)
 
-    def _lru_insert(self, fingerprint: str, program: TraceProgram) -> None:
-        if self.lru_size <= 0:
-            return
-        self._lru[fingerprint] = program
-        self._lru.move_to_end(fingerprint)
-        while len(self._lru) > self.lru_size:
-            self._lru.popitem(last=False)
-
-    # -- retrieval ---------------------------------------------------------------
     def get(self, ref: str) -> TraceProgram:
-        """Fingerprint -> validated :class:`TraceProgram` (404 on miss).
-
-        Misses re-validate and re-fingerprint the stored document, so a
-        corrupt or tampered file can never impersonate its address; it
-        is dropped and reported as unknown (re-import repairs it).
-        """
+        """Fingerprint -> validated :class:`TraceProgram` (404 on miss)."""
         if not isinstance(ref, str) or not FINGERPRINT_RE.match(ref):
             raise RegistryError(
                 f"malformed program ref {ref!r} (want a sha256 fingerprint)"
             )
-        with self._lock:
-            program = self._lru.get(ref)
-            if program is not None:
-                self._lru.move_to_end(ref)
-                return program
-        text = self._read(ref)
-        try:
-            envelope = json.loads(text)
-            doc = envelope["program"]
-            program = TraceProgram.build(
-                str(envelope.get("name", "trace")),
-                doc["nprocs"],
-                [[tuple(event) for event in rank] for rank in doc["ranks"]],
-            )
-            if program.fingerprint != ref:
-                raise ValueError("content does not match its fingerprint")
-        except (KeyError, TypeError, ValueError):
-            self._drop(ref)
+        seen = self.cas.corruptions
+        program = self.cas.get(ref)
+        if program is None:
             raise UnknownRef(
                 f"program {ref[:16]}... was corrupt and has been removed; "
-                f"import it again"
-            ) from None
-        with self._lock:
-            self._lru_insert(ref, program)
+                f"import it again" if self.cas.corruptions != seen else
+                f"no imported program with fingerprint {ref[:16]}..."
+            )
         return program
 
-    def _read(self, fingerprint: str) -> str:
-        if self.root is None:
-            with self._lock:
-                text = self._mem.get(fingerprint)
-            if text is None:
-                raise UnknownRef(
-                    f"no imported program with fingerprint {fingerprint[:16]}..."
-                )
-            return text
-        try:
-            return self._path(fingerprint).read_text()
-        except OSError:
-            raise UnknownRef(
-                f"no imported program with fingerprint {fingerprint[:16]}..."
-            ) from None
-
-    def _drop(self, fingerprint: str) -> None:
-        if self.root is None:
-            with self._lock:
-                self._mem.pop(fingerprint, None)
-                self._lru.pop(fingerprint, None)
-            return
-        path = self._path(fingerprint)
-        try:
-            path.replace(path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        with self._lock:
-            self._lru.pop(fingerprint, None)
-
-    # -- removal -----------------------------------------------------------------
     def delete(self, ref: str, tenant: str | None = None) -> str:
         """Remove a program; with *tenant*, the caller must own it."""
-        program_meta = self.meta(ref) if FINGERPRINT_RE.match(ref or "") else None
-        if program_meta is None:
+        if not FINGERPRINT_RE.match(ref or "") or not self.cas.delete(ref, tenant):
             raise UnknownRef(f"no imported program with fingerprint {ref!r}")
-        owner = program_meta.get("tenant")
-        if tenant is not None and owner is not None and owner != tenant:
-            raise NotOwner(
-                f"program {ref[:16]}... belongs to tenant {owner!r}, "
-                f"not {tenant!r}"
-            )
-        if self.root is None:
-            with self._lock:
-                self._mem.pop(ref, None)
-                self._lru.pop(ref, None)
-        else:
-            try:
-                self._path(ref).unlink()
-            except OSError:
-                pass
-            with self._lock:
-                self._lru.pop(ref, None)
         return ref
 
     # -- introspection -----------------------------------------------------------
     def meta(self, fingerprint: str) -> dict | None:
         try:
-            text = self._read(fingerprint)
-        except UnknownRef:
+            envelope, nbytes = self.cas.raw(fingerprint)
+            program = envelope["program"]
+            ranks = program.get("ranks", [])
+        except (AttributeError, KeyError, TypeError):
             return None
-        try:
-            envelope = json.loads(text)
-            doc = envelope["program"]
-        except (KeyError, TypeError, ValueError):
-            return None
-        ranks = doc.get("ranks", [])
-        return {
+        meta = {
             "fingerprint": fingerprint,
             "name": envelope.get("name", "trace"),
             "tenant": envelope.get("tenant", "public"),
-            "nprocs": doc.get("nprocs", 0),
-            "events": sum(len(rank) for rank in ranks),
-            "messages": sum(
-                1 for rank in ranks for event in rank if event[0] == "send"
-            ),
-            "bytes": len(text),
-            **(
-                {"source": envelope["source"]} if "source" in envelope else {}
-            ),
+            "nprocs": program.get("nprocs", 0),
+            "events": sum(map(len, ranks)),
+            "messages": sum(e[0] == "send" for rank in ranks for e in rank),
+            "bytes": nbytes,
         }
-
-    def fingerprints(self) -> list[str]:
-        if self.root is None:
-            with self._lock:
-                return sorted(self._mem)
-        return sorted(
-            p.stem[5:]
-            for p in self.root.glob("prog-*.json")
-            if FINGERPRINT_RE.match(p.stem[5:])
-        )
+        if "source" in envelope:
+            meta["source"] = envelope["source"]
+        return meta
 
     def entries(self) -> list[dict]:
         """One meta document per stored program (``GET /programs``)."""
-        out = []
-        for fingerprint in self.fingerprints():
-            meta = self.meta(fingerprint)
-            if meta is not None:
-                out.append(meta)
-        return out
+        return [m for m in map(self.meta, self.cas.keys()) if m is not None]
+
+    def tenant_usage(self, tenant: str) -> tuple[int, int]:
+        """(program count, total bytes) owned by *tenant*."""
+        owned = [m for m in self.entries() if m["tenant"] == tenant]
+        return len(owned), sum(m["bytes"] for m in owned)
 
     def stats(self) -> dict:
-        total = 0
-        fingerprints = self.fingerprints()
-        for fingerprint in fingerprints:
-            meta = self.meta(fingerprint)
-            if meta is not None:
-                total += int(meta.get("bytes", 0))
-        return {
-            "programs": len(fingerprints),
-            "bytes": total,
-            "root": str(self.root) if self.root is not None else None,
-        }
+        cas = self.cas.stats()
+        return {"programs": cas.pop("entries"), **cas}
 
     def __len__(self) -> int:
-        return len(self.fingerprints())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self.root if self.root is not None else "memory"
-        return f"<ProgramStore {where} programs={len(self)}>"
+        return len(self.cas.keys())

@@ -22,7 +22,7 @@ from repro.pevpm import (
     CompiledProgram,
     HockneyTiming,
     ModelDeadlock,
-    PredictionCache,
+    RunGroup,
     VirtualMachine,
     clear_compile_cache,
     compile_program,
@@ -31,6 +31,7 @@ from repro.pevpm import (
     predict,
     timing_from_db,
 )
+from repro.pevpm.predict import prediction_key
 from repro.simnet import perseus
 
 SPEC = perseus(16)
@@ -231,14 +232,15 @@ class TestCompiledParity:
 
 
 class TestCacheKeying:
-    def test_compiled_flag_is_part_of_the_cache_key(self, tmp_path):
-        cache = PredictionCache(tmp_path)
+    def test_compiled_flag_is_part_of_the_cache_key(self):
         kw = dict(
             model=parse_jacobi(), params=jacobi_params(), nprocs=8,
-            timing_fingerprint="t", seed=np.random.SeedSequence(1),
-            runs=4, nic_serialisation="tx", ppn=1,
+            timing=HockneyTiming(1e-5, 1e-9), seed=np.random.SeedSequence(1),
+            runs=4,
         )
-        assert cache.key(compiled=True, **kw) != cache.key(compiled=False, **kw)
+        assert prediction_key(RunGroup(compiled=True, **kw)) != prediction_key(
+            RunGroup(compiled=False, **kw)
+        )
 
     def test_cached_predictions_respect_the_flag(self, tmp_path):
         timing = HockneyTiming(1e-5, 1e-9)

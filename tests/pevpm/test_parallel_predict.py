@@ -192,40 +192,6 @@ class TestPredictionCache:
         assert list(tmp_path.glob("predict-*.json"))
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_interrupted_write_cannot_poison_reads(self, db, monkeypatch, tmp_path):
-        from repro.pevpm.parallel import PredictionCache
-
-        cache = PredictionCache(tmp_path)
-        key = "deadbeef" * 8
-
-        # A writer killed between serialising and renaming leaves no
-        # entry at all -- not a truncated file a later get() would read.
-        import repro.pevpm.parallel as parallel_mod
-
-        def crash(src, dst):
-            raise OSError("killed mid-write")
-
-        monkeypatch.setattr(parallel_mod.os, "replace", crash)
-        with pytest.raises(OSError):
-            cache.put(key, {"times": [1.0]})
-        monkeypatch.undo()
-        assert cache.get(key) is None
-        assert not list(tmp_path.glob("*.tmp"))  # temp file cleaned up
-
-        # The retry succeeds and round-trips the document.
-        cache.put(key, {"times": [1.0]})
-        assert cache.get(key)["times"] == [1.0]
-
-    def test_put_overwrites_whole_document(self, tmp_path):
-        from repro.pevpm.parallel import PredictionCache
-
-        cache = PredictionCache(tmp_path)
-        key = "cafebabe" * 8
-        cache.put(key, {"times": [1.0, 2.0]})
-        cache.put(key, {"times": [3.0]})
-        doc = cache.get(key)
-        assert doc["times"] == [3.0]  # last complete write wins wholesale
-
     def test_corrupt_entry_is_recomputed(self, db, jacobi_params, tmp_path):
         timing = timing_from_db(db, mode="distribution")
         first = predict(

@@ -1,14 +1,13 @@
-"""Unit tests for the content-addressed registry store.
+"""Unit tests for the registry's database codec and alias index.
 
-The store's contract (ISSUE 8 tentpole): content-addressed writes are
-atomic and idempotent, aliases are single-file atomic pointers (the
-hot-swap primitive), and a corrupt CAS entry follows the prediction
-cache's quarantine discipline -- ``*.corrupt`` rename, plain miss,
-re-upload repairs.
+The durability contract the registry inherits -- atomic writes,
+same-content races, torn-free alias swaps, quarantine -- is tested once
+for every store in ``tests/test_cas.py``.  Here: registration, alias
+resolution and hot-swap, ownership, accounting, and the registry's own
+verification (a CAS entry must hash to its fingerprint).
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -207,18 +206,31 @@ class TestQuarantine:
         cas = root / "cas" / f"db-{fpr}.json"
         cas.write_text('{"version": 2, "times": [0.0')
         seen = []
-        store.on_corrupt = seen.append
+        store.cas.on_corrupt = seen.append
         with pytest.raises(UnknownRef, match="quarantined"):
             store.get(fpr)
         assert store.corruptions == 1
-        assert seen == [cas]
+        assert seen == [fpr]
         assert not cas.exists()
         assert cas.with_suffix(".corrupt").exists()
+        assert store.meta(fpr) is None  # no longer counted for its tenant
         # Plain miss now; re-uploading the same content repairs it.
         with pytest.raises(UnknownRef):
             store.resolve(fpr)
         store.put(make_db())
         assert store.get(fpr).fingerprint() == fpr
+
+    def test_reupload_repairs_corrupt_entry_nobody_read(self, tmp_path):
+        """A re-upload must verify the stored bytes before trusting
+        them: a fresh store that never read the corrupt entry still
+        repairs it."""
+        root = tmp_path / "reg"
+        db = make_db()
+        fpr = db.fingerprint()
+        RegistryStore(root).put(db)
+        (root / "cas" / f"db-{fpr}.json").write_text("garbage")
+        RegistryStore(root).put(make_db())
+        assert RegistryStore(root, lru_size=0).get(fpr).fingerprint() == fpr
 
     def test_tampered_content_detected_by_hash(self, tmp_path):
         root = tmp_path / "reg"
@@ -235,78 +247,13 @@ class TestQuarantine:
         assert store.corruptions == 1
 
 
-class TestConcurrency:
-    def test_same_content_upload_race_converges(self, tmp_path):
-        """ISSUE satellite: concurrent same-content uploads are atomic
-        -- one CAS entry, no torn index, every thread succeeds."""
-        root = tmp_path / "reg"
-        fpr = make_db().fingerprint()
-        n = 8
-        barrier = threading.Barrier(n)
-        errors = []
-
-        def upload(i):
-            store = RegistryStore(root)  # own store ~ own process
-            db = make_db()
-            barrier.wait()
-            try:
-                store.put(db, tenant=f"t{i}")
-                store.set_alias("race", db.fingerprint())
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=upload, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        survivor = RegistryStore(root)
-        assert len(survivor) == 1
-        assert survivor.resolve("race") == fpr
-        # The CAS entry parses and round-trips: no torn write.
-        assert survivor.get(fpr).fingerprint() == fpr
-        # No stray temp files left behind.
-        assert list((root / "cas").glob("*.tmp")) == []
-
-    def test_concurrent_promotion_never_torn(self, tmp_path):
-        """Readers racing a promotion see old or new fingerprint --
-        never a torn alias file."""
-        root = tmp_path / "reg"
-        writer = RegistryStore(root)
-        db1, db2 = make_db(), make_db(cluster="gigabit")
-        writer.put(db1)
-        writer.put(db2)
-        targets = (db1.fingerprint(), db2.fingerprint())
-        writer.set_alias("prod", targets[0])
-        stop = threading.Event()
-        bad = []
-
-        def read():
-            reader = RegistryStore(root)
-            while not stop.is_set():
-                fpr = reader.resolve("prod")
-                if fpr not in targets:  # pragma: no cover - failure path
-                    bad.append(fpr)
-
-        threads = [threading.Thread(target=read) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for i in range(50):
-            writer.set_alias("prod", targets[i % 2])
-        stop.set()
-        for t in threads:
-            t.join()
-        assert bad == []
-
-
 class TestIntrospection:
     def test_lru_eviction(self, store):
-        store.lru_size = 1
+        store.cas.lru.capacity = 1
         db1, db2 = make_db(), make_db(cluster="gigabit")
         store.put(db1)
         store.put(db2)
-        assert len(store._lru) == 1
+        assert len(store.cas.lru) == 1
         # Evicted entries are still servable (reloaded from the CAS).
         assert store.get(db1.fingerprint()).fingerprint() == db1.fingerprint()
 

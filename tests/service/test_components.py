@@ -10,16 +10,17 @@ import asyncio
 
 import pytest
 
-from repro.pevpm.parallel import VECTOR_BATCH, PredictionCache
+from repro.mpibench import DistributionDB
+from repro.pevpm.parallel import VECTOR_BATCH
 from repro.service import (
     JobQueue,
     MicroBatcher,
+    PredictionService,
     PredictRequest,
     QueueFull,
     RequestError,
     ServiceMetrics,
     SingleFlight,
-    TieredCache,
 )
 
 pytestmark = pytest.mark.service
@@ -160,39 +161,51 @@ class TestSingleFlight:
 
 
 class TestTieredCache:
+    """The service's prediction cache: an LRU memory tier in front of
+    the optional on-disk store, with hit/miss/eviction counters."""
+
+    @staticmethod
+    def service(lru_size, cache_dir=None):
+        return PredictionService(
+            DistributionDB(), lru_size=lru_size, cache_dir=cache_dir
+        )
+
     def test_lru_evicts_least_recently_used(self):
-        m = ServiceMetrics()
-        cache = TieredCache(2, None, m)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
-        assert cache.get("a") == {"v": 1}  # touch "a": "b" becomes LRU
-        cache.put("c", {"v": 3})
-        assert cache.get("b") is None
-        assert cache.get("a") == {"v": 1}
-        assert cache.get("c") == {"v": 3}
+        svc = self.service(2)
+        m = svc.metrics
+        svc._cache_put("a", {"v": 1})
+        svc._cache_put("b", {"v": 2})
+        assert svc._cache_get("a") == {"v": 1}  # touch "a": "b" becomes LRU
+        svc._cache_put("c", {"v": 3})
+        assert svc._cache_get("b") is None
+        assert svc._cache_get("a") == {"v": 1}
+        assert svc._cache_get("c") == {"v": 3}
         assert m.counter("repro_cache_evictions_total") == 1
         assert m.counter("repro_cache_misses_total") == 1
         assert m.counter("repro_cache_hits_total", tier="memory") == 3
+        svc.close()
 
     def test_disk_hits_promoted_to_memory(self, tmp_path):
-        disk = PredictionCache(tmp_path)
-        m = ServiceMetrics()
-        first = TieredCache(4, disk, m)
-        first.put("k", {"times": [1.0]})
+        first = self.service(4, tmp_path)
+        first._cache_put("k", {"times": [1.0]})
+        first.close()
         # A fresh memory tier over the same directory: first read comes
         # from disk, the second from the promoted memory entry.
-        second = TieredCache(4, disk, m)
-        doc = second.get("k")
+        second = self.service(4, tmp_path)
+        m = second.metrics
+        doc = second._cache_get("k")
         assert doc["times"] == [1.0]
         assert m.counter("repro_cache_hits_total", tier="disk") == 1
-        second.get("k")
+        second._cache_get("k")
         assert m.counter("repro_cache_hits_total", tier="memory") == 1
+        second.close()
 
     def test_zero_capacity_disables_memory_tier(self):
-        cache = TieredCache(0, None, ServiceMetrics())
-        cache.put("k", {"v": 1})
-        assert len(cache) == 0
-        assert cache.get("k") is None
+        svc = self.service(0)
+        svc._cache_put("k", {"v": 1})
+        assert len(svc.lru) == 0
+        assert svc._cache_get("k") is None
+        svc.close()
 
 
 class TestMicroBatcher:

@@ -19,11 +19,10 @@ import pytest
 
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
-from repro.pevpm import predict, timing_from_db
+from repro.pevpm import PredictionCache, predict, timing_from_db
 from repro.pevpm import parallel as _parallel
 from repro.pevpm.parallel import (
     POOL_REBUILD_LIMIT,
-    PredictionCache,
     RunGroup,
     as_seed_sequence,
     evaluate_groups,
@@ -156,17 +155,8 @@ class TestFaultInjector:
     def test_corrupt_now_without_cache_is_a_noop(self, tmp_path):
         injector = FaultInjector(seed=0)
         assert injector.corrupt_now() is None
-        injector.cache_root = tmp_path  # exists but empty
+        injector.stores = {"prediction": PredictionCache(tmp_path)}  # empty
         assert injector.corrupt_now() is None
-
-    def test_corrupt_now_poisons_a_stored_entry(self, tmp_path):
-        cache = PredictionCache(tmp_path)
-        cache.put("aa", {"times": [1.0]})
-        injector = FaultInjector(seed=0, cache_root=tmp_path)
-        path = injector.corrupt_now()
-        assert path is not None and path.exists()
-        assert cache.get("aa") is None  # corrupt -> miss + quarantine
-        assert injector.snapshot()["injected"]["corrupt_cache"] == 1
 
     def test_snapshot_shape(self):
         injector = FaultInjector(seed=3)
@@ -281,38 +271,6 @@ class TestEngineRecovery:
 
 # -- cache corruption quarantine (satellite a) ---------------------------------
 class TestCacheQuarantine:
-    def test_corrupt_entry_is_quarantined(self, tmp_path):
-        cache = PredictionCache(tmp_path)
-        seen = []
-        cache.on_corrupt = seen.append
-        cache.put("deadbeef", {"times": [1.0, 2.0]})
-        path = cache._path("deadbeef")
-        path.write_text('{"version": 2, "times": [1.0')  # truncated
-        assert cache.get("deadbeef") is None
-        assert not path.exists()
-        assert path.with_suffix(".corrupt").exists()
-        assert cache.corruptions == 1
-        assert seen == [path]
-        # The quarantined file is out of the lookup path: the next get
-        # is a plain miss, not another quarantine.
-        assert cache.get("deadbeef") is None
-        assert cache.corruptions == 1
-
-    def test_non_object_json_is_quarantined_too(self, tmp_path):
-        cache = PredictionCache(tmp_path)
-        cache.put("aa", {"times": []})
-        cache._path("aa").write_text("[1, 2, 3]")
-        assert cache.get("aa") is None
-        assert cache.corruptions == 1
-
-    def test_version_mismatch_is_a_miss_not_a_quarantine(self, tmp_path):
-        cache = PredictionCache(tmp_path)
-        cache._path("aa").parent.mkdir(parents=True, exist_ok=True)
-        cache._path("aa").write_text('{"version": 1, "times": []}')
-        assert cache.get("aa") is None
-        assert cache.corruptions == 0
-        assert cache._path("aa").exists()
-
     def test_served_request_reevaluates_after_corruption(self, db, tmp_path):
         request = jacobi_request()
         service = PredictionService(db, spec=SPEC, cache_dir=tmp_path)
@@ -323,7 +281,9 @@ class TestCacheQuarantine:
             finally:
                 client.close()
         assert first["served_from"] == "engine"
-        FaultInjector(seed=0, cache_root=tmp_path).corrupt_now()
+        injector = FaultInjector(seed=0)
+        injector.stores = {"prediction": PredictionCache(tmp_path)}
+        assert injector.corrupt_now() is not None
         # A fresh service over the poisoned disk tier: the corrupt entry
         # must quarantine, count, and re-evaluate to the same bits.
         service = PredictionService(db, spec=SPEC, cache_dir=tmp_path)
@@ -335,7 +295,9 @@ class TestCacheQuarantine:
                 client.close()
         assert second["served_from"] == "engine"
         assert second["times"] == first["times"]
-        assert service.metrics.counter("repro_cache_corrupt_total") == 1
+        assert service.metrics.counter(
+            "repro_cache_corrupt_total", store="prediction"
+        ) == 1
 
 
 # -- client retry/backoff (tentpole part 3) ------------------------------------

@@ -34,7 +34,7 @@ from repro.service import (
     routing_key_for,
 )
 from repro.simnet import perseus
-from repro.trace_import import sample_trace
+from repro.trace_import import ProgramStore, parse_trace, sample_trace
 from .test_sharding import StubShard, _send
 
 pytestmark = pytest.mark.service
@@ -174,6 +174,25 @@ class TestImportedPrograms:
                 idempotent=False,
             )
         assert status == 429
+
+    def test_program_bytes_count_toward_storage_quota(self, db):
+        other = parse_trace("NPROCS 2\n0 MPI_SEND 1 64\n1 MPI_RECV 0\n")
+        sizes = [
+            ProgramStore().put(p, source="upload")["bytes"] for p in (RING, other)
+        ]
+        registry = RegistryStore()
+        # Room for either program alone, not for both.
+        tenants = TenantManager(registry, TenantQuota(max_bytes=sum(sizes) - 1))
+        with serve(db, registry=registry, tenants=tenants) as (_s, client):
+            client.program_add(RING.to_jsonl())
+            status, _h, doc = client._request(
+                "POST", "/programs", {"trace": other.to_jsonl()},
+                idempotent=False,
+            )
+            assert status == 429
+            assert tenants.usage("public")["bytes"] == sizes[0]
+            # Re-importing the stored program stays free.
+            assert client.program_add(RING.to_jsonl())["bytes"] == sizes[0]
 
 
 class TestTraceRejection:

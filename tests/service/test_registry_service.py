@@ -411,7 +411,7 @@ class TestChaosQuarantine:
         with serve(
             db, registry=registry, fault_injector=injector
         ) as (service, client):
-            assert injector.registry_root == registry.root
+            assert injector.stores["registry"] is registry.cas
             client.registry_add(results=doc_of(db_b))
             poisoned = injector.corrupt_now()
             assert poisoned is not None

@@ -171,6 +171,16 @@ class TestProgramStore:
             fresh.get(RING.fingerprint)
         assert list(tmp_path.glob("*.corrupt"))
 
+    def test_reimport_repairs_corrupt_file_nobody_read(self, tmp_path):
+        """Re-importing must verify the stored bytes before skipping the
+        write: a fresh store repairs a file it never read."""
+        ProgramStore(tmp_path).put(RING)
+        [path] = tmp_path.glob("prog-*.json")
+        path.write_text("garbage")
+        ProgramStore(tmp_path).put(RING)
+        fresh = ProgramStore(tmp_path, lru_size=0)
+        assert fresh.get(RING.fingerprint).fingerprint == RING.fingerprint
+
     def test_quota_hook_runs_once_per_new_program(self, tmp_path):
         calls = []
 
