@@ -56,11 +56,16 @@ class _CellSampler:
         self._w = w
         self._one_minus_w = 1.0 - w
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        """The cell's times at uniform draws *u* (any shape).  Every step
+        is element-wise, so a ``(k, n)`` block gives exactly the rows k
+        separate ``(n,)`` calls would."""
         if self._fhi is None:
             return self._flo(u)
         return self._one_minus_w * self._flo(u) + self._w * self._fhi(u)
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.quantiles(rng.random(n))
 
 
 @dataclass
@@ -151,6 +156,10 @@ class DistributionDB:
         # inverse-CDF tables PEVPM's hot path draws through.  Holds
         # closures, so it is dropped on pickle (see __getstate__).
         self._sampler_cache: dict[tuple, _CellSampler] = {}
+        # (op, nodes, ppn, lo, hi, w) -> _CellSampler: lookup cells that
+        # resolve to the same tables share one sampler object, so a
+        # block draw can group its rows by sampler.
+        self._cell_cache: dict[tuple, _CellSampler] = {}
         self._fingerprint: str | None = None
 
     # -- population --------------------------------------------------------------
@@ -175,6 +184,7 @@ class DistributionDB:
         self._locate_cache.clear()
         self._stat_cache.clear()
         self._sampler_cache.clear()
+        self._cell_cache.clear()
         self._fingerprint = None
 
     def ops(self) -> list[str]:
@@ -299,21 +309,27 @@ class DistributionDB:
         lookups once and binds the bracketing histograms' inverse-CDF
         tables (:meth:`Histogram.icdf`) with the interpolation weight, so
         every subsequent draw is a uniform batch plus one or two
-        gathers.  Cached per (op, size, contention, intra); invalidated
-        by :meth:`add`."""
+        gathers.  Cached per (op, size, contention, intra); lookups that
+        resolve to the same configuration, bracketing sizes and blend
+        weight return the *same* sampler object.  Invalidated by
+        :meth:`add`."""
         key = (op, size, contention, intra)
         sampler = self._sampler_cache.get(key)
         if sampler is None:
             result, lo, hi = self._locate(op, size, contention, intra)
-            if lo == hi:
-                sampler = _CellSampler(result.histograms[lo].icdf())
-            else:
-                w = (size - lo) / (hi - lo)
-                sampler = _CellSampler(
-                    result.histograms[lo].icdf(),
-                    result.histograms[hi].icdf(),
-                    w,
-                )
+            w = 0.0 if lo == hi else (size - lo) / (hi - lo)
+            cell = (op, result.nodes, result.ppn, lo, hi, w)
+            sampler = self._cell_cache.get(cell)
+            if sampler is None:
+                if lo == hi:
+                    sampler = _CellSampler(result.histograms[lo].icdf())
+                else:
+                    sampler = _CellSampler(
+                        result.histograms[lo].icdf(),
+                        result.histograms[hi].icdf(),
+                        w,
+                    )
+                self._cell_cache[cell] = sampler
             self._sampler_cache[key] = sampler
         return sampler
 
@@ -445,6 +461,7 @@ class DistributionDB:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_sampler_cache"] = {}
+        state["_cell_cache"] = {}
         return state
 
     # -- persistence -------------------------------------------------------------------

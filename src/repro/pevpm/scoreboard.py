@@ -16,9 +16,13 @@ the contention level, then removes it.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 __all__ = ["ScoreboardEntry", "Scoreboard", "VectorEntry", "VectorScoreboard"]
+
+_msg_id = attrgetter("msg_id")
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,15 @@ class VectorScoreboard:
     times are per-run vectors.  FIFO order is by ``msg_id``: a sender's
     messages to one destination are added in program order and their
     departure times are nondecreasing in every run, so insertion order
-    *is* the per-run depart order -- no per-run sorting needed.
+    *is* the per-run depart order -- no per-run sorting needed.  Each
+    destination keeps one FIFO per source, so :meth:`oldest_for` and
+    :meth:`heads_for_dst` never scan the other outstanding messages.
     """
 
     def __init__(self):
         self._entries: dict[int, VectorEntry] = {}
+        #: dst -> src -> that pair's outstanding entries, oldest first
+        self._fifo: dict[int, dict[int, deque[VectorEntry]]] = {}
         self._next_id = 0
         self._inter_count = 0
         self.peak = 0
@@ -196,6 +204,14 @@ class VectorScoreboard:
         )
         self._next_id += 1
         self._entries[entry.msg_id] = entry
+        by_src = self._fifo.get(dst)
+        if by_src is None:
+            by_src = self._fifo[dst] = {}
+        queue = by_src.get(src)
+        if queue is None:
+            by_src[src] = deque((entry,))
+        else:
+            queue.append(entry)
         self.total_added += 1
         if not intra:
             self._inter_count += 1
@@ -208,6 +224,14 @@ class VectorScoreboard:
             entry = self._entries.pop(msg_id)
         except KeyError:
             raise KeyError(f"message {msg_id} not on the scoreboard") from None
+        by_src = self._fifo[entry.dst]
+        queue = by_src[entry.src]
+        if queue[0] is entry:
+            queue.popleft()
+        else:
+            queue.remove(entry)
+        if not queue:
+            del by_src[entry.src]
         if not entry.intra:
             self._inter_count -= 1
         return entry
@@ -215,24 +239,16 @@ class VectorScoreboard:
     def oldest_for(self, src: int, dst: int) -> VectorEntry | None:
         """Lowest-msg_id outstanding message from src to dst (see class
         docstring: insertion order is FIFO order in every run)."""
-        best = None
-        for e in self._entries.values():
-            if e.src == src and e.dst == dst:
-                if best is None or e.msg_id < best.msg_id:
-                    best = e
-        return best
+        queue = self._fifo.get(dst, {}).get(src)
+        return queue[0] if queue else None
 
     def heads_for_dst(self, dst: int) -> list[VectorEntry]:
         """Each source's oldest outstanding message to *dst* (the
         wildcard-receive candidates), in ascending msg_id order."""
-        heads: dict[int, VectorEntry] = {}
-        for e in sorted(
-            (e for e in self._entries.values() if e.dst == dst),
-            key=lambda e: e.msg_id,
-        ):
-            if e.src not in heads:
-                heads[e.src] = e
-        return sorted(heads.values(), key=lambda e: e.msg_id)
+        by_src = self._fifo.get(dst)
+        if not by_src:
+            return []
+        return sorted((q[0] for q in by_src.values()), key=_msg_id)
 
     def split(self, index) -> "VectorScoreboard":
         """A scoreboard for the sub-batch of runs selected by *index*.
@@ -244,6 +260,13 @@ class VectorScoreboard:
         child = VectorScoreboard()
         child._entries = {
             mid: e.sliced(index) for mid, e in self._entries.items()
+        }
+        child._fifo = {
+            dst: {
+                src: deque(child._entries[e.msg_id] for e in queue)
+                for src, queue in by_src.items()
+            }
+            for dst, by_src in self._fifo.items()
         }
         child._next_id = self._next_id
         child._inter_count = self._inter_count

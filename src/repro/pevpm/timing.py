@@ -113,6 +113,23 @@ class TimingModel(abc.ABC):
             for _ in range(n)
         ])
 
+    def draw_block(
+        self, specs: list[tuple], rng: np.random.Generator, n: int,
+    ) -> np.ndarray:
+        """Every draw of one engine phase as a ``(len(specs), n)`` array.
+
+        Row *i* answers ``specs[i] = (op, size, contention, intra)``,
+        *op* being :data:`ONEWAY_OP` (``one_way_times``) or
+        :data:`LOCAL_OP` (``local_send_times``).  The rows, and the state
+        *rng* is left in, are exactly those of one batch call per spec in
+        order -- which is what this default does.
+        """
+        out = np.empty((len(specs), n))
+        for i, (op, size, contention, intra) in enumerate(specs):
+            draw = self.one_way_times if op == ONEWAY_OP else self.local_send_times
+            out[i] = draw(size, contention, rng, n, intra=intra)
+        return out
+
     def reset(self) -> None:
         """Discard any cached sampling state.  Called by the virtual
         machine at the start of every run so that identical (seed, model)
@@ -199,12 +216,12 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     scoreboard (used for the '2x1 distribution' ablation); ``None`` means
     use the live contention level.
 
-    Every draw -- the scalar buffered path and the vectorised batch
-    methods alike -- goes through ``DistributionDB.sample_times``, which
-    resolves each (op, size, contention, intra) cell to a cached
-    inverse-CDF lookup table (:meth:`~repro.mpibench.results.DistributionDB.make_sampler`)
-    bound once per cell: a draw is one uniform batch plus one or two
-    table gathers, bit-identical to the uncached arithmetic.
+    Every draw -- the scalar buffered path, the vectorised batch methods
+    and :meth:`draw_block` alike -- resolves its (op, size, contention,
+    intra) cell to a cached inverse-CDF lookup table
+    (:meth:`~repro.mpibench.results.DistributionDB.make_sampler`) bound
+    once per cell: a draw is one uniform batch plus one or two table
+    gathers, bit-identical to the uncached arithmetic.
     """
 
     #: initial draws pre-sampled per (op, size, contention) key; PEVPM
@@ -286,6 +303,37 @@ class DistributionTiming(_DbGapMixin, TimingModel):
             self._local_op, size, self._contention(contention), rng, n,
             intra=intra,
         ))
+
+    def draw_block(self, specs, rng, n):
+        # Generator.random fills float64s in stream order, so one (k, n)
+        # block holds the uniforms of k successive (n,) draws; rows that
+        # share a sampler then go through its tables together.
+        u = rng.random((len(specs), n))
+        oneway, local = self._oneway_op, self._local_op
+        fixed = self.fixed_contention
+        make = self.db.make_sampler
+        groups: dict = {}
+        for i, (op, size, contention, intra) in enumerate(specs):
+            sampler = make(
+                oneway if op == ONEWAY_OP else local, size,
+                contention if fixed is None else fixed, intra,
+            )
+            rows = groups.get(sampler)
+            if rows is None:
+                groups[sampler] = [i]
+            else:
+                rows.append(i)
+        if len(groups) == 1:
+            out = next(iter(groups)).quantiles(u)
+        else:
+            out = np.empty_like(u)
+            for sampler, rows in groups.items():
+                if len(rows) == 1:  # a plain row index skips the gather
+                    out[rows[0]] = sampler.quantiles(u[rows[0]])
+                else:
+                    out[rows] = sampler.quantiles(u[rows])
+        # Every quantiles() result is a fresh array, so clamp in place.
+        return np.maximum(out, 0.0, out=out)
 
 
 class AverageTiming(_DbGapMixin, TimingModel):

@@ -3,11 +3,10 @@
 The scalar engine in :mod:`repro.pevpm.machine` evaluates one Monte
 Carlo run per sweep/match pass, so R runs pay the Python interpreter R
 times for every modelled message.  This module advances *all R runs in
-lockstep*: one generator step per process per operation, with the
-per-run virtual clocks, departure times and arrival times carried as
-NumPy ``(R,)`` vectors and every timing draw served by the batch API
-(:meth:`~repro.pevpm.timing.TimingModel.one_way_times` /
-``local_send_times``).
+lockstep*: one pass over each process's operations, with the per-run
+virtual clocks, departure times and arrival times carried as NumPy
+``(R,)`` vectors and every phase's timing draws served by one
+:meth:`~repro.pevpm.timing.TimingModel.draw_block` call.
 
 This works because a model program's *structure* -- which operations
 each process executes, which messages exist, which process blocks at
@@ -27,17 +26,24 @@ exceptions by **divergence splitting**:
   driven through the recorded resume history (the sequence of
   :class:`~repro.pevpm.machine.MatchInfo` values delivered so far).
 
-A sub-batch of size 1 is exactly the per-run engine evaluated through
-length-1 vectors -- heavily divergent programs degrade gracefully to
-per-run evaluation cost.
+A sub-batch of size 1 costs what a per-run evaluation costs, so heavily
+divergent programs degrade gracefully to per-run evaluation cost.  It
+matches the per-run engine statistically, not bit for bit: the two
+engines consume the RNG stream in different orders.
 
 Batch-mode conventions (documented in DESIGN.md section 6):
 
 * one RNG stream per batch, consumed in a deterministic order fixed by
   the program's structure, so the same seed gives bit-identical output
   regardless of host or worker count;
-* within a match phase, blocked processes are served in ascending
-  process-number order (the scalar engine orders by block time, a
+* each sweep or match phase runs in three passes: a structural pass
+  lists the phase's draws as ``(op, size, contention, intra)`` (the
+  contention level is structural too), one ``draw_block`` call draws
+  them all, and a numeric pass advances the clocks.  The block holds
+  exactly the values one ``(r,)`` draw per decision would, in the same
+  order -- the phase is a unit of work, not of randomness;
+* within a match phase, blocked processes are served in order of
+  batch-mean block time (the scalar engine orders by block time, a
   per-run quantity, which a congruent batch cannot use).  Batch and
   scalar modes are therefore *statistically* equivalent samplers of the
   same model, not bit-identical ones.
@@ -59,7 +65,7 @@ from .machine import (
     validate_machine_config,
 )
 from .scoreboard import ScoreboardEntry, VectorEntry, VectorScoreboard
-from .timing import TimingModel
+from .timing import LOCAL_OP, ONEWAY_OP, TimingModel
 
 __all__ = ["BatchedVirtualMachine"]
 
@@ -77,8 +83,8 @@ class _BatchProc:
     def __init__(self, ctx: ProcContext, gen, r: int, ops=None):
         self.ctx = ctx
         self.gen = gen
-        #: compiled schedule + instruction pointer; when set, the sweep
-        #: walks these ops instead of resuming the generator
+        #: compiled schedule + instruction pointer; when set, a sweep
+        #: slices its segment from these ops instead of the generator
         self.ops = ops
         self.ip = 0
         self.done = False
@@ -176,9 +182,9 @@ class BatchedVirtualMachine:
         self, program: Callable[[ProcContext], Generator]
     ) -> list[MachineResult]:
         """Evaluate the batch; returns run-ordered results."""
-        # Compiled programs run through the cursor sweep (bit-identical
-        # op stream, no generator machinery); divergent ones fall back to
-        # their generator form so sub-batch splitting works unchanged.
+        # Compiled programs sweep slices of their schedule; divergent ones
+        # fall back to their generator form so sub-batch splitting works
+        # unchanged.
         from .compile import CompiledProgram  # function-level: avoids cycle
 
         schedule = None
@@ -237,16 +243,15 @@ class BatchedVirtualMachine:
                     )
                 prof = self.profiler
                 if prof is None:
-                    for pn in sb.runnable:
-                        self._sweep(sb, pn)
+                    self._sweep(sb)
                 else:
                     mark = prof.mark()
                     t0 = _perf_counter()
-                    for pn in sb.runnable:
-                        self._sweep(sb, pn)
+                    self._sweep(sb)
                     # Draw time inside the sweep is already in "sample";
                     # exclusive() keeps the buckets disjoint.
                     prof.exclusive("sweep", _perf_counter() - t0, mark)
+                # After a sweep every live process is blocked at a receive.
                 alive = [p for p in sb.procs if not p.done]
                 if not alive:
                     return None
@@ -258,16 +263,14 @@ class BatchedVirtualMachine:
                 # occupancy chaining depends on this order, so matching
                 # the scalar convention keeps the engines statistically
                 # aligned.  Computed as the block-time *sum* (same order:
-                # every proc divides by the same run count), via
-                # np.add.reduce to skip ndarray.mean's Python wrapper --
-                # this sort key is a few percent of total engine time.
+                # every proc divides by the same run count), one row-wise
+                # reduce over the stacked vectors -- each row is summed
+                # exactly as a reduce of that vector alone would.
+                sums = np.add.reduce(
+                    np.array([p.block_start for p in alive]), axis=1
+                ).tolist()
                 sb.blocked = [
-                    p.ctx.procnum
-                    for p in sorted(
-                        (p for p in alive if p.blocked_src is not None),
-                        key=lambda p: (float(np.add.reduce(p.block_start)),
-                                       p.ctx.procnum),
-                    )
+                    pn for _, pn in sorted(zip(sums, [p.ctx.procnum for p in alive]))
                 ]
                 sb.match_idx = 0
                 sb.runnable = []
@@ -294,153 +297,171 @@ class BatchedVirtualMachine:
                     )
                 sb.mode = "sweep"
 
-    def _sweep(self, sb: _SubBatch, pn: int) -> None:
-        """Advance process *pn* to its next decision point, vectorised."""
-        proc = sb.procs[pn]
-        if proc.ops is not None:
-            self._sweep_compiled(sb, proc, pn)
-            return
+    def _draw(self, specs: list[tuple], r: int):
+        """The engine's one draw site: every ``(op, size, contention,
+        intra)`` of *specs* drawn as one block, returned as an iterator
+        over its ``(r,)`` rows in spec order."""
+        if not specs:
+            return iter(())
+        prof = self.profiler
+        if prof is None:
+            return iter(self.timing.draw_block(specs, self.rng, r))
+        t0 = _perf_counter()
+        block = self.timing.draw_block(specs, self.rng, r)
+        prof.add("sample", _perf_counter() - t0)
+        return iter(block)
+
+    def _segment(self, proc: _BatchProc, pn: int) -> list[tuple]:
+        """The ops *proc* runs in this sweep, through its next receive.
+
+        A compiled process slices its schedule.  A generator process is
+        run forward to its next receive: sends get nothing back, so
+        nothing it yields before the receive depends on a drawn time.
+        Sends come out as ``("send", dst, size, label, payload, intra)``
+        either way.  Marks the process done when its program ends."""
+        ops = proc.ops
+        if ops is not None:
+            ip = proc.ip
+            for j in range(ip, len(ops)):
+                if ops[j][0] == "recv":
+                    proc.ip = j + 1
+                    return ops[ip:j + 1]
+            proc.ip = len(ops)
+            proc.done = True
+            return ops[ip:]
         gen = proc.gen
-        scoreboard = sb.scoreboard
-        timing = self.timing
-        rng = self.rng
-        r = sb.size
+        node = pn // self.ppn
+        seg = []
+        value = proc.resume_value
+        proc.resume_value = None
         while True:
             try:
-                op = gen.send(proc.resume_value)
+                op = gen.send(value)
             except StopIteration:
                 proc.done = True
                 proc.gen = None
-                return
-            finally:
-                proc.resume_value = None
+                return seg
+            value = None
             proc.n_yields += 1
             kind = op[0]
-            if kind == "serial":
-                seconds = op[1]
-                proc.vtime = proc.vtime + seconds
-                proc.compute += seconds
-            elif kind == "send":
-                _k, dst, size, _label, payload = op
-                intra = pn // self.ppn == dst // self.ppn
-                depart = proc.vtime
-                prof = self.profiler
-                if prof is None:
-                    cost = timing.local_send_times(
-                        size, scoreboard.contention, rng, r, intra=intra
-                    )
-                else:
-                    t0 = _perf_counter()
-                    cost = timing.local_send_times(
-                        size, scoreboard.contention, rng, r, intra=intra
-                    )
-                    prof.add("sample", _perf_counter() - t0)
-                # Rebind (never mutate) the clock: the scoreboard entry
-                # keeps the departure vector alive.
-                proc.vtime = depart + cost
-                proc.send_t += cost
-                proc.sends += 1
-                scoreboard.add(pn, dst, size, depart, intra=intra, payload=payload)
+            if kind == "send":
+                _k, dst, size, label, payload = op
+                op = (kind, dst, size, label, payload, node == dst // self.ppn)
             elif kind == "recv":
-                proc.blocked_src = op[1]
-                proc.blocked_label = op[2]
-                proc.block_start = proc.vtime
-                return
-            else:
+                seg.append(op)
+                return seg
+            elif kind != "serial":
                 raise ValueError(f"unknown model operation {op!r}")
+            seg.append(op)
 
-    def _sweep_compiled(self, sb: _SubBatch, proc: _BatchProc, pn: int) -> None:
-        """The cursor form of :meth:`_sweep`: walk the compiled schedule.
-        Op-for-op identical to the generator sweep (same draws, same
-        order), minus generator resume and tuple re-construction."""
-        ops = proc.ops
-        n = len(ops)
-        ip = proc.ip
+    def _sweep(self, sb: _SubBatch) -> None:
+        """One sweep phase: every runnable process runs to its next
+        receive (or its end).  The structural pass lists each send's
+        local-time draw at the contention it sees -- one more per
+        inter-node send before it -- and the numeric pass advances the
+        clocks with the block's rows."""
         scoreboard = sb.scoreboard
-        timing = self.timing
-        rng = self.rng
-        r = sb.size
-        prof = self.profiler
-        vtime = proc.vtime
-        while ip < n:
-            op = ops[ip]
-            ip += 1
-            kind = op[0]
-            if kind == "serial":
-                seconds = op[1]
-                vtime = vtime + seconds
-                proc.compute += seconds
-            elif kind == "send":
-                _k, dst, size, _label, payload, intra = op
-                depart = vtime
-                if prof is None:
-                    cost = timing.local_send_times(
-                        size, scoreboard.contention, rng, r, intra=intra
-                    )
-                else:
-                    t0 = _perf_counter()
-                    cost = timing.local_send_times(
-                        size, scoreboard.contention, rng, r, intra=intra
-                    )
-                    prof.add("sample", _perf_counter() - t0)
-                vtime = depart + cost
-                proc.send_t += cost
-                proc.sends += 1
-                scoreboard.add(pn, dst, size, depart, intra=intra, payload=payload)
-            else:  # recv: the decision point
-                proc.blocked_src = op[1]
-                proc.blocked_label = op[2]
-                proc.vtime = vtime
-                proc.block_start = vtime
-                proc.ip = ip
-                return
-        proc.vtime = vtime
-        proc.ip = ip
-        proc.done = True
+        c = scoreboard.contention
+        specs = []
+        segments = []
+        for pn in sb.runnable:
+            proc = sb.procs[pn]
+            seg = self._segment(proc, pn)
+            for op in seg:
+                if op[0] == "send":
+                    specs.append((LOCAL_OP, op[2], c, op[5]))
+                    if not op[5]:
+                        c += 1
+            segments.append((pn, proc, seg))
+        rows = self._draw(specs, sb.size)
+        for pn, proc, seg in segments:
+            vtime = proc.vtime
+            for op in seg:
+                kind = op[0]
+                if kind == "serial":
+                    vtime = vtime + op[1]
+                    proc.compute += op[1]
+                elif kind == "send":
+                    cost = next(rows)
+                    # Rebind (never mutate) the clock: the scoreboard
+                    # entry keeps the departure vector alive.
+                    scoreboard.add(pn, op[1], op[2], vtime, intra=op[5], payload=op[4])
+                    vtime = vtime + cost
+                    proc.send_t += cost
+                    proc.sends += 1
+                else:  # recv: the decision point
+                    proc.blocked_src = op[1]
+                    proc.blocked_label = op[2]
+                    proc.block_start = vtime
+            proc.vtime = vtime
 
     def _match(self, sb: _SubBatch, program) -> list[_SubBatch] | None:
         """Process the match phase from ``sb.match_idx``; returns child
         sub-batches on divergence, ``None`` when the phase completes.
 
-        Blocked processes are served in ascending process number -- the
-        batch-mode convention (per-run block times cannot order a
-        congruent batch).  Candidate *existence* is structural, so the
-        same receives complete in every run.
+        The structural pass plans the receives up to the next *race* -- a
+        wildcard receive facing two or more candidate heads, whose winner
+        depends on drawn times: the message each completes, and each
+        uncached arrival draw at the contention it sees (one less per
+        inter-node message completed before it).  The race's uncached
+        candidates join the same block.  Candidate *existence* is
+        structural, so the same receives complete in every run.
         """
-        while sb.match_idx < len(sb.blocked):
-            pn = sb.blocked[sb.match_idx]
-            proc = sb.procs[pn]
-            if proc.blocked_src == ANY_SOURCE:
-                heads = sb.scoreboard.heads_for_dst(pn)
-                if not heads:
-                    sb.match_idx += 1
-                    continue
-                if len(heads) == 1:
-                    entry = heads[0]
+        scoreboard = sb.scoreboard
+        blocked = sb.blocked
+        arrivals = sb.arrivals
+        while sb.match_idx < len(blocked):
+            plan = []
+            specs = []
+            race = None
+            c = scoreboard.contention
+            idx = sb.match_idx
+            while idx < len(blocked):
+                pn = blocked[idx]
+                src = sb.procs[pn].blocked_src
+                if src == ANY_SOURCE:
+                    heads = scoreboard.heads_for_dst(pn)
+                    if len(heads) > 1:
+                        race = heads
+                        break
+                    entry = heads[0] if heads else None
                 else:
-                    # Sample every candidate's arrival (as the scalar
-                    # engine does); ties and the argmin tie-break both
-                    # resolve to the lowest message id because heads are
-                    # in ascending-id order.
-                    arr = np.stack([self._arrival(sb, e) for e in heads])
-                    win = np.argmin(arr, axis=0)
-                    winners = np.unique(win)
-                    if len(winners) > 1:
-                        return self._split(sb, pn, heads, win, winners, program)
-                    entry = heads[int(winners[0])]
-            else:
-                entry = sb.scoreboard.oldest_for(proc.blocked_src, pn)
-                if entry is None:
-                    sb.match_idx += 1
-                    continue
-            self._complete(sb, pn, entry)
+                    entry = scoreboard.oldest_for(src, pn)
+                if entry is not None:
+                    plan.append((pn, entry))
+                    if entry.msg_id not in arrivals:
+                        specs.append((ONEWAY_OP, entry.size, c, entry.intra))
+                    if not entry.intra:
+                        c -= 1
+                idx += 1
+            if race is not None:
+                specs.extend(
+                    (ONEWAY_OP, e.size, c, e.intra)
+                    for e in race if e.msg_id not in arrivals
+                )
+            rows = self._draw(specs, sb.size)
+            for pn_done, entry in plan:
+                self._complete(sb, pn_done, entry, rows)
+            sb.match_idx = idx
+            if race is None:
+                return None
+            # Ties and the argmin tie-break both resolve to the lowest
+            # message id because heads are in ascending-id order.
+            arr = np.array([self._arrival(sb, e, rows) for e in race])
+            win = np.argmin(arr, axis=0)
+            winners = np.unique(win)
+            if len(winners) > 1:
+                return self._split(sb, pn, race, win, winners, program)
+            self._complete(sb, pn, race[int(winners[0])])
             sb.match_idx += 1
         return None
 
-    def _complete(self, sb: _SubBatch, pn: int, entry: VectorEntry) -> None:
+    def _complete(
+        self, sb: _SubBatch, pn: int, entry: VectorEntry, rows=None
+    ) -> None:
         """Finish process *pn*'s receive with *entry*, vectorised."""
         proc = sb.procs[pn]
-        t_arr = self._arrival(sb, entry)
+        t_arr = self._arrival(sb, entry, rows)
         completion = np.maximum(proc.vtime, t_arr)
         proc.wait += completion - proc.block_start
         proc.recvs += 1
@@ -453,26 +474,15 @@ class BatchedVirtualMachine:
         sb.arrivals.pop(entry.msg_id, None)
         sb.runnable.append(pn)
 
-    def _arrival(self, sb: _SubBatch, entry: VectorEntry) -> np.ndarray:
-        """Sample (once) the arrival vector of a message -- the batched
-        form of the scalar engine's ``arrival_of``, including NIC
-        serialisation and the per-pair non-overtaking floor."""
+    def _arrival(self, sb: _SubBatch, entry: VectorEntry, rows) -> np.ndarray:
+        """The arrival vector of a message, computed once from the next
+        of *rows* -- the batched form of the scalar engine's
+        ``arrival_of``, including NIC serialisation and the per-pair
+        non-overtaking floor."""
         t = sb.arrivals.get(entry.msg_id)
         if t is not None:
             return t
-        prof = self.profiler
-        if prof is None:
-            oneway = self.timing.one_way_times(
-                entry.size, sb.scoreboard.contention, self.rng, sb.size,
-                intra=entry.intra,
-            )
-        else:
-            t0 = _perf_counter()
-            oneway = self.timing.one_way_times(
-                entry.size, sb.scoreboard.contention, self.rng, sb.size,
-                intra=entry.intra,
-            )
-            prof.add("sample", _perf_counter() - t0)
+        oneway = next(rows)
         if entry.intra or self.nic_serialisation == "off":
             t = entry.depart + oneway
         else:

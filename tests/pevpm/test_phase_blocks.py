@@ -1,0 +1,362 @@
+"""Phase-block draws and the indexed scoreboard of the batched engine.
+
+The batched VM draws each sweep/match phase as one
+``TimingModel.draw_block`` call (see :mod:`repro.pevpm.vector`).  These
+tests pin the three things that make that bit-identical to one draw per
+decision:
+
+* ``draw_block`` rows equal successive ``one_way_times`` /
+  ``local_send_times`` calls on an identically seeded generator, and
+  leave the generator in the same state;
+* the engine's planner asks for the same ``(kind, size, contention,
+  intra)`` sequence it asked for one draw at a time -- pinned as
+  literals recorded from the one-draw-per-decision engine, because an
+  off-by-one contention often resolves to the same benchmark config and
+  the goldens' times would not notice;
+* the per-(src, dst) FIFO index of :class:`VectorScoreboard` answers
+  exactly what a scan of every outstanding message answers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.apps import jacobi_model, taskfarm_model
+from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
+from repro.pevpm import (
+    BatchedVirtualMachine,
+    DistributionTiming,
+    HockneyTiming,
+    ParametricTiming,
+    TimingModel,
+    VectorScoreboard,
+    compile_program,
+)
+from repro.pevpm.interpreter import compile_model
+from repro.pevpm.timing import LOCAL_OP, ONEWAY_OP
+
+# -- draw_block == one batch draw per spec ----------------------------------------
+
+#: the degenerate cell's constant (every sample identical)
+CONST = 7.000000000000001e-05
+
+
+def _db(keep_samples: bool = True) -> DistributionDB:
+    """Inter configs 2x1 and 32x1, intra config 1x2; sizes 0, 512, 1024,
+    4096.  Size 0 on 2x1 is degenerate."""
+    rng = np.random.default_rng(0)
+    db = DistributionDB(cluster="synthetic")
+    for op, scale in [(ONEWAY_OP, 1.0), (LOCAL_OP, 0.2)]:
+        for nodes, ppn, base in [(2, 1, 100e-6), (32, 1, 300e-6), (1, 2, 20e-6)]:
+            hists = {}
+            for size in (0, 512, 1024, 4096):
+                if (nodes, size) == (2, 0):
+                    samples = [CONST * scale] * 50
+                else:
+                    samples = base * scale * (1 + size / 2048) + rng.gamma(
+                        4.0, base * scale / 40, size=200
+                    )
+                hists[size] = Histogram.from_samples(
+                    samples, bins=30, keep_samples=keep_samples
+                )
+            db.add(BenchmarkResult(op=op, nodes=nodes, ppn=ppn,
+                                   cluster="synthetic", histograms=hists))
+    return db
+
+
+DB = _db()
+BINNED_DB = _db(keep_samples=False)
+
+CASES = {
+    "exact-size": (DistributionTiming(DB), [
+        (ONEWAY_OP, 1024, 2, False), (ONEWAY_OP, 1024, 40, False),
+        (LOCAL_OP, 1024, 2, False), (ONEWAY_OP, 1024, 3, False),
+    ]),
+    "interpolated-768": (DistributionTiming(DB), [
+        (ONEWAY_OP, 768, 2, False), (LOCAL_OP, 768, 40, False),
+        (ONEWAY_OP, 768, 2, False),
+    ]),
+    "intra-node": (DistributionTiming(DB), [
+        (ONEWAY_OP, 1024, 4, True), (LOCAL_OP, 768, 0, True),
+        (ONEWAY_OP, 1024, 9, False),
+    ]),
+    "binned-no-samples": (DistributionTiming(BINNED_DB), [
+        (ONEWAY_OP, 1024, 2, False), (ONEWAY_OP, 768, 40, False),
+        (LOCAL_OP, 512, 1, True),
+    ]),
+    "degenerate": (DistributionTiming(DB), [
+        (ONEWAY_OP, 0, 2, False), (LOCAL_OP, 0, 1, False),
+        (ONEWAY_OP, 512, 2, False),
+    ]),
+    "fixed-contention-2": (DistributionTiming(DB, fixed_contention=2), [
+        (ONEWAY_OP, 1024, 40, False), (LOCAL_OP, 768, 7, False),
+        (ONEWAY_OP, 0, 33, False),
+    ]),
+    "parametric-default": (ParametricTiming(DB), [
+        (ONEWAY_OP, 1024, 2, False), (LOCAL_OP, 768, 40, True),
+    ]),
+    "hockney-default": (HockneyTiming(1e-5, 1e8), [
+        (ONEWAY_OP, 1024, 2, False), (LOCAL_OP, 0, 40, True),
+    ]),
+}
+CASES["mixed"] = (DistributionTiming(DB), [
+    spec for name in ("exact-size", "interpolated-768", "intra-node", "degenerate")
+    for spec in CASES[name][1]
+])
+
+
+def _per_op(timing, specs, rng, n):
+    rows = []
+    for op, size, contention, intra in specs:
+        draw = timing.one_way_times if op == ONEWAY_OP else timing.local_send_times
+        rows.append(draw(size, contention, rng, n, intra=intra))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_draw_block_equals_per_op_draws(case, n):
+    timing, specs = CASES[case]
+    block_rng = np.random.default_rng(2024)
+    per_op_rng = np.random.default_rng(2024)
+    block = timing.draw_block(specs, block_rng, n)
+    expected = _per_op(timing, specs, per_op_rng, n)
+    assert block.shape == (len(specs), n)
+    assert block.dtype == np.float64
+    assert block.tobytes() == expected.tobytes()  # bit for bit
+    assert block_rng.bit_generator.state == per_op_rng.bit_generator.state
+
+
+def test_distribution_timing_overrides_the_default():
+    # The parity cases above would pass trivially through the base loop.
+    assert DistributionTiming.draw_block is not TimingModel.draw_block
+    assert ParametricTiming.draw_block is TimingModel.draw_block
+    assert HockneyTiming.draw_block is TimingModel.draw_block
+
+
+def test_degenerate_rows_are_the_exact_constant():
+    timing, specs = CASES["degenerate"]
+    block = timing.draw_block(specs, np.random.default_rng(1), 5)
+    assert np.all(block[0] == CONST)
+    assert np.all(block[1] == CONST * 0.2)
+
+
+class TestSharedSamplers:
+    """Lookups resolving to the same config, bracketing sizes and blend
+    weight share one sampler object -- what draw_block groups rows by."""
+
+    def test_same_config_different_contention(self):
+        make = _db().make_sampler
+        # 30 and 40 both resolve to the 32x1 config.
+        assert make(ONEWAY_OP, 1024, 30) is make(ONEWAY_OP, 1024, 40)
+        assert make(ONEWAY_OP, 1024, 2) is not make(ONEWAY_OP, 1024, 40)
+
+    def test_blend_weight_is_part_of_the_cell(self):
+        make = _db().make_sampler
+        assert make(ONEWAY_OP, 768, 2) is not make(ONEWAY_OP, 800, 2)
+        # Beyond the largest measured size both clamp to one table.
+        assert make(ONEWAY_OP, 5000, 2) is make(ONEWAY_OP, 9000, 2)
+
+    def test_ops_and_intra_stay_apart(self):
+        make = _db().make_sampler
+        assert make(ONEWAY_OP, 1024, 2) is not make(LOCAL_OP, 1024, 2)
+        assert make(ONEWAY_OP, 1024, 2) is not make(ONEWAY_OP, 1024, 2, intra=True)
+
+
+# -- the planner's draw sequence ----------------------------------------------------
+
+
+class RecordingTiming(TimingModel):
+    """Stochastic timing that logs ``(kind, size, contention, intra)``
+    for every ``(r,)`` row it draws."""
+
+    name = "recording-test"
+
+    def __init__(self):
+        self.log = []
+
+    def one_way_time(self, size, contention, rng, intra=False):
+        raise AssertionError("the batched engine draws vectors")
+
+    local_send_time = one_way_time
+
+    def one_way_times(self, size, contention, rng, n, intra=False):
+        self.log.append(("one_way", size, contention, bool(intra)))
+        return 2e-5 * (1.0 + 0.05 * contention) + rng.random(n) * 1e-5
+
+    def local_send_times(self, size, contention, rng, n, intra=False):
+        self.log.append(("local", size, contention, bool(intra)))
+        return 1e-6 + rng.random(n) * 1e-6
+
+
+# Recorded from the engine that drew one (r,) vector per decision.
+JACOBI_8P_DRAWS = [
+    ('local', 256, 0, True), ('local', 256, 0, False), ('local', 256, 1, True),
+    ('local', 256, 1, False), ('local', 256, 2, True), ('local', 256, 2, False),
+    ('local', 256, 3, True), ('one_way', 256, 3, False), ('one_way', 256, 2, False),
+    ('one_way', 256, 1, False), ('one_way', 256, 0, True), ('local', 256, 0, True),
+    ('one_way', 256, 0, True), ('one_way', 256, 0, True), ('one_way', 256, 0, True),
+    ('one_way', 256, 0, True), ('local', 256, 0, True), ('local', 256, 0, False),
+    ('local', 256, 1, True), ('local', 256, 1, False), ('local', 256, 2, True),
+    ('local', 256, 2, False), ('one_way', 256, 3, True), ('one_way', 256, 3, True),
+    ('one_way', 256, 3, True), ('one_way', 256, 3, False), ('local', 256, 2, True),
+    ('local', 256, 2, False), ('local', 256, 3, True), ('one_way', 256, 3, False),
+    ('one_way', 256, 2, False), ('one_way', 256, 1, True), ('one_way', 256, 1, False),
+    ('local', 256, 0, False), ('local', 256, 1, True), ('local', 256, 1, False),
+    ('local', 256, 2, True), ('local', 256, 2, True), ('one_way', 256, 2, False),
+    ('one_way', 256, 1, False), ('one_way', 256, 0, True), ('one_way', 256, 0, True),
+    ('local', 256, 0, True), ('local', 256, 0, False), ('one_way', 256, 1, True),
+    ('one_way', 256, 1, True), ('one_way', 256, 1, True), ('one_way', 256, 1, False),
+    ('local', 256, 0, True), ('local', 256, 0, False), ('local', 256, 1, True),
+    ('local', 256, 1, False), ('one_way', 256, 2, True), ('one_way', 256, 2, True),
+    ('one_way', 256, 2, False), ('one_way', 256, 1, False),
+]
+
+TASKFARM_DRAWS = [
+    ('local', 512, 0, False), ('local', 512, 1, False), ('local', 512, 2, False),
+    ('one_way', 512, 3, False), ('one_way', 512, 3, False), ('one_way', 512, 3, False),
+    ('local', 2048, 2, False), ('one_way', 2048, 3, False), ('local', 512, 1, False),
+    ('local', 2048, 2, False), ('one_way', 2048, 3, False), ('one_way', 512, 2, False),
+    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
+    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 8, 2, False),
+    ('one_way', 8, 3, False), ('one_way', 512, 2, False), ('local', 8, 1, False),
+    ('one_way', 8, 2, False), ('local', 8, 0, False), ('one_way', 8, 1, False),
+    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
+    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 2048, 2, False),
+    ('one_way', 2048, 3, False), ('one_way', 512, 2, False), ('local', 512, 1, False),
+    ('local', 8, 2, False), ('one_way', 8, 3, False), ('one_way', 512, 2, False),
+    ('local', 8, 1, False), ('one_way', 8, 2, False), ('local', 8, 0, False),
+    ('one_way', 8, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
+    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
+    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 2048, 2, False),
+    ('one_way', 2048, 3, False), ('one_way', 512, 2, False), ('local', 512, 1, False),
+    ('local', 8, 2, False), ('one_way', 8, 3, False), ('one_way', 512, 2, False),
+    ('local', 8, 1, False), ('one_way', 8, 2, False), ('local', 8, 0, False),
+    ('one_way', 8, 1, False),
+]
+
+
+@pytest.mark.parametrize("form", ["compiled", "generator"])
+def test_jacobi_draw_sequence_is_pinned(form):
+    # ppn=2 mixes intra-node sends, which must not move the contention.
+    model = jacobi_model(iterations=2, xsize=64)
+    params = {"serial_time": 1e-3}
+    program = (
+        compile_program(model, 8, params) if form == "compiled"
+        else compile_model(model, params)
+    )
+    timing = RecordingTiming()
+    BatchedVirtualMachine(8, timing, seed=3, runs=4, ppn=2).run(program)
+    assert timing.log == JACOBI_8P_DRAWS
+
+
+def test_divergent_taskfarm_draw_sequence_is_pinned():
+    timing = RecordingTiming()
+    vm = BatchedVirtualMachine(4, timing, seed=5, runs=4)
+    vm.run(taskfarm_model([3e-5, 1e-5, 4e-5]))
+    assert (vm.splits, vm.singleton_subbatches) == (2, 2)
+    assert timing.log == TASKFARM_DRAWS
+
+
+# -- the indexed scoreboard against a scan ----------------------------------------
+
+
+class ScanBoard:
+    """The reference: every query scans all outstanding messages."""
+
+    def __init__(self, entries=None):
+        self.entries = dict(entries or {})  #: msg_id -> (src, dst, intra, depart)
+
+    def oldest_for(self, src, dst):
+        ids = [m for m, (s, d, _, _) in self.entries.items() if (s, d) == (src, dst)]
+        return min(ids, default=None)
+
+    def heads_for_dst(self, dst):
+        heads = {}
+        for m in sorted(self.entries):
+            s, d, _, _ = self.entries[m]
+            if d == dst and s not in heads:
+                heads[s] = m
+        return sorted(heads.values())
+
+    def contention(self):
+        return sum(1 for _, _, intra, _ in self.entries.values() if not intra)
+
+    def split(self, mask):
+        return ScanBoard({
+            m: (s, d, intra, depart[mask])
+            for m, (s, d, intra, depart) in self.entries.items()
+        })
+
+
+NPROCS = 3
+RUNS = 4
+
+# Two destinations and add-heavy steps, so pairs share destinations and
+# FIFOs grow past their heads often.
+add = st.tuples(st.just("add"), st.integers(0, NPROCS - 1),
+                st.integers(0, 1), st.booleans())
+step = st.one_of(
+    add,
+    add,
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("split"), st.lists(st.booleans(), min_size=RUNS, max_size=RUNS)),
+)
+
+
+def _assert_agree(board, ref):
+    for dst in range(NPROCS):
+        assert [e.msg_id for e in board.heads_for_dst(dst)] == ref.heads_for_dst(dst)
+        for src in range(NPROCS):
+            entry = board.oldest_for(src, dst)
+            assert (None if entry is None else entry.msg_id) == ref.oldest_for(src, dst)
+    assert board.contention == ref.contention()
+    listed = board.entries()
+    assert [e.msg_id for e in listed] == sorted(ref.entries)
+    for e in listed:
+        src, dst, intra, depart = ref.entries[e.msg_id]
+        assert (e.src, e.dst, e.intra) == (src, dst, intra)
+        assert np.array_equal(e.depart, depart)
+    assert len(board) == len(ref.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(step, min_size=4, max_size=60))
+# Source 0's second message becomes its head behind source 2's.
+@example([("add", 0, 1, False), ("add", 2, 1, False), ("add", 0, 1, True),
+          ("remove", 0)])
+def test_indexed_scoreboard_matches_scan(steps):
+    board, ref = VectorScoreboard(), ScanBoard()
+    parents = []  #: (board, ref) pairs left behind by splits
+    runs = RUNS
+    for i, s in enumerate(steps):
+        if s[0] == "add":
+            _, src, dst, intra = s
+            depart = np.full(runs, float(i)) + np.arange(runs)
+            entry = board.add(src, dst, 8, depart, intra=intra)
+            ref.entries[entry.msg_id] = (src, dst, intra, depart)
+        elif s[0] == "remove":
+            if not ref.entries:
+                continue
+            # Any outstanding message, not only a FIFO head.
+            victim = sorted(ref.entries)[s[1] % len(ref.entries)]
+            assert board.remove(victim).msg_id == victim
+            del ref.entries[victim]
+        else:
+            mask = np.array(s[1][:runs])
+            if not mask.any():
+                continue
+            parents.append((board, ScanBoard(ref.entries)))
+            board, ref = board.split(mask), ref.split(mask)
+            runs = int(mask.sum())
+        _assert_agree(board, ref)
+    # A child's later adds and removes never reach its parent.
+    for parent, snapshot in parents:
+        _assert_agree(parent, snapshot)
+
+
+def test_remove_unknown_message_raises():
+    board = VectorScoreboard()
+    with pytest.raises(KeyError):
+        board.remove(3)
