@@ -94,7 +94,7 @@ def test_eval_cost_batched_compiled(benchmark, spec, fig6_db, out_dir):
         args=(parse_jacobi(), NPROCS, timing),
         kwargs={
             "runs": BATCHED_RUNS, "seed": 1, "params": params,
-            "vector_runs": True, "compiled": True, "workers": 1,
+            "vector_runs": True, "workers": 1,
         },
         rounds=1,
         iterations=1,

@@ -12,10 +12,12 @@ the performance trajectory is visible across PRs::
       ...}, ...]
 
 Each invocation appends one row per engine variant: the per-run machine
-(compiled schedules), the batched vectorised machine interpreting
-generators, the batched machine on compiled schedules -- the production
-configuration -- and an adaptive row recording how many runs the
-sequential stopping rule spends to reach 1% RSE on the same workload.
+and the batched vectorised machine -- the production configuration --
+both on compiled schedules, and an adaptive row recording how many runs
+the sequential stopping rule spends to reach 1% RSE on the same
+workload.  Every variant runs compiled schedules; rows keep
+``"compiled": true`` so they stay comparable with older rows, which
+also measured interpreted generators.
 ``--only batched-compiled`` measures just the ratchet variant (what CI
 appends).
 
@@ -75,13 +77,12 @@ DEFAULT_FLOOR = 200.0
 #: stopping rule actually needs.
 ADAPTIVE_RSE = 0.01
 
-#: (name, vector_runs, compiled, runs, workers, target_rse) variants;
+#: (name, vector_runs, runs, workers, target_rse) variants;
 #: ``target_rse`` is None for the fixed-runs measurements.
 VARIANTS = {
-    "per-run": ("per-run", False, True, RUNS_PER_RUN, None, None),
-    "batched-interpreted": ("batched", True, False, RUNS_BATCHED, 1, None),
-    "batched-compiled": ("batched", True, True, RUNS_BATCHED, 1, None),
-    "adaptive": ("adaptive", False, True, None, 1, ADAPTIVE_RSE),
+    "per-run": ("per-run", False, RUNS_PER_RUN, None, None),
+    "batched-compiled": ("batched", True, RUNS_BATCHED, 1, None),
+    "adaptive": ("adaptive", False, None, 1, ADAPTIVE_RSE),
 }
 
 
@@ -113,7 +114,7 @@ def _git_state() -> tuple[str, bool]:
 
 
 def measure(variant: str, db: DistributionDB) -> dict:
-    engine, vector_runs, compiled, runs, workers, target_rse = VARIANTS[variant]
+    engine, vector_runs, runs, workers, target_rse = VARIANTS[variant]
     spec = perseus(64)
     params = {
         "iterations": ITERATIONS,
@@ -129,7 +130,6 @@ def measure(variant: str, db: DistributionDB) -> dict:
         parse_jacobi(), NPROCS, timing, seed=1, params=params,
         workers=workers,
         vector_runs=vector_runs,
-        compiled=compiled,
         **kwargs,
     )
     wall = time.perf_counter() - t0
@@ -140,7 +140,7 @@ def measure(variant: str, db: DistributionDB) -> dict:
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "workload": WORKLOAD,
         "engine": engine,
-        "compiled": compiled,
+        "compiled": True,
         "runs": pred.runs,
         "wall_seconds": round(wall, 4),
         "mean_run_wall": round(pred.mean_run_wall, 4),

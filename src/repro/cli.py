@@ -157,15 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument(
         "--vector-runs", action="store_true",
-        help="evaluate Monte Carlo runs in lockstep batches on the "
-             "vectorised engine (fastest; statistically equivalent to "
-             "per-run evaluation, and composes with --workers)",
-    )
-    p_pred.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="lower models to static per-rank schedules before evaluation "
-             "(bit-identical results; --no-compiled forces the generator "
-             "interpreter)",
+        help="evaluate a static model's Monte Carlo runs in lockstep "
+             "batches on the vectorised engine (fastest; statistically "
+             "equivalent to per-run evaluation, and composes with "
+             "--workers); divergent models such as taskfarm always run "
+             "per-run",
     )
     p_pred.add_argument(
         "--json", action="store_true",
@@ -624,7 +620,7 @@ def cmd_predict(args) -> int:
             model, args.nprocs, db, runs=args.runs, seed=args.seed,
             params=vm_params, ppn=args.ppn, workers=args.workers,
             cache_dir=args.cache_dir, vector_runs=args.vector_runs,
-            compiled=args.compiled, target_rse=args.target_rse,
+            target_rse=args.target_rse,
             min_runs=args.min_runs, max_runs=args.max_runs,
         )
         measured = None
@@ -660,7 +656,6 @@ def cmd_predict(args) -> int:
                     pred,
                     seed=args.seed,
                     vector_runs=args.vector_runs,
-                    compiled=args.compiled,
                     nic_serialisation="tx",
                     workers=args.workers,
                     extra={"speedup": pred.speedup(serial)},

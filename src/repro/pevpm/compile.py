@@ -32,17 +32,20 @@ sampled times for every construct except the wildcard receive:
   phase are structural for the same reason.  With two or more candidate
   sources the winner depends on sampled arrival times -- a genuine
   divergence point.  The tracer detects this *at compile time* and marks
-  the program :attr:`~CompiledProgram.divergent`; the virtual machines
-  then fall back to the generator path, preserving the batched engine's
-  congruent-sub-batch splitting and seed-stream forking rules exactly.
+  the program :attr:`~CompiledProgram.divergent`; such a program keeps
+  its generator form and runs one Monte Carlo run at a time on the
+  per-run virtual machine, the only engine whose control flow may differ
+  from run to run (:mod:`repro.pevpm.parallel` makes that choice).
 
-Because the compiled executor replaces only the *source of ops* (a
-cursor over the traced schedule instead of ``generator.send``) and
-shares the runtime sweep/match loop, scoreboard, NIC occupancy chains
-and timing draws with the interpreted path, compiled evaluation is
-bit-identical to interpreted evaluation: the same operations occur in
-the same order and consume the RNG stream identically -- under
-deterministic *and* distribution timing models alike.
+On the per-run machine the compiled cursor replaces only the *source of
+ops* (a cursor over the traced schedule instead of ``generator.send``)
+and shares the runtime sweep/match loop, scoreboard, NIC occupancy
+chains and timing draws with the interpreted path, so compiled
+evaluation is bit-identical to interpreted evaluation: the same
+operations occur in the same order and consume the RNG stream
+identically -- under deterministic *and* distribution timing models
+alike.  The batched machine runs schedules only; under a deterministic
+timing model it agrees with the interpreter bit for bit.
 
 Schedules are cached per (model fingerprint, params, nprocs) by
 :func:`compiled_program_for`; per-``ppn`` op lists (with the intra-node
@@ -80,10 +83,9 @@ class CompiledProgram:
     send additionally carries its precomputed intra-node flag.
 
     A :attr:`divergent` program (a wildcard receive whose winner is
-    timing-dependent) carries no schedule; the virtual machines run its
-    :attr:`fallback` -- the original generator program -- instead, so
-    divergence handling (sub-batch splitting, generator forking) is
-    untouched.
+    timing-dependent) carries no schedule; the per-run virtual machine
+    runs its :attr:`fallback` -- the original generator program --
+    instead, and the batched machine refuses it.
     """
 
     __slots__ = (

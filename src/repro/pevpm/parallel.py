@@ -20,6 +20,13 @@ with its own RNG stream -- so this module fans them out over a
   worker once (pool initializer), not once per run, and each worker
   compiles directive models once per run group.
 
+Every group's model is compiled first (:mod:`repro.pevpm.compile`), and
+the compiled program decides what a work unit is: a *static* program
+can run as batched-VM chunks, while a *divergent* one (a wildcard
+receive whose winner depends on sampled times) always runs run by run
+on the per-run VM.  :func:`_work_units` is the only place that choice
+is made.
+
 The module does no file I/O: caching finished evaluations is
 :mod:`repro.pevpm.predict`'s job.
 """
@@ -33,15 +40,13 @@ import time as _time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
 from ..obs.profile import PhaseProfiler
-from .compile import compiled_program_for
-from .directives import Block
-from .interpreter import compile_model
-from .machine import MachineResult, ProcContext, VirtualMachine
+from .compile import CompiledProgram, compiled_program_for
+from .machine import MachineResult, VirtualMachine
 from .vector import BatchedVirtualMachine
 
 __all__ = [
@@ -124,22 +129,16 @@ class RunGroup:
     trace_last: bool = False
     nic_serialisation: str = "tx"
     ppn: int = 1
-    #: evaluate runs through the batched (vectorised) virtual machine in
-    #: chunks of *vector_batch*; tracing needs the per-run engine, so
-    #: ``trace_last`` wins when both are set.
+    #: evaluate a static program's runs through the batched (vectorised)
+    #: virtual machine in chunks of *vector_batch*.  A divergent program
+    #: has no static schedule and always runs one unit per run on the
+    #: per-run machine (see :func:`_work_units`).
     vector_runs: bool = False
     vector_batch: int = VECTOR_BATCH
     #: collect per-phase host-time attribution (sweep/match/sample) for
     #: every run -- wall-clock measurement only; the seeded RNG streams
     #: are untouched, so profiled and unprofiled runs are bit-identical.
     profile: bool = False
-    #: lower the model to a static per-rank schedule once
-    #: (:func:`repro.pevpm.compile.compiled_program_for`) and execute the
-    #: compiled form; bit-identical to interpreted evaluation, and a
-    #: divergent (wildcard-racing) program transparently falls back to
-    #: its generator.  Part of the cache key: a compiled evaluation is
-    #: recorded as such.
-    compiled: bool = True
     #: absolute index of this group's first run in its seed stream:
     #: scalar run *i* draws child stream ``run_offset + i`` and batch
     #: chunks are seeded at absolute starts, so a group covering runs
@@ -148,20 +147,6 @@ class RunGroup:
     #: property adaptive (precision-targeted) evaluation extends runs
     #: through.  0, the default, is the ordinary whole-evaluation group.
     run_offset: int = 0
-
-
-def _vectorised(group: RunGroup) -> bool:
-    return group.vector_runs and not group.trace_last
-
-
-def _vector_chunks(group: RunGroup) -> list[tuple[int, int]]:
-    """(start, size) chunks of the group's runs, fixed by (runs,
-    vector_batch) alone -- the batch-mode work units."""
-    batch = max(1, group.vector_batch)
-    return [
-        (start, min(batch, group.runs - start))
-        for start in range(0, group.runs, batch)
-    ]
 
 
 def chunk_seed(root: np.random.SeedSequence, start: int) -> np.random.SeedSequence:
@@ -198,23 +183,16 @@ class RunOutcome:
     phases: dict | None = None
 
 
-def _program_for(group: RunGroup):
-    """The executable form of a group's model: a compiled static schedule
-    when the group asks for one, else the generator factory."""
-    if group.compiled:
-        return compiled_program_for(group.model, group.nprocs, group.params)
-    if isinstance(group.model, Block):
-        return compile_model(group.model, group.params)
-    if callable(group.model):
-        return group.model
-    raise TypeError(
-        "model must be a directive Block or a program callable(ctx) -> generator"
-    )
+def _program_for(group: RunGroup) -> CompiledProgram:
+    """A group's model compiled once: a static schedule, or a divergent
+    program that carries its generator form (see
+    :mod:`repro.pevpm.compile`)."""
+    return compiled_program_for(group.model, group.nprocs, group.params)
 
 
 def _execute_run(
     group: RunGroup,
-    program: Callable[[ProcContext], Generator],
+    program: CompiledProgram,
     child: np.random.SeedSequence,
     trace: bool,
 ) -> RunOutcome:
@@ -241,9 +219,10 @@ def _execute_run(
 
 def _execute_batch(
     group: RunGroup,
-    program: Callable[[ProcContext], Generator],
+    program: CompiledProgram,
     start: int,
     size: int,
+    trace: bool,
 ) -> list[RunOutcome]:
     """Evaluate runs ``[start, start+size)`` through the batched VM.
 
@@ -257,10 +236,10 @@ def _execute_batch(
         group.timing,
         seed=chunk_seed(group.seed, group.run_offset + start),
         runs=size,
-        params=group.params,
         nic_serialisation=group.nic_serialisation,
         ppn=group.ppn,
         profiler=profiler,
+        trace=trace,
     )
     results = vm.run(program)
     share = (_time.perf_counter() - t0) / size
@@ -283,7 +262,7 @@ def _execute_batch(
 # programs are cached per group index so a worker evaluating several runs
 # of one group compiles its directives once.
 _WORKER_GROUPS: list[RunGroup] | None = None
-_WORKER_PROGRAMS: dict[int, Callable] = {}
+_WORKER_PROGRAMS: dict[int, CompiledProgram] = {}
 
 
 def _init_worker(payload: bytes) -> None:
@@ -305,21 +284,23 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_PROGRAMS.clear()
 
 
-def _run_task(group_idx: int, run_idx: int, child, trace: bool):
-    group = _WORKER_GROUPS[group_idx]
+def _worker_program(group_idx: int) -> CompiledProgram:
     program = _WORKER_PROGRAMS.get(group_idx)
     if program is None:
+        group = _WORKER_GROUPS[group_idx]
         program = _WORKER_PROGRAMS[group_idx] = _program_for(group)
-    outcome = _execute_run(group, program, child, trace)
+    return program
+
+
+def _run_task(group_idx: int, run_idx: int, child, trace: bool):
+    group = _WORKER_GROUPS[group_idx]
+    outcome = _execute_run(group, _worker_program(group_idx), child, trace)
     return group_idx, run_idx, outcome
 
 
-def _run_batch_task(group_idx: int, start: int, size: int):
+def _run_batch_task(group_idx: int, start: int, size: int, trace: bool):
     group = _WORKER_GROUPS[group_idx]
-    program = _WORKER_PROGRAMS.get(group_idx)
-    if program is None:
-        program = _WORKER_PROGRAMS[group_idx] = _program_for(group)
-    outcomes = _execute_batch(group, program, start, size)
+    outcomes = _execute_batch(group, _worker_program(group_idx), start, size, trace)
     return group_idx, start, outcomes
 
 
@@ -338,51 +319,42 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
     return max(1, min(workers, tasks))
 
 
-def _evaluate_serial(groups: list[RunGroup]) -> list[list[RunOutcome]]:
-    out: list[list[RunOutcome]] = []
-    for group in groups:
-        program = _program_for(group)
-        outcomes = []
-        if _vectorised(group):
-            for start, size in _vector_chunks(group):
-                outcomes.extend(_execute_batch(group, program, start, size))
-        else:
-            children = group_run_seeds(group)
-            for run, child in enumerate(children):
-                trace = group.trace_last and run == group.runs - 1
-                outcomes.append(_execute_run(group, program, child, trace))
-        out.append(outcomes)
-    return out
+def _work_units(
+    groups: list[RunGroup], programs: list[CompiledProgram]
+) -> list[tuple]:
+    """Every dispatchable work unit, as a re-submittable descriptor --
+    and the one place an engine is chosen.
 
-
-def _work_units(groups: list[RunGroup]) -> list[tuple]:
-    """Every dispatchable work unit, as a re-submittable descriptor.
-
-    ``("batch", gi, start, size)`` for batched-VM chunks and ``("run",
-    gi, run, child, trace)`` for scalar MC runs.  Descriptors carry
-    everything needed to (re-)dispatch, so recovery after a pool crash
-    re-runs exactly the lost units -- each with the same seed stream it
-    would have used the first time.
+    A static program of a ``vector_runs`` group runs as ``("batch", gi,
+    start, size, trace)`` chunks on the batched VM, at boundaries fixed
+    by (runs, vector_batch) alone.  Every other group runs ``("run", gi,
+    run, child, trace)`` units of one MC run on the per-run VM -- among
+    them every divergent program, whose structure depends on sampled
+    arrival times and so cannot advance as one congruent batch.  The
+    unit holding a group's last run carries its ``trace_last`` flag.
+    Descriptors carry everything needed to (re-)dispatch, so recovery
+    after a pool crash re-runs exactly the lost units -- each with the
+    same seed stream it would have used the first time.
     """
     units: list[tuple] = []
-    for gi, group in enumerate(groups):
-        if _vectorised(group):
-            for start, size in _vector_chunks(group):
-                units.append(("batch", gi, start, size))
+    for gi, (group, program) in enumerate(zip(groups, programs)):
+        last = group.runs - 1
+        if group.vector_runs and not program.divergent:
+            batch = max(1, group.vector_batch)
+            for start in range(0, group.runs, batch):
+                size = min(batch, group.runs - start)
+                trace = group.trace_last and start + size > last
+                units.append(("batch", gi, start, size, trace))
             continue
-        children = group_run_seeds(group)
-        for run, child in enumerate(children):
-            trace = group.trace_last and run == group.runs - 1
-            units.append(("run", gi, run, child, trace))
+        for run, child in enumerate(group_run_seeds(group)):
+            units.append(("run", gi, run, child, group.trace_last and run == last))
     return units
 
 
 def _submit_unit(pool: ProcessPoolExecutor, unit: tuple):
     if unit[0] == "batch":
-        _, gi, start, size = unit
-        return pool.submit(_run_batch_task, gi, start, size)
-    _, gi, run, child, trace = unit
-    return pool.submit(_run_task, gi, run, child, trace)
+        return pool.submit(_run_batch_task, *unit[1:])
+    return pool.submit(_run_task, *unit[1:])
 
 
 def _store_result(results, payload_out) -> None:
@@ -401,22 +373,19 @@ def _unit_done(results, unit: tuple) -> bool:
     return results[unit[1]][unit[2]] is not None
 
 
-def _evaluate_units_serial(groups, results, units: list[tuple]) -> None:
-    """Finish *units* on the serial path (the terminal fallback when the
-    pool keeps breaking); numbers are identical by construction."""
-    programs: dict[int, Callable] = {}
+def _evaluate_units_serial(groups, programs, results, units: list[tuple]) -> None:
+    """Evaluate *units* in this process: the path for one worker, and
+    the terminal fallback when the pool keeps breaking; numbers are
+    identical by construction."""
     for unit in units:
         gi = unit[1]
-        program = programs.get(gi)
-        if program is None:
-            program = programs[gi] = _program_for(groups[gi])
         if unit[0] == "batch":
-            _, _, start, size = unit
-            outcomes = _execute_batch(groups[gi], program, start, size)
+            _, _, start, size, trace = unit
+            outcomes = _execute_batch(groups[gi], programs[gi], start, size, trace)
             results[gi][start:start + len(outcomes)] = outcomes
         else:
             _, _, run, child, trace = unit
-            results[gi][run] = _execute_run(groups[gi], program, child, trace)
+            results[gi][run] = _execute_run(groups[gi], programs[gi], child, trace)
 
 
 def evaluate_groups(
@@ -426,11 +395,12 @@ def evaluate_groups(
 ) -> list[list[RunOutcome]]:
     """Evaluate every Monte Carlo run of every group, possibly in parallel.
 
-    Returns one ``RunOutcome`` list per group, run-ordered.  For per-run
-    groups the work unit is a single MC run; for ``vector_runs`` groups
-    it is a fixed-size chunk of runs evaluated by the batched VM.
-    Parallelism applies across work units *and* across groups (the
-    ``proc_counts`` / timing-mode axes of the higher-level helpers).
+    Returns one ``RunOutcome`` list per group, run-ordered.  A work unit
+    is a fixed-size chunk of runs on the batched VM for a static program
+    of a ``vector_runs`` group, and a single MC run on the per-run VM
+    otherwise (see :func:`_work_units`).  Parallelism applies across
+    work units *and* across groups (the ``proc_counts`` / timing-mode
+    axes of the higher-level helpers).
     Results are bit-identical for any ``workers`` setting: scalar run
     ``i`` always uses child stream ``i`` of the group's seed, and batch
     chunks are seeded by :func:`chunk_seed` at worker-independent
@@ -449,25 +419,25 @@ def evaluate_groups(
     *on_rebuild*, when given, is called with the rebuild ordinal each
     time the pool is reconstructed (metrics hook for the serving layer).
     """
-    total = sum(
-        len(_vector_chunks(g)) if _vectorised(g) else g.runs for g in groups
-    )
     if sum(g.runs for g in groups) == 0:
         return [[] for _ in groups]
-    nworkers = resolve_workers(workers, total)
-    for group in groups:
-        _program_for(group)  # validate model types before forking
-    if nworkers <= 1:
-        return _evaluate_serial(groups)
-    try:
-        payload = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        # Unpicklable model/timing (e.g. a closure program): the pool
-        # cannot ship it, but the serial path produces the same numbers.
-        return _evaluate_serial(groups)
-
+    programs = [_program_for(g) for g in groups]  # validates models, too
+    units = _work_units(groups, programs)
     results: list[list[RunOutcome | None]] = [[None] * g.runs for g in groups]
-    remaining = _work_units(groups)
+    nworkers = resolve_workers(workers, len(units))
+    payload = None
+    if nworkers > 1:
+        try:
+            payload = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            # Unpicklable model/timing (e.g. a closure program): the pool
+            # cannot ship it, but the serial path produces the same numbers.
+            pass
+    if payload is None:
+        _evaluate_units_serial(groups, programs, results, units)
+        return results  # type: ignore[return-value]
+
+    remaining = units
     rebuilds = 0
     while remaining:
         pool = None
@@ -512,13 +482,13 @@ def evaluate_groups(
             if on_rebuild is not None:
                 on_rebuild(rebuilds)
             if rebuilds > POOL_REBUILD_LIMIT:
-                _evaluate_units_serial(groups, results, remaining)
+                _evaluate_units_serial(groups, programs, results, remaining)
                 remaining = []
         except (OSError, RuntimeError):
             # Pool creation can fail on restricted hosts (no /dev/shm,
             # fork limits); the evaluation is still well-defined serially.
             remaining = [u for u in remaining if not _unit_done(results, u)]
-            _evaluate_units_serial(groups, results, remaining)
+            _evaluate_units_serial(groups, programs, results, remaining)
             remaining = []
         finally:
             if pool is not None:

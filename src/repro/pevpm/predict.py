@@ -13,8 +13,9 @@ over a process pool when ``workers`` allows, with per-run
 ``SeedSequence`` streams keeping serial and parallel evaluation
 bit-identical for the same seed.  Pass ``cache_dir`` to reuse finished
 evaluations across calls and processes, and ``vector_runs=True`` to
-evaluate whole chunks of runs in one pass on the batched virtual
-machine (:mod:`repro.pevpm.vector`) -- the highest-throughput mode.
+evaluate whole chunks of a static program's runs in one pass on the
+batched virtual machine (:mod:`repro.pevpm.vector`) -- the
+highest-throughput mode.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class PredictionCache(ContentStore):
     wholesale.  A non-object document is corrupt, one of another
     :attr:`VERSION` a plain miss."""
 
-    VERSION = 3
+    VERSION = 4
 
     def __init__(self, root):
         super().__init__(root, "predict-{}.json", self._decode)
@@ -228,11 +229,9 @@ def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) ->
     """Content fingerprint of one group's evaluation (the cache key).
 
     The vector flag and chunk size are keyed (batch mode has its own
-    seed-stream convention), and so is the compiled flag: compiled and
-    interpreted evaluations are bit-identical by contract, and distinct
-    keys keep any violation observable.  With *precision* it is the key
-    of an adaptive request's pointer entry: the target replaces
-    ``runs``, which the stopping rule decides.
+    seed-stream convention).  With *precision* it is the key of an
+    adaptive request's pointer entry: the target replaces ``runs``,
+    which the stopping rule decides.
     """
     try:
         model_blob = pickle.dumps((group.model, group.params), protocol=4)
@@ -248,7 +247,6 @@ def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) ->
         "ppn": group.ppn,
         "vector": bool(group.vector_runs),
         "vbatch": group.vector_batch if group.vector_runs else None,
-        "compiled": bool(group.compiled),
     }
     if precision is not None:
         ident["runs"] = None
@@ -525,7 +523,6 @@ def predict(
     workers: int | None = 1,
     cache_dir=None,
     vector_runs: bool = False,
-    compiled: bool = True,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
     min_runs: int = 4,
@@ -541,23 +538,20 @@ def predict(
     the last run can be traced for loss attribution (which bypasses the
     cache).
 
-    ``vector_runs=True`` evaluates through the batched virtual machine
+    The model is lowered to a static per-rank schedule once
+    (:mod:`repro.pevpm.compile`), so the per-op interpretation cost is
+    paid once instead of per run.  ``vector_runs=True`` evaluates a
+    static program through the batched virtual machine
     (:mod:`repro.pevpm.vector`): all runs of a fixed-size chunk advance
     in one sweep/match pass with vectorised timing draws -- several times
     the throughput of per-run evaluation on one worker, and it composes
     with ``workers`` (chunks fan out over the pool) and the cache.
     Batch mode has its own seed-stream convention, so its times are
     statistically equivalent to -- not bit-identical with -- the per-run
-    engine's; it is itself deterministic for a given seed.  A traced
-    last run forces the per-run engine.
-
-    ``compiled=True`` (the default) lowers the model to a static per-rank
-    schedule once (:mod:`repro.pevpm.compile`) and executes the compiled
-    form -- bit-identical times, with the per-op interpretation cost paid
-    once instead of per run.  Programs whose structure is genuinely
-    timing-dependent (a wildcard receive with racing senders) are
-    detected at compile time and fall back to the generator interpreter
-    unchanged.  ``compiled=False`` forces the interpreter everywhere.
+    engine's; it is itself deterministic for a given seed.  A program
+    whose structure is timing-dependent (a wildcard receive with racing
+    senders, detected at compile time) always runs run by run on the
+    per-run engine.  Tracing the last run never changes the times.
 
     **Adaptive mode**: pass ``precision=PrecisionTarget(...)`` (or the
     shorthand ``target_rse=0.01``) and the run count is decided by the
@@ -588,7 +582,6 @@ def predict(
         nic_serialisation=nic_serialisation,
         ppn=ppn,
         vector_runs=vector_runs,
-        compiled=compiled,
     )
     if target is not None:
         if vector_runs:
@@ -611,7 +604,6 @@ def predict_speedups(
     workers: int | None = 1,
     cache_dir=None,
     vector_runs: bool = False,
-    compiled: bool = True,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
     min_runs: int = 4,
@@ -625,7 +617,7 @@ def predict_speedups(
     machine size gets its own child seed stream, so the points are
     statistically independent; with ``workers`` > 1 the (size x run)
     grid evaluates in one shared pool.  ``vector_runs=True`` batches
-    each size's runs through the vectorised engine.
+    each size's runs through the vectorised engine (static programs).
 
     With ``precision``/``target_rse`` set, every size stops at its own
     adaptive total: small machines (low variance) spend few runs, large
@@ -650,7 +642,6 @@ def predict_speedups(
             params=params,
             ppn=ppn,
             vector_runs=vector_runs,
-            compiled=compiled,
             **batch_kw,
         )
         for nprocs, child in zip(proc_counts, children)
@@ -680,7 +671,6 @@ def compare_timing_modes(
     workers: int | None = 1,
     cache_dir=None,
     vector_runs: bool = False,
-    compiled: bool = True,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
     min_runs: int = 4,
@@ -726,7 +716,6 @@ def compare_timing_modes(
             nic_serialisation=nic_serialisation,
             ppn=ppn,
             vector_runs=vector_runs,
-            compiled=compiled,
             **batch_kw,
         )
         for mode, source in modes

@@ -142,10 +142,10 @@ class VectorEntry:
     """One outstanding message across a *batch* of Monte Carlo runs.
 
     Identical to :class:`ScoreboardEntry` except that ``depart`` is an
-    ``(r,)`` array -- one departure time per run in the (sub-)batch.  The
+    ``(r,)`` array -- one departure time per run in the batch.  The
     message's identity (src, dst, size, program position) is *structural*:
-    within a congruent sub-batch every run sends the same messages in the
-    same order, only their clock values differ.
+    every run of a static program sends the same messages in the same
+    order, only their clock values differ.
     """
 
     __slots__ = ("msg_id", "src", "dst", "size", "depart", "intra", "payload")
@@ -159,13 +159,6 @@ class VectorEntry:
         self.intra = intra
         self.payload = payload
 
-    def sliced(self, index) -> "VectorEntry":
-        """The same message restricted to the runs selected by *index*."""
-        return VectorEntry(
-            self.msg_id, self.src, self.dst, self.size,
-            self.depart[index], self.intra, self.payload,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VectorEntry #{self.msg_id} {self.src}->{self.dst} "
@@ -176,8 +169,8 @@ class VectorEntry:
 class VectorScoreboard:
     """Scoreboard for the batched virtual machine.
 
-    Message *population* is structural (shared by every run of a
-    congruent sub-batch), so contention stays a scalar; only departure
+    Message *population* is structural (shared by every run of the
+    batch), so contention stays a scalar; only departure
     times are per-run vectors.  FIFO order is by ``msg_id``: a sender's
     messages to one destination are added in program order and their
     departure times are nondecreasing in every run, so insertion order
@@ -250,34 +243,10 @@ class VectorScoreboard:
             return []
         return sorted((q[0] for q in by_src.values()), key=_msg_id)
 
-    def split(self, index) -> "VectorScoreboard":
-        """A scoreboard for the sub-batch of runs selected by *index*.
-
-        Shares message identities (msg_id counter state, population
-        counters) with the parent but slices every departure vector, so
-        divergent sub-batches evolve independently afterwards.
-        """
-        child = VectorScoreboard()
-        child._entries = {
-            mid: e.sliced(index) for mid, e in self._entries.items()
-        }
-        child._fifo = {
-            dst: {
-                src: deque(child._entries[e.msg_id] for e in queue)
-                for src, queue in by_src.items()
-            }
-            for dst, by_src in self._fifo.items()
-        }
-        child._next_id = self._next_id
-        child._inter_count = self._inter_count
-        child.peak = self.peak
-        child.total_added = self.total_added
-        return child
-
     @property
     def contention(self) -> int:
         """Outstanding inter-node messages (shared by all runs of the
-        sub-batch -- population is structural)."""
+        batch -- population is structural)."""
         return self._inter_count
 
     def __len__(self) -> int:

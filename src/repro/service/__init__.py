@@ -9,7 +9,8 @@ the request funnel a production serving layer needs:
   ``/distributions``, ``/healthz``, ``/metrics``;
 * :mod:`.batcher` -- micro-batching of concurrent misses into one
   :func:`~repro.pevpm.parallel.evaluate_groups` call (whose
-  ``vector_runs`` work units are ``BatchedVirtualMachine`` chunks);
+  ``vector_runs`` work units are ``BatchedVirtualMachine`` chunks for
+  static programs);
 * :mod:`.dedup`   -- singleflight collapse of identical in-flight
   requests;
 * :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines

@@ -12,8 +12,8 @@ streams -- coalescing shares pool start-up, per-group program
 compilation and (with ``workers > 1``) the worker processes, but never
 the random draws, so every request's times remain bit-identical to a
 direct ``predict(...)`` call.  Within a group, ``vector_runs`` requests
-are evaluated as ``BatchedVirtualMachine`` chunks, the engine's highest-
-throughput path.
+for static programs are evaluated as ``BatchedVirtualMachine`` chunks,
+the engine's highest-throughput path.
 
 Evaluation runs on a single dedicated executor thread: batches pipeline
 (the collector keeps coalescing the next batch while the current one

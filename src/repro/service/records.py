@@ -177,7 +177,6 @@ class PredictRequest:
     nic_serialisation: str = "tx"
     vector_runs: bool = True
     vector_batch: int = VECTOR_BATCH
-    compiled: bool = True  #: static-schedule compilation (bit-identical)
     deadline_s: float | None = None  #: per-request deadline override
     #: registry ref (alias or fingerprint) of the distribution database
     #: to predict against; ``None`` means the service's startup default
@@ -196,7 +195,7 @@ class PredictRequest:
         known = {
             "model", "nprocs", "model_params", "ppn", "runs", "seed",
             "timing_mode", "timing_source", "nic_serialisation",
-            "vector_runs", "vector_batch", "compiled", "deadline_s", "db",
+            "vector_runs", "vector_batch", "deadline_s", "db",
             "target_rse", "min_runs", "max_runs",
         }
         unknown = set(doc) - known
@@ -281,7 +280,6 @@ class PredictRequest:
             nic_serialisation=nic,
             vector_runs=vector_runs,
             vector_batch=vector_batch,
-            compiled=bool(doc.get("compiled", True)),
             deadline_s=None if deadline is None else float(deadline),
             db=db_ref,
             target_rse=None if target_rse is None else float(target_rse),
@@ -326,7 +324,6 @@ class PredictRequest:
             "nic_serialisation": self.nic_serialisation,
             "vector_runs": self.vector_runs,
             "vector_batch": self.vector_batch if self.vector_runs else None,
-            "compiled": self.compiled,
         }
         if self.target_rse is not None:
             doc["runs"] = None
@@ -419,7 +416,6 @@ def prediction_record(
     seed: int | None = None,
     vector_runs: bool | None = None,
     vector_batch: int | None = None,
-    compiled: bool | None = None,
     nic_serialisation: str | None = None,
     workers: int | None = None,
     extra: dict | None = None,
@@ -453,8 +449,6 @@ def prediction_record(
         record["engine"]["vector_runs"] = bool(vector_runs)
         if vector_runs:
             record["engine"]["vector_batch"] = vector_batch or VECTOR_BATCH
-    if compiled is not None:
-        record["engine"]["compiled"] = bool(compiled)
     if nic_serialisation is not None:
         record["engine"]["nic_serialisation"] = nic_serialisation
     if workers is not None:

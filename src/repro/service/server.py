@@ -370,7 +370,6 @@ class PredictionService:
             ppn=req.ppn,
             vector_runs=req.vector_runs,
             vector_batch=req.vector_batch,
-            compiled=req.compiled,
             # Per-phase host-time attribution rides along whenever the
             # service is tracing; it is pure wall-clock measurement, so
             # the evaluation's draws (and times) are unchanged.
@@ -872,7 +871,6 @@ class PredictionService:
             seed=req.seed,
             vector_runs=req.vector_runs,
             vector_batch=req.vector_batch,
-            compiled=req.compiled,
             nic_serialisation=req.nic_serialisation,
             workers=self.workers,
             extra={

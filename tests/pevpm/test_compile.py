@@ -1,12 +1,13 @@
 """Tests for static-schedule compilation (:mod:`repro.pevpm.compile`).
 
-The compiled executor's contract: bit-identical to the generator
-interpreter -- under deterministic *and* distribution timing, on the
-scalar and the batched engine, across NIC serialisation modes -- because
-it replaces only the source of ops, never the runtime match phase or the
-RNG draw order.  Structurally timing-dependent programs (wildcard
-receives with racing senders) are detected at compile time and fall back
-to the interpreter unchanged.
+The compiled executor's contract: on the per-run engine, bit-identical
+to the generator interpreter -- under deterministic *and* distribution
+timing, across NIC serialisation modes -- because it replaces only the
+source of ops, never the runtime match phase or the RNG draw order.  The
+batched engine runs schedules only and matches the interpreter bit for
+bit under deterministic timing.  Structurally timing-dependent programs
+(wildcard receives with racing senders) are detected at compile time and
+run per-run on the interpreter unchanged.
 """
 
 import numpy as np
@@ -22,16 +23,16 @@ from repro.pevpm import (
     CompiledProgram,
     HockneyTiming,
     ModelDeadlock,
-    RunGroup,
     VirtualMachine,
     clear_compile_cache,
+    compile_model,
     compile_program,
     compiled_program_for,
     model_messages,
     predict,
+    run_seeds,
     timing_from_db,
 )
-from repro.pevpm.predict import prediction_key
 from repro.simnet import perseus
 
 SPEC = perseus(16)
@@ -167,91 +168,62 @@ class TestCompileStructure:
 
 
 class TestCompiledParity:
-    """compiled=True must reproduce compiled=False bit-for-bit."""
+    """The compiled schedules must reproduce the interpreter bit-for-bit."""
 
     @pytest.mark.parametrize("nic", NIC_MODES)
     @pytest.mark.parametrize("nprocs", [8, 16])
     def test_jacobi_deterministic_all_nic_modes(self, nic, nprocs):
         timing = HockneyTiming(1e-5, 1e-9)
-        kw = dict(runs=4, seed=5, params=jacobi_params(),
-                  nic_serialisation=nic)
-        for vector in (False, True):
-            a = predict(parse_jacobi(), nprocs, timing,
-                        vector_runs=vector, compiled=True, **kw)
-            b = predict(parse_jacobi(), nprocs, timing,
-                        vector_runs=vector, compiled=False, **kw)
-            assert a.times == b.times
+        params = jacobi_params()
+        program = compile_model(parse_jacobi(), params)
+        compiled = compile_program(parse_jacobi(), nprocs, params)
+        ref = VirtualMachine(nprocs, timing, seed=5, nic_serialisation=nic).run(program)
+        cursor = VirtualMachine(nprocs, timing, seed=5, nic_serialisation=nic).run(compiled)
+        assert cursor.elapsed == ref.elapsed
+        batch = BatchedVirtualMachine(
+            nprocs, timing, seed=5, runs=4, nic_serialisation=nic
+        ).run(compiled)
+        assert [r.elapsed for r in batch] == [ref.elapsed] * 4
 
     @pytest.mark.parametrize("nprocs", [4, 8])
     def test_fft_deterministic(self, nprocs):
         timing = HockneyTiming(1e-5, 1e-9)
-        a = predict(fft_model(256), nprocs, timing, runs=4, seed=2,
-                    compiled=True)
-        b = predict(fft_model(256), nprocs, timing, runs=4, seed=2,
-                    compiled=False)
-        assert a.times == b.times
+        ref = VirtualMachine(nprocs, timing, seed=2).run(fft_model(256))
+        compiled = compile_program(fft_model(256), nprocs)
+        assert VirtualMachine(nprocs, timing, seed=2).run(compiled).elapsed == ref.elapsed
+        batch = BatchedVirtualMachine(nprocs, timing, seed=2, runs=4).run(compiled)
+        assert [r.elapsed for r in batch] == [ref.elapsed] * 4
 
     @pytest.mark.parametrize("nic", NIC_MODES)
     def test_jacobi_distribution_same_rng_order(self, db, nic):
         # Stronger than the statistical-equivalence requirement: the
-        # compiled path shares the runtime match phase and draw sites,
+        # compiled cursor shares the runtime match phase and draw sites,
         # so even sampled timing is bit-identical.
         timing = timing_from_db(db, mode="distribution", nprocs=8)
-        kw = dict(runs=6, seed=11, params=jacobi_params(),
-                  nic_serialisation=nic)
-        for vector in (False, True):
-            a = predict(parse_jacobi(), 8, timing,
-                        vector_runs=vector, compiled=True, **kw)
-            b = predict(parse_jacobi(), 8, timing,
-                        vector_runs=vector, compiled=False, **kw)
-            assert a.times == b.times
+        params = jacobi_params()
+        program = compile_model(parse_jacobi(), params)
+        compiled = compile_program(parse_jacobi(), 8, params)
+        for seed in run_seeds(np.random.SeedSequence(11), 6):
+            a = VirtualMachine(8, timing, seed=seed, nic_serialisation=nic).run(compiled)
+            b = VirtualMachine(8, timing, seed=seed, nic_serialisation=nic).run(program)
+            assert a.elapsed == b.elapsed
 
     def test_divergent_taskfarm_falls_back_identically(self, db):
         timing = timing_from_db(db, mode="distribution", nprocs=4)
-        kw = dict(runs=8, seed=9)
-        a = predict(taskfarm_model(TASKS), 4, timing, compiled=True, **kw)
-        b = predict(taskfarm_model(TASKS), 4, timing, compiled=False, **kw)
-        assert a.times == b.times
-        # ... and the batched engine's sub-batch splitting still fires.
-        va = predict(taskfarm_model(TASKS), 4, timing, vector_runs=True,
-                     compiled=True, **kw)
-        vb = predict(taskfarm_model(TASKS), 4, timing, vector_runs=True,
-                     compiled=False, **kw)
-        assert va.times == vb.times
+        program = taskfarm_model(TASKS)
+        per_run = [
+            VirtualMachine(4, timing, seed=s).run(program).elapsed
+            for s in run_seeds(np.random.SeedSequence(9), 8)
+        ]
+        for vector in (False, True):
+            pred = predict(program, 4, timing, runs=8, seed=9, vector_runs=vector)
+            assert pred.times == per_run
 
-    def test_batched_vm_accepts_compiled_and_splits(self, db):
+    def test_batched_vm_refuses_divergent_program(self, db):
         timing = timing_from_db(db, mode="distribution", nprocs=4)
         compiled = compile_program(taskfarm_model(TASKS), 4)
-        bvm = BatchedVirtualMachine(
-            4, timing, seed=3, runs=16,
-        )
-        results = bvm.run(compiled)  # divergent -> generator fallback
-        assert bvm.splits > 0
-        assert len(results) == 16
-        assert all(r.elapsed > 0 for r in results)
-
-
-class TestCacheKeying:
-    def test_compiled_flag_is_part_of_the_cache_key(self):
-        kw = dict(
-            model=parse_jacobi(), params=jacobi_params(), nprocs=8,
-            timing=HockneyTiming(1e-5, 1e-9), seed=np.random.SeedSequence(1),
-            runs=4,
-        )
-        assert prediction_key(RunGroup(compiled=True, **kw)) != prediction_key(
-            RunGroup(compiled=False, **kw)
-        )
-
-    def test_cached_predictions_respect_the_flag(self, tmp_path):
-        timing = HockneyTiming(1e-5, 1e-9)
-        kw = dict(runs=3, seed=4, params=jacobi_params(),
-                  cache_dir=tmp_path)
-        first = predict(parse_jacobi(), 8, timing, compiled=True, **kw)
-        assert not first.cached
-        hit = predict(parse_jacobi(), 8, timing, compiled=True, **kw)
-        assert hit.cached and hit.times == first.times
-        # The interpreted evaluation is a distinct entry -- a miss --
-        # yet produces the same bits.
-        other = predict(parse_jacobi(), 8, timing, compiled=False, **kw)
-        assert not other.cached
-        assert other.times == first.times
+        bvm = BatchedVirtualMachine(4, timing, seed=3, runs=16)
+        with pytest.raises(ValueError, match="proc 0, op 0"):
+            bvm.run(compiled)
+        with pytest.raises(TypeError):
+            bvm.run(taskfarm_model(TASKS))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import jacobi_model, taskfarm_model
+from repro.apps import jacobi_model
 from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
 from repro.pevpm import (
     BatchedVirtualMachine,
@@ -213,50 +213,19 @@ JACOBI_8P_DRAWS = [
     ('one_way', 256, 2, False), ('one_way', 256, 1, False),
 ]
 
-TASKFARM_DRAWS = [
-    ('local', 512, 0, False), ('local', 512, 1, False), ('local', 512, 2, False),
-    ('one_way', 512, 3, False), ('one_way', 512, 3, False), ('one_way', 512, 3, False),
-    ('local', 2048, 2, False), ('one_way', 2048, 3, False), ('local', 512, 1, False),
-    ('local', 2048, 2, False), ('one_way', 2048, 3, False), ('one_way', 512, 2, False),
-    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
-    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 8, 2, False),
-    ('one_way', 8, 3, False), ('one_way', 512, 2, False), ('local', 8, 1, False),
-    ('one_way', 8, 2, False), ('local', 8, 0, False), ('one_way', 8, 1, False),
-    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
-    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 2048, 2, False),
-    ('one_way', 2048, 3, False), ('one_way', 512, 2, False), ('local', 512, 1, False),
-    ('local', 8, 2, False), ('one_way', 8, 3, False), ('one_way', 512, 2, False),
-    ('local', 8, 1, False), ('one_way', 8, 2, False), ('local', 8, 0, False),
-    ('one_way', 8, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
-    ('local', 512, 1, False), ('local', 2048, 2, False), ('one_way', 2048, 3, False),
-    ('one_way', 512, 2, False), ('local', 512, 1, False), ('local', 2048, 2, False),
-    ('one_way', 2048, 3, False), ('one_way', 512, 2, False), ('local', 512, 1, False),
-    ('local', 8, 2, False), ('one_way', 8, 3, False), ('one_way', 512, 2, False),
-    ('local', 8, 1, False), ('one_way', 8, 2, False), ('local', 8, 0, False),
-    ('one_way', 8, 1, False),
-]
-
-
 @pytest.mark.parametrize("form", ["compiled", "generator"])
 def test_jacobi_draw_sequence_is_pinned(form):
     # ppn=2 mixes intra-node sends, which must not move the contention.
+    # The schedule is traced from the directive Block or from the
+    # interpreter's generator form of it; both must plan the same draws.
     model = jacobi_model(iterations=2, xsize=64)
     params = {"serial_time": 1e-3}
-    program = (
-        compile_program(model, 8, params) if form == "compiled"
-        else compile_model(model, params)
+    source = model if form == "compiled" else compile_model(model, params)
+    timing = RecordingTiming()
+    BatchedVirtualMachine(8, timing, seed=3, runs=4, ppn=2).run(
+        compile_program(source, 8, params)
     )
-    timing = RecordingTiming()
-    BatchedVirtualMachine(8, timing, seed=3, runs=4, ppn=2).run(program)
     assert timing.log == JACOBI_8P_DRAWS
-
-
-def test_divergent_taskfarm_draw_sequence_is_pinned():
-    timing = RecordingTiming()
-    vm = BatchedVirtualMachine(4, timing, seed=5, runs=4)
-    vm.run(taskfarm_model([3e-5, 1e-5, 4e-5]))
-    assert (vm.splits, vm.singleton_subbatches) == (2, 2)
-    assert timing.log == TASKFARM_DRAWS
 
 
 # -- the indexed scoreboard against a scan ----------------------------------------
@@ -283,12 +252,6 @@ class ScanBoard:
     def contention(self):
         return sum(1 for _, _, intra, _ in self.entries.values() if not intra)
 
-    def split(self, mask):
-        return ScanBoard({
-            m: (s, d, intra, depart[mask])
-            for m, (s, d, intra, depart) in self.entries.items()
-        })
-
 
 NPROCS = 3
 RUNS = 4
@@ -301,7 +264,6 @@ step = st.one_of(
     add,
     add,
     st.tuples(st.just("remove"), st.integers(0, 10**6)),
-    st.tuples(st.just("split"), st.lists(st.booleans(), min_size=RUNS, max_size=RUNS)),
 )
 
 
@@ -328,32 +290,20 @@ def _assert_agree(board, ref):
           ("remove", 0)])
 def test_indexed_scoreboard_matches_scan(steps):
     board, ref = VectorScoreboard(), ScanBoard()
-    parents = []  #: (board, ref) pairs left behind by splits
-    runs = RUNS
     for i, s in enumerate(steps):
         if s[0] == "add":
             _, src, dst, intra = s
-            depart = np.full(runs, float(i)) + np.arange(runs)
+            depart = np.full(RUNS, float(i)) + np.arange(RUNS)
             entry = board.add(src, dst, 8, depart, intra=intra)
             ref.entries[entry.msg_id] = (src, dst, intra, depart)
-        elif s[0] == "remove":
+        else:
             if not ref.entries:
                 continue
             # Any outstanding message, not only a FIFO head.
             victim = sorted(ref.entries)[s[1] % len(ref.entries)]
             assert board.remove(victim).msg_id == victim
             del ref.entries[victim]
-        else:
-            mask = np.array(s[1][:runs])
-            if not mask.any():
-                continue
-            parents.append((board, ScanBoard(ref.entries)))
-            board, ref = board.split(mask), ref.split(mask)
-            runs = int(mask.sum())
         _assert_agree(board, ref)
-    # A child's later adds and removes never reach its parent.
-    for parent, snapshot in parents:
-        _assert_agree(parent, snapshot)
 
 
 def test_remove_unknown_message_raises():

@@ -4,7 +4,8 @@ The engine's contract (see :mod:`repro.pevpm.vector` and DESIGN.md §6):
 batch mode is deterministic for a given seed -- bit-identical across
 repeats *and* worker counts -- and statistically equivalent to the
 per-run engine (exactly equal under deterministic timing models, mean
-within 1% under distribution sampling).
+within 1% under distribution sampling).  It runs static schedules only:
+divergent programs run per-run, and tracing never changes a time.
 """
 
 import numpy as np
@@ -13,17 +14,23 @@ import pytest
 from repro.apps.taskfarm import taskfarm_model
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
+from repro.obs import merge_phases
 from repro.pevpm import (
     BatchedVirtualMachine,
     HockneyTiming,
     ModelDeadlock,
+    RunGroup,
     VectorScoreboard,
     VirtualMachine,
+    as_seed_sequence,
     clamp_times,
+    compile_program,
+    evaluate_groups,
     predict,
     run_seeds,
     timing_from_db,
 )
+from repro.pevpm import parallel
 from repro.pevpm.interpreter import compile_model
 from repro.simnet import perseus
 
@@ -50,6 +57,10 @@ def jacobi_params():
 
 def _jacobi_program(params):
     return compile_model(parse_jacobi(), params)
+
+
+def _jacobi_schedule(nprocs, params):
+    return compile_program(parse_jacobi(), nprocs, params)
 
 
 class TestClampTimes:
@@ -128,7 +139,7 @@ class TestExactParityDeterministicTiming:
         ]
         batch = BatchedVirtualMachine(
             8, timing, seed=root, runs=4, nic_serialisation=nic
-        ).run(program)
+        ).run(_jacobi_schedule(8, jacobi_params))
         assert [r.elapsed for r in batch] == serial
 
     def test_per_proc_accounting_matches(self, jacobi_params):
@@ -136,7 +147,9 @@ class TestExactParityDeterministicTiming:
         program = _jacobi_program(jacobi_params)
         root = np.random.SeedSequence(2)
         scalar = VirtualMachine(4, timing, seed=run_seeds(root, 1)[0]).run(program)
-        batch = BatchedVirtualMachine(4, timing, seed=root, runs=1).run(program)[0]
+        batch = BatchedVirtualMachine(4, timing, seed=root, runs=1).run(
+            _jacobi_schedule(4, jacobi_params)
+        )[0]
         assert batch.finish_times == pytest.approx(scalar.finish_times, abs=0.0)
         assert batch.compute_time == pytest.approx(scalar.compute_time, abs=0.0)
         assert batch.send_time == pytest.approx(scalar.send_time, abs=0.0)
@@ -163,36 +176,12 @@ class TestStatisticalParity:
         assert rel < 0.01
 
 
-class TestDivergenceSplitting:
+class TestDivergentPrograms:
+    """A wildcard receive whose winner depends on sampled arrival times
+    makes a program divergent; it runs one unit per run on the per-run
+    engine whatever the group asks for."""
+
     TASKS = [5e-4, 2e-4, 8e-4, 1e-4, 6e-4, 3e-4, 9e-4, 4e-4]
-
-    def test_wildcard_model_splits_and_agrees(self, db):
-        # The task farm's master decides via a wildcard receive, so runs
-        # diverge and the chunk must split into congruent sub-batches.
-        timing = timing_from_db(db, mode="distribution")
-        program = taskfarm_model(self.TASKS)
-        root = np.random.SeedSequence(7)
-        runs = 64
-        serial = [
-            VirtualMachine(4, timing, seed=s).run(program).elapsed
-            for s in run_seeds(root, runs)
-        ]
-        bvm = BatchedVirtualMachine(4, timing, seed=root, runs=runs)
-        batch = [r.elapsed for r in bvm.run(program)]
-        assert bvm.splits > 0
-        rel = abs(np.mean(batch) - np.mean(serial)) / np.mean(serial)
-        assert rel < 0.02
-
-    def test_split_batches_deterministic(self, db):
-        timing = timing_from_db(db, mode="distribution")
-        program = taskfarm_model(self.TASKS)
-        a = BatchedVirtualMachine(
-            4, timing, seed=np.random.SeedSequence(3), runs=16
-        ).run(program)
-        b = BatchedVirtualMachine(
-            4, timing, seed=np.random.SeedSequence(3), runs=16
-        ).run(program)
-        assert [r.elapsed for r in a] == [r.elapsed for r in b]
 
     def test_deadlock_detected(self):
         def bad(ctx):
@@ -201,7 +190,40 @@ class TestDivergenceSplitting:
 
         timing = HockneyTiming(latency=1e-4, bandwidth=1e7)
         with pytest.raises(ModelDeadlock):
-            BatchedVirtualMachine(2, timing, seed=0, runs=4).run(bad)
+            predict(bad, 2, timing, runs=4, vector_runs=True)
+
+    def test_evaluate_groups_routes_by_divergence(self, db, jacobi_params, monkeypatch):
+        issued = []
+        real_batch, real_run = parallel._execute_batch, parallel._execute_run
+
+        def batch(group, program, start, size, *rest):
+            issued.append(("batch", group.nprocs, start, size))
+            return real_batch(group, program, start, size, *rest)
+
+        def run(group, *rest):
+            issued.append(("run", group.nprocs))
+            return real_run(group, *rest)
+
+        monkeypatch.setattr(parallel, "_execute_batch", batch)
+        monkeypatch.setattr(parallel, "_execute_run", run)
+        timing = timing_from_db(db, mode="distribution")
+        kw = dict(timing=timing, seed=as_seed_sequence(3), runs=6,
+                  vector_runs=True, vector_batch=4)
+        evaluate_groups([
+            RunGroup(model=parse_jacobi(), nprocs=8, params=jacobi_params, **kw),
+            RunGroup(model=taskfarm_model(self.TASKS), nprocs=4, **kw),
+        ], workers=1)
+        assert issued == [("batch", 8, 0, 4), ("batch", 8, 4, 2)] + [("run", 4)] * 6
+
+    def test_vector_lane_equals_per_run_engine(self, db):
+        timing = timing_from_db(db, mode="distribution")
+        program = taskfarm_model(self.TASKS)
+        pred = predict(program, 4, timing, runs=8, seed=7, vector_runs=True)
+        per_run = [
+            VirtualMachine(4, timing, seed=s).run(program).elapsed
+            for s in run_seeds(np.random.SeedSequence(7), 8)
+        ]
+        assert pred.times == per_run
 
 
 class TestCacheComposition:
@@ -224,15 +246,51 @@ class TestCacheComposition:
         assert second.times == first.times
 
 
-class TestTraceFallback:
-    def test_trace_last_forces_per_run_engine(self, db, jacobi_params):
+def _static_or_divergent(name, jacobi_params):
+    """(model, params): Jacobi compiles static, the task farm divergent."""
+    if name == "jacobi":
+        return parse_jacobi(), jacobi_params
+    return taskfarm_model(TestDivergentPrograms.TASKS), None
+
+
+class TestTraceLast:
+    @pytest.mark.parametrize("model", ["jacobi", "taskfarm"])
+    def test_trace_last_keeps_times(self, db, jacobi_params, model):
         timing = timing_from_db(db, mode="distribution")
-        traced = predict(parse_jacobi(), 4, timing, runs=2, seed=1,
-                         params=jacobi_params, vector_runs=True, trace_last=True)
-        per_run = predict(parse_jacobi(), 4, timing, runs=2, seed=1,
-                          params=jacobi_params, trace_last=True)
-        assert traced.times == per_run.times
+        program, params = _static_or_divergent(model, jacobi_params)
+        kw = dict(runs=6, seed=1, params=params, vector_runs=True)
+        traced = predict(program, 4, timing, trace_last=True, **kw)
+        assert traced.times == predict(program, 4, timing, **kw).times
         assert traced.loss_report() is not None
+        assert all(r.trace is None for r in traced.results[:-1])
+
+    def test_batched_trace_equals_per_run_trace(self, jacobi_params):
+        timing = HockneyTiming(latency=1e-4, bandwidth=1e7)
+        per_run = VirtualMachine(
+            8, timing, seed=0, trace=True, ppn=2
+        ).run(_jacobi_program(jacobi_params))
+        batch = BatchedVirtualMachine(
+            8, timing, seed=0, runs=3, trace=True, ppn=2
+        ).run(_jacobi_schedule(8, jacobi_params))
+        assert batch[-1].trace.events == per_run.trace.events
+        assert len(per_run.trace.events) > 0
+
+
+class TestPhaseProfile:
+    @pytest.mark.parametrize("model", ["jacobi", "taskfarm"])
+    def test_buckets_within_wall(self, db, jacobi_params, model):
+        # Disjoint buckets: together they never exceed the evaluation's
+        # own wall time, on either engine.
+        program, params = _static_or_divergent(model, jacobi_params)
+        group = RunGroup(
+            model=program, nprocs=4, params=params,
+            timing=timing_from_db(db, mode="distribution"),
+            seed=as_seed_sequence(2), runs=8, vector_runs=True, profile=True,
+        )
+        outcomes = evaluate_groups([group], workers=1)[0]
+        phases = merge_phases(outcomes)
+        assert set(phases) <= {"sweep", "match", "sample"}
+        assert 0.0 < sum(phases.values()) <= sum(o.wall for o in outcomes)
 
 
 class TestVectorScoreboard:
@@ -247,14 +305,3 @@ class TestVectorScoreboard:
         assert heads == [first.msg_id, other.msg_id]
         sb.remove(first.msg_id)
         assert sb.oldest_for(0, 2).msg_id == second.msg_id
-
-    def test_split_slices_departures(self):
-        sb = VectorScoreboard()
-        sb.add(0, 1, 10, np.array([1.0, 2.0, 3.0]), False, None)
-        left = sb.split(np.array([0, 2]))
-        entry = left.heads_for_dst(1)[0]
-        assert list(entry.depart) == [1.0, 3.0]
-        # Fresh ids in the clone continue the parent's counter, so a
-        # post-split add never collides with surviving entries.
-        new = left.add(0, 1, 10, np.array([4.0, 5.0]), False, None)
-        assert new.msg_id > entry.msg_id

@@ -33,9 +33,9 @@ from repro.trace_import import ProgramStore, sample_trace
 
 RING = sample_trace(nprocs=4)
 
-PINNED_KEY = "09b051d19eccad6cd323264ed578c693ebd5f3563209516bfc1f469b10a0b207"
+PINNED_KEY = "c7df5546a528eead5cb26fa6025d9573d3848cc65752ac247e135e20aff0088a"
 PINNED_ADAPTIVE_KEY = (
-    "2081712dcdab622cc07cbfbe976991c808b9ef4257e1270a93900d105feeb60d"
+    "d2fb24ffaa060bbeb9ce39b60f073e87d25a25c6b5f17ca44520d49776fafbce"
 )
 PINNED_DB = "c04bca22c134cea95d03b696eac7d0215993cd3299d04ef43cf2da6cd60dd171"
 PINNED_PROGRAM = (
@@ -87,7 +87,7 @@ class TestPinnedBytes:
     )
 
     def test_prediction_keys(self):
-        assert PredictionCache.VERSION == 3
+        assert PredictionCache.VERSION == 4
         assert prediction_key(self.GROUP) == PINNED_KEY
         target = PrecisionTarget(rse=0.01)
         assert prediction_key(self.GROUP, target) == PINNED_ADAPTIVE_KEY
