@@ -122,7 +122,6 @@ def test_service_under_chaos(spec, fig6_db, out_dir, tmp_path):
             "xsize": 256,
             "serial_time": spec.jacobi_serial_time,
         },
-        vector_runs=True,
     )
     for mode in (healthy, chaotic, masked):
         assert mode["record"]["times"] == direct.times

@@ -93,8 +93,7 @@ def test_eval_cost_batched_compiled(benchmark, spec, fig6_db, out_dir):
         predict,
         args=(parse_jacobi(), NPROCS, timing),
         kwargs={
-            "runs": BATCHED_RUNS, "seed": 1, "params": params,
-            "vector_runs": True, "workers": 1,
+            "runs": BATCHED_RUNS, "seed": 1, "params": params, "workers": 1,
         },
         rounds=1,
         iterations=1,

@@ -7,15 +7,17 @@ Jacobi workload:
 
 * ``workers=N`` produces **bit-identical** ``Prediction.times`` to
   ``workers=1`` for the same seed (per-run ``SeedSequence`` streams);
-* on a multi-core host the wall time drops (>= 2x with 4 workers and 8
-  runs -- asserted only when the host has >= 4 cores, since a pool on a
-  single core can only add overhead);
+* on a multi-core host the wall time drops (>= 2x with 4 workers --
+  asserted only when the host has >= 4 cores, since a pool on a single
+  core can only add overhead).  The pool's work unit for a static
+  program is a whole batched-VM chunk, so the workload runs one chunk
+  per worker;
 * a second evaluation with identical arguments is served from the
   on-disk prediction cache without re-simulation;
-* ``vector_runs=True`` (the batched lockstep engine) multiplies
-  single-worker throughput (``simulated_per_wall``) by >= 3x on the
-  jacobi-100it-32p workload while keeping the mean within 1% of the
-  per-run engine's and staying bit-identical across worker counts.
+* the batched lockstep engine, which every static program runs on,
+  reports its single-worker throughput (``simulated_per_wall``) on the
+  jacobi-100it-32p workload and stays bit-identical across repeats and
+  worker counts.
 """
 
 import os
@@ -24,12 +26,12 @@ import time
 from conftest import CACHE_DIR, write_figure
 from repro._tables import format_table, format_time
 from repro.apps.jacobi import parse_jacobi
-from repro.pevpm import predict, timing_from_db
+from repro.pevpm import VECTOR_BATCH, predict, timing_from_db
 
 ITERATIONS = 100
 NPROCS = 16
-RUNS = 8
 WORKERS = 4
+RUNS = WORKERS * VECTOR_BATCH  # one batched-VM chunk per worker
 
 VECTOR_NPROCS = 32
 VECTOR_RUNS = 64
@@ -45,6 +47,10 @@ def test_parallel_predict(spec, fig6_db, out_dir):
     model = parse_jacobi()
     kwargs = dict(runs=RUNS, seed=1, params=params)
 
+    # Warm this process's compile cache and sampler tables, so neither
+    # timed call pays for them here.  Pool workers rebuild both from the
+    # pickled payload on every call: that is part of what the pool costs.
+    predict(model, NPROCS, timing, workers=1, **kwargs)
     t0 = time.perf_counter()
     serial = predict(model, NPROCS, timing, workers=1, **kwargs)
     serial_wall = time.perf_counter() - t0
@@ -65,7 +71,8 @@ def test_parallel_predict(spec, fig6_db, out_dir):
     cores = os.cpu_count() or 1
     speedup = serial_wall / max(parallel_wall, 1e-9)
     rows = [
-        ["workload", f"Jacobi {ITERATIONS} iters on {NPROCS} procs, {RUNS} MC runs"],
+        ["workload", f"Jacobi {ITERATIONS} iters on {NPROCS} procs, {RUNS} MC runs "
+                     f"({RUNS // VECTOR_BATCH} chunks)"],
         ["host cores", str(cores)],
         ["workers=1 wall", format_time(serial_wall)],
         [f"workers={WORKERS} wall", format_time(parallel_wall)],
@@ -87,7 +94,7 @@ def test_parallel_predict(spec, fig6_db, out_dir):
 
 
 def test_vector_predict(spec, fig6_db, out_dir):
-    """The batched engine's throughput and parity on jacobi-100it-32p."""
+    """The batched engine's throughput and determinism on jacobi-100it-32p."""
     params = {
         "iterations": ITERATIONS,
         "xsize": 256,
@@ -98,42 +105,28 @@ def test_vector_predict(spec, fig6_db, out_dir):
     kwargs = dict(runs=VECTOR_RUNS, seed=1, params=params)
 
     t0 = time.perf_counter()
-    serial = predict(model, VECTOR_NPROCS, timing, workers=1, **kwargs)
-    serial_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    vector = predict(model, VECTOR_NPROCS, timing, workers=1,
-                     vector_runs=True, **kwargs)
+    vector = predict(model, VECTOR_NPROCS, timing, workers=1, **kwargs)
     vector_wall = time.perf_counter() - t0
 
-    # Statistical parity: batch draws follow their own stream convention
-    # but must land on the same distribution.
-    rel = abs(vector.mean_time - serial.mean_time) / serial.mean_time
     # Determinism: repeats and worker counts do not change batch output.
-    repeat = predict(model, VECTOR_NPROCS, timing, workers=1,
-                     vector_runs=True, **kwargs)
+    # A chunk's draws depend on its start alone, so the first chunk of a
+    # pooled call over two chunks must equal the one-chunk call.
+    repeat = predict(model, VECTOR_NPROCS, timing, workers=1, **kwargs)
     pooled = predict(model, VECTOR_NPROCS, timing, workers=WORKERS,
-                     vector_runs=True, **kwargs)
+                     **dict(kwargs, runs=2 * VECTOR_RUNS)).times[:VECTOR_RUNS]
     assert repeat.times == vector.times
-    assert pooled.times == vector.times
+    assert pooled == vector.times
 
-    gain = vector.simulated_per_wall / serial.simulated_per_wall
     rows = [
         ["workload", f"Jacobi {ITERATIONS} iters on {VECTOR_NPROCS} procs, "
                      f"{VECTOR_RUNS} MC runs"],
-        ["per-run engine wall", format_time(serial_wall)],
         ["batched engine wall", format_time(vector_wall)],
-        ["per-run simulated/wall", f"{serial.simulated_per_wall:.1f}x"],
         ["batched simulated/wall", f"{vector.simulated_per_wall:.1f}x"],
-        ["throughput gain", f"{gain:.2f}x"],
-        ["mean gap vs per-run", f"{rel:.4%}"],
         ["bit-identical repeats", str(repeat.times == vector.times)],
-        ["bit-identical across workers", str(pooled.times == vector.times)],
+        ["bit-identical across workers", str(pooled == vector.times)],
     ]
     write_figure(
         out_dir, "vector_predict",
         format_table(["quantity", "value"], rows,
                      title="Batched vectorised prediction engine"),
     )
-
-    assert rel < 0.01, f"batch mean drifted {rel:.2%} from the per-run engine"
-    assert gain >= 3.0, f"batched engine only {gain:.2f}x per-run throughput"

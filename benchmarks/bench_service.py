@@ -79,7 +79,6 @@ def test_service_throughput(spec, fig6_db, out_dir):
             "xsize": 256,
             "serial_time": spec.jacobi_serial_time,
         },
-        vector_runs=True,
     )
     assert naive["record"]["times"] == direct.times
     assert full["record"]["times"] == direct.times
@@ -171,7 +170,6 @@ def test_sharded_service_throughput(spec, fig6_db, out_dir):
             "xsize": 256,
             "serial_time": spec.jacobi_serial_time,
         },
-        vector_runs=True,
     )
     # Identity through the router and through every individual shard.
     with Supervisor(fig6_db, 2, tracing=False, drain_grace=3.0) as supervisor:

@@ -45,8 +45,7 @@ def test_workload_eval_cost(benchmark, fig6_db, out_dir):
                 fig6_db, mode="distribution", nprocs=nprocs
             )
             t0 = time.perf_counter()
-            predict(model, nprocs, timing, runs=RUNS, seed=1, params=params,
-                    vector_runs=True)
+            predict(model, nprocs, timing, runs=RUNS, seed=1, params=params)
             out.append((name, nprocs, time.perf_counter() - t0))
         return out
 

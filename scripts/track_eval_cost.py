@@ -7,17 +7,16 @@ throughput.  Each entry records the paper's Section 6 metric (simulated
 processor-seconds per host wall second) for a fixed Jacobi workload, so
 the performance trajectory is visible across PRs::
 
-    [{"commit": "...", "dirty": false, "engine": "per-run"|"batched",
+    [{"commit": "...", "dirty": false, "engine": "batched"|"adaptive",
       "compiled": true|false, "date": "...", "simulated_per_wall": ...,
       ...}, ...]
 
-Each invocation appends one row per engine variant: the per-run machine
-and the batched vectorised machine -- the production configuration --
-both on compiled schedules, and an adaptive row recording how many runs
-the sequential stopping rule spends to reach 1% RSE on the same
-workload.  Every variant runs compiled schedules; rows keep
+Each invocation appends one row per variant: the batched vectorised
+machine on the compiled schedule -- the engine every static program
+runs on -- and an adaptive row recording how many runs the sequential
+stopping rule spends to reach 1% RSE on the same workload.  Rows keep
 ``"compiled": true`` so they stay comparable with older rows, which
-also measured interpreted generators.
+also measured interpreted generators and the per-run machine.
 ``--only batched-compiled`` measures just the ratchet variant (what CI
 appends).
 
@@ -61,9 +60,6 @@ DB_CACHE = REPO / "benchmarks" / "out" / "cache" / "fig6.json"
 ITERATIONS = 100
 NPROCS = 32
 WORKLOAD = f"jacobi-{ITERATIONS}it-{NPROCS}p"
-#: Monte Carlo runs for the per-run engine (each run pays the full
-#: sweep/match cost, so a handful suffices for a stable wall number).
-RUNS_PER_RUN = 8
 #: Monte Carlo runs for the batched engine: one full vector chunk, so
 #: the measurement is a single-core single-batch number -- no pool
 #: scheduling noise in the ratchet.
@@ -77,12 +73,11 @@ DEFAULT_FLOOR = 200.0
 #: stopping rule actually needs.
 ADAPTIVE_RSE = 0.01
 
-#: (name, vector_runs, runs, workers, target_rse) variants;
-#: ``target_rse`` is None for the fixed-runs measurements.
+#: (name, runs, workers, target_rse) variants; ``target_rse`` is None
+#: for the fixed-runs measurement.
 VARIANTS = {
-    "per-run": ("per-run", False, RUNS_PER_RUN, None, None),
-    "batched-compiled": ("batched", True, RUNS_BATCHED, 1, None),
-    "adaptive": ("adaptive", False, None, 1, ADAPTIVE_RSE),
+    "batched-compiled": ("batched", RUNS_BATCHED, 1, None),
+    "adaptive": ("adaptive", None, 1, ADAPTIVE_RSE),
 }
 
 
@@ -114,7 +109,7 @@ def _git_state() -> tuple[str, bool]:
 
 
 def measure(variant: str, db: DistributionDB) -> dict:
-    engine, vector_runs, runs, workers, target_rse = VARIANTS[variant]
+    engine, runs, workers, target_rse = VARIANTS[variant]
     spec = perseus(64)
     params = {
         "iterations": ITERATIONS,
@@ -129,7 +124,6 @@ def measure(variant: str, db: DistributionDB) -> dict:
     pred = predict(
         parse_jacobi(), NPROCS, timing, seed=1, params=params,
         workers=workers,
-        vector_runs=vector_runs,
         **kwargs,
     )
     wall = time.perf_counter() - t0

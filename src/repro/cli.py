@@ -156,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse finished predictions from this on-disk cache",
     )
     p_pred.add_argument(
-        "--vector-runs", action="store_true",
-        help="evaluate a static model's Monte Carlo runs in lockstep "
-             "batches on the vectorised engine (fastest; statistically "
-             "equivalent to per-run evaluation, and composes with "
-             "--workers); divergent models such as taskfarm always run "
-             "per-run",
-    )
-    p_pred.add_argument(
         "--json", action="store_true",
         help="print the machine-readable prediction record (the same "
              "serialisation the prediction service returns) instead of "
@@ -619,8 +611,7 @@ def cmd_predict(args) -> int:
         preds = compare_timing_modes(
             model, args.nprocs, db, runs=args.runs, seed=args.seed,
             params=vm_params, ppn=args.ppn, workers=args.workers,
-            cache_dir=args.cache_dir, vector_runs=args.vector_runs,
-            target_rse=args.target_rse,
+            cache_dir=args.cache_dir, target_rse=args.target_rse,
             min_runs=args.min_runs, max_runs=args.max_runs,
         )
         measured = None
@@ -655,7 +646,7 @@ def cmd_predict(args) -> int:
                 name: prediction_record(
                     pred,
                     seed=args.seed,
-                    vector_runs=args.vector_runs,
+                    vector_batch=args.min_runs if args.target_rse is not None else None,
                     nic_serialisation="tx",
                     workers=args.workers,
                     extra={"speedup": pred.speedup(serial)},
@@ -700,7 +691,7 @@ def cmd_predict(args) -> int:
     if adaptive:
         print(f"\nadaptive: target RSE {args.target_rse:g}, "
               f"min {args.min_runs} / max {args.max_runs} runs per mode")
-    if args.vector_runs and args.runs >= 2:
+    if args.runs >= 2:
         from .pevpm import render_run_spread
 
         dist = preds.get("distribution-nxp")

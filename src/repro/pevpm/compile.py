@@ -7,8 +7,8 @@ claim ("67.5 times its actual execution speed") says we cannot afford on
 the hot path.  This module pays that cost **once**: :func:`compile_program`
 traces a model program through one structural execution and lowers it to
 a :class:`CompiledProgram` -- a static schedule of resolved op records
-per rank that the scalar and batched virtual machines execute as flat
-cursor loops, with no generator resume and no AST dispatch per op.
+per rank that the batched virtual machine executes as flat cursor
+loops, with no generator resume and no AST dispatch per op.
 
 Why a single trace is sound
 ---------------------------
@@ -37,15 +37,12 @@ sampled times for every construct except the wildcard receive:
   per-run virtual machine, the only engine whose control flow may differ
   from run to run (:mod:`repro.pevpm.parallel` makes that choice).
 
-On the per-run machine the compiled cursor replaces only the *source of
-ops* (a cursor over the traced schedule instead of ``generator.send``)
-and shares the runtime sweep/match loop, scoreboard, NIC occupancy
-chains and timing draws with the interpreted path, so compiled
-evaluation is bit-identical to interpreted evaluation: the same
-operations occur in the same order and consume the RNG stream
-identically -- under deterministic *and* distribution timing models
-alike.  The batched machine runs schedules only; under a deterministic
-timing model it agrees with the interpreter bit for bit.
+The schedule holds exactly the ops the generator form yields, in the
+same order, so the batched machine running it agrees with the per-run
+machine running the generator bit for bit whenever the two draw the
+same values -- e.g. under a deterministic timing model.  The per-run
+machine always runs the generator form (:attr:`CompiledProgram.fallback`),
+the reference the property tests hold the schedule to.
 
 Schedules are cached per (model fingerprint, params, nprocs) by
 :func:`compiled_program_for`; per-``ppn`` op lists (with the intra-node
@@ -82,10 +79,10 @@ class CompiledProgram:
     :meth:`schedule` derives the executable per-``ppn`` form, where each
     send additionally carries its precomputed intra-node flag.
 
-    A :attr:`divergent` program (a wildcard receive whose winner is
-    timing-dependent) carries no schedule; the per-run virtual machine
-    runs its :attr:`fallback` -- the original generator program --
-    instead, and the batched machine refuses it.
+    The per-run virtual machine runs :attr:`fallback` -- the original
+    generator program.  A :attr:`divergent` program (a wildcard receive
+    whose winner is timing-dependent) carries no schedule, and the
+    batched machine refuses it.
     """
 
     __slots__ = (

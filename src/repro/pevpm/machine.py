@@ -168,11 +168,7 @@ class ProcContext:
 @dataclass
 class _Proc:
     ctx: ProcContext
-    gen: Generator | None
-    #: compiled schedule (op list) and instruction pointer -- used instead
-    #: of the generator when running a CompiledProgram
-    ops: list | None = None
-    ip: int = 0
+    gen: Generator
     vtime: float = 0.0
     resume_value: Any = None  #: delivered to the generator at next resume
     blocked_src: int | None = None  #: None = runnable; else recv source pattern
@@ -183,8 +179,6 @@ class _Proc:
     compute_time: float = 0.0
     send_time: float = 0.0
     recv_wait_time: float = 0.0
-    sends: int = 0
-    recvs: int = 0
 
 
 @dataclass
@@ -257,23 +251,17 @@ class VirtualMachine:
 
     # -- the sweep/match algorithm ------------------------------------------------
     def run(self, program: Callable[[ProcContext], Generator]) -> MachineResult:
-        # A CompiledProgram executes through the cursor sweep below: the
-        # same ops in the same order as its generator form, so the two
-        # paths are bit-identical (see repro.pevpm.compile).  Divergent
-        # programs fall back to their generator form.
+        # A CompiledProgram runs its generator form: static programs run
+        # on the batched engine, so this one only needs the reference.
         from .compile import CompiledProgram  # function-level: avoids cycle
 
-        schedule = None
         if isinstance(program, CompiledProgram):
             if program.nprocs != self.nprocs:
                 raise ValueError(
                     f"program compiled for {program.nprocs} processes, "
                     f"machine has {self.nprocs}"
                 )
-            if program.divergent:
-                program = program.fallback
-            else:
-                schedule = program.schedule(self.ppn)
+            program = program.fallback
         self.timing.reset()
         scoreboard = Scoreboard()
         arrivals: dict[int, float] = {}  # sampled arrival per message id
@@ -287,10 +275,7 @@ class VirtualMachine:
         procs: list[_Proc] = []
         for p in range(self.nprocs):
             ctx = ProcContext(p, self.nprocs, self.params)
-            if schedule is None:
-                procs.append(_Proc(ctx=ctx, gen=program(ctx)))
-            else:
-                procs.append(_Proc(ctx=ctx, gen=None, ops=schedule[p]))
+            procs.append(_Proc(ctx=ctx, gen=program(ctx)))
 
         rng = self.rng
         timing = self.timing
@@ -298,60 +283,7 @@ class VirtualMachine:
         prof = self.profiler
         sweeps = 0
 
-        def sweep_compiled(proc: _Proc) -> None:
-            """Advance one process to its next decision point by walking
-            its compiled schedule -- op-for-op identical to the generator
-            sweep, minus the generator resume and AST dispatch."""
-            ops = proc.ops
-            n = len(ops)
-            ip = proc.ip
-            vtime = proc.vtime
-            while ip < n:
-                op = ops[ip]
-                ip += 1
-                kind = op[0]
-                if kind == "serial":
-                    seconds = op[1]
-                    vtime += seconds
-                    proc.compute_time += seconds
-                    if trace is not None:
-                        trace.record(proc.ctx.procnum, "serial", op[2],
-                                     vtime - seconds, vtime)
-                elif kind == "send":
-                    _k, dst, size, label, payload, intra = op
-                    depart = vtime
-                    if prof is None:
-                        cost = timing.local_send_time(
-                            size, scoreboard.contention, rng, intra=intra
-                        )
-                    else:
-                        t0 = _perf_counter()
-                        cost = timing.local_send_time(
-                            size, scoreboard.contention, rng, intra=intra
-                        )
-                        prof.add("sample", _perf_counter() - t0)
-                    vtime += cost
-                    proc.send_time += cost
-                    proc.sends += 1
-                    scoreboard.add(
-                        proc.ctx.procnum, dst, size, depart,
-                        intra=intra, payload=payload,
-                    )
-                    if trace is not None:
-                        trace.record(proc.ctx.procnum, "send", label,
-                                     depart, vtime)
-                else:  # recv: the decision point
-                    proc.blocked_src = op[1]
-                    proc.blocked_label = op[2]
-                    proc.vtime = vtime
-                    proc.block_start = vtime
-                    proc.ip = ip
-                    return
-            proc.vtime = vtime
-            proc.ip = ip
-            proc.done = True
-
-        def sweep_generator(proc: _Proc) -> None:
+        def sweep(proc: _Proc) -> None:
             """Advance one process to its next decision point."""
             while True:
                 try:
@@ -386,7 +318,6 @@ class VirtualMachine:
                         prof.add("sample", _perf_counter() - t0)
                     proc.vtime += cost
                     proc.send_time += cost
-                    proc.sends += 1
                     scoreboard.add(
                         me, dst, size, depart, intra=intra, payload=payload
                     )
@@ -400,8 +331,6 @@ class VirtualMachine:
                     return
                 else:
                     raise ValueError(f"unknown model operation {op!r}")
-
-        sweep = sweep_generator if schedule is None else sweep_compiled
 
         def candidate(proc: _Proc) -> ScoreboardEntry | None:
             """The message a blocked process would match, if any."""
@@ -506,7 +435,6 @@ class VirtualMachine:
                 completion = max(proc.vtime, t_arr)
                 wait = completion - proc.block_start
                 proc.recv_wait_time += wait
-                proc.recvs += 1
                 if trace is not None:
                     trace.record(
                         proc.ctx.procnum, "recv", proc.blocked_label,

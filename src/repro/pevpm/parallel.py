@@ -22,10 +22,9 @@ with its own RNG stream -- so this module fans them out over a
 
 Every group's model is compiled first (:mod:`repro.pevpm.compile`), and
 the compiled program decides what a work unit is: a *static* program
-can run as batched-VM chunks, while a *divergent* one (a wildcard
-receive whose winner depends on sampled times) always runs run by run
-on the per-run VM.  :func:`_work_units` is the only place that choice
-is made.
+runs as batched-VM chunks, while a *divergent* one (a wildcard receive
+whose winner depends on sampled times) runs run by run on the per-run
+VM.  :func:`_work_units` is the only place that choice is made.
 
 The module does no file I/O: caching finished evaluations is
 :mod:`repro.pevpm.predict`'s job.
@@ -60,6 +59,7 @@ __all__ = [
     "install_fault_injector",
     "run_seeds",
     "group_run_seeds",
+    "keyed_batch",
     "resolve_workers",
     "evaluate_groups",
 ]
@@ -129,11 +129,10 @@ class RunGroup:
     trace_last: bool = False
     nic_serialisation: str = "tx"
     ppn: int = 1
-    #: evaluate a static program's runs through the batched (vectorised)
-    #: virtual machine in chunks of *vector_batch*.  A divergent program
-    #: has no static schedule and always runs one unit per run on the
-    #: per-run machine (see :func:`_work_units`).
+    #: selects nothing -- the program's shape picks the engine (see
+    #: :func:`_work_units`); accepted because ``bench/`` still passes it
     vector_runs: bool = False
+    #: runs per batched-VM chunk of a static program
     vector_batch: int = VECTOR_BATCH
     #: collect per-phase host-time attribution (sweep/match/sample) for
     #: every run -- wall-clock measurement only; the seeded RNG streams
@@ -325,13 +324,13 @@ def _work_units(
     """Every dispatchable work unit, as a re-submittable descriptor --
     and the one place an engine is chosen.
 
-    A static program of a ``vector_runs`` group runs as ``("batch", gi,
-    start, size, trace)`` chunks on the batched VM, at boundaries fixed
-    by (runs, vector_batch) alone.  Every other group runs ``("run", gi,
-    run, child, trace)`` units of one MC run on the per-run VM -- among
-    them every divergent program, whose structure depends on sampled
-    arrival times and so cannot advance as one congruent batch.  The
-    unit holding a group's last run carries its ``trace_last`` flag.
+    A static program runs as ``("batch", gi, start, size, trace)``
+    chunks on the batched VM, at boundaries fixed by (runs,
+    vector_batch) alone.  A divergent program, whose structure depends
+    on sampled arrival times and so cannot advance as one congruent
+    batch, runs ``("run", gi, run, child, trace)`` units of one MC run on
+    the per-run VM.  The unit holding a group's last run carries its
+    ``trace_last`` flag.
     Descriptors carry everything needed to (re-)dispatch, so recovery
     after a pool crash re-runs exactly the lost units -- each with the
     same seed stream it would have used the first time.
@@ -339,7 +338,7 @@ def _work_units(
     units: list[tuple] = []
     for gi, (group, program) in enumerate(zip(groups, programs)):
         last = group.runs - 1
-        if group.vector_runs and not program.divergent:
+        if not program.divergent:
             batch = max(1, group.vector_batch)
             for start in range(0, group.runs, batch):
                 size = min(batch, group.runs - start)
@@ -349,6 +348,18 @@ def _work_units(
         for run, child in enumerate(group_run_seeds(group)):
             units.append(("run", gi, run, child, group.trace_last and run == last))
     return units
+
+
+def keyed_batch(runs: int | None, vector_batch: int) -> int:
+    """The chunk size as cache keys record it: the size of the first
+    chunk :func:`_work_units` cuts, since up to one chunk of runs draws
+    alike whatever the chunk size (a chunk's stream depends on its
+    start alone).  ``runs=None``, an adaptive total the stopping rule
+    has yet to decide, keys the chunk size itself.  A divergent program
+    is keyed the same way although its runs are not chunked: requests
+    are keyed before their program is compiled."""
+    batch = max(1, vector_batch)
+    return batch if runs is None else min(batch, runs)
 
 
 def _submit_unit(pool: ProcessPoolExecutor, unit: tuple):
@@ -396,9 +407,9 @@ def evaluate_groups(
     """Evaluate every Monte Carlo run of every group, possibly in parallel.
 
     Returns one ``RunOutcome`` list per group, run-ordered.  A work unit
-    is a fixed-size chunk of runs on the batched VM for a static program
-    of a ``vector_runs`` group, and a single MC run on the per-run VM
-    otherwise (see :func:`_work_units`).  Parallelism applies across
+    is a fixed-size chunk of runs on the batched VM for a static program,
+    and a single MC run on the per-run VM for a divergent one (see
+    :func:`_work_units`).  Parallelism applies across
     work units *and* across groups (the ``proc_counts`` / timing-mode
     axes of the higher-level helpers).
     Results are bit-identical for any ``workers`` setting: scalar run

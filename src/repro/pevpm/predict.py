@@ -12,10 +12,7 @@ runs (and the ``proc_counts`` / timing-mode axes of the helpers) fan out
 over a process pool when ``workers`` allows, with per-run
 ``SeedSequence`` streams keeping serial and parallel evaluation
 bit-identical for the same seed.  Pass ``cache_dir`` to reuse finished
-evaluations across calls and processes, and ``vector_runs=True`` to
-evaluate whole chunks of a static program's runs in one pass on the
-batched virtual machine (:mod:`repro.pevpm.vector`) -- the
-highest-throughput mode.
+evaluations across calls and processes.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from .parallel import (
     RunGroup,
     as_seed_sequence,
     evaluate_groups,
+    keyed_batch,
     run_seeds,
 )
 from .timing import TimingModel, timing_from_db
@@ -211,7 +209,7 @@ class PredictionCache(ContentStore):
     wholesale.  A non-object document is corrupt, one of another
     :attr:`VERSION` a plain miss."""
 
-    VERSION = 4
+    VERSION = 5
 
     def __init__(self, root):
         super().__init__(root, "predict-{}.json", self._decode)
@@ -228,10 +226,10 @@ class PredictionCache(ContentStore):
 def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) -> str:
     """Content fingerprint of one group's evaluation (the cache key).
 
-    The vector flag and chunk size are keyed (batch mode has its own
-    seed-stream convention).  With *precision* it is the key of an
-    adaptive request's pointer entry: the target replaces ``runs``,
-    which the stopping rule decides.
+    The chunk size is keyed as :func:`~repro.pevpm.parallel.keyed_batch`
+    records it.  With *precision* it is the key of an adaptive request's
+    pointer entry: the target replaces ``runs``, which the stopping rule
+    decides.
     """
     try:
         model_blob = pickle.dumps((group.model, group.params), protocol=4)
@@ -245,11 +243,11 @@ def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) ->
         "runs": group.runs,
         "nic": group.nic_serialisation,
         "ppn": group.ppn,
-        "vector": bool(group.vector_runs),
-        "vbatch": group.vector_batch if group.vector_runs else None,
+        "vbatch": keyed_batch(group.runs, group.vector_batch),
     }
     if precision is not None:
         ident["runs"] = None
+        ident["vbatch"] = keyed_batch(None, group.vector_batch)
         ident["precision"] = dict(sorted(precision.to_doc().items()))
     elif group.run_offset:  # zero offsets omit the field: older keys stay stable
         ident["offset"] = group.run_offset
@@ -326,8 +324,6 @@ class _AdaptiveState:
             )
         self.group = group
         self.target = target
-        #: chunk alignment for vectorised groups (None: scalar engine)
-        self.batch = group.vector_batch if group.vector_runs else None
         self.outcomes: list = []
         self.rounds: list[dict] = []
         self.done = 0
@@ -338,7 +334,7 @@ class _AdaptiveState:
         """The next refinement slice, or ``None`` when finished."""
         if self.converged or self.done >= self.target.max_runs:
             return None
-        total = next_total(self.done, self.target, self.batch)
+        total = next_total(self.done, self.target, self.group.vector_batch)
         if total <= self.done:
             return None
         return replace(self.group, runs=total - self.done, run_offset=self.done)
@@ -378,10 +374,10 @@ def evaluate_with_precision(
     adaptive group's next increment (fixed groups join the first round),
     so concurrent refinements share the pool and the micro-batcher's
     coalescing just as fixed batches do.  Increments extend each group's
-    seed streams at absolute run indices (``run_offset``), and for
-    vectorised groups every scheduled total is chunk-aligned, so a group
-    stopping at N runs has drawn exactly what a one-shot ``runs=N``
-    evaluation would -- bit-identical times (the Hypothesis property
+    seed streams at absolute run indices (``run_offset``), and every
+    scheduled total is chunk-aligned, so a group stopping at N runs has
+    drawn exactly what a one-shot ``runs=N`` evaluation would --
+    bit-identical times (the Hypothesis property
     ``tests/pevpm/test_adaptive_predict.py`` pins).
 
     Returns ``(fixed_outcomes, fixed_walls, adaptive_results)``; wall
@@ -441,8 +437,9 @@ def _evaluate_adaptive_predictions(
 
     Cache story: the full result document is stored under the
     **fixed-runs key of the achieved total** (so a later ``runs=N``
-    request hits it -- adaptive and fixed answers for the same content
-    are bit-identical by construction), and a small *pointer* document
+    request drawing the same chunks hits it -- adaptive and fixed
+    answers for the same content are bit-identical by construction),
+    and a small *pointer* document
     is stored under the adaptive key mapping target -> achieved run
     count, so a repeated adaptive request replays the lookup without
     re-running the stopping rule.
@@ -503,10 +500,9 @@ def _resolve_precision(
 
 
 def _adaptive_batch(precision: PrecisionTarget) -> int:
-    """Default chunk size for adaptive vectorised groups: the first
-    scheduled total, so the refinement increment *is* one chunk and a
-    loose target can stop after ``min_runs`` instead of a full default
-    chunk of 64."""
+    """Chunk size for adaptive groups: the first scheduled total, so the
+    refinement increment *is* one chunk and a loose target can stop
+    after ``min_runs`` instead of a full default chunk of 64."""
     return precision.min_runs
 
 
@@ -533,37 +529,37 @@ def predict(
     Run *i* uses child stream *i* of ``SeedSequence(seed)``, so results
     are independent across runs yet bit-identical for any ``workers``
     setting.  ``workers=1`` (the default) evaluates serially; ``None``
-    uses one process per host core; larger models with several runs gain
-    near-linearly.  ``cache_dir`` enables the on-disk prediction cache;
-    the last run can be traced for loss attribution (which bypasses the
-    cache).
+    uses one process per host core.  The pool's work unit is a chunk of
+    runs for a static program and one run for a divergent one, so a
+    static program only spreads over workers once its runs fill several
+    chunks, and each worker first recompiles the program and rebuilds
+    its sampler tables.  ``cache_dir`` enables the on-disk prediction
+    cache; the last run can be traced for loss attribution (which
+    bypasses the cache).
 
-    The model is lowered to a static per-rank schedule once
-    (:mod:`repro.pevpm.compile`), so the per-op interpretation cost is
-    paid once instead of per run.  ``vector_runs=True`` evaluates a
-    static program through the batched virtual machine
-    (:mod:`repro.pevpm.vector`): all runs of a fixed-size chunk advance
-    in one sweep/match pass with vectorised timing draws -- several times
-    the throughput of per-run evaluation on one worker, and it composes
-    with ``workers`` (chunks fan out over the pool) and the cache.
-    Batch mode has its own seed-stream convention, so its times are
-    statistically equivalent to -- not bit-identical with -- the per-run
-    engine's; it is itself deterministic for a given seed.  A program
-    whose structure is timing-dependent (a wildcard receive with racing
-    senders, detected at compile time) always runs run by run on the
-    per-run engine.  Tracing the last run never changes the times.
+    The model is compiled once (:mod:`repro.pevpm.compile`) and its
+    shape picks the engine.  A static program runs on the batched
+    virtual machine (:mod:`repro.pevpm.vector`): all runs of a
+    fixed-size chunk advance in one sweep/match pass with vectorised
+    timing draws, and chunks fan out over ``workers``.  A program whose
+    structure is timing-dependent (a wildcard receive with racing
+    senders, detected at compile time) runs run by run on the per-run
+    engine.  Tracing the last run never changes the times.
+    ``vector_runs`` selects nothing; it is accepted because ``bench/``
+    still passes it.
 
     **Adaptive mode**: pass ``precision=PrecisionTarget(...)`` (or the
     shorthand ``target_rse=0.01``) and the run count is decided by the
     sequential stopping rule instead of ``runs`` -- evaluation proceeds
     in doubling increments until the mean's CI half-width meets the
-    target or ``max_runs`` is reached.  Increments continue each run's
-    seed stream at its absolute index, so an adaptive evaluation that
-    stops at N runs is bit-identical to ``runs=N`` with the same seed.
-    The resulting :class:`Prediction` carries its decision trail in
-    ``.precision``.  Adaptive vectorised groups default their chunk size
-    to ``min_runs`` (a loose target can then stop after the first chunk
-    rather than a full default chunk).  Incompatible with ``trace_last``
+    target or ``max_runs`` is reached.  Adaptive groups chunk at
+    ``min_runs`` (a loose target can then stop after the first chunk
+    rather than a full default chunk), and increments continue each
+    run's seed stream at its absolute index, so an adaptive evaluation
+    that stops at N runs is bit-identical to N runs in chunks of
+    ``min_runs`` with the same seed -- to ``runs=N`` itself when N is at
+    most ``min_runs``.  The resulting :class:`Prediction` carries its
+    decision trail in ``.precision``.  Incompatible with ``trace_last``
     (the last run is unknown until the rule stops).
     """
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
@@ -581,11 +577,9 @@ def predict(
         trace_last=trace_last,
         nic_serialisation=nic_serialisation,
         ppn=ppn,
-        vector_runs=vector_runs,
     )
     if target is not None:
-        if vector_runs:
-            group = replace(group, vector_batch=_adaptive_batch(target))
+        group = replace(group, vector_batch=_adaptive_batch(target))
         return _evaluate_adaptive_predictions(
             [group], [target], workers, cache_dir
         )[0]
@@ -603,7 +597,6 @@ def predict_speedups(
     ppn: int = 1,
     workers: int | None = 1,
     cache_dir=None,
-    vector_runs: bool = False,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
     min_runs: int = 4,
@@ -616,8 +609,7 @@ def predict_speedups(
     the timing source (average-n x p models depend on nprocs).  Each
     machine size gets its own child seed stream, so the points are
     statistically independent; with ``workers`` > 1 the (size x run)
-    grid evaluates in one shared pool.  ``vector_runs=True`` batches
-    each size's runs through the vectorised engine (static programs).
+    grid evaluates in one shared pool.
 
     With ``precision``/``target_rse`` set, every size stops at its own
     adaptive total: small machines (low variance) spend few runs, large
@@ -627,11 +619,7 @@ def predict_speedups(
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
     root = as_seed_sequence(seed)
     children = run_seeds(root, len(proc_counts))
-    batch_kw = (
-        {"vector_batch": _adaptive_batch(target)}
-        if target is not None and vector_runs
-        else {}
-    )
+    batch_kw = {"vector_batch": _adaptive_batch(target)} if target is not None else {}
     groups = [
         RunGroup(
             model=model_factory(nprocs),
@@ -641,7 +629,6 @@ def predict_speedups(
             runs=runs,
             params=params,
             ppn=ppn,
-            vector_runs=vector_runs,
             **batch_kw,
         )
         for nprocs, child in zip(proc_counts, children)
@@ -670,7 +657,6 @@ def compare_timing_modes(
     ppn: int = 1,
     workers: int | None = 1,
     cache_dir=None,
-    vector_runs: bool = False,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
     min_runs: int = 4,
@@ -683,9 +669,6 @@ def compare_timing_modes(
     Every mode reuses the same seed streams (a paired comparison: the
     ablation differs only in timing source, not in random draws); with
     ``workers`` > 1 the (mode x run) grid shares one pool.
-    ``vector_runs=True`` batches every mode's runs through the
-    vectorised engine (the pairing is preserved: all modes share the
-    batch seed streams too).
 
     ``precision``/``target_rse`` makes each mode stop at its own
     adaptive total -- the deterministic modes (min/avg ping-pong draw no
@@ -700,11 +683,7 @@ def compare_timing_modes(
         ("average", "nxp"),
     ]
     root = as_seed_sequence(seed)
-    batch_kw = (
-        {"vector_batch": _adaptive_batch(target)}
-        if target is not None and vector_runs
-        else {}
-    )
+    batch_kw = {"vector_batch": _adaptive_batch(target)} if target is not None else {}
     groups = [
         RunGroup(
             model=model,
@@ -715,7 +694,6 @@ def compare_timing_modes(
             params=params,
             nic_serialisation=nic_serialisation,
             ppn=ppn,
-            vector_runs=vector_runs,
             **batch_kw,
         )
         for mode, source in modes

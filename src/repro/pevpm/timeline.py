@@ -71,8 +71,7 @@ def render_timeline(
 def render_run_spread(times, width: int = 50, bins: int = 12) -> str:
     """Render the spread of per-run predicted times as a text histogram.
 
-    The per-run engine is usually run a handful of times, but batch mode
-    (``vector_runs=True``) makes dozens or hundreds of Monte Carlo runs
+    The batched engine makes dozens or hundreds of Monte Carlo runs
     cheap, at which point the *distribution* of completion times becomes
     worth looking at, not just the mean -- this gives it the same ASCII
     treatment :func:`repro.mpibench.report.pdf_plots` gives benchmark

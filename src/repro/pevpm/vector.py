@@ -30,12 +30,15 @@ Batch-mode conventions (documented in DESIGN.md section 6):
   them all, and a numeric pass advances the clocks.  The block holds
   exactly the values one ``(r,)`` draw per decision would, in the same
   order -- the phase is a unit of work, not of randomness;
-* within a match phase, blocked processes are served in order of
-  batch-mean block time (the scalar engine orders by block time, a
-  per-run quantity, which a congruent batch cannot use).  Batch and
-  scalar modes are therefore *statistically* equivalent samplers of the
-  same model, not bit-identical ones -- except under a deterministic
-  timing model, where every run is the same and the orders agree.
+* a match phase plans and draws its receives in order of batch-mean
+  block time (the per-run engine orders by block time, a per-run
+  quantity, which one congruent draw plan cannot use), but chains NIC
+  occupancy in each run's own (block time, procnum) order, as the
+  per-run engine does: which of two messages through one NIC goes first
+  is per-run arithmetic, not structure.  Batch and per-run modes are
+  therefore *statistically* equivalent samplers of the same model, not
+  bit-identical ones -- except under a timing model whose draws do not
+  depend on draw order or contention, where they agree run for run.
 """
 
 from __future__ import annotations
@@ -51,16 +54,31 @@ from .machine import (
     ModelDeadlock,
     validate_machine_config,
 )
-from .scoreboard import ScoreboardEntry, VectorEntry, VectorScoreboard
+from .scoreboard import ScoreboardEntry, VectorScoreboard
 from .timing import LOCAL_OP, ONEWAY_OP, TimingModel
 from .trace import TraceRecorder
 
 __all__ = ["BatchedVirtualMachine"]
 
 
+def _step(ready, free, gap, tx: bool):
+    """One message through one NIC pipe: ``(release, pipe state after)``.
+
+    A transmit pipe (*tx*) releases the message at ``max(ready, free)``
+    and is free again *gap* later -- the per-run engine's ``inject``.  A
+    receive pipe releases it at ``max(ready, previous release + gap)``.
+    """
+    if tx:
+        out = np.maximum(ready, free)
+        return out, out + gap
+    out = np.maximum(ready, free + gap)
+    return out, out
+
+
 class _BatchProc:
     """Per-process state: a cursor into the process's schedule, with the
-    run-dependent clocks as ``(r,)`` vectors."""
+    run-dependent clocks as ``(r,)`` vectors.  Serial time is the same in
+    every run, so ``compute`` is one float."""
 
     __slots__ = (
         "ops", "ip", "done", "blocked_src", "blocked_label", "vtime",
@@ -74,7 +92,7 @@ class _BatchProc:
         self.blocked_src: int | None = None
         self.blocked_label = ""
         self.vtime = np.zeros(r)
-        self.compute = np.zeros(r)
+        self.compute = 0.0
         self.send_t = np.zeros(r)
         self.wait = np.zeros(r)
         self.block_start = np.zeros(r)
@@ -171,17 +189,15 @@ class BatchedVirtualMachine:
             alive = [pn for pn, p in enumerate(procs) if not p.done]
             if not alive:
                 break
-            # The scalar engine serves blocked processes in (block time,
-            # procnum) order; block times are per-run here, so the batch
-            # convention orders by the *batch-mean* block time --
-            # run-independent (hence congruent) and exactly the scalar
-            # order whenever the runs agree.  The NIC occupancy chaining
-            # depends on this order, so matching the scalar convention
-            # keeps the engines statistically aligned.  Computed as the
-            # block-time *sum* (same order: every proc divides by the same
-            # run count), one row-wise reduce over the stacked vectors --
-            # each row is summed exactly as a reduce of that vector alone
-            # would.
+            # The per-run engine serves blocked processes in (block time,
+            # procnum) order; block times are per-run here, so the draw
+            # plan orders by the *batch-mean* block time -- run-independent
+            # (hence congruent) and exactly the per-run order whenever the
+            # runs agree.  NIC occupancy is chained in each run's own
+            # order (_arrivals).  Computed as the block-time *sum* (same
+            # order: every proc divides by the same run count), one
+            # row-wise reduce over the stacked vectors -- each row is
+            # summed exactly as a reduce of that vector alone would.
             sums = np.add.reduce(
                 np.array([procs[pn].block_start for pn in alive]), axis=1
             ).tolist()
@@ -203,17 +219,17 @@ class BatchedVirtualMachine:
     # -- the batched sweep/match loop ---------------------------------------------
     def _draw(self, specs: list[tuple]):
         """The engine's one draw site: every ``(op, size, contention,
-        intra)`` of *specs* drawn as one block, returned as an iterator
-        over its ``(r,)`` rows in spec order."""
+        intra)`` of *specs* drawn as one block, whose ``(r,)`` rows are
+        in spec order."""
         if not specs:
-            return iter(())
+            return ()
         prof = self.profiler
         if prof is None:
-            return iter(self.timing.draw_block(specs, self.rng, self.runs))
+            return self.timing.draw_block(specs, self.rng, self.runs)
         t0 = _perf_counter()
         block = self.timing.draw_block(specs, self.rng, self.runs)
         prof.add("sample", _perf_counter() - t0)
-        return iter(block)
+        return block
 
     @staticmethod
     def _segment(proc: _BatchProc) -> list[tuple]:
@@ -249,7 +265,7 @@ class BatchedVirtualMachine:
                     if not op[5]:
                         c += 1
             segments.append((pn, proc, seg))
-        rows = self._draw(specs)
+        rows = iter(self._draw(specs))
         for pn, proc, seg in segments:
             vtime = proc.vtime
             for op in seg:
@@ -308,51 +324,134 @@ class BatchedVirtualMachine:
                 specs.append((ONEWAY_OP, entry.size, c, entry.intra))
                 if not entry.intra:
                     c -= 1
-        rows = self._draw(specs)
-        for pn, entry in plan:
-            self._complete(procs[pn], entry, next(rows))
+        arrivals = self._arrivals(procs, plan, self._draw(specs))
+        last = self._last_arrival
+        trace = self.trace
+        for (pn, entry), t in zip(plan, arrivals):
+            # One TCP stream per pair: arrivals cannot overtake.  A phase
+            # completes at most one receive per process, so this only
+            # looks back at earlier phases.
+            key = (entry.src, entry.dst)
+            prev = last.get(key)
+            if prev is not None:
+                t = np.maximum(t, prev)
+            last[key] = t
+            proc = procs[pn]
+            completion = np.maximum(proc.vtime, t)
+            proc.wait += completion - proc.block_start
+            if trace is not None:
+                trace.record(pn, "recv", proc.blocked_label,
+                             float(proc.block_start[-1]), float(completion[-1]))
+            proc.vtime = completion
+            proc.blocked_src = None
+            scoreboard.remove(entry.msg_id)
         return [pn for pn, _ in plan]
 
-    def _complete(self, proc: _BatchProc, entry: VectorEntry, oneway) -> None:
-        """Finish *proc*'s receive with *entry*, vectorised."""
-        completion = np.maximum(proc.vtime, self._arrival(entry, oneway))
-        proc.wait += completion - proc.block_start
-        if self.trace is not None:
-            self.trace.record(entry.dst, "recv", proc.blocked_label,
-                              float(proc.block_start[-1]), float(completion[-1]))
-        proc.vtime = completion
-        proc.blocked_src = None
-        self._scoreboard.remove(entry.msg_id)
+    def _arrivals(self, procs: list[_BatchProc], plan: list[tuple],
+                  oneway) -> list[np.ndarray]:
+        """When each planned ``(pn, entry)`` message arrives, given its
+        one-way draw and before the per-pair floor -- the batched form
+        of the per-run engine's ``arrival_of``, NIC serialisation
+        included.
 
-    def _arrival(self, entry: VectorEntry, oneway: np.ndarray) -> np.ndarray:
-        """The arrival vector of a message given its one-way draw -- the
-        batched form of the scalar engine's ``arrival_of``, including NIC
-        serialisation and the per-pair non-overtaking floor."""
-        if entry.intra or self.nic_serialisation == "off":
-            t = entry.depart + oneway
-        else:
-            gap = self.timing.serialisation_gap(entry.size)
-            src_node = entry.src // self.ppn
-            dst_node = entry.dst // self.ppn
-            free = self._tx_free.get(src_node)
-            inject = (
-                entry.depart if free is None else np.maximum(entry.depart, free)
-            )
-            self._tx_free[src_node] = inject + gap
-            t = inject + oneway
-            if self.nic_serialisation == "txrx":
-                floor = self._rx_free.get(dst_node)
-                if floor is None:
-                    t = np.maximum(t, gap)
-                else:
-                    t = np.maximum(t, floor + gap)
-                self._rx_free[dst_node] = t
-        key = (entry.src, entry.dst)
-        prev = self._last_arrival.get(key)
-        if prev is not None:
-            t = np.maximum(t, prev)
-        self._last_arrival[key] = t
+        The per-run engine completes a phase's receives in its own
+        (block time, procnum) order, and that order decides which of two
+        messages through one NIC pipe goes first.  Block times are
+        per-run, so the messages sharing a sender node's transmit pipe
+        (and with ``txrx`` a receiver node's pipe) are chained in each
+        run's own order (:meth:`_chain`).
+        """
+        nic = self.nic_serialisation
+        ppn = self.ppn
+        t = []
+        # NIC pipe -> its messages, as (receiver procnum, plan index)
+        tx: dict[int, list[tuple[int, int]]] = {}
+        rx: dict[int, list[tuple[int, int]]] = {}
+        for n, (pn, entry) in enumerate(plan):
+            if entry.intra or nic == "off":
+                t.append(entry.depart + oneway[n])
+                continue
+            t.append(entry.depart)
+            tx.setdefault(entry.src // ppn, []).append((pn, n))
+            if nic == "txrx":
+                rx.setdefault(entry.dst // ppn, []).append((pn, n))
+        if tx:  # departure -> injection into the wire, + one-way time
+            self._chain(self._tx_free, tx, t, procs, plan, oneway)
+        if rx:
+            self._chain(self._rx_free, rx, t, procs, plan)
         return t
+
+    def _chain(self, pipes: dict, groups: dict, t: list,
+               procs: list[_BatchProc], plan: list[tuple],
+               oneway=None) -> None:
+        """Pass each pipe's ``groups[node]`` messages -- ``(receiver
+        procnum, plan index n)`` pairs -- through NIC pipe *node*:
+        ``t[n]`` goes from when the message is ready to when the pipe
+        releases it, and every pipe's ``pipes`` entry is updated (an idle
+        pipe is free at 0, as in the per-run engine).  Messages sharing a
+        pipe go in each run's own order of their receivers' (block time,
+        procnum), one :func:`_step` each.  Given the *oneway* draws, the
+        pipes are transmit pipes and ``t[n]`` also gains ``oneway[n]``:
+        the message arrives that long after it enters the wire.
+        """
+        tx = oneway is not None
+        gap = self.timing.serialisation_gap
+        shared: dict[int, list[tuple[int, list[int]]]] = {}
+        for node, members in groups.items():
+            if len(members) == 1:
+                n = members[0][1]
+                t[n], pipes[node] = _step(
+                    t[n], pipes.get(node, 0.0), gap(plan[n][1].size), tx
+                )
+                if tx:
+                    t[n] = t[n] + oneway[n]
+            else:
+                members.sort()  # procnum order
+                shared.setdefault(len(members), []).append(
+                    (node, [n for _, n in members])
+                )
+        # The pipes carrying k messages are served together, stacked as
+        # (pipes, k, r) with each pipe's messages in procnum order.
+        idle = np.zeros(self.runs)
+        for k, sharing in shared.items():
+            idx = [n for _, members in sharing for n in members]
+            shape = (len(sharing), k, self.runs)
+            ready = np.array([t[n] for n in idx]).reshape(shape)
+            keys = np.array([procs[plan[n][0]].block_start for n in idx]).reshape(shape)
+            gaps = np.array([gap(plan[n][1].size) for n in idx]).reshape(shape[:2])
+            free = np.array([pipes.get(node, idle) for node, _ in sharing])
+            if k == 2:
+                # Both orders, then each run keeps its own; on equal
+                # block times the lower procnum goes first.
+                a_first = keys[:, 0] <= keys[:, 1]
+                ra, rb, ga, gb = ready[:, 0], ready[:, 1], gaps[:, :1], gaps[:, 1:]
+                oa1, f = _step(ra, free, ga, tx)
+                ob2, fa = _step(rb, f, gb, tx)
+                ob1, f = _step(rb, free, gb, tx)
+                oa2, fb = _step(ra, f, ga, tx)
+                released = np.empty(shape)
+                released[:, 0] = np.where(a_first, oa1, oa2)
+                released[:, 1] = np.where(a_first, ob2, ob1)
+                free = np.where(a_first, fa, fb)
+            else:
+                # A stable sort puts each run in its own order, keeping
+                # procnum order among equal block times.
+                pipe = np.arange(len(sharing))[:, None, None]
+                runs = np.arange(self.runs)
+                order = keys.argsort(axis=1, kind="stable")
+                ready, gaps = ready[pipe, order, runs], gaps[pipe, order]
+                served = np.empty(shape)
+                for q in range(k):
+                    served[:, q], free = _step(ready[:, q], free, gaps[:, q], tx)
+                released = np.empty(shape)
+                released[pipe, order, runs] = served
+            released = released.reshape(-1, self.runs)
+            if tx:
+                released = released + oneway[idx]
+            for n, row in zip(idx, released):
+                t[n] = row
+            for (node, _), row in zip(sharing, free):
+                pipes[node] = row
 
     # -- results ---------------------------------------------------------------------
     def _orphans(self, j: int) -> list[ScoreboardEntry]:
@@ -376,7 +475,7 @@ class BatchedVirtualMachine:
             MachineResult(
                 elapsed=float(elapsed[j]),
                 finish_times=[float(p.vtime[j]) for p in procs],
-                compute_time=[float(p.compute[j]) for p in procs],
+                compute_time=[p.compute for p in procs],
                 send_time=[float(p.send_t[j]) for p in procs],
                 recv_wait_time=[float(p.wait[j]) for p in procs],
                 messages=scoreboard.total_added,

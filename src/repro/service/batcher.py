@@ -11,9 +11,9 @@ its own :class:`~repro.pevpm.parallel.RunGroup` with its own seed
 streams -- coalescing shares pool start-up, per-group program
 compilation and (with ``workers > 1``) the worker processes, but never
 the random draws, so every request's times remain bit-identical to a
-direct ``predict(...)`` call.  Within a group, ``vector_runs`` requests
-for static programs are evaluated as ``BatchedVirtualMachine`` chunks,
-the engine's highest-throughput path.
+direct ``predict(...)`` call.  Within a group, a static program is
+evaluated as ``BatchedVirtualMachine`` chunks, the engine's
+highest-throughput path.
 
 Evaluation runs on a single dedicated executor thread: batches pipeline
 (the collector keeps coalescing the next batch while the current one

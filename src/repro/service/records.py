@@ -26,7 +26,7 @@ from ..apps.fft import fft_model
 from ..apps.halo import halo_model
 from ..apps.jacobi import parse_jacobi
 from ..apps.taskfarm import make_tasks, taskfarm_model
-from ..pevpm.parallel import VECTOR_BATCH
+from ..pevpm.parallel import VECTOR_BATCH, keyed_batch
 from ..pevpm.predict import Prediction
 
 __all__ = [
@@ -175,7 +175,7 @@ class PredictRequest:
     timing_mode: str = "distribution"
     timing_source: str = "nxp"
     nic_serialisation: str = "tx"
-    vector_runs: bool = True
+    #: runs per batched-VM chunk of a static program
     vector_batch: int = VECTOR_BATCH
     deadline_s: float | None = None  #: per-request deadline override
     #: registry ref (alias or fingerprint) of the distribution database
@@ -188,6 +188,9 @@ class PredictRequest:
     target_rse: float | None = None
     min_runs: int = 4  #: adaptive: first total evaluated
     max_runs: int = 256  #: adaptive: hard spend cap
+    #: not a field: selects nothing (the program's shape picks the
+    #: engine); kept because ``bench/`` passes it on to ``predict``
+    vector_runs = True
 
     @classmethod
     def from_dict(cls, doc: object) -> "PredictRequest":
@@ -195,7 +198,7 @@ class PredictRequest:
         known = {
             "model", "nprocs", "model_params", "ppn", "runs", "seed",
             "timing_mode", "timing_source", "nic_serialisation",
-            "vector_runs", "vector_batch", "deadline_s", "db",
+            "vector_batch", "deadline_s", "db",
             "target_rse", "min_runs", "max_runs",
         }
         unknown = set(doc) - known
@@ -258,9 +261,7 @@ class PredictRequest:
         min_runs = _as_int(doc.get("min_runs", 4), "min_runs", 2)
         max_runs = _as_int(doc.get("max_runs", 256), "max_runs", 2)
         _require(max_runs >= min_runs, "max_runs must be >= min_runs")
-        vector_runs = bool(doc.get("vector_runs", True))
         if "vector_batch" in doc:
-            _require(vector_runs, "vector_batch only applies with vector_runs")
             vector_batch = _as_int(doc.get("vector_batch"), "vector_batch", 1)
         elif target_rse is not None:
             # Adaptive chunks default to min_runs so a loose target can
@@ -278,7 +279,6 @@ class PredictRequest:
             timing_mode=mode,
             timing_source=source,
             nic_serialisation=nic,
-            vector_runs=vector_runs,
             vector_batch=vector_batch,
             deadline_s=None if deadline is None else float(deadline),
             db=db_ref,
@@ -307,26 +307,23 @@ class PredictRequest:
         """Every field that determines the numbers, defaults filled.
 
         Adaptive requests null ``runs`` and add a ``precision`` block
-        instead (the run count is the rule's *output*); fixed-``runs``
-        requests keep the exact historical shape, so their keys -- and
-        every cache entry written before adaptive mode existed -- are
-        unchanged.
+        instead (the run count is the rule's *output*).  The chunk size
+        is keyed as :func:`~repro.pevpm.parallel.keyed_batch` records it.
         """
+        runs = None if self.target_rse is not None else self.runs
         doc = {
             "model": self.model,
             "model_params": dict(sorted(self.model_params.items())),
             "nprocs": self.nprocs,
             "ppn": self.ppn,
-            "runs": self.runs,
+            "runs": runs,
             "seed": self.seed,
             "timing_mode": self.timing_mode,
             "timing_source": self.timing_source,
             "nic_serialisation": self.nic_serialisation,
-            "vector_runs": self.vector_runs,
-            "vector_batch": self.vector_batch if self.vector_runs else None,
+            "vector_batch": keyed_batch(runs, self.vector_batch),
         }
-        if self.target_rse is not None:
-            doc["runs"] = None
+        if runs is None:
             doc["precision"] = self.precision_target().to_doc()
         return doc
 
@@ -339,6 +336,7 @@ class PredictRequest:
         doc = self.canonical()
         doc.pop("precision", None)
         doc["runs"] = achieved_runs
+        doc["vector_batch"] = keyed_batch(achieved_runs, self.vector_batch)
         return doc
 
     def fixed_key(self, db_fingerprint: str, achieved_runs: int) -> str:
@@ -414,7 +412,6 @@ def prediction_record(
     pred: Prediction,
     *,
     seed: int | None = None,
-    vector_runs: bool | None = None,
     vector_batch: int | None = None,
     nic_serialisation: str | None = None,
     workers: int | None = None,
@@ -445,10 +442,7 @@ def prediction_record(
         record["precision"] = pred.precision
     if seed is not None:
         record["seed"] = seed
-    if vector_runs is not None:
-        record["engine"]["vector_runs"] = bool(vector_runs)
-        if vector_runs:
-            record["engine"]["vector_batch"] = vector_batch or VECTOR_BATCH
+    record["engine"]["vector_batch"] = vector_batch or VECTOR_BATCH
     if nic_serialisation is not None:
         record["engine"]["nic_serialisation"] = nic_serialisation
     if workers is not None:

@@ -368,7 +368,6 @@ class PredictionService:
             params=vm_params,
             nic_serialisation=req.nic_serialisation,
             ppn=req.ppn,
-            vector_runs=req.vector_runs,
             vector_batch=req.vector_batch,
             # Per-phase host-time attribution rides along whenever the
             # service is tracing; it is pure wall-clock measurement, so
@@ -869,7 +868,6 @@ class PredictionService:
         record = prediction_record(
             pred,
             seed=req.seed,
-            vector_runs=req.vector_runs,
             vector_batch=req.vector_batch,
             nic_serialisation=req.nic_serialisation,
             workers=self.workers,

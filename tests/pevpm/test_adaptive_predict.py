@@ -3,10 +3,9 @@ runs, stopping behaviour, run savings, and the adaptive cache story.
 
 The load-bearing property is the issue's acceptance criterion: an
 adaptive evaluation that stops at N runs is **bit-identical** to a fixed
-``runs=N`` evaluation with the same seed -- across the scalar and
-vectorised engines and both timing modes.  That holds because adaptive
-increments continue the seed streams at absolute run indices
-(``run_offset``) and vectorised totals stay chunk-aligned.
+``runs=N`` evaluation with the same seed, under both timing modes.
+That holds because adaptive increments continue the seed streams at
+absolute run indices (``run_offset``) and totals stay chunk-aligned.
 """
 
 import numpy as np
@@ -53,27 +52,24 @@ def _predict(db, params, **kw):
 class TestBitIdentity:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        vector=st.booleans(),
         mode=st.sampled_from(["distribution", "average"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_adaptive_equals_fixed_at_same_count(
-        self, db, jacobi_params, seed, vector, mode
+        self, db, jacobi_params, seed, mode
     ):
         """Adaptive stopping at N is bit-identical to runs=N, same seed,
-        across engines and timing modes (the issue's acceptance test)."""
+        under both timing modes (adaptive mode's load-bearing property)."""
         target = PrecisionTarget(rse=0.5, min_runs=4, max_runs=16)
         adaptive = _predict(
-            db, jacobi_params, mode=mode, seed=seed,
-            precision=target, vector_runs=vector,
+            db, jacobi_params, mode=mode, seed=seed, precision=target,
         )
         n = adaptive.runs
-        fixed_kw = {"vector_batch": _adaptive_batch(target)} if vector else {}
         timing = timing_from_db(db, mode=mode, nprocs=8)
         group = RunGroup(
             model=parse_jacobi(), nprocs=8, timing=timing,
             seed=as_seed_sequence(seed), runs=n, params=jacobi_params,
-            vector_runs=vector, **fixed_kw,
+            vector_batch=_adaptive_batch(target),
         )
         fixed_times = [o.elapsed for o in evaluate_groups([group])[0]]
         assert adaptive.times == fixed_times
@@ -134,17 +130,15 @@ class TestStoppingBehaviour:
 
 class TestVectorChunkParity:
     def test_vector_adaptive_uses_min_runs_chunks(self, db, jacobi_params):
-        pred = _predict(
-            db, jacobi_params, seed=4, target_rse=0.5, vector_runs=True
-        )
-        # Loose target on the vector engine stops at the first chunk
+        pred = _predict(db, jacobi_params, seed=4, target_rse=0.5)
+        # A loose target on the batched engine stops at the first chunk
         # (min_runs), not the full default chunk of 64.
         assert pred.runs == 4
 
     def test_vector_totals_chunk_aligned_below_cap(self, db, jacobi_params):
         pred = _predict(
             db, jacobi_params, seed=4, target_rse=1e-9,
-            min_runs=4, max_runs=24, vector_runs=True,
+            min_runs=4, max_runs=24,
         )
         totals = [r["runs"] for r in pred.precision["rounds"]]
         assert totals[-1] == 24

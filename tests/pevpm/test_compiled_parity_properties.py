@@ -12,13 +12,11 @@ long as each process uses either only-wildcard or only-fixed receives
 (mixing the two lets a wildcard steal a later fixed receive's message),
 so the generator draws that choice per process.
 
-Each program is traced, compiled, and executed.  On the scalar virtual
-machine, compiled execution must match interpreted execution
-bit-for-bit -- under deterministic Hockney timing *and* under a
-stochastic timing model (same RNG draw order).  The batched machine runs
-the schedule only, and the interpreter is its reference: every run of a
-batch equals the scalar interpreted run under Hockney timing, and a
-one-run batch draws the stochastic model's stream in the scalar order.
+Each program is traced, compiled, and executed.  The per-run machine
+runs a compiled program's generator form, the reference: every run of a
+batch on the schedule equals the per-run interpreted run under Hockney
+timing, and a one-run batch draws a stochastic model's stream in the
+per-run order.
 Receivers sometimes react to the delivered :class:`MatchInfo` (a
 compute burst proportional to the received size), so a mis-delivered
 size or payload in the traced schedule shows up as a clock difference.
@@ -118,6 +116,7 @@ def test_scalar_parity_deterministic_and_stochastic(progspec, seed):
     compiled = compile_program(program, nprocs)
     if not compiled.divergent:
         assert compiled.messages == n_messages
+    # The per-run machine runs a CompiledProgram as its generator form.
     for timing in (HockneyTiming(1e-5, 1e-9), StochasticTiming()):
         a = VirtualMachine(nprocs, timing, seed=seed).run(program)
         b = VirtualMachine(nprocs, timing, seed=seed).run(compiled)

@@ -12,6 +12,7 @@ import pytest
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import (
+    VECTOR_BATCH,
     DistributionTiming,
     compare_timing_modes,
     predict,
@@ -20,6 +21,7 @@ from repro.pevpm import (
     run_seeds,
     timing_from_db,
 )
+from repro.pevpm import parallel
 from repro.simnet import perseus
 
 SPEC = perseus(16)
@@ -75,19 +77,31 @@ class TestSeedStreams:
 
 
 class TestSerialParallelIdentity:
-    def test_predict_bit_identical(self, db, jacobi_params):
+    def test_predict_bit_identical(self, db, jacobi_params, monkeypatch):
+        # A static program's pool unit is a whole batched chunk: two
+        # chunks' worth of runs, so both workers get one.
+        runs = VECTOR_BATCH + 4
         timing = timing_from_db(db, mode="distribution")
         serial = predict(
-            parse_jacobi(), 4, timing, runs=4, seed=1,
+            parse_jacobi(), 4, timing, runs=runs, seed=1,
             params=jacobi_params, workers=1,
         )
-        parallel = predict(
-            parse_jacobi(), 4, timing, runs=4, seed=1,
+        pools = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        pooled = predict(
+            parse_jacobi(), 4, timing, runs=runs, seed=1,
             params=jacobi_params, workers=2,
         )
-        assert parallel.times == serial.times
-        assert len(parallel.run_walls) == 4
-        assert all(w > 0 for w in parallel.run_walls)
+        assert pools == [2]
+        assert pooled.times == serial.times
+        assert len(pooled.run_walls) == runs
+        assert all(w > 0 for w in pooled.run_walls)
 
     def test_predict_speedups_bit_identical(self, db, jacobi_params):
         model = parse_jacobi()

@@ -343,7 +343,6 @@ class TestPredictRequest:
         req = PredictRequest.from_dict({"model": "jacobi", "nprocs": 8})
         assert req.runs == 16
         assert req.seed == 0
-        assert req.vector_runs is True
         assert req.vector_batch == VECTOR_BATCH
         assert req.model_params == {"iterations": 100, "xsize": 256}
 
@@ -363,6 +362,8 @@ class TestPredictRequest:
             {"model": "jacobi", "nprocs": 8, "timing_source": "4x4"},
             {"model": "jacobi", "nprocs": 8, "nic_serialisation": "maybe"},
             {"model": "jacobi", "nprocs": 8, "deadline_s": 0},
+            # the program's shape picks the engine; no engine switch
+            {"model": "jacobi", "nprocs": 8, "vector_runs": False},
         ],
     )
     def test_invalid_requests_rejected(self, body):
@@ -386,7 +387,7 @@ class TestPredictRequest:
             {"model_params": {"iterations": 50}},
             {"timing_mode": "average"},
             {"nic_serialisation": "off"},
-            {"vector_runs": False},
+            {"vector_batch": 8},
         ],
     )
     def test_key_varies_with_request(self, variant):
@@ -395,6 +396,19 @@ class TestPredictRequest:
             {"model": "jacobi", "nprocs": 8, **variant}
         )
         assert base.key("db0") != other.key("db0")
+
+    def test_chunk_sizes_of_one_chunk_share_the_key(self):
+        # Up to one chunk of runs draws alike whatever the chunk size,
+        # so the request key agrees with the prediction cache's.
+        a = PredictRequest.from_dict({"model": "jacobi", "nprocs": 8, "runs": 8})
+        b = PredictRequest.from_dict(
+            {"model": "jacobi", "nprocs": 8, "runs": 8, "vector_batch": 16}
+        )
+        assert a.key("db0") == b.key("db0")
+        adaptive = PredictRequest.from_dict(
+            {"model": "jacobi", "nprocs": 8, "target_rse": 0.05, "min_runs": 8}
+        )
+        assert adaptive.fixed_key("db0", 8) == a.key("db0")
 
     def test_key_varies_with_db_fingerprint(self):
         req = PredictRequest.from_dict({"model": "jacobi", "nprocs": 8})

@@ -87,7 +87,6 @@ def direct_jacobi(db, request: dict):
         runs=request.get("runs", 16),
         seed=request.get("seed", 0),
         params=params,
-        vector_runs=request.get("vector_runs", True),
     )
 
 
@@ -116,7 +115,6 @@ def jacobi_group(db, runs=8, seed=5, vector_batch=1) -> RunGroup:
         seed=as_seed_sequence(seed),
         runs=runs,
         params=params,
-        vector_runs=True,
         vector_batch=vector_batch,
     )
 
@@ -252,8 +250,8 @@ class TestEngineRecovery:
         ]
 
     def test_served_prediction_survives_worker_kill(self, db):
-        # Scalar mode: each of the 8 runs is its own pool work unit.
-        request = jacobi_request(runs=8, vector_runs=False)
+        # One-run chunks: each of the 8 runs is its own pool work unit.
+        request = jacobi_request(runs=8, vector_batch=1)
         injector = FaultInjector(seed=1)
         injector.arm("kill_worker")
         service = PredictionService(
@@ -265,7 +263,8 @@ class TestEngineRecovery:
                 record = client.predict(**request)
             finally:
                 client.close()
-        assert record["times"] == direct_jacobi(db, request).times
+        direct = evaluate_groups([jacobi_group(db, runs=8, seed=7)])[0]
+        assert record["times"] == [o.elapsed for o in direct]
         assert injector.injected["kill_worker"] == 1
 
 

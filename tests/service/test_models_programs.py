@@ -108,7 +108,6 @@ class TestImportedPrograms:
             timing_from_db(db, mode="distribution", nprocs=4),
             runs=4,
             seed=9,
-            vector_runs=True,
         )
         assert record["times"] == direct.times
 

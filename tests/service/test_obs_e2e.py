@@ -22,7 +22,7 @@ from repro.service import PredictionService, ServiceClient, ServiceThread
 from repro.simnet import perseus
 
 from .test_service_e2e import (
-    direct_jacobi,
+    direct_predict,
     jacobi_request,
     run_service,
     serve,
@@ -44,17 +44,20 @@ def db():
 class TestTracedBitIdentity:
     """Tracing must not perturb the reproducibility contract."""
 
-    @pytest.mark.parametrize("vector_runs", [True, False])
-    def test_traced_equals_untraced_and_direct(self, db, vector_runs):
-        request = jacobi_request(vector_runs=vector_runs, runs=4)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_traced_equals_untraced_and_direct(self, db, batched):
+        # Jacobi is static and runs batched; the task farm is divergent
+        # and runs on the per-run engine.
+        request = jacobi_request(runs=4) if batched else {
+            "model": "taskfarm", "model_params": {"n_tasks": 16},
+            "nprocs": 4, "runs": 4, "seed": 7,
+        }
         with serve(db) as (_svc, client):
             untraced = client.predict(**request)
         with serve(db, tracer=Tracer()) as (_svc, client):
             traced = client.predict(**request)
         assert traced["times"] == untraced["times"]
-        direct = direct_jacobi(db, request)
-        assert traced["times"] == direct.times
-        assert traced["engine"]["vector_runs"] is vector_runs
+        assert traced["times"] == direct_predict(db, request).times
 
     def test_untraced_service_has_no_trace_surface(self, db):
         async def scenario(service):

@@ -28,7 +28,7 @@ _DEFAULTS = {
     "timing_mode": "distribution",
     "timing_source": "nxp",
     "nic_serialisation": "tx",
-    "vector_runs": True,
+    "vector_batch": 64,
 }
 
 request_docs = st.fixed_dictionaries(
@@ -43,7 +43,7 @@ request_docs = st.fixed_dictionaries(
         ),
         "timing_source": st.sampled_from(["nxp", "2x1"]),
         "nic_serialisation": st.sampled_from(["off", "tx", "txrx"]),
-        "vector_runs": st.booleans(),
+        "vector_batch": st.sampled_from([16, 64]),
     }
 )
 

@@ -97,7 +97,6 @@ def direct_jacobi(db, request: dict):
         runs=request.get("runs", 16),
         seed=request.get("seed", 0),
         params=params,
-        vector_runs=request.get("vector_runs", True),
     )
 
 

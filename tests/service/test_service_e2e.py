@@ -27,6 +27,7 @@ from repro.pevpm import predict, timing_from_db
 from repro.pevpm.machine import ModelDeadlock
 from repro.service import MODELS, PredictionService, ServiceClient, ServiceThread
 from repro.service import records as service_records
+from repro.service.records import PredictRequest
 from repro.simnet import perseus
 
 pytestmark = pytest.mark.service
@@ -81,7 +82,18 @@ def direct_jacobi(db, request: dict):
         runs=request.get("runs", 16),
         seed=request.get("seed", 0),
         params=params,
-        vector_runs=request.get("vector_runs", True),
+    )
+
+
+def direct_predict(db, request: dict):
+    """The direct ``predict(...)`` call a served request of any model
+    must match."""
+    req = PredictRequest.from_dict(request)
+    model, vm_params = req.build_model(SPEC)
+    return predict(
+        model, req.nprocs,
+        timing_from_db(db, mode="distribution", nprocs=req.nprocs),
+        runs=req.runs, seed=req.seed, params=vm_params,
     )
 
 
@@ -107,19 +119,19 @@ class TestReproducibilityContract:
         assert record["times"] == direct.times
         # The response echoes everything needed to replay it.
         assert record["seed"] == 7
-        assert record["engine"]["vector_runs"] is True
+        assert record["engine"]["vector_batch"] == 64
         assert record["engine"]["nic_serialisation"] == "tx"
         assert record["served_from"] == "engine"
         assert record["db_fingerprint"] == db.fingerprint()
         assert record["runs"] == 4
 
     def test_scalar_engine_requests_match_too(self, db):
-        request = jacobi_request(vector_runs=False, runs=3)
+        # The task farm is divergent, so it runs on the per-run engine.
+        request = {"model": "taskfarm", "model_params": {"n_tasks": 16},
+                   "nprocs": 4, "runs": 3, "seed": 7}
         with serve(db) as (_service, client):
             record = client.predict(**request)
-        direct = direct_jacobi(db, request)
-        assert record["times"] == direct.times
-        assert record["engine"]["vector_runs"] is False
+        assert record["times"] == direct_predict(db, request).times
 
     def test_repeat_request_served_from_cache_identically(self, db, tmp_path):
         request = jacobi_request()
@@ -178,8 +190,7 @@ class TestReproducibilityContract:
         timing = timing_from_db(db, mode="distribution", nprocs=4)
         for request, record in zip(fft_reqs, records[len(jacobi_reqs):]):
             direct = predict(
-                fft_model(4096), 4, timing, runs=3,
-                seed=request["seed"], vector_runs=True,
+                fft_model(4096), 4, timing, runs=3, seed=request["seed"],
             )
             assert record["times"] == direct.times
 
@@ -295,7 +306,7 @@ class TestFunnelStages:
             ({}, lambda spec, params: (all_receive, None)),
         )
         good = jacobi_request()
-        bad = {"model": "deadlock", "nprocs": 2, "runs": 2, "vector_runs": False}
+        bad = {"model": "deadlock", "nprocs": 2, "runs": 2}
 
         async def scenario(service):
             # Fired together so both land in one micro-batch: the

@@ -532,7 +532,6 @@ def direct_jacobi(db, request: dict):
         runs=request["runs"],
         seed=request["seed"],
         params=params,
-        vector_runs=True,
     )
 
 

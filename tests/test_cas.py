@@ -33,9 +33,9 @@ from repro.trace_import import ProgramStore, sample_trace
 
 RING = sample_trace(nprocs=4)
 
-PINNED_KEY = "c7df5546a528eead5cb26fa6025d9573d3848cc65752ac247e135e20aff0088a"
+PINNED_KEY = "f0d7ac574cfb04d626738ed88178f9010783e22796773ea32e6ca9fcd941c8b2"
 PINNED_ADAPTIVE_KEY = (
-    "d2fb24ffaa060bbeb9ce39b60f073e87d25a25c6b5f17ca44520d49776fafbce"
+    "17521ca044f498f7a3ea09bd02aebf2f1b46375c75ac821c200b53f3b1a6105d"
 )
 PINNED_DB = "c04bca22c134cea95d03b696eac7d0215993cd3299d04ef43cf2da6cd60dd171"
 PINNED_PROGRAM = (
@@ -83,11 +83,10 @@ class TestPinnedBytes:
     GROUP = RunGroup(
         model=("pinned-model", 1), params={"iterations": 20}, nprocs=4,
         timing=PinnedTiming(), seed=np.random.SeedSequence(7), runs=4,
-        vector_runs=True,
     )
 
     def test_prediction_keys(self):
-        assert PredictionCache.VERSION == 4
+        assert PredictionCache.VERSION == 5
         assert prediction_key(self.GROUP) == PINNED_KEY
         target = PrecisionTarget(rse=0.01)
         assert prediction_key(self.GROUP, target) == PINNED_ADAPTIVE_KEY

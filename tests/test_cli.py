@@ -114,7 +114,7 @@ class TestPredictJson:
         rc = main([
             "predict", "--db", str(saved_db), "--nprocs", "4",
             "--iterations", "20", "--runs", "2", "--seed", "3",
-            "--workers", "1", "--vector-runs", "--json",
+            "--workers", "1", "--json",
         ])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
@@ -126,7 +126,7 @@ class TestPredictJson:
         # The record carries the seed and engine flags needed to replay
         # it -- the same serialisation the prediction service returns.
         assert record["seed"] == 3
-        assert record["engine"]["vector_runs"] is True
+        assert record["engine"]["vector_batch"] == 64
         assert len(record["times"]) == 2
         assert record["speedup"] > 0
 

@@ -3,10 +3,9 @@
 One canonical prediction document is pinned under ``tests/goldens/``
 for every registered workload x NIC serialisation mode, produced from a
 fixed-seed benchmark campaign with a tiny run count.  Each test
-evaluates the workload on both engine lanes -- per-run and batched
-(``vector_runs``) -- and byte-compares the resulting document against
-the pinned golden.  A divergent workload (the task farm) runs per-run
-in both lanes, so its two lists are equal.
+evaluates the workload -- static programs on the batched engine, the
+divergent task farm on the per-run one -- and byte-compares the
+resulting document against the pinned golden.
 
 Any change to the predicted numbers -- an engine regression, a timing
 model edit, a collective lowering tweak -- fails here first, with a
@@ -46,14 +45,6 @@ NIC_MODES = ["off", "tx", "txrx"]
 RUNS = 2
 SEED = 7
 
-#: Engine lanes.  Across lanes (per-run scalar vs lockstep batched)
-#: results are statistically equivalent, not bit-identical, so each lane
-#: is pinned separately.
-LANES = {
-    "scalar": False,  # vector_runs
-    "batched": True,
-}
-
 
 @pytest.fixture(scope="module")
 def db():
@@ -76,23 +67,19 @@ def build_workload(name):
 
 
 def golden_doc(db, name, nic):
-    """The canonical document for one workload x NIC mode, evaluated on
-    both engine lanes."""
+    """The canonical document for one workload x NIC mode."""
     model, vm_params, params, nprocs = build_workload(name)
     timing = timing_from_db(db, mode="distribution", nprocs=nprocs)
-    lanes = {}
-    for lane, vector_runs in LANES.items():
-        pred = predict(
-            model,
-            nprocs,
-            timing,
-            runs=RUNS,
-            seed=SEED,
-            params=vm_params,
-            nic_serialisation=nic,
-            vector_runs=vector_runs,
-        )
-        lanes[lane] = list(pred.times)
+    pred = predict(
+        model,
+        nprocs,
+        timing,
+        runs=RUNS,
+        seed=SEED,
+        params=vm_params,
+        nic_serialisation=nic,
+    )
+    times = list(pred.times)
     return {
         "model": name,
         "model_params": params,
@@ -101,9 +88,8 @@ def golden_doc(db, name, nic):
         "seed": SEED,
         "nic_serialisation": nic,
         "db_fingerprint": db.fingerprint(),
-        "times": lanes["scalar"],
-        "vector_times": lanes["batched"],
-        "mean_time": sum(lanes["scalar"]) / len(lanes["scalar"]),
+        "times": times,
+        "mean_time": sum(times) / len(times),
     }
 
 

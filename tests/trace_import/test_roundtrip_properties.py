@@ -8,9 +8,8 @@ because each rank is all-wildcard or all-fixed).  Properties:
 
 * import -> export -> import is the identity on the content address
   (and on the event tuples themselves);
-* the replayed model predicts bit-identically whether interpreted or
-  compiled on the scalar virtual machine, and every run of a batched
-  one (static traces only) equals the interpreted run.
+* every run of the replayed model on the batched virtual machine
+  (static traces only) equals its interpreted run on the per-run one.
 """
 
 import pytest
@@ -67,9 +66,6 @@ def test_replayed_model_engine_parity(program, seed):
     compiled = compile_program(model, program.nprocs)
     timing = HockneyTiming(1e-5, 1e8)
     a = VirtualMachine(program.nprocs, timing, seed=seed).run(model)
-    b = VirtualMachine(program.nprocs, timing, seed=seed).run(compiled)
-    assert b.elapsed == a.elapsed
-    assert b.finish_times == a.finish_times
     batched = BatchedVirtualMachine(program.nprocs, timing, seed=seed, runs=4)
     if compiled.divergent:
         with pytest.raises(ValueError, match="divergent"):
