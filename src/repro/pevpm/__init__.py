@@ -62,7 +62,7 @@ from .predict import (
     prediction_doc,
     prediction_from_doc,
 )
-from .scoreboard import Scoreboard, ScoreboardEntry, VectorEntry, VectorScoreboard
+from .scoreboard import Scoreboard, ScoreboardEntry
 from .symbolic import StaticProfile, SymbolicModel, extract_symbolic_model, static_profile
 from .timeline import iteration_profile, render_run_spread, render_timeline
 from .timing import (
@@ -115,8 +115,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "VECTOR_BATCH",
-    "VectorEntry",
-    "VectorScoreboard",
     "VirtualMachine",
     "as_seed_sequence",
     "build_prediction",

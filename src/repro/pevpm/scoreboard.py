@@ -16,13 +16,9 @@ the contention level, then removes it.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
-__all__ = ["ScoreboardEntry", "Scoreboard", "VectorEntry", "VectorScoreboard"]
-
-_msg_id = attrgetter("msg_id")
+__all__ = ["ScoreboardEntry", "Scoreboard"]
 
 
 @dataclass(frozen=True)
@@ -136,124 +132,3 @@ class Scoreboard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Scoreboard outstanding={len(self)} peak={self.peak}>"
-
-
-class VectorEntry:
-    """One outstanding message across a *batch* of Monte Carlo runs.
-
-    Identical to :class:`ScoreboardEntry` except that ``depart`` is an
-    ``(r,)`` array -- one departure time per run in the batch.  The
-    message's identity (src, dst, size, program position) is *structural*:
-    every run of a static program sends the same messages in the same
-    order, only their clock values differ.
-    """
-
-    __slots__ = ("msg_id", "src", "dst", "size", "depart", "intra", "payload")
-
-    def __init__(self, msg_id, src, dst, size, depart, intra=False, payload=None):
-        self.msg_id = msg_id
-        self.src = src
-        self.dst = dst
-        self.size = size
-        self.depart = depart
-        self.intra = intra
-        self.payload = payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<VectorEntry #{self.msg_id} {self.src}->{self.dst} "
-            f"size={self.size} runs={len(self.depart)}>"
-        )
-
-
-class VectorScoreboard:
-    """Scoreboard for the batched virtual machine.
-
-    Message *population* is structural (shared by every run of the
-    batch), so contention stays a scalar; only departure
-    times are per-run vectors.  FIFO order is by ``msg_id``: a sender's
-    messages to one destination are added in program order and their
-    departure times are nondecreasing in every run, so insertion order
-    *is* the per-run depart order -- no per-run sorting needed.  Each
-    destination keeps one FIFO per source, so :meth:`oldest_for` and
-    :meth:`heads_for_dst` never scan the other outstanding messages.
-    """
-
-    def __init__(self):
-        self._entries: dict[int, VectorEntry] = {}
-        #: dst -> src -> that pair's outstanding entries, oldest first
-        self._fifo: dict[int, dict[int, deque[VectorEntry]]] = {}
-        self._next_id = 0
-        self._inter_count = 0
-        self.peak = 0
-        self.total_added = 0
-
-    def add(
-        self, src: int, dst: int, size: int, depart, intra: bool = False,
-        payload: object = None,
-    ) -> VectorEntry:
-        entry = VectorEntry(
-            self._next_id, src, dst, size, depart, intra, payload
-        )
-        self._next_id += 1
-        self._entries[entry.msg_id] = entry
-        by_src = self._fifo.get(dst)
-        if by_src is None:
-            by_src = self._fifo[dst] = {}
-        queue = by_src.get(src)
-        if queue is None:
-            by_src[src] = deque((entry,))
-        else:
-            queue.append(entry)
-        self.total_added += 1
-        if not intra:
-            self._inter_count += 1
-        if len(self._entries) > self.peak:
-            self.peak = len(self._entries)
-        return entry
-
-    def remove(self, msg_id: int) -> VectorEntry:
-        try:
-            entry = self._entries.pop(msg_id)
-        except KeyError:
-            raise KeyError(f"message {msg_id} not on the scoreboard") from None
-        by_src = self._fifo[entry.dst]
-        queue = by_src[entry.src]
-        if queue[0] is entry:
-            queue.popleft()
-        else:
-            queue.remove(entry)
-        if not queue:
-            del by_src[entry.src]
-        if not entry.intra:
-            self._inter_count -= 1
-        return entry
-
-    def oldest_for(self, src: int, dst: int) -> VectorEntry | None:
-        """Lowest-msg_id outstanding message from src to dst (see class
-        docstring: insertion order is FIFO order in every run)."""
-        queue = self._fifo.get(dst, {}).get(src)
-        return queue[0] if queue else None
-
-    def heads_for_dst(self, dst: int) -> list[VectorEntry]:
-        """Each source's oldest outstanding message to *dst* (the
-        wildcard-receive candidates), in ascending msg_id order."""
-        by_src = self._fifo.get(dst)
-        if not by_src:
-            return []
-        return sorted((q[0] for q in by_src.values()), key=_msg_id)
-
-    @property
-    def contention(self) -> int:
-        """Outstanding inter-node messages (shared by all runs of the
-        batch -- population is structural)."""
-        return self._inter_count
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> list[VectorEntry]:
-        return sorted(self._entries.values(), key=lambda e: e.msg_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<VectorScoreboard outstanding={len(self)} peak={self.peak}>"

@@ -43,18 +43,14 @@ Batch-mode conventions (documented in DESIGN.md section 6):
 
 from __future__ import annotations
 
+from itertools import repeat
 from time import perf_counter as _perf_counter
 
 import numpy as np
 
-from .compile import CompiledProgram
-from .machine import (
-    ANY_SOURCE,
-    MachineResult,
-    ModelDeadlock,
-    validate_machine_config,
-)
-from .scoreboard import ScoreboardEntry, VectorScoreboard
+from .compile import CompiledProgram, MatchPhase, SweepPhase
+from .machine import MachineResult, validate_machine_config
+from .scoreboard import ScoreboardEntry
 from .timing import LOCAL_OP, ONEWAY_OP, TimingModel
 from .trace import TraceRecorder
 
@@ -75,27 +71,10 @@ def _step(ready, free, gap, tx: bool):
     return out, out
 
 
-class _BatchProc:
-    """Per-process state: a cursor into the process's schedule, with the
-    run-dependent clocks as ``(r,)`` vectors.  Serial time is the same in
-    every run, so ``compute`` is one float."""
-
-    __slots__ = (
-        "ops", "ip", "done", "blocked_src", "blocked_label", "vtime",
-        "compute", "send_t", "wait", "block_start",
-    )
-
-    def __init__(self, ops: list[tuple], r: int):
-        self.ops = ops
-        self.ip = 0
-        self.done = False
-        self.blocked_src: int | None = None
-        self.blocked_label = ""
-        self.vtime = np.zeros(r)
-        self.compute = 0.0
-        self.send_t = np.zeros(r)
-        self.wait = np.zeros(r)
-        self.block_start = np.zeros(r)
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    out = np.cumsum(counts)
+    out -= counts
+    return out
 
 
 class BatchedVirtualMachine:
@@ -160,69 +139,56 @@ class BatchedVirtualMachine:
                 f"op {op} (round {rnd}) races senders, so it has no static "
                 f"schedule; evaluate it run by run on VirtualMachine"
             )
-        schedule = program.schedule(self.ppn)
+        plan = program.plan(self.ppn, self.nic_serialisation)
+        if len(plan.rounds) > self.max_sweeps:
+            raise RuntimeError(
+                f"model exceeded {self.max_sweeps} sweep/match rounds"
+            )
         self.timing.reset()
-        self._scoreboard = VectorScoreboard()
-        self._last_arrival: dict[tuple[int, int], np.ndarray] = {}
-        self._tx_free: dict[int, np.ndarray] = {}
-        self._rx_free: dict[int, np.ndarray] = {}
-        procs = [_BatchProc(ops, self.runs) for ops in schedule]
+        self._ops = program.ops
+        r = self.runs
+        shape = (self.nprocs, r)
+        #: per-process clocks, send time and receive wait
+        self._clock, self._send_t, self._wait = (
+            np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        )
+        #: departure time of each outstanding message, by slot
+        self._depart = np.empty((plan.n_slots, r))
+        #: NIC pipe state per node (an idle pipe is free at 0, as in
+        #: the per-run engine) and the last arrival per (src, dst) pair
+        self._tx_free = np.zeros((plan.n_nodes, r))
+        self._rx_free = np.zeros((plan.n_nodes, r))
+        self._last = np.full((plan.n_pairs, r), -np.inf)
+        gap = self.timing.serialisation_gap
+        self._gap = np.array([gap(size) for size in plan.gap_sizes])
         prof = self.profiler
-        runnable = list(range(self.nprocs))
-        sweeps = 0
-        while True:
-            sweeps += 1
-            if sweeps > self.max_sweeps:
-                raise RuntimeError(
-                    f"model exceeded {self.max_sweeps} sweep/match rounds"
-                )
+        order = None
+        for sweep, match in plan.rounds:
             if prof is None:
-                self._sweep(procs, runnable)
+                self._sweep(sweep, order)
             else:
                 mark = prof.mark()
                 t0 = _perf_counter()
-                self._sweep(procs, runnable)
+                self._sweep(sweep, order)
                 # Draw time inside the sweep is already in "sample";
                 # exclusive() keeps the buckets disjoint.
                 prof.exclusive("sweep", _perf_counter() - t0, mark)
-            # After a sweep every live process is blocked at a receive.
-            alive = [pn for pn, p in enumerate(procs) if not p.done]
-            if not alive:
+            if match is None:
                 break
-            # The per-run engine serves blocked processes in (block time,
-            # procnum) order; block times are per-run here, so the draw
-            # plan orders by the *batch-mean* block time -- run-independent
-            # (hence congruent) and exactly the per-run order whenever the
-            # runs agree.  NIC occupancy is chained in each run's own
-            # order (_arrivals).  Computed as the block-time *sum* (same
-            # order: every proc divides by the same run count), one
-            # row-wise reduce over the stacked vectors -- each row is
-            # summed exactly as a reduce of that vector alone would.
-            sums = np.add.reduce(
-                np.array([procs[pn].block_start for pn in alive]), axis=1
-            ).tolist()
-            blocked = [pn for _, pn in sorted(zip(sums, alive))]
             if prof is None:
-                runnable = self._match(procs, blocked)
+                order = self._match(match)
             else:
                 mark = prof.mark()
                 t0 = _perf_counter()
-                runnable = self._match(procs, blocked)
+                order = self._match(match)
                 prof.exclusive("match", _perf_counter() - t0, mark)
-            if not runnable:
-                raise ModelDeadlock(
-                    {pn: procs[pn].blocked_src for pn in blocked},
-                    self._orphans(0),
-                )
-        return self._results(procs, sweeps)
+        return self._results(plan)
 
     # -- the batched sweep/match loop ---------------------------------------------
     def _draw(self, specs: list[tuple]):
         """The engine's one draw site: every ``(op, size, contention,
         intra)`` of *specs* drawn as one block, whose ``(r,)`` rows are
         in spec order."""
-        if not specs:
-            return ()
         prof = self.profiler
         if prof is None:
             return self.timing.draw_block(specs, self.rng, self.runs)
@@ -231,257 +197,249 @@ class BatchedVirtualMachine:
         prof.add("sample", _perf_counter() - t0)
         return block
 
-    @staticmethod
-    def _segment(proc: _BatchProc) -> list[tuple]:
-        """The ops *proc* runs in this sweep, through its next receive;
-        marks the process done when its schedule ends."""
-        ops = proc.ops
-        ip = proc.ip
-        for j in range(ip, len(ops)):
-            if ops[j][0] == "recv":
-                proc.ip = j + 1
-                return ops[ip:j + 1]
-        proc.ip = len(ops)
-        proc.done = True
-        return ops[ip:]
-
-    def _sweep(self, procs: list[_BatchProc], runnable: list[int]) -> None:
+    def _sweep(self, sweep: SweepPhase, order) -> None:
         """One sweep phase: every runnable process runs to its next
-        receive (or its end).  The structural pass lists each send's
-        local-time draw at the contention it sees -- one more per
-        inter-node send before it -- and the numeric pass advances the
-        clocks with the block's rows."""
-        scoreboard = self._scoreboard
-        trace = self.trace
-        c = scoreboard.contention
-        specs = []
-        segments = []
-        for pn in runnable:
-            proc = procs[pn]
-            seg = self._segment(proc)
-            for op in seg:
-                if op[0] == "send":
-                    specs.append((LOCAL_OP, op[2], c, op[5]))
-                    if not op[5]:
-                        c += 1
-            segments.append((pn, proc, seg))
-        rows = iter(self._draw(specs))
-        for pn, proc, seg in segments:
-            vtime = proc.vtime
-            for op in seg:
-                kind = op[0]
-                if kind == "serial":
-                    vtime = vtime + op[1]
-                    proc.compute += op[1]
-                    if trace is not None:
-                        end = float(vtime[-1])
-                        trace.record(pn, "serial", op[2], end - op[1], end)
-                elif kind == "send":
-                    cost = next(rows)
-                    # Rebind (never mutate) the clock: the scoreboard
-                    # entry keeps the departure vector alive.
-                    scoreboard.add(pn, op[1], op[2], vtime, intra=op[5], payload=op[4])
-                    if trace is not None:
-                        trace.record(pn, "send", op[3], float(vtime[-1]),
-                                     float(vtime[-1] + cost[-1]))
-                    vtime = vtime + cost
-                    proc.send_t += cost
-                else:  # recv: the decision point
-                    proc.blocked_src = op[1]
-                    proc.blocked_label = op[2]
-                    proc.block_start = vtime
-            proc.vtime = vtime
+        receive (or its end).
 
-    def _match(self, procs: list[_BatchProc], blocked: list[int]) -> list[int]:
-        """One match phase; returns the processes it made runnable.
-
-        The structural pass plans every receive that completes -- the
-        message it takes and its arrival draw at the contention it sees
-        (one less per inter-node message completed before it).  Candidate
-        *existence* is structural, so the same receives complete in every
-        run.
+        The draws are listed in run-time process order (*order*, the
+        previous match's, or ascending procnum when ``None``) and op
+        order, each send's local-time draw at the contention it sees --
+        one more per inter-node send before it.  The steps then advance
+        the clocks one op position at a time with the block's rows.
         """
-        scoreboard = self._scoreboard
-        plan = []
-        specs = []
-        c = scoreboard.contention
-        for pn in blocked:
-            src = procs[pn].blocked_src
-            if src == ANY_SOURCE:
-                heads = scoreboard.heads_for_dst(pn)
-                if len(heads) > 1:
-                    # compile_program marks any program that can get here
-                    # divergent, and run() refuses those.
-                    raise RuntimeError(
-                        f"internal error: wildcard race at proc {pn} "
-                        f"inside a static schedule"
-                    )
-                entry = heads[0] if heads else None
+        clock, send_t, depart = self._clock, self._send_t, self._depart
+        cost = None
+        if len(sweep.size):
+            if order is None:
+                block = self._draw(sweep.specs)
+                cost = block if sweep.rows is None else block[sweep.rows]
             else:
-                entry = scoreboard.oldest_for(src, pn)
-            if entry is not None:
-                plan.append((pn, entry))
-                specs.append((ONEWAY_OP, entry.size, c, entry.intra))
-                if not entry.intra:
-                    c -= 1
-        arrivals = self._arrivals(procs, plan, self._draw(specs))
-        last = self._last_arrival
-        trace = self.trace
-        for (pn, entry), t in zip(plan, arrivals):
-            # One TCP stream per pair: arrivals cannot overtake.  A phase
-            # completes at most one receive per process, so this only
-            # looks back at earlier phases.
-            key = (entry.src, entry.dst)
-            prev = last.get(key)
-            if prev is not None:
-                t = np.maximum(t, prev)
-            last[key] = t
-            proc = procs[pn]
-            completion = np.maximum(proc.vtime, t)
-            proc.wait += completion - proc.block_start
-            if trace is not None:
-                trace.record(pn, "recv", proc.blocked_label,
-                             float(proc.block_start[-1]), float(completion[-1]))
-            proc.vtime = completion
-            proc.blocked_src = None
-            scoreboard.remove(entry.msg_id)
-        return [pn for pn, _ in plan]
+                counts = sweep.counts[order]
+                starts = _exclusive_cumsum(counts)
+                row_start = np.empty_like(starts)
+                row_start[order] = starts
+                block = self._draw(
+                    sweep.specs if sweep.fixed
+                    else self._sweep_specs(sweep, order, counts, starts)
+                )
+                cost = block[row_start[sweep.send_proc] + sweep.send_nth]
+        trace = {} if self.trace is not None else None
+        for serial, sent in sweep.steps:
+            if serial is not None:
+                rows, seconds, procs = serial
+                clock[rows] += seconds
+                if trace is not None:
+                    for p, end in zip(procs, clock[rows, -1].tolist()):
+                        trace.setdefault(p, []).append((end, end))
+            if sent is not None:
+                rows, block_rows, slots, procs = sent
+                depart[slots] = clock[rows]
+                c = cost[block_rows]
+                clock[rows] += c
+                send_t[rows] += c
+                if trace is not None:
+                    for p, start, end in zip(
+                        procs, depart[slots, -1].tolist(), clock[rows, -1].tolist()
+                    ):
+                        trace.setdefault(p, []).append((start, end))
+        if trace is not None:
+            self._trace_sweep(sweep, order, trace)
 
-    def _arrivals(self, procs: list[_BatchProc], plan: list[tuple],
-                  oneway) -> list[np.ndarray]:
-        """When each planned ``(pn, entry)`` message arrives, given its
-        one-way draw and before the per-pair floor -- the batched form
-        of the per-run engine's ``arrival_of``, NIC serialisation
-        included.
+    @staticmethod
+    def _sweep_specs(sweep: SweepPhase, order, counts, starts) -> list[tuple]:
+        """The sweep's draw specs when its processes run in *order*."""
+        n = len(sweep.size)
+        pm_start = _exclusive_cumsum(sweep.counts)
+        sel = np.repeat(pm_start[order] - starts, counts) + np.arange(n)
+        intra = sweep.intra[sel]
+        levels = sweep.levels
+        if levels is None:
+            levels = (sweep.c0 + _exclusive_cumsum(~intra)).tolist()
+        return list(zip(
+            repeat(LOCAL_OP, n), sweep.size[sel].tolist(), levels, intra.tolist()
+        ))
+
+    def _match(self, match: MatchPhase):
+        """One match phase; returns its receivers' run-time order (local
+        indices), which the next sweep runs its processes in.
+
+        The per-run engine serves blocked processes in (block time,
+        procnum) order; block times are per-run here, so the draws are
+        listed in order of *batch-mean* block time -- run-independent
+        (hence congruent) and exactly the per-run order whenever the
+        runs agree -- each at the contention it sees, one less per
+        inter-node message completed before it.  NIC occupancy is
+        chained in each run's own order (:meth:`_arrivals`).
+        """
+        clock = self._clock
+        recv = match.recv
+        # A blocked process's clock is its block start.
+        start = clock[recv]
+        n = len(match.procs)
+        if n > 1:
+            # The block-time *sum* orders as the mean does (every process
+            # divides by the same run count); one row-wise reduce, each
+            # row summed exactly as a reduce of that vector alone would.
+            # The receivers are in procnum order, so a stable sort breaks
+            # ties by procnum.
+            order = np.add.reduce(start, axis=1).argsort(kind="stable")
+            block = self._draw(
+                match.specs if match.fixed else self._match_specs(match, order)
+            )
+            oneway = np.empty_like(block)
+            oneway[order] = block
+        else:
+            order = None
+            oneway = self._draw(match.specs)
+        t = self._arrivals(match, start, oneway)
+        # One TCP stream per pair: arrivals cannot overtake.  A phase
+        # completes at most one receive per process, so this only looks
+        # back at earlier phases.
+        pairs = match.pairs
+        t = np.maximum(t, self._last[pairs])
+        self._last[pairs] = t
+        completion = np.maximum(start, t)
+        self._wait[recv] += completion - start
+        if self.trace is not None:
+            self._trace_match(match, order, start, completion)
+        clock[recv] = completion
+        return order
+
+    @staticmethod
+    def _match_specs(match: MatchPhase, order) -> list[tuple]:
+        """The match's draw specs when its receives complete in *order*."""
+        levels = match.levels
+        if levels is None:
+            levels = (match.c0 - _exclusive_cumsum(match.inter[order])).tolist()
+        return list(zip(
+            repeat(ONEWAY_OP, len(order)), match.size[order].tolist(), levels,
+            match.intra[order].tolist(),
+        ))
+
+    def _arrivals(self, match: MatchPhase, start, oneway) -> np.ndarray:
+        """When each received message arrives, given its one-way draw and
+        before the per-pair floor -- the batched form of the per-run
+        engine's ``arrival_of``, NIC serialisation included.
 
         The per-run engine completes a phase's receives in its own
         (block time, procnum) order, and that order decides which of two
-        messages through one NIC pipe goes first.  Block times are
-        per-run, so the messages sharing a sender node's transmit pipe
-        (and with ``txrx`` a receiver node's pipe) are chained in each
-        run's own order (:meth:`_chain`).
+        messages through one NIC pipe goes first.  Block times (*start*)
+        are per-run, so the messages sharing a sender node's transmit
+        pipe (and with ``txrx`` a receiver node's pipe) are chained in
+        each run's own order (:meth:`_chain`).
         """
-        nic = self.nic_serialisation
-        ppn = self.ppn
-        t = []
-        # NIC pipe -> its messages, as (receiver procnum, plan index)
-        tx: dict[int, list[tuple[int, int]]] = {}
-        rx: dict[int, list[tuple[int, int]]] = {}
-        for n, (pn, entry) in enumerate(plan):
-            if entry.intra or nic == "off":
-                t.append(entry.depart + oneway[n])
-                continue
-            t.append(entry.depart)
-            tx.setdefault(entry.src // ppn, []).append((pn, n))
-            if nic == "txrx":
-                rx.setdefault(entry.dst // ppn, []).append((pn, n))
-        if tx:  # departure -> injection into the wire, + one-way time
-            self._chain(self._tx_free, tx, t, procs, plan, oneway)
-        if rx:
-            self._chain(self._rx_free, rx, t, procs, plan)
+        t = self._depart[match.slots]
+        direct = match.direct
+        if direct is True:
+            t += oneway
+            return t
+        if direct is not None:
+            t[direct] += oneway[direct]
+        for group in match.tx:
+            self._chain(self._tx_free, group, t, start, oneway)
+        for group in match.rx:
+            self._chain(self._rx_free, group, t, start)
         return t
 
-    def _chain(self, pipes: dict, groups: dict, t: list,
-               procs: list[_BatchProc], plan: list[tuple],
-               oneway=None) -> None:
-        """Pass each pipe's ``groups[node]`` messages -- ``(receiver
-        procnum, plan index n)`` pairs -- through NIC pipe *node*:
-        ``t[n]`` goes from when the message is ready to when the pipe
-        releases it, and every pipe's ``pipes`` entry is updated (an idle
-        pipe is free at 0, as in the per-run engine).  Messages sharing a
+    def _chain(self, pipes, group, t, start, oneway=None) -> None:
+        """Pass a group's messages through their NIC pipes: ``t`` goes
+        from when each message is ready to when its pipe releases it,
+        and each pipe's row of *pipes* is updated.  Messages sharing a
         pipe go in each run's own order of their receivers' (block time,
         procnum), one :func:`_step` each.  Given the *oneway* draws, the
-        pipes are transmit pipes and ``t[n]`` also gains ``oneway[n]``:
+        pipes are transmit pipes and ``t`` also gains the one-way time:
         the message arrives that long after it enters the wire.
         """
+        k, idx, nodes, gcls = group
         tx = oneway is not None
-        gap = self.timing.serialisation_gap
-        shared: dict[int, list[tuple[int, list[int]]]] = {}
-        for node, members in groups.items():
-            if len(members) == 1:
-                n = members[0][1]
-                t[n], pipes[node] = _step(
-                    t[n], pipes.get(node, 0.0), gap(plan[n][1].size), tx
-                )
-                if tx:
-                    t[n] = t[n] + oneway[n]
-            else:
-                members.sort()  # procnum order
-                shared.setdefault(len(members), []).append(
-                    (node, [n for _, n in members])
-                )
-        # The pipes carrying k messages are served together, stacked as
-        # (pipes, k, r) with each pipe's messages in procnum order.
-        idle = np.zeros(self.runs)
-        for k, sharing in shared.items():
-            idx = [n for _, members in sharing for n in members]
-            shape = (len(sharing), k, self.runs)
-            ready = np.array([t[n] for n in idx]).reshape(shape)
-            keys = np.array([procs[plan[n][0]].block_start for n in idx]).reshape(shape)
-            gaps = np.array([gap(plan[n][1].size) for n in idx]).reshape(shape[:2])
-            free = np.array([pipes.get(node, idle) for node, _ in sharing])
-            if k == 2:
-                # Both orders, then each run keeps its own; on equal
-                # block times the lower procnum goes first.
-                a_first = keys[:, 0] <= keys[:, 1]
-                ra, rb, ga, gb = ready[:, 0], ready[:, 1], gaps[:, :1], gaps[:, 1:]
-                oa1, f = _step(ra, free, ga, tx)
-                ob2, fa = _step(rb, f, gb, tx)
-                ob1, f = _step(rb, free, gb, tx)
-                oa2, fb = _step(ra, f, ga, tx)
-                released = np.empty(shape)
-                released[:, 0] = np.where(a_first, oa1, oa2)
-                released[:, 1] = np.where(a_first, ob2, ob1)
-                free = np.where(a_first, fa, fb)
-            else:
-                # A stable sort puts each run in its own order, keeping
-                # procnum order among equal block times.
-                pipe = np.arange(len(sharing))[:, None, None]
-                runs = np.arange(self.runs)
-                order = keys.argsort(axis=1, kind="stable")
-                ready, gaps = ready[pipe, order, runs], gaps[pipe, order]
-                served = np.empty(shape)
-                for q in range(k):
-                    served[:, q], free = _step(ready[:, q], free, gaps[:, q], tx)
-                released = np.empty(shape)
-                released[pipe, order, runs] = served
-            released = released.reshape(-1, self.runs)
-            if tx:
-                released = released + oneway[idx]
-            for n, row in zip(idx, released):
-                t[n] = row
-            for (node, _), row in zip(sharing, free):
-                pipes[node] = row
+        gaps = self._gap[gcls]
+        free = pipes[nodes]
+        ready = t[idx]
+        if k == 1:
+            released, free = _step(ready, free, gaps, tx)
+        elif k == 2:
+            # Both orders, then each run keeps its own; on equal block
+            # times the lower procnum goes first.
+            keys = start[idx]
+            a_first = keys[:, 0] <= keys[:, 1]
+            ra, rb, ga, gb = ready[:, 0], ready[:, 1], gaps[:, :1], gaps[:, 1:]
+            oa1, f = _step(ra, free, ga, tx)
+            ob2, fa = _step(rb, f, gb, tx)
+            ob1, f = _step(rb, free, gb, tx)
+            oa2, fb = _step(ra, f, ga, tx)
+            released = np.empty_like(ready)
+            released[:, 0] = np.where(a_first, oa1, oa2)
+            released[:, 1] = np.where(a_first, ob2, ob1)
+            free = np.where(a_first, fa, fb)
+        else:
+            # A stable sort puts each run in its own order, keeping
+            # procnum order among equal block times.
+            pipe = np.arange(len(nodes))[:, None, None]
+            runs = np.arange(self.runs)
+            order = start[idx].argsort(axis=1, kind="stable")
+            ready, gaps = ready[pipe, order, runs], gaps[pipe, order]
+            served = np.empty_like(ready)
+            for q in range(k):
+                served[:, q], free = _step(ready[:, q], free, gaps[:, q], tx)
+            released = np.empty_like(ready)
+            released[pipe, order, runs] = served
+        if tx:
+            released = released + oneway[idx]
+        t[idx] = released
+        pipes[nodes] = free
+
+    # -- the last run's events -------------------------------------------------------
+    def _trace_sweep(self, sweep: SweepPhase, order, clocks: dict) -> None:
+        """Record the last run's sweep events in run-time process order,
+        then op order; *clocks* holds each process's ``(start, end)`` per
+        op position (a serial op's start is recomputed as ``end -
+        seconds``, as the per-op engine did)."""
+        record = self.trace.record
+        for i in (range(len(sweep.procs)) if order is None else order.tolist()):
+            p = sweep.procs[i]
+            segment = self._ops[p][sweep.starts[i]:sweep.ends[i]]
+            for op, (t0, t1) in zip(segment, clocks.get(p, ())):
+                if op[0] == "serial":
+                    record(p, "serial", op[2], t1 - op[1], t1)
+                elif op[0] == "send":
+                    record(p, "send", op[3], t0, t1)
+
+    def _trace_match(self, match: MatchPhase, order, start, completion) -> None:
+        """Record the last run's receive events in run-time receive order."""
+        record = self.trace.record
+        t0, t1 = start[:, -1].tolist(), completion[:, -1].tolist()
+        for i in (range(len(t0)) if order is None else order.tolist()):
+            p = match.procs[i]
+            label = self._ops[p][match.recv_ops[i]][2]
+            record(p, "recv", label, t0[i], t1[i])
 
     # -- results ---------------------------------------------------------------------
-    def _orphans(self, j: int) -> list[ScoreboardEntry]:
-        """Run *j*'s view of the messages still on the scoreboard."""
-        return [
-            ScoreboardEntry(
-                msg_id=e.msg_id, src=e.src, dst=e.dst, size=e.size,
-                depart_time=float(e.depart[j]), intra=e.intra,
-                payload=e.payload,
-            )
-            for e in self._scoreboard.entries()
-        ]
-
-    def _results(self, procs: list[_BatchProc], sweeps: int) -> list[MachineResult]:
+    def _results(self, plan) -> list[MachineResult]:
         """Unpack the finished batch into per-run MachineResults."""
-        scoreboard = self._scoreboard
-        elapsed = np.stack([p.vtime for p in procs]).max(axis=0)
-        has_orphans = len(scoreboard) > 0
+        clock = self._clock
+        elapsed = clock.max(axis=0).tolist()
+        finish = clock.T.tolist()
+        send_t = self._send_t.T.tolist()
+        wait = self._wait.T.tolist()
+        orphans = [[] for _ in range(self.runs)]
+        for m, src, dst, size, intra, payload, slot in plan.orphans:
+            for j, depart in enumerate(self._depart[slot].tolist()):
+                orphans[j].append(ScoreboardEntry(
+                    msg_id=m, src=src, dst=dst, size=size, depart_time=depart,
+                    intra=intra, payload=payload,
+                ))
         last = self.runs - 1
         return [
             MachineResult(
-                elapsed=float(elapsed[j]),
-                finish_times=[float(p.vtime[j]) for p in procs],
-                compute_time=[p.compute for p in procs],
-                send_time=[float(p.send_t[j]) for p in procs],
-                recv_wait_time=[float(p.wait[j]) for p in procs],
-                messages=scoreboard.total_added,
-                peak_contention=scoreboard.peak,
-                sweeps=sweeps,
-                orphans=self._orphans(j) if has_orphans else [],
+                elapsed=elapsed[j],
+                finish_times=finish[j],
+                compute_time=list(plan.compute),
+                send_time=send_t[j],
+                recv_wait_time=wait[j],
+                messages=plan.messages,
+                peak_contention=plan.peak,
+                sweeps=len(plan.rounds),
+                orphans=orphans[j],
                 trace=self.trace if j == last else None,
             )
             for j in range(self.runs)

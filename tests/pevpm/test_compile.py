@@ -83,7 +83,7 @@ class TestCompileStructure:
         assert rnd >= 1
         assert callable(compiled.fallback)
         with pytest.raises(ValueError):
-            compiled.schedule(1)
+            compiled.plan(1, "tx")
         assert compiled.messages == 0 and compiled.n_ops == 0
 
     def test_single_candidate_wildcard_is_static(self):
@@ -141,12 +141,13 @@ class TestCompileStructure:
                 yield ctx.recv(0, label="b")
 
         compiled = compile_program(program, 3)
-        sched = compiled.schedule(2)
-        sends = [op for op in sched[0] if op[0] == "send"]
-        assert [op[5] for op in sends] == [True, False]
-        # ppn=1 separates everything; and schedules are cached per ppn.
-        assert all(not op[5] for op in compiled.schedule(1)[0] if op[0] == "send")
-        assert compiled.schedule(2) is sched
+        plan = compiled.plan(2, "tx")
+        sweep, _ = plan.rounds[0]
+        assert sweep.intra.tolist() == [True, False]
+        # ppn=1 separates everything; and plans are cached per shape.
+        assert not compiled.plan(1, "tx").rounds[0][0].intra.any()
+        assert compiled.plan(2, "tx") is plan
+        assert compiled.plan(2, "txrx") is not plan
 
     def test_compile_cache_hits_for_picklable_models(self):
         clear_compile_cache()

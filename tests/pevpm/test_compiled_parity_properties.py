@@ -163,10 +163,16 @@ def test_compile_is_idempotent_and_schedules_cover_all_ops(progspec):
     if first.divergent:
         return
     assert again.ops == first.ops
-    sched = first.schedule(2)
-    assert sum(len(ops) for ops in sched) == first.n_ops
-    for ops in sched:
+    plan = first.plan(2, "tx")
+    # The sweeps' op ranges cover every op exactly once, in order.
+    covered = [[] for _ in range(nprocs)]
+    for sweep, _ in plan.rounds:
+        for p, start, end in zip(sweep.procs, sweep.starts, sweep.ends):
+            assert start == len(covered[p])
+            covered[p] += first.ops[p][start:end]
+    assert covered == first.ops
+    for ops in first.ops:
         for op in ops:
             assert op[0] in ("serial", "send", "recv")
-            if op[0] == "send":
-                assert len(op) == 6 and isinstance(op[5], bool)
+    sends = np.concatenate([sweep.intra for sweep, _ in plan.rounds])
+    assert sends.dtype == bool and len(sends) == first.messages

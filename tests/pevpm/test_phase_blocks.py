@@ -1,26 +1,22 @@
-"""Phase-block draws and the indexed scoreboard of the batched engine.
+"""Phase-block draws of the batched engine.
 
 The batched VM draws each sweep/match phase as one
 ``TimingModel.draw_block`` call (see :mod:`repro.pevpm.vector`).  These
-tests pin the three things that make that bit-identical to one draw per
+tests pin the two things that make that bit-identical to one draw per
 decision:
 
 * ``draw_block`` rows equal successive ``one_way_times`` /
   ``local_send_times`` calls on an identically seeded generator, and
   leave the generator in the same state;
-* the engine's planner asks for the same ``(kind, size, contention,
-  intra)`` sequence it asked for one draw at a time -- pinned as
-  literals recorded from the one-draw-per-decision engine, because an
-  off-by-one contention often resolves to the same benchmark config and
-  the goldens' times would not notice;
-* the per-(src, dst) FIFO index of :class:`VectorScoreboard` answers
-  exactly what a scan of every outstanding message answers.
+* the engine asks for the same ``(kind, size, contention, intra)``
+  sequence it asked for one draw at a time -- pinned as literals
+  recorded from the one-draw-per-decision engine, because an off-by-one
+  contention often resolves to the same benchmark config and the
+  goldens' times would not notice.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.apps import jacobi_model
 from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
@@ -30,7 +26,6 @@ from repro.pevpm import (
     HockneyTiming,
     ParametricTiming,
     TimingModel,
-    VectorScoreboard,
     compile_program,
 )
 from repro.pevpm.interpreter import compile_model
@@ -226,87 +221,3 @@ def test_jacobi_draw_sequence_is_pinned(form):
         compile_program(source, 8, params)
     )
     assert timing.log == JACOBI_8P_DRAWS
-
-
-# -- the indexed scoreboard against a scan ----------------------------------------
-
-
-class ScanBoard:
-    """The reference: every query scans all outstanding messages."""
-
-    def __init__(self, entries=None):
-        self.entries = dict(entries or {})  #: msg_id -> (src, dst, intra, depart)
-
-    def oldest_for(self, src, dst):
-        ids = [m for m, (s, d, _, _) in self.entries.items() if (s, d) == (src, dst)]
-        return min(ids, default=None)
-
-    def heads_for_dst(self, dst):
-        heads = {}
-        for m in sorted(self.entries):
-            s, d, _, _ = self.entries[m]
-            if d == dst and s not in heads:
-                heads[s] = m
-        return sorted(heads.values())
-
-    def contention(self):
-        return sum(1 for _, _, intra, _ in self.entries.values() if not intra)
-
-
-NPROCS = 3
-RUNS = 4
-
-# Two destinations and add-heavy steps, so pairs share destinations and
-# FIFOs grow past their heads often.
-add = st.tuples(st.just("add"), st.integers(0, NPROCS - 1),
-                st.integers(0, 1), st.booleans())
-step = st.one_of(
-    add,
-    add,
-    st.tuples(st.just("remove"), st.integers(0, 10**6)),
-)
-
-
-def _assert_agree(board, ref):
-    for dst in range(NPROCS):
-        assert [e.msg_id for e in board.heads_for_dst(dst)] == ref.heads_for_dst(dst)
-        for src in range(NPROCS):
-            entry = board.oldest_for(src, dst)
-            assert (None if entry is None else entry.msg_id) == ref.oldest_for(src, dst)
-    assert board.contention == ref.contention()
-    listed = board.entries()
-    assert [e.msg_id for e in listed] == sorted(ref.entries)
-    for e in listed:
-        src, dst, intra, depart = ref.entries[e.msg_id]
-        assert (e.src, e.dst, e.intra) == (src, dst, intra)
-        assert np.array_equal(e.depart, depart)
-    assert len(board) == len(ref.entries)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(step, min_size=4, max_size=60))
-# Source 0's second message becomes its head behind source 2's.
-@example([("add", 0, 1, False), ("add", 2, 1, False), ("add", 0, 1, True),
-          ("remove", 0)])
-def test_indexed_scoreboard_matches_scan(steps):
-    board, ref = VectorScoreboard(), ScanBoard()
-    for i, s in enumerate(steps):
-        if s[0] == "add":
-            _, src, dst, intra = s
-            depart = np.full(RUNS, float(i)) + np.arange(RUNS)
-            entry = board.add(src, dst, 8, depart, intra=intra)
-            ref.entries[entry.msg_id] = (src, dst, intra, depart)
-        else:
-            if not ref.entries:
-                continue
-            # Any outstanding message, not only a FIFO head.
-            victim = sorted(ref.entries)[s[1] % len(ref.entries)]
-            assert board.remove(victim).msg_id == victim
-            del ref.entries[victim]
-        _assert_agree(board, ref)
-
-
-def test_remove_unknown_message_raises():
-    board = VectorScoreboard()
-    with pytest.raises(KeyError):
-        board.remove(3)

@@ -1,4 +1,4 @@
-"""Bit-identity pins for the batched virtual machine.
+"""Phase plans and the batched virtual machine that runs them.
 
 The golden suite runs 2 Monte Carlo runs per cell, and in those cells
 each run's own NIC order never differs from the batch-mean order, so a
@@ -7,6 +7,9 @@ static workloads under sampled ``DistributionTiming`` at ppn 1 and 2
 and every NIC mode, and pin a sha256 digest (first 16 hex digits) of
 every field :class:`~repro.pevpm.vector.BatchedVirtualMachine` returns,
 plus each cell's mean elapsed time so a drift reads as a number.
+
+The structure tests hold :meth:`CompiledProgram.plan` to the per-run
+engine's rounds, and pin that orphan message ids are compile order.
 """
 
 import hashlib
@@ -15,7 +18,14 @@ import numpy as np
 import pytest
 
 from repro.mpibench import BenchSettings, MPIBench
-from repro.pevpm import BatchedVirtualMachine, compile_program, timing_from_db
+from repro.pevpm import (
+    BatchedVirtualMachine,
+    HockneyTiming,
+    TimingModel,
+    VirtualMachine,
+    compile_program,
+    timing_from_db,
+)
 from repro.service.records import MODELS
 from repro.simnet import perseus
 from repro.trace_import import sample_trace
@@ -127,3 +137,106 @@ def test_cell_is_bit_identical(db, name, nic, ppn):
     want = PINNED[(name, nic, ppn)]
     assert got["mean"] == want["mean"]
     assert got == want
+
+
+def widest_pipe(plan) -> int:
+    """The most messages one NIC pipe carries in one match phase."""
+    return max(
+        (k for _, match in plan.rounds if match for k, *_ in match.tx + match.rx),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize("ppn", [1, 2])
+def test_cells_chain_three_messages_through_one_pipe(ppn):
+    # The k >= 3 chain (a stable argsort per run) is what the digests
+    # pin beyond the two-message case.
+    assert any(
+        widest_pipe(compiled(name).plan(ppn, nic)) >= 3
+        for name in SHAPES for nic in ("tx", "txrx")
+    )
+
+
+class RoundEnds:
+    """A profiler stand-in that notes how many receive events the traced
+    per-run engine has recorded at the end of each match phase."""
+
+    def __init__(self):
+        self.vm = None
+        self.ends = []
+
+    def mark(self):
+        return 0.0
+
+    def add(self, phase, seconds):
+        pass
+
+    def exclusive(self, phase, seconds, mark):
+        if phase == "match":
+            events = self.vm.trace.events
+            self.ends.append(sum(1 for e in events if e.category == "recv"))
+
+
+@pytest.mark.parametrize("ppn", [1, 2])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_plan_rounds_are_the_per_run_engine_rounds(name, ppn):
+    program = compiled(name)
+    rounds = RoundEnds()
+    vm = rounds.vm = VirtualMachine(
+        program.nprocs, HockneyTiming(latency=1e-4, bandwidth=1e7),
+        trace=True, ppn=ppn, profiler=rounds,
+    )
+    ref = vm.run(program)
+    plan = program.plan(ppn, "tx")
+    assert len(plan.rounds) == ref.sweeps
+    receivers = [e.proc for e in ref.trace.events if e.category == "recv"]
+    matches = [match for _, match in plan.rounds if match is not None]
+    assert len(matches) == len(rounds.ends)
+    for match, start, end in zip(matches, [0] + rounds.ends, rounds.ends):
+        assert match.procs == sorted(receivers[start:end])
+
+
+class ZeroSendTiming(TimingModel):
+    """Sends cost the sender nothing; one-way times are random."""
+
+    name = "zero-send"
+
+    def one_way_time(self, size, contention, rng, intra=False):
+        return float(rng.exponential(1e-4))
+
+    def local_send_time(self, size, contention, rng, intra=False):
+        return 0.0
+
+
+def late_orphans(ctx):
+    """Ranks 1 and 2 each end with a send nobody receives.  The match
+    before it serves them in order of their block times, which are
+    arrival draws -- so the order they send in varies with the seed."""
+    if ctx.procnum == 0:
+        yield ctx.send(1, 64)
+        yield ctx.send(2, 64)
+        yield ctx.recv(1)
+        yield ctx.recv(2)
+        yield ctx.send(1, 64)
+        yield ctx.send(2, 64)
+    else:
+        yield ctx.recv(0)
+        yield ctx.send(0, 64)
+        yield ctx.recv(0)
+        yield ctx.send(0, 32, payload=ctx.procnum)
+
+
+def test_orphan_ids_are_compile_order():
+    program = compile_program(late_orphans, 3)
+    seen = set()
+    for seed in (1, 2):
+        results = BatchedVirtualMachine(
+            3, ZeroSendTiming(), seed=seed, runs=8
+        ).run(program)
+        for res in results:
+            ids = [(o.msg_id, o.src, o.payload) for o in res.orphans]
+            seen.add(tuple(ids))
+            for o in res.orphans:
+                # The orphan is its sender's last op, and sends are free.
+                assert o.depart_time == res.finish_times[o.src]
+    assert seen == {((6, 1, 1), (7, 2, 2))}

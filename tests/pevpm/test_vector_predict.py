@@ -22,7 +22,6 @@ from repro.pevpm import (
     HockneyTiming,
     ModelDeadlock,
     RunGroup,
-    VectorScoreboard,
     VirtualMachine,
     as_seed_sequence,
     clamp_times,
@@ -376,13 +375,14 @@ class TestTraceLast:
         assert traced.loss_report() is not None
         assert all(r.trace is None for r in traced.results[:-1])
 
-    def test_batched_trace_equals_per_run_trace(self, jacobi_params):
+    @pytest.mark.parametrize("nic", ["off", "tx", "txrx"])
+    def test_batched_trace_equals_per_run_trace(self, jacobi_params, nic):
         timing = HockneyTiming(latency=1e-4, bandwidth=1e7)
         per_run = VirtualMachine(
-            8, timing, seed=0, trace=True, ppn=2
+            8, timing, seed=0, trace=True, ppn=2, nic_serialisation=nic
         ).run(_jacobi_program(jacobi_params))
         batch = BatchedVirtualMachine(
-            8, timing, seed=0, runs=3, trace=True, ppn=2
+            8, timing, seed=0, runs=3, trace=True, ppn=2, nic_serialisation=nic
         ).run(_jacobi_schedule(8, jacobi_params))
         assert batch[-1].trace.events == per_run.trace.events
         assert len(per_run.trace.events) > 0
@@ -403,17 +403,3 @@ class TestPhaseProfile:
         phases = merge_phases(outcomes)
         assert set(phases) <= {"sweep", "match", "sample"}
         assert 0.0 < sum(phases.values()) <= sum(o.wall for o in outcomes)
-
-
-class TestVectorScoreboard:
-    def test_fifo_and_wildcard_heads(self):
-        sb = VectorScoreboard()
-        d = np.zeros(3)
-        first = sb.add(0, 2, 100, d, False, None)
-        second = sb.add(0, 2, 100, d + 1.0, False, None)
-        other = sb.add(1, 2, 50, d, False, None)
-        assert sb.oldest_for(0, 2).msg_id == first.msg_id
-        heads = [e.msg_id for e in sb.heads_for_dst(2)]
-        assert heads == [first.msg_id, other.msg_id]
-        sb.remove(first.msg_id)
-        assert sb.oldest_for(0, 2).msg_id == second.msg_id
