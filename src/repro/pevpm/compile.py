@@ -7,8 +7,11 @@ claim ("67.5 times its actual execution speed") says we cannot afford on
 the hot path.  This module pays that cost **once**: :func:`compile_program`
 traces a model program through one structural execution and lowers it to
 a :class:`CompiledProgram` -- a static schedule of resolved op records
-per rank that the batched virtual machine executes as flat cursor
-loops, with no generator resume and no AST dispatch per op.
+per rank, plus the record of the sweep/match rounds the trace walked.
+:meth:`CompiledProgram.plan` lowers those rounds to a :class:`PhasePlan`
+of index arrays, which the batched virtual machine runs a phase at a
+time with a few array operations: no generator resume, no AST dispatch
+and no loop over ops.
 
 Why a single trace is sound
 ---------------------------
@@ -45,9 +48,9 @@ machine always runs the generator form (:attr:`CompiledProgram.fallback`),
 the reference the property tests hold the schedule to.
 
 Schedules are cached per (model fingerprint, params, nprocs) by
-:func:`compiled_program_for`; per-``ppn`` op lists (with the intra-node
-flag of every send resolved) are derived lazily by
-:meth:`CompiledProgram.schedule`.
+:func:`compiled_program_for`; phase plans, which depend on the machine
+shape (processes per node, NIC mode), are lowered lazily and cached on
+the program by :meth:`CompiledProgram.plan`.
 """
 
 from __future__ import annotations
@@ -301,13 +304,11 @@ class PhasePlan:
     """
 
     __slots__ = (
-        "nprocs", "ops", "rounds", "messages", "peak", "compute", "n_slots",
-        "n_pairs", "n_nodes", "gap_sizes", "orphans",
+        "rounds", "messages", "peak", "compute", "n_slots", "n_pairs",
+        "n_nodes", "gap_sizes", "orphans",
     )
 
     def __init__(self, ops, record: Rounds, nprocs: int, ppn: int, nic: str):
-        self.nprocs = nprocs
-        self.ops = ops
         self.n_nodes = -(-nprocs // ppn)
         self.compute = record.compute
         n_rounds = len(record.segments)

@@ -11,6 +11,13 @@ The scoreboard is the bridge between program structure and timing: the
 sweep phase adds every message a process sends; the match phase samples an
 arrival time for a message using the *current scoreboard population* as
 the contention level, then removes it.
+
+:class:`Scoreboard` serves the per-run engine.  The batched engine keeps
+no scoreboard object: for a static program the population is structure,
+the same in every run, so its phase plan
+(:class:`~repro.pevpm.compile.PhasePlan`) carries every draw's
+contention level and every message's FIFO match, and only departure
+times are per-run values.
 """
 
 from __future__ import annotations

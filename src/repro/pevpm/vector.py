@@ -3,18 +3,21 @@
 The scalar engine in :mod:`repro.pevpm.machine` evaluates one Monte
 Carlo run per sweep/match pass, so R runs pay the Python interpreter R
 times for every modelled message.  This module advances *all R runs in
-lockstep*: one pass over each process's operations, with the per-run
-virtual clocks, departure times and arrival times carried as NumPy
-``(R,)`` vectors and every phase's timing draws served by one
+lockstep*: the per-run clocks, send time, receive wait and departure
+times live in ``(processes, R)`` and ``(slots, R)`` NumPy arrays, and
+every phase's timing draws are served by one
 :meth:`~repro.pevpm.timing.TimingModel.draw_block` call.
 
 This works because a static program's *structure* -- which operations
 each process executes, which messages exist, which process blocks at
-which receive -- is identical across runs; only the clock values
-differ.  :func:`~repro.pevpm.compile.compile_program` proves that up
-front and hands this engine the per-rank schedule.  A *divergent*
+which receive, which messages share a NIC pipe -- is identical across
+runs; only the clock values differ.
+:func:`~repro.pevpm.compile.compile_program` proves that up front, and
+:meth:`~repro.pevpm.compile.CompiledProgram.plan` lowers the structure
+to a :class:`~repro.pevpm.compile.PhasePlan` of index arrays, so each
+phase here is a few fancy-indexed adds and maxima.  A *divergent*
 program (a wildcard receive whose winner depends on sampled arrival
-times, such as the task farm's master) has no schedule: its structure
+times, such as the task farm's master) has no plan: its structure
 changes from run to run, so it runs one run at a time on the per-run
 engine, and this machine refuses it.  The choice between the two is
 made in one place, :mod:`repro.pevpm.parallel`.
@@ -24,21 +27,21 @@ Batch-mode conventions (documented in DESIGN.md section 6):
 * one RNG stream per batch, consumed in a deterministic order fixed by
   the program's structure, so the same seed gives bit-identical output
   regardless of host or worker count;
-* each sweep or match phase runs in three passes: a structural pass
-  lists the phase's draws as ``(op, size, contention, intra)`` (the
-  contention level is structural too), one ``draw_block`` call draws
-  them all, and a numeric pass advances the clocks.  The block holds
-  exactly the values one ``(r,)`` draw per decision would, in the same
-  order -- the phase is a unit of work, not of randomness;
-* a match phase plans and draws its receives in order of batch-mean
-  block time (the per-run engine orders by block time, a per-run
-  quantity, which one congruent draw plan cannot use), but chains NIC
-  occupancy in each run's own (block time, procnum) order, as the
-  per-run engine does: which of two messages through one NIC goes first
-  is per-run arithmetic, not structure.  Batch and per-run modes are
-  therefore *statistically* equivalent samplers of the same model, not
-  bit-identical ones -- except under a timing model whose draws do not
-  depend on draw order or contention, where they agree run for run.
+* each sweep or match phase draws its ``(op, size, contention,
+  intra)`` list as one block -- exactly the values one ``(r,)`` draw per
+  decision would give, in the same order: the phase is a unit of work,
+  not of randomness;
+* a match phase lists its draws in order of batch-mean block time (the
+  per-run engine orders by block time, a per-run quantity, which one
+  congruent draw list cannot use), and the next sweep runs its
+  processes in that order -- the one order decided at run time -- but
+  NIC occupancy is chained in each run's own (block time, procnum)
+  order, as the per-run engine does: which of two messages through one
+  NIC goes first is per-run arithmetic, not structure.  Batch and
+  per-run modes are therefore *statistically* equivalent samplers of
+  the same model, not bit-identical ones -- except under a timing model
+  whose draws do not depend on draw order or contention, where they
+  agree run for run.
 """
 
 from __future__ import annotations
