@@ -329,9 +329,11 @@ class PhasePlan:
         self.n_pairs = int(pair.max()) + 1 if m_count else 0
         size_num = np.array(sizes, dtype=float)
         size_id = np.unique(size_num, return_inverse=True)[1].reshape(-1)
-        gap_sizes, wire_id = np.unique(size_num[~intra], return_inverse=True)
+        _, first, wire_id = np.unique(
+            size_num[~intra], return_index=True, return_inverse=True
+        )
         #: the distinct sizes of inter-node messages, by size class
-        self.gap_sizes = gap_sizes.tolist()
+        self.gap_sizes = size_arr[~intra][first].tolist()
         gcls = np.full(m_count, -1, dtype=np.intp)
         gcls[~intra] = wire_id.reshape(-1)
 

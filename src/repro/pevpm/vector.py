@@ -395,8 +395,8 @@ class BatchedVirtualMachine:
     def _trace_sweep(self, sweep: SweepPhase, order, clocks: dict) -> None:
         """Record the last run's sweep events in run-time process order,
         then op order; *clocks* holds each process's ``(start, end)`` per
-        op position (a serial op's start is recomputed as ``end -
-        seconds``, as the per-op engine did)."""
+        op position.  A serial op starts at ``end - seconds``, the per-run
+        engine's arithmetic, so the two engines' events compare equal."""
         record = self.trace.record
         for i in (range(len(sweep.procs)) if order is None else order.tolist()):
             p = sweep.procs[i]
