@@ -151,9 +151,7 @@ class CompiledProgram:
     def messages(self) -> int:
         """Total messages the program sends (0 for divergent programs,
         whose schedule is unknown at compile time)."""
-        if self.ops is None:
-            return 0
-        return sum(1 for ops in self.ops for op in ops if op[0] == "send")
+        return 0 if self.ops is None else len(self._rounds.send_proc)
 
     @property
     def n_ops(self) -> int:
