@@ -58,24 +58,21 @@ def db():
     )
 
 
-_COMPILED = {}
-
-
-def compiled(name):
-    """The cell's compiled program, once per module."""
-    if name not in _COMPILED:
-        nprocs, overrides = SHAPES[name]
+@pytest.fixture(scope="module")
+def programs():
+    """Each shape's compiled program."""
+    out = {}
+    for name, (nprocs, overrides) in SHAPES.items():
         if name == "imported":
             model, vm_params = sample_trace(nprocs=nprocs, hops=3).model(), None
         else:
             defaults, builder = MODELS[name]
             model, vm_params = builder(SPEC, dict(defaults, **overrides))
-        _COMPILED[name] = compile_program(model, nprocs, vm_params)
-    return _COMPILED[name]
+        out[name] = compile_program(model, nprocs, vm_params)
+    return out
 
 
-def run_cell(db, name, nic, ppn):
-    program = compiled(name)
+def run_cell(db, program, nic, ppn):
     timing = timing_from_db(db, mode="distribution", nprocs=program.nprocs)
     return BatchedVirtualMachine(
         program.nprocs, timing, seed=SEED, runs=RUNS,
@@ -132,8 +129,8 @@ PINNED = {
 @pytest.mark.parametrize("ppn", [1, 2])
 @pytest.mark.parametrize("nic", ["off", "tx", "txrx"])
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_cell_is_bit_identical(db, name, nic, ppn):
-    got = cell_doc(run_cell(db, name, nic, ppn))
+def test_cell_is_bit_identical(db, programs, name, nic, ppn):
+    got = cell_doc(run_cell(db, programs[name], nic, ppn))
     want = PINNED[(name, nic, ppn)]
     assert got["mean"] == want["mean"]
     assert got == want
@@ -148,12 +145,12 @@ def widest_pipe(plan) -> int:
 
 
 @pytest.mark.parametrize("ppn", [1, 2])
-def test_cells_chain_three_messages_through_one_pipe(ppn):
+def test_cells_chain_three_messages_through_one_pipe(programs, ppn):
     # The k >= 3 chain (a stable argsort per run) is what the digests
     # pin beyond the two-message case.
     assert any(
-        widest_pipe(compiled(name).plan(ppn, nic)) >= 3
-        for name in SHAPES for nic in ("tx", "txrx")
+        widest_pipe(program.plan(ppn, nic)) >= 3
+        for program in programs.values() for nic in ("tx", "txrx")
     )
 
 
@@ -179,8 +176,8 @@ class RoundEnds:
 
 @pytest.mark.parametrize("ppn", [1, 2])
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_plan_rounds_are_the_per_run_engine_rounds(name, ppn):
-    program = compiled(name)
+def test_plan_rounds_are_the_per_run_engine_rounds(programs, name, ppn):
+    program = programs[name]
     rounds = RoundEnds()
     vm = rounds.vm = VirtualMachine(
         program.nprocs, HockneyTiming(latency=1e-4, bandwidth=1e7),
