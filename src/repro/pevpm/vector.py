@@ -226,27 +226,28 @@ class BatchedVirtualMachine:
                     else self._sweep_specs(sweep, order, counts, starts)
                 )
                 cost = block[row_start[sweep.send_proc] + sweep.send_nth]
-        trace = {} if self.trace is not None else None
+        # The last run's (start, end) per op, by process, when tracing.
+        last = {} if self.trace is not None else None
         for serial, sent in sweep.steps:
             if serial is not None:
                 rows, seconds, procs = serial
                 clock[rows] += seconds
-                if trace is not None:
+                if last is not None:
                     for p, end in zip(procs, clock[rows, -1].tolist()):
-                        trace.setdefault(p, []).append((end, end))
+                        last.setdefault(p, []).append((end, end))
             if sent is not None:
                 rows, block_rows, slots, procs = sent
                 depart[slots] = clock[rows]
                 c = cost[block_rows]
                 clock[rows] += c
                 send_t[rows] += c
-                if trace is not None:
+                if last is not None:
                     for p, start, end in zip(
                         procs, depart[slots, -1].tolist(), clock[rows, -1].tolist()
                     ):
-                        trace.setdefault(p, []).append((start, end))
-        if trace is not None:
-            self._trace_sweep(sweep, order, trace)
+                        last.setdefault(p, []).append((start, end))
+        if last is not None:
+            self._trace_sweep(sweep, order, last)
 
     @staticmethod
     def _sweep_specs(sweep: SweepPhase, order, counts, starts) -> list[tuple]:
