@@ -6,7 +6,9 @@ wrong shared-pipe chain would pass it.  These cells run 32 runs of the
 static workloads under sampled ``DistributionTiming`` at ppn 1 and 2
 and every NIC mode, and pin a sha256 digest (first 16 hex digits) of
 every field :class:`~repro.pevpm.vector.BatchedVirtualMachine` returns,
-plus each cell's mean elapsed time so a drift reads as a number.
+plus each cell's mean elapsed time so a drift reads as a number.  Ten
+more cells run the same DB stripped of its retained samples, so every
+draw goes through a histogram's binned inverse CDF.
 
 The structure tests hold :meth:`CompiledProgram.plan` to the per-run
 engine's rounds, and pin that orphan message ids are compile order.
@@ -17,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.mpibench import BenchSettings, MPIBench
+from repro.mpibench import BenchSettings, DistributionDB, MPIBench
 from repro.pevpm import (
     BatchedVirtualMachine,
     HockneyTiming,
@@ -56,6 +58,13 @@ def db():
     return bench.sweep_isend(
         [(1, 2), (2, 1), (8, 1), (16, 1)], sizes=[0, 512, 1024, 2048]
     )
+
+
+@pytest.fixture(scope="module")
+def binned_db(db):
+    """The same DB without retained samples: every draw goes through a
+    histogram's binned inverse CDF."""
+    return DistributionDB.from_doc(db.to_doc(include_samples=False))
 
 
 @pytest.fixture(scope="module")
@@ -126,12 +135,36 @@ PINNED = {
 }
 
 
+#: (name, ppn) -> the same, at ``nic="tx"`` on the DB without samples
+PINNED_BINNED = {
+    ('amg', 1): {'elapsed': '16821fae02eb6cba', 'finish_times': '1e99e9658a4f53d8', 'send_time': '4a0d98c36313d114', 'recv_wait_time': 'bd161971aae94255', 'compute_time': 'efefddc53012f67d', 'sweeps': '966c170faab40895', 'peak_contention': 'e82dcad579e57e95', 'messages': '22c10d0d68e79b43', 'mean': 0.005928953167168636},
+    ('amg', 2): {'elapsed': 'e56044271c19587c', 'finish_times': '62fd65d715305408', 'send_time': '349f6929b47b79f3', 'recv_wait_time': 'e8438a6b0b5ab27f', 'compute_time': 'efefddc53012f67d', 'sweeps': '966c170faab40895', 'peak_contention': 'e82dcad579e57e95', 'messages': '22c10d0d68e79b43', 'mean': 0.0043296882947564935},
+    ('fft', 1): {'elapsed': '13910c34bd25f138', 'finish_times': 'bc888f7457069e26', 'send_time': 'b61fe6b928bcb218', 'recv_wait_time': 'e4ccfe60be25f03c', 'compute_time': 'bc61f11e8f71e9a3', 'sweeps': 'e01e7abbfdc899cd', 'peak_contention': 'e01e7abbfdc899cd', 'messages': '212bff16199e45d1', 'mean': 0.0024170822893048952},
+    ('fft', 2): {'elapsed': '77af915789fe0c23', 'finish_times': '2281ccde43d019f1', 'send_time': '252af3ec29c1c53d', 'recv_wait_time': '6c73c5143740d881', 'compute_time': 'bc61f11e8f71e9a3', 'sweeps': 'e01e7abbfdc899cd', 'peak_contention': 'e01e7abbfdc899cd', 'messages': '212bff16199e45d1', 'mean': 0.0024840475428861593},
+    ('halo', 1): {'elapsed': 'ac4b81136b647737', 'finish_times': 'b03fc924be9ea6f0', 'send_time': '3667c8be818d4a51', 'recv_wait_time': '81b7e30e4f2b006d', 'compute_time': 'bb4193f48c6b33f8', 'sweeps': '66989a4cdc2e5010', 'peak_contention': 'bf2f53f8448863b4', 'messages': 'a5838d429d837623', 'mean': 0.0022709372239109417},
+    ('halo', 2): {'elapsed': 'bfe3c2955f8486e3', 'finish_times': 'aa4d155648288cca', 'send_time': '3e49f853432545f1', 'recv_wait_time': 'dd8b7f35e3181a56', 'compute_time': 'bb4193f48c6b33f8', 'sweeps': '66989a4cdc2e5010', 'peak_contention': 'bf2f53f8448863b4', 'messages': 'a5838d429d837623', 'mean': 0.0016913166512010694},
+    ('imported', 1): {'elapsed': 'c2cd6f601d2a78b4', 'finish_times': '520862a8be670605', 'send_time': '11c4ff48c9d0d979', 'recv_wait_time': 'c54f4b9374964277', 'compute_time': '19cf58d4e854f74d', 'sweeps': '252bf1781a8e64ac', 'peak_contention': 'e01e7abbfdc899cd', 'messages': '46a8537bf9a47423', 'mean': 0.0011223122599316464},
+    ('imported', 2): {'elapsed': '878e3a845dc94b19', 'finish_times': '869f74bb3ec21110', 'send_time': 'be637f2279274762', 'recv_wait_time': '8ccd6b3158db21a5', 'compute_time': '19cf58d4e854f74d', 'sweeps': '252bf1781a8e64ac', 'peak_contention': 'e01e7abbfdc899cd', 'messages': '46a8537bf9a47423', 'mean': 0.0009382807413139011},
+    ('jacobi', 1): {'elapsed': '4c30361c6a9cfe14', 'finish_times': 'd08afb9f84f0df09', 'send_time': 'bfe7eeddee543e9b', 'recv_wait_time': 'bf41234e730427eb', 'compute_time': '8756c41de451e9f1', 'sweeps': '2bc76a526daac77e', 'peak_contention': '4b1b0145d25e71a9', 'messages': '4a1541734113e622', 'mean': 0.0023390605103022293},
+    ('jacobi', 2): {'elapsed': '1d3700a9b9c49f13', 'finish_times': '58a873f101dc0715', 'send_time': '26860eb68c52ed1b', 'recv_wait_time': '7050cc593abd0e92', 'compute_time': '8756c41de451e9f1', 'sweeps': '2bc76a526daac77e', 'peak_contention': '4b1b0145d25e71a9', 'messages': '4a1541734113e622', 'mean': 0.0021344301350427405},
+}
+
+
 @pytest.mark.parametrize("ppn", [1, 2])
 @pytest.mark.parametrize("nic", ["off", "tx", "txrx"])
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_cell_is_bit_identical(db, programs, name, nic, ppn):
     got = cell_doc(run_cell(db, programs[name], nic, ppn))
     want = PINNED[(name, nic, ppn)]
+    assert got["mean"] == want["mean"]
+    assert got == want
+
+
+@pytest.mark.parametrize("ppn", [1, 2])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_binned_cell_is_bit_identical(binned_db, programs, name, ppn):
+    got = cell_doc(run_cell(binned_db, programs[name], "tx", ppn))
+    want = PINNED_BINNED[(name, ppn)]
     assert got["mean"] == want["mean"]
     assert got == want
 
