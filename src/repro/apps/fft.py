@@ -23,6 +23,8 @@ pairwise exchange structure as the runtime's alltoall.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..pevpm.machine import ProcContext
@@ -135,26 +137,28 @@ def fft_model(n_points: int):
 
     Returns a program callable for
     :class:`~repro.pevpm.machine.VirtualMachine` /
-    :func:`~repro.pevpm.predict.predict`.
+    :func:`~repro.pevpm.predict.predict`.  It pickles (a module-level
+    generator bound with :func:`functools.partial`), so the prediction
+    cache and the compile cache can key it and pool workers can run it.
     """
     _require_pow2(n_points, "n_points")
+    return partial(_fft_program, n_points)
 
-    def program(ctx: ProcContext):
-        P = ctx.numprocs
-        if n_points % (P * P):
-            raise ValueError("n_points must be divisible by P^2")
-        M = n_points // P
-        block = M // P
-        size = block * COMPLEX_BYTES
 
-        yield ctx.serial(fft_local_work(M, M), label="fft-step1")
-        yield ctx.serial(FFT_POINT_TIME * M, label="twiddle")
-        # The runtime's alltoall: P-1 shifted pairwise exchanges.
-        for step in range(1, P):
-            dst = (ctx.procnum + step) % P
-            src = (ctx.procnum - step) % P
-            yield ctx.send(dst, size, label="transpose-send")
-            yield ctx.recv(src, label="transpose-recv")
-        yield ctx.serial(fft_local_work(block * P, P), label="fft-step4")
+def _fft_program(n_points: int, ctx: ProcContext):
+    P = ctx.numprocs
+    if n_points % (P * P):
+        raise ValueError("n_points must be divisible by P^2")
+    M = n_points // P
+    block = M // P
+    size = block * COMPLEX_BYTES
 
-    return program
+    yield ctx.serial(fft_local_work(M, M), label="fft-step1")
+    yield ctx.serial(FFT_POINT_TIME * M, label="twiddle")
+    # The runtime's alltoall: P-1 shifted pairwise exchanges.
+    for step in range(1, P):
+        dst = (ctx.procnum + step) % P
+        src = (ctx.procnum - step) % P
+        yield ctx.send(dst, size, label="transpose-send")
+        yield ctx.recv(src, label="transpose-recv")
+    yield ctx.serial(fft_local_work(block * P, P), label="fft-step4")

@@ -18,6 +18,8 @@ same workload.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..pevpm.machine import ANY_SOURCE, ProcContext
@@ -109,36 +111,37 @@ def taskfarm_model(tasks: list[float]):
     virtual machine -- the same decision rule as the real program; the
     assigned task's cost rides on the model message as a payload, and the
     stop message is distinguished by its size, exactly as the runtime
-    version distinguishes it by tag.
+    version distinguishes it by tag.  The program pickles (a
+    module-level generator bound with :func:`functools.partial`), so
+    the prediction cache can key it and pool workers can run it.
     """
-    task_list = list(tasks)
+    return partial(_taskfarm_program, tuple(tasks))
 
-    def program(ctx: ProcContext):
-        P = ctx.numprocs
-        if P < 2:
-            raise ValueError("task farm needs a master and at least one worker")
-        if ctx.procnum == 0:
-            next_task = 0
-            active = P - 1
-            while active:
-                info = yield ctx.recv(ANY_SOURCE, label="worker-report")
-                if next_task < len(task_list):
-                    yield ctx.send(
-                        info.src, TASK_BYTES, label="assign",
-                        payload=task_list[next_task],
-                    )
-                    next_task += 1
-                else:
-                    yield ctx.send(info.src, STOP_BYTES, label="stop")
-                    active -= 1
-            return
 
-        yield ctx.send(0, RESULT_BYTES, label="ready")
-        while True:
-            info = yield ctx.recv(0, label="await-task")
-            if info.size == STOP_BYTES:
-                break
-            yield ctx.serial(info.payload, label="task")
-            yield ctx.send(0, RESULT_BYTES, label="result")
+def _taskfarm_program(task_list: tuple, ctx: ProcContext):
+    P = ctx.numprocs
+    if P < 2:
+        raise ValueError("task farm needs a master and at least one worker")
+    if ctx.procnum == 0:
+        next_task = 0
+        active = P - 1
+        while active:
+            info = yield ctx.recv(ANY_SOURCE, label="worker-report")
+            if next_task < len(task_list):
+                yield ctx.send(
+                    info.src, TASK_BYTES, label="assign",
+                    payload=task_list[next_task],
+                )
+                next_task += 1
+            else:
+                yield ctx.send(info.src, STOP_BYTES, label="stop")
+                active -= 1
+        return
 
-    return program
+    yield ctx.send(0, RESULT_BYTES, label="ready")
+    while True:
+        info = yield ctx.recv(0, label="await-task")
+        if info.size == STOP_BYTES:
+            break
+        yield ctx.serial(info.payload, label="task")
+        yield ctx.send(0, RESULT_BYTES, label="result")

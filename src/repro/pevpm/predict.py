@@ -223,18 +223,23 @@ class PredictionCache(ContentStore):
         return super().put(key, dict(doc, version=self.VERSION))
 
 
-def prediction_key(group: RunGroup, precision: PrecisionTarget | None = None) -> str:
+def prediction_key(
+    group: RunGroup, precision: PrecisionTarget | None = None
+) -> str | None:
     """Content fingerprint of one group's evaluation (the cache key).
 
     The chunk size is keyed as :func:`~repro.pevpm.parallel.keyed_batch`
     records it.  With *precision* it is the key of an adaptive request's
     pointer entry: the target replaces ``runs``, which the stopping rule
-    decides.
+    decides.  ``None`` when the model and params do not pickle: nothing
+    else identifies a program's content (a closure's ``repr`` is its
+    memory address, which CPython reuses), so such a group is never
+    read from or written to the cache.
     """
     try:
         model_blob = pickle.dumps((group.model, group.params), protocol=4)
     except Exception:
-        model_blob = repr((group.model, group.params)).encode()
+        return None
     ident = {
         "v": PredictionCache.VERSION,
         "nprocs": group.nprocs,
@@ -271,10 +276,12 @@ def _evaluate_predictions(
     for i, group in enumerate(groups):
         # Traced runs carry MachineResult/TraceRecorder state the JSON
         # cache does not hold -- always evaluate those live.
-        if cache is None or group.trace_last:
+        key = keys[i] = (
+            None if cache is None or group.trace_last else prediction_key(group)
+        )
+        if key is None:
             misses.append(i)
             continue
-        key = keys[i] = prediction_key(group)
         doc = cache.get(key)
         if doc is not None:
             preds[i] = prediction_from_doc(doc)
@@ -291,7 +298,7 @@ def _evaluate_predictions(
             own = sum(o.wall for o in group_outcomes)
             total = sum(o.wall for per in outcomes for o in per) or 1.0
             preds[i] = build_prediction(groups[i], group_outcomes, wall * own / total)
-            if cache is not None and keys[i] is not None:
+            if keys[i] is not None:
                 cache.put(keys[i], prediction_doc(groups[i], preds[i]))
     return preds  # type: ignore[return-value]
 
@@ -450,11 +457,13 @@ def _evaluate_adaptive_predictions(
     miss_idx: list[int] = []
     pointer_keys: list[str | None] = [None] * len(groups)
     for i, (group, target) in enumerate(zip(groups, targets)):
-        if cache is None:
+        pkey = pointer_keys[i] = (
+            None if cache is None else prediction_key(group, target)
+        )
+        if pkey is None:
             miss_pairs.append((group, target))
             miss_idx.append(i)
             continue
-        pkey = pointer_keys[i] = prediction_key(group, target)
         pointer = cache.get(pkey)
         if pointer is not None and isinstance(pointer.get("achieved_runs"), int):
             achieved = pointer["achieved_runs"]
@@ -475,7 +484,7 @@ def _evaluate_adaptive_predictions(
             pred = build_prediction(finished, result.outcomes, result.wall)
             pred.precision = precision_doc(target, result)
             preds[i] = pred
-            if cache is not None:
+            if pointer_keys[i] is not None:
                 cache.put(prediction_key(finished), prediction_doc(finished, pred))
                 cache.put(pointer_keys[i], {
                     "kind": "adaptive",
@@ -534,8 +543,8 @@ def predict(
     static program only spreads over workers once its runs fill several
     chunks, and each worker first recompiles the program and rebuilds
     its sampler tables.  ``cache_dir`` enables the on-disk prediction
-    cache; the last run can be traced for loss attribution (which
-    bypasses the cache).
+    cache for models that pickle (:func:`prediction_key`); the last run
+    can be traced for loss attribution (which bypasses the cache).
 
     The model is compiled once (:mod:`repro.pevpm.compile`) and its
     shape picks the engine.  A static program runs on the batched

@@ -9,6 +9,7 @@ the on-disk cache without re-simulation.
 import numpy as np
 import pytest
 
+from repro.apps import fft_model, make_tasks, taskfarm_model
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import (
@@ -220,6 +221,49 @@ class TestPredictionCache:
         )
         assert not again.cached
         assert again.times == first.times
+
+    def test_unpicklable_programs_are_never_cached(self, db, tmp_path):
+        # Equal reprs, different messages: a repr-based key (a closure's
+        # repr is its reusable memory address) would serve one's times
+        # to the other.
+        class Ring:
+            def __init__(self, size):
+                self.size = size
+
+            def __call__(self, ctx):
+                n, me = ctx.numprocs, ctx.procnum
+                yield ctx.send((me + 1) % n, self.size)
+                yield ctx.recv((me - 1) % n)
+
+            def __repr__(self):
+                return "<ring>"
+
+            def __reduce__(self):
+                raise TypeError("not picklable")
+
+        timing = timing_from_db(db, mode="distribution")
+        small = predict(Ring(64), 4, timing, runs=8, seed=1, cache_dir=tmp_path)
+        large = predict(Ring(65536), 4, timing, runs=8, seed=1, cache_dir=tmp_path)
+        again = predict(Ring(64), 4, timing, runs=8, seed=1, cache_dir=tmp_path)
+        assert not (small.cached or large.cached or again.cached)
+        assert large.times != small.times
+        assert again.times == small.times
+        assert not list(tmp_path.glob("predict-*.json"))
+
+    def test_fft_and_taskfarm_models_pickle(self, db, tmp_path):
+        import pickle
+
+        timing = timing_from_db(db, mode="distribution")
+        for model in (fft_model(1024), taskfarm_model(make_tasks(8, seed=1))):
+            clone = pickle.loads(pickle.dumps(model))
+            direct = predict(model, 4, timing, runs=4, seed=3)
+            assert predict(clone, 4, timing, runs=4, seed=3).times == direct.times
+            first = predict(model, 4, timing, runs=4, seed=3, cache_dir=tmp_path)
+            again = predict(clone, 4, timing, runs=4, seed=3, cache_dir=tmp_path)
+            assert not first.cached and again.cached
+            assert first.times == again.times == direct.times
+        assert not predict(fft_model(4096), 4, timing, runs=4, seed=3,
+                           cache_dir=tmp_path).cached
 
 
 class TestDistributionTimingBuffers:
