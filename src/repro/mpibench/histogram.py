@@ -440,15 +440,26 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Histogram":
+        """Decode a :meth:`to_dict` document.  Raises ``ValueError`` on
+        non-finite edges, counts or samples (JSON readers accept
+        ``NaN``, which would pass the ordering checks and turn every
+        draw into ``nan``)."""
+        edges = np.asarray(d["edges"], dtype=float)
+        counts = np.asarray(d["counts"], dtype=float)
         samples = d.get("samples")
+        if samples is not None:
+            samples = np.asarray(samples, dtype=float)
+        for name, values in (("edges", edges), ("counts", counts), ("samples", samples)):
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ValueError(f"histogram {name} must be finite")
         return cls(
-            np.asarray(d["edges"]),
-            np.asarray(d["counts"]),
+            edges,
+            counts,
             mean=d.get("mean"),
             std=d.get("std"),
             vmin=d.get("min"),
             vmax=d.get("max"),
-            samples=None if samples is None else np.asarray(samples, dtype=float),
+            samples=samples,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -157,6 +157,14 @@ class TestMergeAndPersistence:
         h2 = Histogram.from_dict(h.to_dict(include_samples=True))
         assert np.allclose(h2.samples, [1.0, 5.0, 9.0])
 
+    @pytest.mark.parametrize("field", ["samples", "edges", "counts"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_decode_rejects_non_finite_data(self, field, bad):
+        doc = _h([1.0, 5.0, 9.0]).to_dict(include_samples=True)
+        doc[field][-1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Histogram.from_dict(doc)
+
     def test_rebinned(self):
         h = _h(np.linspace(0, 1, 1000), bins=100)
         h2 = h.rebinned(10)

@@ -21,6 +21,7 @@ from repro.registry import RegistryStore, TenantManager, TenantQuota
 from repro.service import (
     PredictionService,
     ServiceClient,
+    ServiceError,
     ServiceThread,
     Supervisor,
 )
@@ -168,6 +169,19 @@ class TestMultiTenantFlow:
                 jacobi_request(db="bad ref!")
             )
             assert status == 400
+
+    def test_upload_with_a_nan_sample_is_rejected(self, db, db_b):
+        doc = doc_of(db_b)
+        hist = next(iter(doc["results"][0]["histograms"].values()))
+        hist["samples"][0] = float("nan")  # the client's JSON writes NaN
+        with serve(db) as (_service, client):
+            with pytest.raises(ServiceError) as err:
+                client.registry_add(results=doc)
+            assert err.value.status == 400
+            assert "samples must be finite" in err.value.doc["error"]
+            assert db_b.fingerprint() not in {
+                entry["fingerprint"] for entry in client.registry_list()["dbs"]
+            }
 
     def test_cache_keys_disambiguate_databases(self, db, db_b):
         """Identical request bodies against different dbs must occupy
