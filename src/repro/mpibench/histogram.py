@@ -284,9 +284,8 @@ class Histogram:
 
     def quantiles(self, qs: np.ndarray) -> np.ndarray:
         """Vectorised inverse CDF (see :meth:`quantile`) for an array of
-        probabilities -- the fast path for batched PEVPM sampling.
-        Delegates to the compiled :meth:`icdf` table, so repeated calls
-        pay one gather, not per-call table setup."""
+        probabilities.  Delegates to the compiled :meth:`icdf` table, so
+        repeated calls pay one gather, not per-call table setup."""
         return self.icdf()(np.asarray(qs, dtype=float))
 
     def icdf(self):
@@ -294,12 +293,14 @@ class Histogram:
         probabilities in ``[0, 1]`` to quantile values, bit-identical to
         :meth:`quantiles`.
 
-        This is the lookup-table form PEVPM's sampling hot path uses
-        (see ``DistributionDB.make_sampler``): every per-call constant --
-        the sorted-sample table and its scale, or the cumulative-count
-        table -- is bound once, so a draw is a single multiply +
-        gather(+lerp) instead of a table rebuild.  Compiled lazily and
-        cached; never pickled (workers recompile on first use).
+        Every per-call constant -- the sorted-sample table and its
+        scale, or the cumulative-count table -- is bound once, so a draw
+        is a single multiply + gather(+lerp) instead of a table rebuild.
+        PEVPM's draws use the binned form through
+        ``DistributionDB.cell`` for histograms without retained samples;
+        the DB's flat table reproduces the other two forms bit for bit.
+        Compiled lazily and cached; never pickled (workers recompile on
+        first use).
         """
         f = self._icdf
         if f is not None:

@@ -17,6 +17,13 @@ Lookup semantics:
   interpolation between the two bracketing sizes (``interpolate=True``),
   which samples ``u ~ U(0,1)`` once and blends the two inverse CDFs.
 
+PEVPM's vectorised draws (:meth:`DistributionDB.sample_times` and the
+phase blocks of :meth:`DistributionDB.cell_quantiles`) resolve a lookup
+once to a *cell* id and read one flat inverse-CDF table holding every
+retained-sample histogram's sorted samples, so a whole phase of draws
+is one gather-and-lerp; histograms without retained samples keep their
+binned :meth:`~repro.mpibench.histogram.Histogram.icdf`.
+
 Everything serialises to JSON so a benchmark campaign can be saved and
 reloaded without re-simulation.
 """
@@ -36,36 +43,134 @@ from .histogram import Histogram
 __all__ = ["BenchmarkResult", "DistributionDB"]
 
 
-class _CellSampler:
-    """A fully-resolved sampling cell: the compiled inverse-CDF table(s)
-    for one (op, size, contention, intra) lookup, plus the precomputed
-    size-interpolation blend weights.
+class _SampleTable:
+    """Every sampling cell of a :class:`DistributionDB` as one flat
+    inverse-CDF table.
 
-    Calling it draws *n* times with a single uniform batch and one or two
-    table gathers -- no dict probes, no histogram dispatch.  Built by
-    :meth:`DistributionDB.make_sampler`, bit-identical to the historical
-    ``sample_times`` arithmetic (the blend uses a precomputed ``1.0 - w``,
-    which is the same float the old expression produced per call).
+    The table concatenates the sorted samples of every histogram that
+    retains them, with a precomputed next-sample column, so a draw from
+    histogram *h* at uniform ``u`` is ``pos = u * scale``, ``i = at +
+    int(pos)`` and ``vals[i] * (1 - frac) + nxt[i] * frac`` -- the
+    arithmetic of :meth:`Histogram.quantile` over the sorted samples,
+    which it equals bit for bit.  A degenerate histogram is a one-entry
+    table (``scale`` 0), which gives its constant exactly.  A cell
+    resolves one ``(op, size, contention, intra)`` lookup to its
+    bracketing histograms ("sides") and size-blend weight; a side
+    without retained samples keeps its :meth:`Histogram.icdf`, whose
+    searchsorted form has no uniform-grid equivalent.
     """
 
-    __slots__ = ("_flo", "_fhi", "_w", "_one_minus_w")
+    def __init__(self, results: dict):
+        vals, nxt = [], []
+        #: (op, nodes, ppn, size) -> (offset, scale) of a tabled histogram
+        self.side: dict[tuple, tuple[int, int]] = {}
+        at = 0
+        for op, per_op in results.items():
+            for (nodes, ppn), result in per_op.items():
+                for size, hist in result.histograms.items():
+                    if hist.degenerate:
+                        srt = np.array([hist.min])
+                    elif hist.samples is not None:
+                        srt = np.sort(hist.samples)
+                    else:
+                        continue
+                    vals.append(srt)
+                    nxt.append(srt[1:])
+                    nxt.append(srt[-1:])
+                    self.side[(op, nodes, ppn, size)] = (at, len(srt) - 1)
+                    at += len(srt)
+        self.vals = np.concatenate(vals) if vals else np.empty(0)
+        self.nxt = np.concatenate(nxt) if nxt else np.empty(0)
+        #: per cell: (lo side, hi side or None, w, 1 - w); a side is an
+        #: (offset, scale) pair or a binned histogram's icdf
+        self.cells: list[tuple] = []
+        self._cols = None
+        self.binned = False  #: some cell has a binned side
 
-    def __init__(self, flo, fhi=None, w: float = 0.0):
-        self._flo = flo
-        self._fhi = fhi
-        self._w = w
-        self._one_minus_w = 1.0 - w
+    def add(self, lo, hi, w: float) -> int:
+        """Append a cell; returns its id."""
+        self.cells.append((lo, hi, w, 1.0 - w))
+        self.binned = self.binned or callable(lo) or callable(hi)
+        self._cols = None
+        return len(self.cells) - 1
 
-    def quantiles(self, u: np.ndarray) -> np.ndarray:
-        """The cell's times at uniform draws *u* (any shape).  Every step
-        is element-wise, so a ``(k, n)`` block gives exactly the rows k
-        separate ``(n,)`` calls would."""
-        if self._fhi is None:
-            return self._flo(u)
-        return self._one_minus_w * self._flo(u) + self._w * self._fhi(u)
+    def _columns(self):
+        """The cells as columns (every side tabled): lo offset, lo
+        scale, hi offset, hi scale, w, 1 - w and whether the cell blends
+        two sizes."""
+        if self._cols is None:
+            rows = [
+                (*lo, *(hi or (0, 0)), w, omw, hi is not None)
+                for lo, hi, w, omw in self.cells
+            ]
+            cols = list(zip(*rows))
+            self._cols = (
+                np.array(cols[0], dtype=np.intp), np.array(cols[1], dtype=float),
+                np.array(cols[2], dtype=np.intp), np.array(cols[3], dtype=float),
+                np.array(cols[4]), np.array(cols[5]), np.array(cols[6], dtype=bool),
+            )
+        return self._cols
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.quantiles(rng.random(n))
+    def _lerp(self, at, scale, u):
+        """``vals[i] * (1 - frac) + nxt[i] * frac`` at ``pos = u *
+        scale``, ``i = at + int(pos)``, in few passes (IEEE addition and
+        multiplication commute, so the operand order is free)."""
+        pos = u * scale
+        i = pos.astype(np.intp)
+        frac = np.subtract(pos, i, out=pos)
+        i += at
+        hi = self.nxt[i]
+        hi *= frac
+        out = self.vals[i]
+        out *= np.subtract(1.0, frac, out=frac)
+        out += hi
+        return out
+
+    def quantiles(self, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row *i* of the ``(k, n)`` uniforms *u* mapped through cell
+        ``cells[i]``: one gather-and-lerp for the phase, plus a second
+        for the rows that blend two sizes.  Returns a fresh array."""
+        if self.binned:
+            return self._by_cell(cells, u)
+        lo_at, lo_scale, hi_at, hi_scale, w, omw, blend = self._columns()
+        c = cells[:, None]
+        out = self._lerp(lo_at[c], lo_scale[c], u)
+        b = blend[cells]
+        if b.all():
+            out *= omw[c]
+            hi = self._lerp(hi_at[c], hi_scale[c], u)
+            hi *= w[c]
+            out += hi
+        elif b.any():
+            rows = np.flatnonzero(b)
+            c = cells[rows, None]
+            out[rows] = (omw[c] * out[rows]
+                         + w[c] * self._lerp(hi_at[c], hi_scale[c], u[rows]))
+        return out
+
+    def _by_cell(self, cells, u):
+        """:meth:`quantiles` one cell at a time, for tables with binned
+        sides."""
+        out = np.empty_like(u)
+        for cell in np.unique(cells).tolist():
+            rows = np.flatnonzero(cells == cell)
+            out[rows] = self.values(cell, u[rows])
+        return out
+
+    def values(self, cell: int, u: np.ndarray) -> np.ndarray:
+        """One cell's times at uniforms *u* (any shape): the arithmetic
+        of :meth:`quantiles` for a single cell.  Returns a fresh array."""
+        lo, hi, w, omw = self.cells[cell]
+        out = self._side(lo, u)
+        if hi is not None:
+            out *= omw
+            hi = self._side(hi, u)
+            hi *= w
+            out += hi
+        return out
+
+    def _side(self, side, u):
+        return side(u) if callable(side) else self._lerp(side[0], side[1], u)
 
 
 @dataclass
@@ -152,14 +257,13 @@ class DistributionDB:
         self._bracket_cache: dict[tuple, tuple[int, int]] = {}
         self._locate_cache: dict[tuple, tuple[BenchmarkResult, int, int]] = {}
         self._stat_cache: dict[tuple, float] = {}
-        # (op, size, contention, intra) -> _CellSampler: the compiled
-        # inverse-CDF tables PEVPM's hot path draws through.  Holds
-        # closures, so it is dropped on pickle (see __getstate__).
-        self._sampler_cache: dict[tuple, _CellSampler] = {}
-        # (op, nodes, ppn, lo, hi, w) -> _CellSampler: lookup cells that
-        # resolve to the same tables share one sampler object, so a
-        # block draw can group its rows by sampler.
-        self._cell_cache: dict[tuple, _CellSampler] = {}
+        # The flat inverse-CDF table PEVPM draws through, built on first
+        # use; (op, size, contention, intra) -> its cell id; and
+        # (op, nodes, ppn, lo, hi, w) -> cell id, so lookups resolving
+        # to the same histograms and blend weight share one cell.
+        self._table: _SampleTable | None = None
+        self._cell_of: dict[tuple, int] = {}
+        self._cell_ids: dict[tuple, int] = {}
         self._fingerprint: str | None = None
 
     # -- population --------------------------------------------------------------
@@ -183,8 +287,9 @@ class DistributionDB:
         self._bracket_cache.clear()
         self._locate_cache.clear()
         self._stat_cache.clear()
-        self._sampler_cache.clear()
-        self._cell_cache.clear()
+        self._table = None
+        self._cell_of.clear()
+        self._cell_ids.clear()
         self._fingerprint = None
 
     def ops(self) -> list[str]:
@@ -300,38 +405,48 @@ class DistributionDB:
         qhi = result.histograms[hi].quantile(u)
         return float((1.0 - w) * qlo + w * qhi)
 
-    def make_sampler(
+    def cell(
         self, op: str, size: int, contention: int, intra: bool = False
-    ) -> _CellSampler:
-        """The compiled sampler for one lookup cell.
+    ) -> int:
+        """The sampling cell id of one lookup.
 
         Resolves the contention->configuration and size-bracketing
-        lookups once and binds the bracketing histograms' inverse-CDF
-        tables (:meth:`Histogram.icdf`) with the interpolation weight, so
-        every subsequent draw is a uniform batch plus one or two
-        gathers.  Cached per (op, size, contention, intra); lookups that
-        resolve to the same configuration, bracketing sizes and blend
-        weight return the *same* sampler object.  Invalidated by
+        lookups once, binding the bracketing histograms' entries in the
+        flat inverse-CDF table with the interpolation weight; draw with
+        :meth:`cell_quantiles`.  Cached per (op, size, contention,
+        intra); lookups that resolve to the same configuration,
+        bracketing sizes and blend weight share one id.  Invalidated by
         :meth:`add`."""
         key = (op, size, contention, intra)
-        sampler = self._sampler_cache.get(key)
-        if sampler is None:
+        cell = self._cell_of.get(key)
+        if cell is None:
             result, lo, hi = self._locate(op, size, contention, intra)
             w = 0.0 if lo == hi else (size - lo) / (hi - lo)
-            cell = (op, result.nodes, result.ppn, lo, hi, w)
-            sampler = self._cell_cache.get(cell)
-            if sampler is None:
-                if lo == hi:
-                    sampler = _CellSampler(result.histograms[lo].icdf())
-                else:
-                    sampler = _CellSampler(
-                        result.histograms[lo].icdf(),
-                        result.histograms[hi].icdf(),
-                        w,
-                    )
-                self._cell_cache[cell] = sampler
-            self._sampler_cache[key] = sampler
-        return sampler
+            ident = (op, result.nodes, result.ppn, lo, hi, w)
+            cell = self._cell_ids.get(ident)
+            if cell is None:
+                table = self._sample_table()
+
+                def side(s):
+                    got = table.side.get((op, result.nodes, result.ppn, s))
+                    return got if got is not None else result.histograms[s].icdf()
+
+                cell = self._cell_ids[ident] = table.add(
+                    side(lo), None if lo == hi else side(hi), w
+                )
+            self._cell_of[key] = cell
+        return cell
+
+    def _sample_table(self) -> _SampleTable:
+        if self._table is None:
+            self._table = _SampleTable(self._results)
+        return self._table
+
+    def cell_quantiles(self, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Times at the ``(k, n)`` uniforms *u*, row *i* drawn from cell
+        ``cells[i]`` (a ``(k,)`` array of :meth:`cell` ids): row *i* is
+        what ``sample_times`` of that cell gives for uniforms ``u[i]``."""
+        return self._sample_table().quantiles(cells, u)
 
     def sample_times(
         self,
@@ -343,10 +458,11 @@ class DistributionDB:
         intra: bool = False,
     ) -> np.ndarray:
         """Vectorised version of :meth:`sample_time`: *n* independent
-        draws at once (quantile-space size interpolation included).
-        Delegates to the cached :meth:`make_sampler` cell, consuming the
-        RNG stream exactly as the uncached form did."""
-        return self.make_sampler(op, size, contention, intra)(rng, n)
+        draws at once (quantile-space size interpolation included),
+        through the flat table -- the one implementation both engines'
+        DB-backed draws share."""
+        cell = self.cell(op, size, contention, intra)
+        return self._sample_table().values(cell, rng.random(n))
 
     def _stat_time(self, stat: str, op: str, size: int, contention: int, intra: bool) -> float:
         key = (stat, op, size, contention, intra)
@@ -455,13 +571,15 @@ class DistributionDB:
         return self._fingerprint
 
     # -- pickling ---------------------------------------------------------------------
-    # The DB ships to prediction-pool workers by pickle; the sampler
-    # cache holds compiled closures (unpicklable, cheap to rebuild), so
-    # it travels empty and each worker recompiles its cells on first use.
+    # The DB ships to prediction-pool workers by pickle; the sampling
+    # table duplicates the samples and its binned sides are closures,
+    # so it travels empty with its cells and each worker rebuilds it on
+    # first use.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_sampler_cache"] = {}
-        state["_cell_cache"] = {}
+        state["_table"] = None
+        state["_cell_of"] = {}
+        state["_cell_ids"] = {}
         return state
 
     # -- persistence -------------------------------------------------------------------

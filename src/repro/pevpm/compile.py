@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -213,9 +212,11 @@ class SweepPhase:
     to its next receive or its end.
 
     The engine draws the sweep's sends in run-time process order (the
-    previous match's order) and op order: :attr:`specs` lists them in
-    ascending procnum order, and is :attr:`fixed` when every process
-    order lists the same specs.  :attr:`steps` then advance the clocks
+    previous match's order) and op order: :attr:`kind` (an index into
+    :attr:`PhasePlan.kinds`) and :attr:`level` (the contention each
+    draw sees) list them in ascending procnum order, which is
+    :attr:`fixed` when every process order lists the same draws, and
+    :attr:`intra` flags the intra-node sends.  :attr:`steps` then advance the clocks
     one op position at a time, so each process's clock takes its ops'
     additions in program order: per position, ``(rows, seconds,
     procs)`` for the serial ops and ``(rows, sends, slots, procs)`` for
@@ -226,8 +227,8 @@ class SweepPhase:
     """
 
     __slots__ = (
-        "procs", "starts", "ends", "c0", "specs", "fixed", "levels",
-        "counts", "size", "intra", "send_proc", "send_nth", "rows", "steps",
+        "procs", "starts", "ends", "c0", "kind", "level", "fixed",
+        "counts", "intra", "send_proc", "send_nth", "rows", "steps",
     )
 
 
@@ -236,9 +237,10 @@ class MatchPhase:
     receivers (:attr:`procs`) in ascending procnum order, with the
     message each takes.
 
-    Local index *i* is the *i*-th receiver.  :attr:`specs` lists the
-    arrival draws in that order (:attr:`fixed` when any order lists the
-    same).  :attr:`direct` names the messages that reach their receiver
+    Local index *i* is the *i*-th receiver.  :attr:`kind` and
+    :attr:`level` list the arrival draws in that order (:attr:`fixed`
+    when any order lists the same), and :attr:`inter` is 1 for each
+    inter-node message.  :attr:`direct` names the messages that reach their receiver
     without a NIC pipe: ``None``, all of them (``True``) or their local
     indices.  :attr:`tx` and :attr:`rx` group the others by NIC pipe:
     ``(k, idx, nodes, gcls)`` serves the pipes carrying *k* messages
@@ -248,8 +250,8 @@ class MatchPhase:
     """
 
     __slots__ = (
-        "procs", "recv", "recv_ops", "slots", "pairs", "c0", "specs",
-        "fixed", "levels", "size", "intra", "inter", "direct", "tx", "rx",
+        "procs", "recv", "recv_ops", "slots", "pairs", "c0", "kind",
+        "level", "fixed", "inter", "direct", "tx", "rx",
     )
 
 
@@ -289,8 +291,11 @@ class PhasePlan:
     Everything here is structure, the same in every run and for every
     seed: which processes run which ops in each sweep, which receives
     complete in each match and with which message, which messages share
-    a NIC pipe, the contention level every draw sees in procnum order,
-    and each message's (src, dst) pair and departure slot.  Timing
+    a NIC pipe, every draw's kind and the contention level it sees in
+    procnum order, and each message's (src, dst) pair and departure
+    slot.  :attr:`kinds` lists the plan's distinct draw kinds, ``(op,
+    size, intra)`` triples, which a timing model binds once per batch
+    (:meth:`~repro.pevpm.timing.TimingModel.bind`).  Timing
     values (draws, serialisation gaps) are looked up per run; the only
     run-time order left is each match's batch-mean block-time order
     (see :mod:`repro.pevpm.vector`).
@@ -303,7 +308,7 @@ class PhasePlan:
 
     __slots__ = (
         "rounds", "messages", "peak", "compute", "n_slots", "n_pairs",
-        "n_nodes", "gap_sizes", "orphans",
+        "n_nodes", "gap_sizes", "kinds", "orphans",
     )
 
     def __init__(self, ops, record: Rounds, nprocs: int, ppn: int, nic: str):
@@ -381,8 +386,8 @@ class PhasePlan:
         delta[send_at] = inter
         delta[recv_at] = -inter[recv_msg]
         running = np.cumsum(delta) - delta
-        send_level = running[send_at].tolist()
-        recv_level = running[recv_at].tolist()
+        send_level = running[send_at]
+        recv_level = running[recv_at]
         #: the population high-water mark: after a sweep's sends
         self.peak = int((np.cumsum(ns) - r_first[:-1]).max()) if n_rounds else 0
 
@@ -434,9 +439,20 @@ class PhasePlan:
             rnd[is_send][send_msg != np.arange(m_count)], minlength=n_rounds
         ).tolist()
 
-        # -- per-draw kinds: a phase's specs are order-free when its
-        # (size, intra) kinds agree, its levels when its intra flags do
+        # -- draw kinds: the distinct (op, size, intra) of the sends'
+        # local-time draws and the receives' one-way draws.  A phase's
+        # draws are order-free when its (size, intra) kinds agree.
         kind_of = size_id * 2 + intra
+        r_kind = kind_of[recv_msg]
+        codes = np.r_[kind_of, r_kind + 2 * (int(size_id.max()) + 1 if m_count else 0)]
+        _, first_draw, kind_id = np.unique(codes, return_index=True, return_inverse=True)
+        kind_id = kind_id.reshape(-1)
+        draw_msg = np.r_[np.arange(m_count), recv_msg]
+        self.kinds = [
+            (LOCAL_OP if d < m_count else ONEWAY_OP, sizes[m], intra_list[m])
+            for d, m in zip(first_draw.tolist(), draw_msg[first_draw].tolist())
+        ]
+        send_kind, recv_kind = kind_id[:m_count], kind_id[m_count:]
 
         def uniform(values, first):
             """Per phase (bounds *first*), whether *values* agree."""
@@ -449,15 +465,12 @@ class PhasePlan:
             return out.tolist()
 
         send_fixed = uniform(kind_of, m_first)
-        send_flat = uniform(inter, m_first)
         procs_with_sends = np.add.reduceat(counts > 0, seg_first[:-1]) if len(seg_proc) else ()
-        r_kind = kind_of[recv_msg]
         recv_intra = intra[recv_msg]
         recv_fixed = uniform(r_kind, r_first)
-        recv_flat = uniform(recv_intra.astype(np.intp), r_first)
         recv_slot, recv_pair = slot[recv_msg], pair[recv_msg]
-        recv_size, recv_inter = size_arr[recv_msg], inter[recv_msg]
-        recv_sizes, recv_intra_list = recv_size.tolist(), recv_intra.tolist()
+        recv_inter = inter[recv_msg]
+        recv_intra_list = recv_intra.tolist()
         recv_round = np.repeat(np.arange(n_rounds), nr)
         tx = rx = [()] * n_rounds
         if nic != "off":
@@ -478,15 +491,11 @@ class PhasePlan:
             sweep.ends = record.seg_end[s0:s1]
             sweep.steps = steps_of[k]
             a, b = int(m_first[k]), int(m_first[k + 1])
-            sweep.specs = list(zip(
-                repeat(LOCAL_OP, b - a), sizes[a:b], send_level[a:b],
-                intra_list[a:b],
-            ))
-            sweep.c0 = send_level[a] if b > a else 0
+            sweep.kind = send_kind[a:b]
+            sweep.level = send_level[a:b]
+            sweep.c0 = int(send_level[a]) if b > a else 0
             sweep.counts = counts[s0:s1]
             sweep.fixed = send_fixed[k] or procs_with_sends[k] <= 1
-            sweep.levels = send_level[a:b] if send_flat[k] else None
-            sweep.size = size_arr[a:b]
             sweep.intra = intra[a:b]
             sweep.send_proc = send_proc[a:b]
             sweep.send_nth = send_nth[a:b]
@@ -501,15 +510,10 @@ class PhasePlan:
                 match.slots = recv_slot[u:v]
                 match.pairs = recv_pair[u:v]
                 m_intra = recv_intra_list[u:v]
-                match.specs = list(zip(
-                    repeat(ONEWAY_OP, v - u), recv_sizes[u:v], recv_level[u:v],
-                    m_intra,
-                ))
-                match.c0 = recv_level[u]
+                match.kind = recv_kind[u:v]
+                match.level = recv_level[u:v]
+                match.c0 = int(recv_level[u])
                 match.fixed = recv_fixed[k]
-                match.levels = recv_level[u:v] if recv_flat[k] else None
-                match.size = recv_size[u:v]
-                match.intra = recv_intra[u:v]
                 match.inter = recv_inter[u:v]
                 direct = (list(range(v - u)) if nic == "off"
                           else [i for i, f in enumerate(m_intra) if f])

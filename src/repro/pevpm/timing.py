@@ -19,6 +19,14 @@ Every model answers two questions for the virtual machine:
   receive completion (what MPIBench's synchronised clock measures);
 * :meth:`~TimingModel.local_send_time` -- how long the *sender* is busy in
   the send call (measured by MPIBench as ``isend_local``).
+
+The batched virtual machine asks for whole phases at once:
+:meth:`~TimingModel.bind` turns a plan's distinct ``(op, size, intra)``
+draw kinds into a sampler of ``(kind, level)`` id arrays.  The default
+hands the spec list to :meth:`~TimingModel.draw_block`, one batch call
+per row; :class:`DistributionTiming` resolves each id pair to a
+:class:`~repro.mpibench.results.DistributionDB` cell once per batch and
+draws a phase with one gather over the DB's flat inverse-CDF table.
 """
 
 from __future__ import annotations
@@ -130,6 +138,26 @@ class TimingModel(abc.ABC):
             out[i] = draw(size, contention, rng, n, intra=intra)
         return out
 
+    def bind(self, kinds: list[tuple]):
+        """The phase sampler for a plan whose draws are of *kinds*.
+
+        *kinds* lists distinct ``(op, size, intra)`` triples.  The
+        returned ``sample(kind, level, rng, n)`` draws one engine phase:
+        row *i* of its ``(len(kind), n)`` result answers ``kinds[kind[i]]``
+        at contention ``level[i]``, exactly as :meth:`draw_block` of
+        those specs does -- which is what this default calls.
+        """
+        def sample(kind, level, rng, n):
+            specs = [
+                (op, size, contention, intra)
+                for (op, size, intra), contention in zip(
+                    map(kinds.__getitem__, kind.tolist()), level.tolist()
+                )
+            ]
+            return self.draw_block(specs, rng, n)
+
+        return sample
+
     def reset(self) -> None:
         """Discard any cached sampling state.  Called by the virtual
         machine at the start of every run so that identical (seed, model)
@@ -217,11 +245,11 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     use the live contention level.
 
     Every draw -- the scalar buffered path, the vectorised batch methods
-    and :meth:`draw_block` alike -- resolves its (op, size, contention,
-    intra) cell to a cached inverse-CDF lookup table
-    (:meth:`~repro.mpibench.results.DistributionDB.make_sampler`) bound
-    once per cell: a draw is one uniform batch plus one or two table
-    gathers, bit-identical to the uncached arithmetic.
+    and the phase sampler of :meth:`bind` alike -- resolves its (op,
+    size, contention, intra) lookup to a
+    :meth:`~repro.mpibench.results.DistributionDB.cell` of the DB's flat
+    inverse-CDF table: a phase is one uniform block plus one gather for
+    all its rows, bit-identical to one batch draw per row.
     """
 
     #: initial draws pre-sampled per (op, size, contention) key; PEVPM
@@ -304,36 +332,32 @@ class DistributionTiming(_DbGapMixin, TimingModel):
             intra=intra,
         ))
 
-    def draw_block(self, specs, rng, n):
-        # Generator.random fills float64s in stream order, so one (k, n)
-        # block holds the uniforms of k successive (n,) draws; rows that
-        # share a sampler then go through its tables together.
-        u = rng.random((len(specs), n))
-        oneway, local = self._oneway_op, self._local_op
-        fixed = self.fixed_contention
-        make = self.db.make_sampler
-        groups: dict = {}
-        for i, (op, size, contention, intra) in enumerate(specs):
-            sampler = make(
-                oneway if op == ONEWAY_OP else local, size,
-                contention if fixed is None else fixed, intra,
-            )
-            rows = groups.get(sampler)
-            if rows is None:
-                groups[sampler] = [i]
-            else:
-                rows.append(i)
-        if len(groups) == 1:
-            out = next(iter(groups)).quantiles(u)
-        else:
-            out = np.empty_like(u)
-            for sampler, rows in groups.items():
-                if len(rows) == 1:  # a plain row index skips the gather
-                    out[rows[0]] = sampler.quantiles(u[rows[0]])
-                else:
-                    out[rows] = sampler.quantiles(u[rows])
-        # Every quantiles() result is a fresh array, so clamp in place.
-        return np.maximum(out, 0.0, out=out)
+    def bind(self, kinds):
+        # Each (kind, level) resolves to a DB cell id once per batch, in
+        # a (kinds, levels) table extended to the highest level drawn so
+        # far.  Generator.random fills float64s in stream order, so one
+        # (k, n) block holds the uniforms of k successive (n,) draws.
+        db, fixed = self.db, self.fixed_contention
+        ops = {ONEWAY_OP: self._oneway_op, LOCAL_OP: self._local_op}
+        lookups = [(ops[op], size, intra) for op, size, intra in kinds]
+        cells = np.empty((len(kinds), 0), dtype=np.intp)
+
+        def sample(kind, level, rng, n):
+            nonlocal cells
+            try:
+                cell = cells[kind, level]
+            except IndexError:
+                levels = range(cells.shape[1], int(level.max()) + 1)
+                cells = np.hstack([cells, np.array([
+                    [db.cell(op, size, c if fixed is None else fixed, intra)
+                     for c in levels]
+                    for op, size, intra in lookups
+                ], dtype=np.intp).reshape(len(lookups), len(levels))])
+                cell = cells[kind, level]
+            out = db.cell_quantiles(cell, rng.random((len(cell), n)))
+            return np.maximum(out, 0.0, out=out)
+
+        return sample
 
 
 class AverageTiming(_DbGapMixin, TimingModel):

@@ -5,8 +5,9 @@ Carlo run per sweep/match pass, so R runs pay the Python interpreter R
 times for every modelled message.  This module advances *all R runs in
 lockstep*: the per-run clocks, send time, receive wait and departure
 times live in ``(processes, R)`` and ``(slots, R)`` NumPy arrays, and
-every phase's timing draws are served by one
-:meth:`~repro.pevpm.timing.TimingModel.draw_block` call.
+every phase's timing draws are served by one call of the phase sampler
+:meth:`~repro.pevpm.timing.TimingModel.bind` returns for the plan's
+draw kinds.
 
 This works because a static program's *structure* -- which operations
 each process executes, which messages exist, which process blocks at
@@ -27,10 +28,11 @@ Batch-mode conventions (documented in DESIGN.md section 6):
 * one RNG stream per batch, consumed in a deterministic order fixed by
   the program's structure, so the same seed gives bit-identical output
   regardless of host or worker count;
-* each sweep or match phase draws its ``(op, size, contention,
-  intra)`` list as one block -- exactly the values one ``(r,)`` draw per
-  decision would give, in the same order: the phase is a unit of work,
-  not of randomness;
+* each sweep or match phase draws as one block, listed as two int
+  arrays -- each draw's ``(op, size, intra)`` kind and its contention
+  level -- exactly the values one ``(r,)`` draw per decision would
+  give, in the same order: the phase is a unit of work, not of
+  randomness;
 * a match phase lists its draws in order of batch-mean block time (the
   per-run engine orders by block time, a per-run quantity, which one
   congruent draw list cannot use), and the next sweep runs its
@@ -46,7 +48,6 @@ Batch-mode conventions (documented in DESIGN.md section 6):
 
 from __future__ import annotations
 
-from itertools import repeat
 from time import perf_counter as _perf_counter
 
 import numpy as np
@@ -54,7 +55,7 @@ import numpy as np
 from .compile import CompiledProgram, MatchPhase, SweepPhase
 from .machine import MachineResult, validate_machine_config
 from .scoreboard import ScoreboardEntry
-from .timing import LOCAL_OP, ONEWAY_OP, TimingModel
+from .timing import TimingModel
 from .trace import TraceRecorder
 
 __all__ = ["BatchedVirtualMachine"]
@@ -164,6 +165,7 @@ class BatchedVirtualMachine:
         self._last = np.full((plan.n_pairs, r), -np.inf)
         gap = self.timing.serialisation_gap
         self._gap = np.array([gap(size) for size in plan.gap_sizes])
+        self._sample = self.timing.bind(plan.kinds)
         prof = self.profiler
         order = None
         for sweep, match in plan.rounds:
@@ -188,15 +190,15 @@ class BatchedVirtualMachine:
         return self._results(plan)
 
     # -- the batched sweep/match loop ---------------------------------------------
-    def _draw(self, specs: list[tuple]):
-        """The engine's one draw site: every ``(op, size, contention,
-        intra)`` of *specs* drawn as one block, whose ``(r,)`` rows are
-        in spec order."""
+    def _draw(self, kind, level):
+        """The engine's one draw site: a phase's draws, of the plan's
+        ``kinds[kind[i]]`` at contention ``level[i]``, as one block whose
+        ``(r,)`` rows are in that order."""
         prof = self.profiler
         if prof is None:
-            return self.timing.draw_block(specs, self.rng, self.runs)
+            return self._sample(kind, level, self.rng, self.runs)
         t0 = _perf_counter()
-        block = self.timing.draw_block(specs, self.rng, self.runs)
+        block = self._sample(kind, level, self.rng, self.runs)
         prof.add("sample", _perf_counter() - t0)
         return block
 
@@ -212,9 +214,9 @@ class BatchedVirtualMachine:
         """
         clock, send_t, depart = self._clock, self._send_t, self._depart
         cost = None
-        if len(sweep.size):
+        if len(sweep.kind):
             if order is None:
-                block = self._draw(sweep.specs)
+                block = self._draw(sweep.kind, sweep.level)
                 cost = block if sweep.rows is None else block[sweep.rows]
             else:
                 counts = sweep.counts[order]
@@ -222,8 +224,8 @@ class BatchedVirtualMachine:
                 row_start = np.empty_like(starts)
                 row_start[order] = starts
                 block = self._draw(
-                    sweep.specs if sweep.fixed
-                    else self._sweep_specs(sweep, order, counts, starts)
+                    *(sweep.kind, sweep.level) if sweep.fixed
+                    else self._sweep_draws(sweep, order, counts, starts)
                 )
                 cost = block[row_start[sweep.send_proc] + sweep.send_nth]
         # The last run's (start, end) per op, by process, when tracing.
@@ -250,18 +252,12 @@ class BatchedVirtualMachine:
             self._trace_sweep(sweep, order, last)
 
     @staticmethod
-    def _sweep_specs(sweep: SweepPhase, order, counts, starts) -> list[tuple]:
-        """The sweep's draw specs when its processes run in *order*."""
-        n = len(sweep.size)
+    def _sweep_draws(sweep: SweepPhase, order, counts, starts):
+        """The sweep's ``(kind, level)`` draws when its processes run in
+        *order*."""
         pm_start = _exclusive_cumsum(sweep.counts)
-        sel = np.repeat(pm_start[order] - starts, counts) + np.arange(n)
-        intra = sweep.intra[sel]
-        levels = sweep.levels
-        if levels is None:
-            levels = (sweep.c0 + _exclusive_cumsum(~intra)).tolist()
-        return list(zip(
-            repeat(LOCAL_OP, n), sweep.size[sel].tolist(), levels, intra.tolist()
-        ))
+        sel = np.repeat(pm_start[order] - starts, counts) + np.arange(len(sweep.kind))
+        return sweep.kind[sel], sweep.c0 + _exclusive_cumsum(~sweep.intra[sel])
 
     def _match(self, match: MatchPhase):
         """One match phase; returns its receivers' run-time order (local
@@ -287,14 +283,16 @@ class BatchedVirtualMachine:
             # The receivers are in procnum order, so a stable sort breaks
             # ties by procnum.
             order = np.add.reduce(start, axis=1).argsort(kind="stable")
-            block = self._draw(
-                match.specs if match.fixed else self._match_specs(match, order)
+            block = (
+                self._draw(match.kind, match.level) if match.fixed
+                else self._draw(match.kind[order], match.c0
+                                - _exclusive_cumsum(match.inter[order]))
             )
             oneway = np.empty_like(block)
             oneway[order] = block
         else:
             order = None
-            oneway = self._draw(match.specs)
+            oneway = self._draw(match.kind, match.level)
         t = self._arrivals(match, start, oneway)
         # One TCP stream per pair: arrivals cannot overtake.  A phase
         # completes at most one receive per process, so this only looks
@@ -308,17 +306,6 @@ class BatchedVirtualMachine:
             self._trace_match(match, order, start, completion)
         clock[recv] = completion
         return order
-
-    @staticmethod
-    def _match_specs(match: MatchPhase, order) -> list[tuple]:
-        """The match's draw specs when its receives complete in *order*."""
-        levels = match.levels
-        if levels is None:
-            levels = (match.c0 - _exclusive_cumsum(match.inter[order])).tolist()
-        return list(zip(
-            repeat(ONEWAY_OP, len(order)), match.size[order].tolist(), levels,
-            match.intra[order].tolist(),
-        ))
 
     def _arrivals(self, match: MatchPhase, start, oneway) -> np.ndarray:
         """When each received message arrives, given its one-way draw and

@@ -1,13 +1,14 @@
 """Phase-block draws of the batched engine.
 
-The batched VM draws each sweep/match phase as one
-``TimingModel.draw_block`` call (see :mod:`repro.pevpm.vector`).  These
+The batched VM draws each sweep/match phase as one call of the sampler
+``TimingModel.bind`` returns (see :mod:`repro.pevpm.vector`).  These
 tests pin the two things that make that bit-identical to one draw per
 decision:
 
-* ``draw_block`` rows equal successive ``one_way_times`` /
-  ``local_send_times`` calls on an identically seeded generator, and
-  leave the generator in the same state;
+* ``draw_block`` rows, and the bound sampler's rows for random DBs and
+  draws, equal successive ``one_way_times`` / ``local_send_times``
+  calls on an identically seeded generator, and leave the generator in
+  the same state;
 * the engine asks for the same ``(kind, size, contention, intra)``
   sequence it asked for one draw at a time -- pinned as literals
   recorded from the one-draw-per-decision engine, because an off-by-one
@@ -17,6 +18,8 @@ decision:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import jacobi_model
 from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
@@ -123,11 +126,102 @@ def test_draw_block_equals_per_op_draws(case, n):
     assert block_rng.bit_generator.state == per_op_rng.bit_generator.state
 
 
-def test_distribution_timing_overrides_the_default():
-    # The parity cases above would pass trivially through the base loop.
-    assert DistributionTiming.draw_block is not TimingModel.draw_block
-    assert ParametricTiming.draw_block is TimingModel.draw_block
-    assert HockneyTiming.draw_block is TimingModel.draw_block
+@st.composite
+def sampling_cases(draw):
+    """A random DB -- retained, binned and degenerate histograms, intra
+    and inter configs, sometimes a ring pattern -- a DistributionTiming
+    over it, the kinds of a plan and up to three phases of draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ring = draw(st.booleans())
+    configs = draw(st.lists(
+        st.sampled_from([(1, 2), (2, 1), (8, 1), (32, 1)]), min_size=1,
+        max_size=4, unique=True,
+    ))
+    sizes = sorted(draw(st.lists(
+        st.sampled_from([0, 256, 1024, 4096]), min_size=1, max_size=4, unique=True,
+    )))
+    db = DistributionDB(cluster="synthetic")
+    ops = [ONEWAY_OP, LOCAL_OP] + ([f"{ONEWAY_OP}:ring", f"{LOCAL_OP}:ring"] if ring else [])
+    for op in ops:
+        for nodes, ppn in configs:
+            hists = {}
+            for size in sizes:
+                form = draw(st.sampled_from(["retained", "binned", "degenerate"]))
+                count = draw(st.integers(1, 60))
+                base = (20e-6 if nodes == 1 else 100e-6 * nodes ** 0.3) * (1 + size / 2048)
+                samples = (
+                    [base] * count if form == "degenerate"
+                    else base + rng.gamma(2.0, base / 10, size=count)
+                )
+                hists[size] = Histogram.from_samples(
+                    samples, bins=draw(st.integers(1, 20)),
+                    keep_samples=form != "binned",
+                )
+            db.add(BenchmarkResult(op=op, nodes=nodes, ppn=ppn,
+                                   cluster="synthetic", histograms=hists))
+    timing = DistributionTiming(
+        db, fixed_contention=draw(st.none() | st.integers(1, 64)),
+        pattern="ring" if draw(st.booleans()) else "pairs",
+    )
+    kinds = draw(st.lists(
+        st.tuples(
+            st.sampled_from([ONEWAY_OP, LOCAL_OP]),
+            st.sampled_from(sizes + [100, 700, 3000, 9000]),  # exact and blended
+            st.booleans(),
+        ),
+        min_size=1, max_size=6, unique=True,
+    ))
+    phases = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 12))
+        phases.append((
+            np.array(draw(st.lists(st.integers(0, len(kinds) - 1), min_size=k, max_size=k)),
+                     dtype=np.intp),
+            np.array(draw(st.lists(st.integers(0, 70), min_size=k, max_size=k)),
+                     dtype=np.intp),
+        ))
+    return timing, kinds, phases
+
+
+def _histogram_draw(timing, op, size, contention, intra, u):
+    """One row from the histograms' own inverse CDFs: the reference the
+    flat table is held to."""
+    db = timing.db
+    op = timing._oneway_op if op == ONEWAY_OP else timing._local_op
+    if timing.fixed_contention is not None:
+        contention = timing.fixed_contention
+    nodes, ppn = db.nearest_config(op, max(2, contention), intra=intra)
+    lo, hi = db.bracketing_sizes(op, size, nodes, ppn)
+    hists = db.result(op, nodes, ppn).histograms
+    if lo == hi:
+        return np.maximum(hists[lo].quantiles(u), 0.0)
+    w = (size - lo) / (hi - lo)
+    return np.maximum((1.0 - w) * hists[lo].quantiles(u) + w * hists[hi].quantiles(u), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sampling_cases(), n=st.sampled_from([1, 64]))
+def test_bound_sampler_equals_per_op_draws(case, n):
+    timing, kinds, phases = case
+    sample = timing.bind(kinds)
+    block_rng = np.random.default_rng(7)
+    per_op_rng = np.random.default_rng(7)
+    for kind, level in phases:
+        replay = np.random.default_rng()
+        replay.bit_generator.state = block_rng.bit_generator.state
+        block = sample(kind, level, block_rng, n)
+        specs = [(op, size, c, intra) for (op, size, intra), c in
+                 zip(map(kinds.__getitem__, kind.tolist()), level.tolist())]
+        expected = _per_op(timing, specs, per_op_rng, n)
+        assert block.shape == (len(kind), n) and block.dtype == np.float64
+        assert block.tobytes() == expected.tobytes()  # bit for bit
+        assert block_rng.bit_generator.state == per_op_rng.bit_generator.state
+        # The same uniforms through each histogram's own inverse CDF.
+        u = replay.random((len(kind), n))
+        reference = np.array([
+            _histogram_draw(timing, *spec, u[i]) for i, spec in enumerate(specs)
+        ])
+        assert block.tobytes() == reference.tobytes()
 
 
 def test_degenerate_rows_are_the_exact_constant():
@@ -139,24 +233,24 @@ def test_degenerate_rows_are_the_exact_constant():
 
 class TestSharedSamplers:
     """Lookups resolving to the same config, bracketing sizes and blend
-    weight share one sampler object -- what draw_block groups rows by."""
+    weight share one cell id of the DB's sampling table."""
 
     def test_same_config_different_contention(self):
-        make = _db().make_sampler
+        cell = _db().cell
         # 30 and 40 both resolve to the 32x1 config.
-        assert make(ONEWAY_OP, 1024, 30) is make(ONEWAY_OP, 1024, 40)
-        assert make(ONEWAY_OP, 1024, 2) is not make(ONEWAY_OP, 1024, 40)
+        assert cell(ONEWAY_OP, 1024, 30) == cell(ONEWAY_OP, 1024, 40)
+        assert cell(ONEWAY_OP, 1024, 2) != cell(ONEWAY_OP, 1024, 40)
 
     def test_blend_weight_is_part_of_the_cell(self):
-        make = _db().make_sampler
-        assert make(ONEWAY_OP, 768, 2) is not make(ONEWAY_OP, 800, 2)
+        cell = _db().cell
+        assert cell(ONEWAY_OP, 768, 2) != cell(ONEWAY_OP, 800, 2)
         # Beyond the largest measured size both clamp to one table.
-        assert make(ONEWAY_OP, 5000, 2) is make(ONEWAY_OP, 9000, 2)
+        assert cell(ONEWAY_OP, 5000, 2) == cell(ONEWAY_OP, 9000, 2)
 
     def test_ops_and_intra_stay_apart(self):
-        make = _db().make_sampler
-        assert make(ONEWAY_OP, 1024, 2) is not make(LOCAL_OP, 1024, 2)
-        assert make(ONEWAY_OP, 1024, 2) is not make(ONEWAY_OP, 1024, 2, intra=True)
+        cell = _db().cell
+        assert cell(ONEWAY_OP, 1024, 2) != cell(LOCAL_OP, 1024, 2)
+        assert cell(ONEWAY_OP, 1024, 2) != cell(ONEWAY_OP, 1024, 2, intra=True)
 
 
 # -- the planner's draw sequence ----------------------------------------------------
