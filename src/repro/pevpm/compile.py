@@ -216,12 +216,12 @@ class SweepPhase:
     :attr:`PhasePlan.kinds`) and :attr:`level` (the contention each
     draw sees) list them in ascending procnum order, which is
     :attr:`fixed` when every process order lists the same draws, and
-    :attr:`intra` flags the intra-node sends.  :attr:`steps` then advance the clocks
-    one op position at a time, so each process's clock takes its ops'
-    additions in program order: per position, ``(rows, seconds,
-    procs)`` for the serial ops and ``(rows, sends, slots, procs)`` for
-    the sends, ``sends`` slicing the sweep's sends in position-major
-    order.  ``send_proc``/``send_nth`` name each position-major send's
+    :attr:`intra` flags the intra-node sends.  :attr:`steps` then
+    advance the clocks one op position at a time, so each process's
+    clock takes its ops' additions in program order: per position,
+    ``(rows, seconds, procs)`` for the serial ops and ``(rows, sends,
+    slots, procs)`` for the sends, ``sends`` slicing the sweep's sends
+    in position-major order.  ``send_proc``/``send_nth`` name each position-major send's
     process (local index) and its index among that process's sends, and
     :attr:`rows` its draw row in procnum order (``None``: identity).
     """
@@ -240,9 +240,9 @@ class MatchPhase:
     Local index *i* is the *i*-th receiver.  :attr:`kind` and
     :attr:`level` list the arrival draws in that order (:attr:`fixed`
     when any order lists the same), and :attr:`inter` is 1 for each
-    inter-node message.  :attr:`direct` names the messages that reach their receiver
-    without a NIC pipe: ``None``, all of them (``True``) or their local
-    indices.  :attr:`tx` and :attr:`rx` group the others by NIC pipe:
+    inter-node message.  :attr:`direct` names the messages that reach
+    their receiver without a NIC pipe: ``None``, all of them (``True``)
+    or their local indices.  :attr:`tx` and :attr:`rx` group the others by NIC pipe:
     ``(k, idx, nodes, gcls)`` serves the pipes carrying *k* messages
     each, ``idx`` being their ``(pipes, k)`` local indices in procnum
     order (a flat ``(pipes,)`` index when ``k == 1``), and ``gcls`` each
@@ -444,7 +444,7 @@ class PhasePlan:
         # draws are order-free when its (size, intra) kinds agree.
         kind_of = size_id * 2 + intra
         r_kind = kind_of[recv_msg]
-        codes = np.r_[kind_of, r_kind + 2 * (int(size_id.max()) + 1 if m_count else 0)]
+        codes = np.r_[kind_of, r_kind + 2 * m_count]
         _, first_draw, kind_id = np.unique(codes, return_index=True, return_inverse=True)
         kind_id = kind_id.reshape(-1)
         draw_msg = np.r_[np.arange(m_count), recv_msg]

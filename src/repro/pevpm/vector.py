@@ -223,10 +223,11 @@ class BatchedVirtualMachine:
                 starts = _exclusive_cumsum(counts)
                 row_start = np.empty_like(starts)
                 row_start[order] = starts
-                block = self._draw(
-                    *(sweep.kind, sweep.level) if sweep.fixed
+                kind, level = (
+                    (sweep.kind, sweep.level) if sweep.fixed
                     else self._sweep_draws(sweep, order, counts, starts)
                 )
+                block = self._draw(kind, level)
                 cost = block[row_start[sweep.send_proc] + sweep.send_nth]
         # The last run's (start, end) per op, by process, when tracing.
         last = {} if self.trace is not None else None
@@ -283,11 +284,13 @@ class BatchedVirtualMachine:
             # The receivers are in procnum order, so a stable sort breaks
             # ties by procnum.
             order = np.add.reduce(start, axis=1).argsort(kind="stable")
-            block = (
-                self._draw(match.kind, match.level) if match.fixed
-                else self._draw(match.kind[order], match.c0
-                                - _exclusive_cumsum(match.inter[order]))
-            )
+            if match.fixed:
+                block = self._draw(match.kind, match.level)
+            else:
+                block = self._draw(
+                    match.kind[order],
+                    match.c0 - _exclusive_cumsum(match.inter[order]),
+                )
             oneway = np.empty_like(block)
             oneway[order] = block
         else:
