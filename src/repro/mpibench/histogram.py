@@ -450,7 +450,8 @@ class Histogram:
         samples = d.get("samples")
         if samples is not None:
             samples = np.asarray(samples, dtype=float)
-        for name, values in (("edges", edges), ("counts", counts), ("samples", samples)):
+        arrays = {"edges": edges, "counts": counts, "samples": samples}
+        for name, values in arrays.items():
             if values is not None and not np.all(np.isfinite(values)):
                 raise ValueError(f"histogram {name} must be finite")
         return cls(

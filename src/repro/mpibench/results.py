@@ -63,7 +63,7 @@ class _SampleTable:
     def __init__(self, results: dict):
         vals, nxt = [], []
         #: (op, nodes, ppn, size) -> (offset, scale) of a tabled histogram
-        self.side: dict[tuple, tuple[int, int]] = {}
+        self._tabled: dict[tuple, tuple[int, int]] = {}
         at = 0
         for op, per_op in results.items():
             for (nodes, ppn), result in per_op.items():
@@ -77,7 +77,7 @@ class _SampleTable:
                     vals.append(srt)
                     nxt.append(srt[1:])
                     nxt.append(srt[-1:])
-                    self.side[(op, nodes, ppn, size)] = (at, len(srt) - 1)
+                    self._tabled[(op, nodes, ppn, size)] = (at, len(srt) - 1)
                     at += len(srt)
         self.vals = np.concatenate(vals) if vals else np.empty(0)
         self.nxt = np.concatenate(nxt) if nxt else np.empty(0)
@@ -87,12 +87,21 @@ class _SampleTable:
         self._cols = None
         self.binned = False  #: some cell has a binned side
 
-    def add(self, lo, hi, w: float) -> int:
-        """Append a cell; returns its id."""
-        self.cells.append((lo, hi, w, 1.0 - w))
-        self.binned = self.binned or callable(lo) or callable(hi)
+    def add(
+        self, op: str, result: BenchmarkResult, lo: int, hi: int, w: float
+    ) -> int:
+        """Append the cell blending *result*'s histograms at sizes *lo*
+        and *hi* with weight *w*; returns its id."""
+        lo_side = self._side_of(op, result, lo)
+        hi_side = None if lo == hi else self._side_of(op, result, hi)
+        self.cells.append((lo_side, hi_side, w, 1.0 - w))
+        self.binned = self.binned or callable(lo_side) or callable(hi_side)
         self._cols = None
         return len(self.cells) - 1
+
+    def _side_of(self, op: str, result: BenchmarkResult, size: int):
+        got = self._tabled.get((op, result.nodes, result.ppn, size))
+        return got if got is not None else result.histograms[size].icdf()
 
     def _columns(self):
         """The cells as columns (every side tabled): lo offset, lo
@@ -425,14 +434,8 @@ class DistributionDB:
             ident = (op, result.nodes, result.ppn, lo, hi, w)
             cell = self._cell_ids.get(ident)
             if cell is None:
-                table = self._sample_table()
-
-                def side(s):
-                    got = table.side.get((op, result.nodes, result.ppn, s))
-                    return got if got is not None else result.histograms[s].icdf()
-
-                cell = self._cell_ids[ident] = table.add(
-                    side(lo), None if lo == hi else side(hi), w
+                cell = self._cell_ids[ident] = self._sample_table().add(
+                    op, result, lo, hi, w
                 )
             self._cell_of[key] = cell
         return cell

@@ -445,7 +445,9 @@ class PhasePlan:
         kind_of = size_id * 2 + intra
         r_kind = kind_of[recv_msg]
         codes = np.r_[kind_of, r_kind + 2 * m_count]
-        _, first_draw, kind_id = np.unique(codes, return_index=True, return_inverse=True)
+        _, first_draw, kind_id = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
         kind_id = kind_id.reshape(-1)
         draw_msg = np.r_[np.arange(m_count), recv_msg]
         self.kinds = [
