@@ -23,8 +23,6 @@ from repro.smpi import run_program
 
 ITERATIONS = 100
 NPROCS = 32
-#: one full vector chunk -- the batched engine's natural work unit
-BATCHED_RUNS = 64
 
 
 def test_eval_cost(benchmark, spec, fig6_db, out_dir):
@@ -76,45 +74,3 @@ def test_eval_cost(benchmark, spec, fig6_db, out_dir):
     # simulation of the same program (the reason to have a model at all).
     assert pred.wall_time / 3 < exec_wall
 
-
-def test_eval_cost_batched_compiled(benchmark, spec, fig6_db, out_dir):
-    """The production configuration: batched engine on compiled static
-    schedules with table-driven sampling -- the row the CI eval-cost
-    ratchet (``scripts/track_eval_cost.py --check``) enforces a floor on.
-    """
-    params = {
-        "iterations": ITERATIONS,
-        "xsize": 256,
-        "serial_time": spec.jacobi_serial_time,
-    }
-    timing = timing_from_db(fig6_db, mode="distribution")
-
-    pred = benchmark.pedantic(
-        predict,
-        args=(parse_jacobi(), NPROCS, timing),
-        kwargs={
-            "runs": BATCHED_RUNS, "seed": 1, "params": params, "workers": 1,
-        },
-        rounds=1,
-        iterations=1,
-    )
-
-    rows = [
-        ["workload", f"Jacobi {ITERATIONS} iters on {NPROCS} procs"],
-        ["engine", f"batched+compiled ({BATCHED_RUNS} MC runs, 1 worker)"],
-        ["PEVPM wall time", format_time(pred.wall_time)],
-        ["PEVPM wall per MC run", format_time(pred.wall_time / BATCHED_RUNS)],
-        ["simulated/wall",
-         f"{pred.simulated_per_wall:.1f}x processor-time/wall (paper: 67.5x)"],
-    ]
-    write_figure(
-        out_dir, "eval_cost_batched_compiled",
-        format_table(
-            ["quantity", "value"], rows,
-            title="PEVPM evaluation cost (batched + compiled)",
-        ),
-    )
-
-    # Shape only -- the calibrated floor lives in the ratchet script,
-    # where the measurement conditions are pinned.
-    assert pred.simulated_per_wall > 1.0
