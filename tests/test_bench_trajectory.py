@@ -137,6 +137,14 @@ def test_check_compares_rows_of_the_same_nproc_only(tmp_path, capsys):
     assert "against a (nproc 2)" in capsys.readouterr().out
 
 
+def test_check_skips_a_workload_the_earlier_row_lacks(tmp_path, capsys):
+    earlier = ledger_row("a")
+    del earlier["workloads"][WORKLOADS[-1]]
+    ledger = write_ledger(tmp_path / "trajectory.json", [earlier, ledger_row("b")])
+    assert trajectory.check(ledger) == 0
+    assert WORKLOADS[-1] not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [[], ["check", "--strict"], ["add"], ["list"]])
 def test_main_takes_add_dir_or_check_only(argv, capsys):
     assert trajectory.main(argv) == 2
