@@ -63,8 +63,8 @@ class Interrupt(Exception):
     """Thrown *into* a process by :meth:`Process.interrupt`.
 
     The interrupted process receives this exception at its current yield
-    point and may catch it to implement cancellation or retry logic (the
-    TCP retransmission model uses this).
+    point and may catch it to implement cancellation or retry logic;
+    nothing in :mod:`repro` does (TCP retransmission waits on timeouts).
     """
 
     def __init__(self, cause: Any = None):
@@ -160,11 +160,11 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"timeout({delay:g})")
+        if not delay >= 0:  # NaN fails too
+            raise ValueError(f"timeout delay must be non-negative, got {delay}")
+        super().__init__(sim, name="timeout")
         self.delay = delay
-        sim._schedule(sim.now + delay, self, value)
+        sim._schedule(sim._now + delay, self, value)
 
 
 class Process(Event):
@@ -189,7 +189,7 @@ class Process(Event):
         self.gen = gen
         self._waiting_on: Event | None = None
         # Kick off the process at the current simulated time.
-        boot = Event(sim, name=f"boot:{self.name}")
+        boot = Event(sim, name="boot")
         boot.add_callback(self._resume)
         self._waiting_on = boot
         sim._schedule(sim.now, boot, None)
@@ -221,13 +221,12 @@ class Process(Event):
             # A stale event (e.g. superseded by an interrupt) fired; drop it.
             return
         self._waiting_on = None
-        if not ev.ok:
-            ev._defused = True  # this process consumes the failure
         try:
-            if ev.ok:
-                nxt = self.gen.send(ev.value)
+            if ev._ok:
+                nxt = self.gen.send(ev._value)
             else:
-                nxt = self.gen.throw(ev.value)
+                ev._defused = True  # this process consumes the failure
+                nxt = self.gen.throw(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -396,7 +395,7 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule plain callable *fn(*args)* at absolute time *when*."""
-        if when < self._now:
+        if not when >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
@@ -410,7 +409,7 @@ class Simulator:
 
     def _schedule(self, when: float, ev: Event, value: Any, ok: bool = True) -> None:
         """Arrange for *ev* to trigger at absolute time *when*."""
-        if when < self._now:
+        if not when >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
@@ -419,13 +418,14 @@ class Simulator:
 
     def _dispatch(self, ev: Event) -> None:
         """Run the callbacks of an event that has just triggered."""
-        self._dispatching.append(ev)
-        if len(self._dispatching) > 1:
+        dispatching = self._dispatching
+        dispatching.append(ev)
+        if len(dispatching) > 1:
             # Re-entrant trigger (a callback triggered another event):
             # queue it behind the current dispatch to keep FIFO semantics.
             return
-        while self._dispatching:
-            current = self._dispatching[0]
+        while dispatching:
+            current = dispatching[0]
             callbacks, current._callbacks = current._callbacks, []
             for fn in callbacks:
                 fn(current)
@@ -436,16 +436,16 @@ class Simulator:
             ):
                 # A process failed and nothing consumed the failure:
                 # surface the error instead of swallowing it.
-                self._dispatching.clear()
+                dispatching.clear()
                 raise current._value
-            self._dispatching.pop(0)
+            dispatching.pop(0)
 
     # -- main loop -----------------------------------------------------------
     def step(self) -> None:
         """Advance to and process the next scheduled event."""
         when, _seq, ev, value, ok = heapq.heappop(self._queue)
         self._now = when
-        if ev.triggered:
+        if ev._triggered:
             # e.g. a timeout superseded by an interrupt -- drop silently.
             return
         if ok:

@@ -9,15 +9,17 @@ contention the paper measures.
 
 The model is message-granular (one reservation per message crossing the
 resource) rather than packet-granular; per-frame costs are folded into the
-wire-byte count by :class:`repro.simnet.topology.TcpModel`.  This keeps the
-event count per message ~O(hops), small enough for pure-Python simulation
-of hundred-process benchmarks, while preserving the queueing behaviour that
-produces the paper's distributions.
+wire-byte count by :class:`repro.simnet.topology.TcpModel`.  A reservation
+is pure arithmetic that returns its drain time, so the transport layer
+schedules one completion event per transmission attempt, however many
+pipes the path crosses.  That keeps pure-Python simulation of
+hundred-process benchmarks affordable while preserving the queueing
+behaviour that produces the paper's distributions.
 """
 
 from __future__ import annotations
 
-from .engine import Event, Simulator
+from .engine import Simulator
 
 __all__ = ["BandwidthResource", "ResourceStats"]
 
@@ -53,7 +55,7 @@ class BandwidthResource:
     both for contention jitter and for the TCP loss probability.
     """
 
-    __slots__ = ("sim", "name", "rate", "_available_at", "stats", "in_flight")
+    __slots__ = ("sim", "name", "rate", "_available_at", "stats")
 
     def __init__(self, sim: Simulator, rate: float, name: str = "pipe"):
         if rate <= 0:
@@ -63,14 +65,11 @@ class BandwidthResource:
         self.rate = rate
         self._available_at = 0.0
         self.stats = ResourceStats()
-        #: number of reservations currently queued or draining -- the
-        #: instantaneous contention level other messages see.
-        self.in_flight = 0
 
     @property
     def backlog(self) -> float:
         """Seconds of already-committed work queued ahead of a new arrival."""
-        return max(0.0, self._available_at - self.sim.now)
+        return max(0.0, self._available_at - self.sim._now)
 
     @property
     def busy(self) -> bool:
@@ -82,9 +81,9 @@ class BandwidthResource:
             raise ValueError("nbytes must be non-negative")
         return nbytes / self.rate
 
-    def transmit(self, nbytes: int, service_scale: float = 1.0) -> Event:
-        """Reserve the pipe for *nbytes*; returns an Event triggering when
-        the last byte has drained.
+    def transmit(self, nbytes: int, service_scale: float = 1.0) -> float:
+        """Reserve the pipe for *nbytes*; returns the simulated time at
+        which the last byte has drained.
 
         *service_scale* multiplies the nominal serialisation time; the
         transport layer uses it to apply contention jitter so that the
@@ -109,14 +108,7 @@ class BandwidthResource:
                 st.max_backlog = backlog
 
         self._available_at = finish
-        self.in_flight += 1
-        done = self.sim.event(name=f"{self.name}:tx")
-        done.add_callback(self._drained)
-        self.sim._schedule(finish, done, nbytes)
-        return done
-
-    def _drained(self, _ev) -> None:
-        self.in_flight -= 1
+        return finish
 
     def utilisation(self, elapsed: float | None = None) -> float:
         """Fraction of time the pipe has been busy since t=0 (or over a

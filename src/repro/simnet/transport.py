@@ -9,7 +9,7 @@ a pipelined fashion:
 
 Each of those is a :class:`~repro.simnet.resources.BandwidthResource`; the
 message reserves its wire-byte footprint on all of them concurrently and
-completes when the slowest (most backlogged) reservation drains, plus the
+completes (one kernel event) when the slowest reservation drains, plus the
 fixed propagation/switching latency of the path.  This "reserve everywhere,
 finish at the max" scheme models store-and-forward pipelining at message
 granularity: with empty queues the transfer time is ``latency +
@@ -99,6 +99,8 @@ class Network:
         #: number of messages on the scoreboard"), so the ground truth and
         #: the model agree on what contention *is*.
         self.active_transfers = 0
+        #: (src, dst) -> (path_resources tuple, path_latency), on first use
+        self._routes: dict[tuple[int, int], tuple] = {}
 
     # -- path construction ---------------------------------------------------
     def path_resources(self, src_node: int, dst_node: int) -> list[BandwidthResource]:
@@ -178,8 +180,7 @@ class Network:
                 raise ValueError(f"node {node} outside cluster of {self.spec.n_nodes}")
         if payload < 0:
             raise ValueError("payload must be non-negative")
-        name = f"xfer:{src_node}->{dst_node}:{payload}B"
-        return self.sim.spawn(self._transfer(src_node, dst_node, payload), name=name)
+        return self.sim.spawn(self._transfer(src_node, dst_node, payload), name="xfer")
 
     def _transfer(self, src_node: int, dst_node: int, payload: int):
         sim = self.sim
@@ -194,8 +195,12 @@ class Network:
             return Delivery(src_node, dst_node, payload, depart, sim.now, 1, 0.0)
 
         wire = self.spec.tcp.wire_bytes(payload)
-        path = self.path_resources(src_node, dst_node)
-        latency = self.path_latency(src_node, dst_node)
+        key = (src_node, dst_node)
+        if key not in self._routes:
+            path = tuple(self.path_resources(*key))
+            self._routes[key] = (path, self.path_latency(*key))
+        path, latency = self._routes[key]
+        nic_tx, *switches, nic_rx = path
         attempts = 0
         stall = 0.0
 
@@ -206,21 +211,24 @@ class Network:
         try:
             while True:
                 attempts += 1
-                backlog = max(r.backlog for r in path)
+                backlog = max([r.backlog for r in path])
                 scale = self._jitter_scale(contention)
-                reservations = []
-                for res in path:
-                    # Jitter models host/NIC-side variability; the switch
-                    # backplane is a deterministic fabric, so only the two
-                    # NIC pipes get the scaled service time.
-                    is_nic = res is path[0] or res is path[-1]
-                    reservations.append(
-                        res.transmit(wire, scale if is_nic else 1.0)
-                    )
+                # Jitter models host/NIC-side variability; the switch
+                # backplane is a deterministic fabric, so only the two
+                # NIC pipes get the scaled service time.  The attempt
+                # completes when its slowest reservation has drained; that
+                # event is scheduled before the congestion timeout, so at
+                # equal times it fires first.
+                drained = nic_tx.transmit(wire, scale)
+                for res in switches:
+                    drained = max(drained, res.transmit(wire))
+                drained = max(drained, nic_rx.transmit(wire, scale))
+                done = sim.event("drained")
+                sim._schedule(drained, done, None)
                 congestion = self._congestion_delay(contention)
                 if congestion > 0.0:
                     yield sim.timeout(congestion)
-                yield sim.all_of(reservations)
+                yield done
 
                 if not self.tcp.attempt_is_lost(backlog):
                     break

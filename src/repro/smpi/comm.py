@@ -134,8 +134,8 @@ class Comm:
     # -- computation ---------------------------------------------------------------
     def compute(self, seconds: float):
         """Occupy this rank's CPU for *seconds* of simulated work."""
-        if seconds < 0:
-            raise ValueError("compute time must be non-negative")
+        if not seconds >= 0:  # NaN fails too
+            raise ValueError(f"compute time must be non-negative, got {seconds}")
         if seconds > 0:
             self.stats.compute_time += seconds
             yield self._rt.sim.timeout(seconds)
@@ -174,17 +174,14 @@ class Comm:
             yield rt.sim.timeout(overhead)
 
         if size <= rt.spec.eager_threshold:
-            completion = rt.sim.event(name=f"isend-eager:{self.rank}->{dest}")
+            completion = rt.sim.event(name="isend-eager")
             completion.succeed(None)  # eager send is locally complete
-            rt.spawn_system(
-                self._eager_transfer(dest, tag, size, payload),
-                name=f"eager:{self.rank}->{dest}:t{tag}",
-            )
+            rt.spawn_system(self._eager_transfer(dest, tag, size, payload), name="eager")
         else:
-            completion = rt.sim.event(name=f"isend-rndv:{self.rank}->{dest}")
+            completion = rt.sim.event(name="isend-rndv")
             rt.spawn_system(
                 self._rendezvous_send(dest, tag, size, payload, completion),
-                name=f"rndv:{self.rank}->{dest}:t{tag}",
+                name="rndv",
             )
         return Request(RequestKind.SEND, completion, peer=dest, tag=tag, size=size)
 
@@ -211,10 +208,10 @@ class Comm:
         self.stats.send_time += overhead
         if overhead > 0:
             yield rt.sim.timeout(overhead)
-        completion = rt.sim.event(name=f"issend:{self.rank}->{dest}")
+        completion = rt.sim.event(name="issend")
         rt.spawn_system(
             self._rendezvous_send(dest, tag, size, payload, completion),
-            name=f"ssend:{self.rank}->{dest}:t{tag}",
+            name="ssend",
         )
         return Request(RequestKind.SEND, completion, peer=dest, tag=tag, size=size)
 
@@ -257,7 +254,7 @@ class Comm:
         def on_match(posted: PostedRecv) -> None:
             rt.spawn_system(
                 self._rendezvous_finish(posted, dest, tag, size, payload, completion),
-                name=f"rndv-fin:{self.rank}->{dest}",
+                name="rndv-fin",
             )
 
         env = Envelope(
@@ -316,7 +313,7 @@ class Comm:
             self._check_rank(source, "source")
         self._check_tag(tag, allow_any=True)
         rt = self._rt
-        event = rt.sim.event(name=f"recv:{self.rank}<-{source}:t{tag}")
+        event = rt.sim.event(name="recv")
         posted = PostedRecv(source=source, tag=tag, event=event)
         env = rt.mailbox(self.rank).post(posted)
         if env is not None:

@@ -151,7 +151,7 @@ class MpiRun:
         """
         key = (src_rank, dst_rank)
         if self._deliver_seq.get(key, 0) < seq:
-            event = self.sim.event(name=f"fifo:{key}:{seq}")
+            event = self.sim.event(name="fifo")
             self._fifo_waiters[(key, seq)] = event
             yield event
         self._deliver_seq[key] = seq + 1

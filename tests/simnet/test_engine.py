@@ -61,6 +61,25 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_timeout_rejected():
+    # NaN passes a `delay < 0` check, and a NaN timeout would resume its
+    # process before every other one, at sim.now == nan.
+    sim = Simulator()
+    woke = []
+
+    def proc(delay):
+        yield sim.timeout(delay)
+        woke.append(delay)
+
+    for delay in (1.0, 2.0):
+        sim.spawn(proc(delay))
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    sim.run()
+    assert woke == [1.0, 2.0]
+    assert sim.now == 2.0
+
+
 def test_process_return_value_propagates():
     sim = Simulator()
     result = {}
@@ -353,6 +372,20 @@ def test_call_at_in_past_rejected():
 
     sim.spawn(proc())
     sim.run()
+
+
+def test_call_at_nan_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_at(float("nan"), lambda: None)
+    assert sim.peek() == float("inf")
+
+
+def test_schedule_at_nan_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim._schedule(float("nan"), sim.event(), None)
+    assert sim.peek() == float("inf")
 
 
 def test_peek_reports_next_event_time():

@@ -8,28 +8,19 @@ from repro.simnet.engine import Simulator
 from repro.simnet.resources import BandwidthResource
 
 
-def _drain(sim, res, sizes, gap=0.0):
-    """Submit transfers of the given sizes back-to-back (separated by *gap*)
-    and return their completion times."""
-    done = []
-
-    def submit():
-        for n in sizes:
-            ev = res.transmit(n)
-            ev.add_callback(lambda e: done.append(sim.now))
-            if gap:
-                yield sim.timeout(gap)
-        if False:
-            yield  # make this a generator even when gap == 0
-
-    if gap:
-        sim.spawn(submit())
-    else:
-        for n in sizes:
-            ev = res.transmit(n)
-            ev.add_callback(lambda e: done.append(sim.now))
-    sim.run(detect_deadlock=False)
+def _drain(sim, res, sizes):
+    """Submit transfers of the given sizes at t=0, advance the clock to the
+    last drain and return every drain time."""
+    done = [res.transmit(n) for n in sizes]
+    sim.run(until=max(done))
     return done
+
+
+def test_transmit_returns_drain_time_and_schedules_nothing():
+    sim = Simulator()
+    res = BandwidthResource(sim, rate=1000.0)
+    assert res.transmit(500) == 0.5
+    assert sim.peek() == float("inf")
 
 
 def test_single_transfer_takes_service_time():
@@ -62,13 +53,11 @@ def test_pipe_idles_between_separated_transfers():
     done = []
 
     def proc():
-        ev = res.transmit(100)  # finishes at 1.0
-        yield ev
-        done.append(sim.now)
-        yield sim.timeout(5.0)  # idle gap
-        ev = res.transmit(100)  # starts fresh at 6.0, finishes 7.0
-        yield ev
-        done.append(sim.now)
+        drained = res.transmit(100)  # finishes at 1.0
+        done.append(drained)
+        yield sim.timeout(drained + 5.0)  # idle until 6.0
+        assert res.backlog == 0.0
+        done.append(res.transmit(100))  # starts fresh at 6.0, finishes 7.0
 
     sim.spawn(proc())
     sim.run()
@@ -137,17 +126,12 @@ def test_fifo_completion_order_and_conservation(sizes, rate):
     equals the sum of individual service times (work conservation)."""
     sim = Simulator()
     res = BandwidthResource(sim, rate=rate)
-    completions: list[tuple[int, float]] = []
-    for idx, n in enumerate(sizes):
-        ev = res.transmit(n)
-        ev.add_callback(lambda e, i=idx: completions.append((i, sim.now)))
-    sim.run(detect_deadlock=False)
+    times = [res.transmit(n) for n in sizes]
 
-    order = [i for i, _t in completions]
-    assert order == sorted(order)
-
-    times = [t for _i, t in completions]
+    # FIFO: each transfer starts when the one before it has drained.
     assert times == sorted(times)
+    for before, after, n in zip([0.0, *times], times, sizes):
+        assert after == pytest.approx(before + n / rate, rel=1e-9, abs=1e-12)
     # Last completion = total work / rate (all submitted at t=0).
     assert times[-1] == pytest.approx(sum(sizes) / rate, rel=1e-9, abs=1e-12)
     assert res.stats.busy_time == pytest.approx(sum(sizes) / rate, rel=1e-9, abs=1e-12)

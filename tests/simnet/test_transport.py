@@ -32,6 +32,34 @@ def _run_sends(spec, sends, seed=0):
     return net, out
 
 
+class StepCounter(Simulator):
+    """A kernel that counts the events it processes."""
+
+    steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+class TestKernelEvents:
+    def _steps(self, src, dst):
+        sim = StepCounter()
+        net = Network(sim, perseus(64), RngRegistry(0))
+        net.send(src, dst, 1024)
+        sim.run()
+        return sim.steps, len(net.path_resources(src, dst))
+
+    def test_one_completion_event_per_attempt_whatever_the_path(self):
+        """A message costs the kernel the same events across the switch
+        stack as within one switch: the attempt schedules one completion
+        at its slowest pipe's drain time, not one event per pipe."""
+        far, far_pipes = self._steps(0, 63)
+        near, near_pipes = self._steps(0, 1)
+        assert (far_pipes, near_pipes) == (6, 3)
+        assert far == near
+
+
 class TestIdealDeterminism:
     def test_single_transfer_matches_analytic_time(self):
         spec = ideal_cluster(4)

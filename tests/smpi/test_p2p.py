@@ -292,6 +292,17 @@ class TestValidation:
 
         assert run2(program).returns == [True, True]
 
+    def test_nan_compute_rejected(self):
+        # NaN passes a `seconds < 0` check, and the barrier would then
+        # finish as if the compute took no time.
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.compute(float("nan"))
+            yield from comm.barrier()
+
+        with pytest.raises(ValueError, match="nan"):
+            run_program(perseus(4), program, nprocs=4)
+
 
 class TestClocks:
     def test_local_clocks_disagree_but_true_time_agrees(self):
