@@ -5,7 +5,7 @@ up under sustained load *and* keep the reproducibility contract.  This
 benchmark runs the closed-loop load generator against a chaos-mode
 server three times -- healthy baseline, faulted without client retries,
 faulted with retries -- while a seeded :class:`FaultPlan` worth of
-worker kills, cache corruptions and evaluator stalls is re-armed
+cache corruptions, cache delays and evaluator stalls is re-armed
 throughout the run, and asserts the acceptance bar:
 
 * zero malformed responses (transport errors) in every mode -- a fault
@@ -54,7 +54,7 @@ def _request(sequence: int) -> dict:
 def _drive(db, spec, tmp_dir, *, chaos: bool, retries: int) -> dict:
     injector = FaultInjector(seed=CHAOS_SEED) if chaos else None
     service = PredictionService(
-        db, spec=spec, workers=2, cache_dir=tmp_dir,
+        db, spec=spec, cache_dir=tmp_dir,
         queue_limit=8, deadline_s=5.0, breaker_cooldown=0.2,
         fault_injector=injector,
     )
@@ -93,9 +93,6 @@ def _drive(db, spec, tmp_dir, *, chaos: bool, retries: int) -> dict:
     summary = result.summary()
     summary["record"] = record
     summary["injected"] = injector.snapshot()["injected"] if chaos else {}
-    summary["pool_rebuilds"] = service.metrics.counter(
-        "repro_pool_rebuilds_total"
-    )
     summary["cache_corrupt"] = service.metrics.total(
         "repro_cache_corrupt_total"
     )
@@ -147,7 +144,7 @@ def test_service_under_chaos(spec, fig6_db, out_dir, tmp_path):
         title=(
             f"chaos: jacobi {ITERATIONS} iters x{NPROCS}, {RUNS} MC runs, "
             f"{CONCURRENCY} clients, plan seed {CHAOS_SEED} "
-            f"(kill/corrupt/delay/stall), {DURATION:g}s per mode"
+            f"(corrupt/delay/stall), {DURATION:g}s per mode"
         ),
     )
     write_figure(out_dir, "chaos_service", table)

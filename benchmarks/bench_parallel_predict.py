@@ -26,7 +26,7 @@ import time
 from conftest import CACHE_DIR, write_figure
 from repro._tables import format_table, format_time
 from repro.apps.jacobi import parse_jacobi
-from repro.pevpm import VECTOR_BATCH, predict, timing_from_db
+from repro.pevpm import VECTOR_BATCH, predict, resolve_workers, timing_from_db
 
 ITERATIONS = 100
 NPROCS = 16
@@ -76,6 +76,8 @@ def test_parallel_predict(spec, fig6_db, out_dir):
         ["host cores", str(cores)],
         ["workers=1 wall", format_time(serial_wall)],
         [f"workers={WORKERS} wall", format_time(parallel_wall)],
+        # the pool is clamped to the usable cores
+        ["pool processes", str(resolve_workers(WORKERS, RUNS // VECTOR_BATCH))],
         ["parallel speedup", f"{speedup:.2f}x"],
         ["bit-identical times", str(parallel.times == serial.times)],
         ["slowest single run", format_time(serial.max_run_wall)],

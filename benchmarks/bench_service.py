@@ -14,12 +14,11 @@ one engine evaluation per request), and asserts:
   call -- throughput features must not move the numbers.
 """
 
-import os
-
 from conftest import write_figure
 from repro._tables import format_table
 from repro.apps.jacobi import parse_jacobi
 from repro.pevpm import predict, timing_from_db
+from repro.pevpm.parallel import usable_cores
 from repro.service import (
     LoadGenerator,
     PredictionService,
@@ -133,29 +132,17 @@ def _shard_request(sequence: int) -> dict:
     }
 
 
-def _host_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def test_sharded_service_throughput(spec, fig6_db, out_dir):
-    """Scale-out measurement: 1-shard vs 4-shard closed-loop throughput,
-    driven direct-to-shard with client-side hash routing, plus the
-    bit-identity contract through the router itself."""
+    """Scale-out measurement: 1-shard vs 4-shard closed-loop throughput
+    through the front router, plus the bit-identity contract through
+    the router and through every individual shard."""
     results: dict[int, dict] = {}
     for shards in SHARD_COUNTS:
         with Supervisor(
-            fig6_db, shards, router=False, tracing=False, drain_grace=3.0
+            fig6_db, shards, tracing=False, drain_grace=3.0
         ) as supervisor:
-            endpoints = [
-                supervisor.shard_address(i) for i in range(shards)
-            ]
             gen = LoadGenerator(
-                request_factory=_shard_request,
-                concurrency=8,
-                endpoints=endpoints,
+                *supervisor.address, _shard_request, concurrency=8
             )
             results[shards] = gen.run(duration=DURATION).summary()
 
@@ -183,7 +170,7 @@ def test_sharded_service_throughput(spec, fig6_db, out_dir):
             )
             client.close()
 
-    cpus = _host_cpus()
+    cpus = usable_cores()
     ratio = results[4]["throughput_rps"] / max(
         results[1]["throughput_rps"], 1e-9
     )

@@ -23,8 +23,8 @@ Subcommands:
 * ``repro registry``  -- manage the service's distribution registry
   (list / upload / promote / delete versioned cluster databases);
 * ``repro chaos``     -- arm deterministic faults on a ``--chaos``
-  server (kill a pool worker, corrupt/delay the disk cache, stall the
-  evaluator) and inspect what fired;
+  server (corrupt/delay the disk cache, stall the evaluator) and
+  inspect what fired;
 * ``repro trace``     -- fetch recent request traces from a running
   service and render them as per-stage ASCII waterfalls.
 
@@ -65,6 +65,17 @@ def _parse_config(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"config must look like '8x1' or '64x2', got {text!r}"
         ) from None
+
+
+def _serve_workers(text: str) -> int:
+    """``repro serve --workers``: only 1 is accepted.  A server
+    evaluates in its own process; more cores serve through shards."""
+    if text.strip() != "1":
+        raise argparse.ArgumentTypeError(
+            f"only 1 is accepted, got {text!r}; serve on more cores "
+            "with --shards N"
+        )
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,13 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="server processes to run (N > 1: supervised sharded tier "
-             "with consistent-hash routing and a shared disk cache)",
-    )
-    p_serve.add_argument(
-        "--reuseport", action="store_true",
-        help="with --shards: bind every shard to the public port via "
-             "SO_REUSEPORT and let the kernel spread connections, "
-             "instead of running the front router",
+             "behind a consistent-hash router, sharing one disk cache); "
+             "the way to serve on more than one core",
     )
     p_serve.add_argument(
         "--db", metavar="FILE",
@@ -227,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--seed", type=int, default=1)
     p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes per engine evaluation (results are "
-             "identical for any setting)",
+        "--workers", type=_serve_workers, default=1, metavar="1",
+        help="accepted for compatibility; only 1 (each server evaluates "
+             "in its own process -- use --shards N for more cores)",
     )
     p_serve.add_argument(
         "--cache-dir", metavar="DIR",
@@ -334,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "action",
         choices=[
-            "status", "kill-worker", "corrupt-cache", "delay-cache",
-            "stall", "plan",
+            "status", "corrupt-cache", "delay-cache", "stall", "plan",
         ],
         help="fault to arm (or 'status' to inspect the injector)",
     )
@@ -423,12 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument("--host", default="127.0.0.1")
     p_load.add_argument("--port", type=int, default=8100)
-    p_load.add_argument(
-        "--endpoints", nargs="+", metavar="HOST:PORT",
-        help="shard addresses for client-side consistent-hash routing "
-             "(endpoint order must match shard ids; overrides "
-             "--host/--port)",
-    )
     p_load.add_argument(
         "--concurrency", type=int, nargs="+", default=[1, 8],
         help="closed-loop client counts to sweep",
@@ -648,7 +647,6 @@ def cmd_predict(args) -> int:
                     seed=args.seed,
                     vector_batch=args.min_runs if args.target_rse is not None else None,
                     nic_serialisation="tx",
-                    workers=args.workers,
                     extra={"speedup": pred.speedup(serial)},
                 )
                 for name, pred in preds.items()
@@ -822,7 +820,7 @@ def cmd_serve(args) -> int:
         )
         configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
         db = bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
-    if args.shards > 1 or args.reuseport:
+    if args.shards > 1:
         import tempfile
 
         from .registry import RegistryStore
@@ -832,7 +830,7 @@ def cmd_serve(args) -> int:
         if args.chaos or args.log_json:
             print(
                 "repro serve: --chaos and --log-json are per-process "
-                "features; run them without --shards/--reuseport",
+                "features; run them without --shards",
                 file=sys.stderr,
             )
             return 2
@@ -856,9 +854,7 @@ def cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             cache_dir=args.cache_dir,
-            reuse_port=args.reuseport,
             drain_grace=args.drain_grace,
-            workers=args.workers,
             lru_size=args.lru_size,
             max_batch=args.max_batch,
             max_wait=args.max_wait_ms / 1e3,
@@ -886,7 +882,6 @@ def cmd_serve(args) -> int:
     service = PredictionService(
         db,
         spec=spec,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         lru_size=args.lru_size,
         max_batch=args.max_batch,
@@ -1008,7 +1003,6 @@ def cmd_chaos(args) -> int:
             })
         else:
             kind = {
-                "kill-worker": "kill_worker",
                 "corrupt-cache": "corrupt_cache",
                 "delay-cache": "delay_cache",
                 "stall": "stall_evaluator",
@@ -1137,23 +1131,9 @@ def cmd_loadgen(args) -> int:
             body["runs"] = args.runs
         return body
 
-    endpoints = None
-    if args.endpoints:
-        endpoints = []
-        for text in args.endpoints:
-            host, _, port = text.rpartition(":")
-            if not host or not port.isdigit():
-                print(
-                    f"repro loadgen: --endpoints entries must look like "
-                    f"HOST:PORT, got {text!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            endpoints.append((host, int(port)))
     # Fail fast (and warm the campaign-dependent code paths) before
     # unleashing the client threads.
-    for host, port in endpoints or [(args.host, args.port)]:
-        ServiceClient(host, port).healthz()
+    ServiceClient(args.host, args.port).healthz()
     retry = None
     if args.retries > 0:
         retry = RetryPolicy(retries=args.retries, base=args.retry_base)
@@ -1161,7 +1141,7 @@ def cmd_loadgen(args) -> int:
     for concurrency in args.concurrency:
         gen = LoadGenerator(
             args.host, args.port, request_factory, concurrency=concurrency,
-            retry=retry, endpoints=endpoints,
+            retry=retry,
         )
         result = gen.run(duration=args.duration)
         summaries.append(result.summary())

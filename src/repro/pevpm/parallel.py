@@ -61,6 +61,7 @@ __all__ = [
     "group_run_seeds",
     "keyed_batch",
     "resolve_workers",
+    "usable_cores",
     "evaluate_groups",
 ]
 
@@ -82,8 +83,8 @@ POOL_REBUILD_LIMIT = 2
 #: a pool silent for this long is stuck, not slow.
 POOL_WEDGE_TIMEOUT = 120.0
 
-#: chaos hook (see :mod:`repro.service.faults`): an object whose
-#: ``on_pool_dispatch(pool)`` is called after each round of submissions
+#: crash-recovery test hook: an object whose ``on_pool_dispatch(pool)``
+#: is called after each round of submissions (e.g. to SIGKILL a worker)
 _FAULT_INJECTOR = None
 
 
@@ -304,18 +305,28 @@ def _run_batch_task(group_idx: int, start: int, size: int, trace: bool):
 
 
 # -- the engine ---------------------------------------------------------------
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the
+    platform reports one, else the host's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None, tasks: int) -> int:
     """Number of pool processes to use for *tasks* independent runs.
 
-    ``None`` means one per host core, never more than there are tasks;
-    explicit values are clamped the same way.  A result of 1 selects the
-    serial path.
+    ``None`` means one per usable core.  Any value is clamped to the
+    usable cores and to the number of tasks: more processes than either
+    only add start-up cost.  A result of 1 selects the serial path.
     """
+    cores = usable_cores()
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cores
     if workers < 1:
         raise ValueError("workers must be >= 1 (or None for one per core)")
-    return max(1, min(workers, tasks))
+    return max(1, min(workers, cores, tasks))
 
 
 def _work_units(
@@ -428,7 +439,7 @@ def evaluate_groups(
     same way.  After :data:`POOL_REBUILD_LIMIT` rebuilds the remaining
     units finish serially instead, so the evaluation always terminates.
     *on_rebuild*, when given, is called with the rebuild ordinal each
-    time the pool is reconstructed (metrics hook for the serving layer).
+    time the pool is reconstructed.
     """
     if sum(g.runs for g in groups) == 0:
         return [[] for _ in groups]

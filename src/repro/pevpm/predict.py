@@ -373,7 +373,6 @@ def evaluate_with_precision(
     fixed_groups: list[RunGroup],
     adaptive_pairs: list[tuple[RunGroup, PrecisionTarget]],
     workers: int | None = None,
-    on_rebuild: Callable[[int], None] | None = None,
 ) -> tuple[list[list], list[float], list[AdaptiveResult]]:
     """Round-based evaluation mixing fixed and adaptive groups.
 
@@ -411,7 +410,7 @@ def evaluate_with_precision(
             break
         first = False
         t0 = _time.perf_counter()
-        per = evaluate_groups(round_groups, workers=workers, on_rebuild=on_rebuild)
+        per = evaluate_groups(round_groups, workers=workers)
         wall = _time.perf_counter() - t0
         total_w = sum(o.wall for outs in per for o in outs) or 1.0
         for owner, g, outs in zip(owners, round_groups, per):

@@ -14,8 +14,8 @@ the request funnel a production serving layer needs:
   requests;
 * :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines
   (504) and the engine-health circuit breaker (503);
-* :mod:`.faults`  -- deterministic fault injection (worker kills,
-  cache corruption, stalls) behind ``repro serve --chaos``;
+* :mod:`.faults`  -- deterministic fault injection (cache corruption,
+  cache delays, evaluator stalls) behind ``repro serve --chaos``;
 * :mod:`.metrics` -- counters, gauges, per-stage latency histograms
   and endpoint latency summaries, Prometheus text format (the
   observability layer of :mod:`repro.obs` feeds the stage histograms

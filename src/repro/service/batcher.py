@@ -8,8 +8,7 @@ collected for up to ``max_wait`` seconds (or ``max_batch`` requests,
 whichever first) and handed to the engine as **one**
 :func:`~repro.pevpm.parallel.evaluate_groups` call.  Each request stays
 its own :class:`~repro.pevpm.parallel.RunGroup` with its own seed
-streams -- coalescing shares pool start-up, per-group program
-compilation and (with ``workers > 1``) the worker processes, but never
+streams -- coalescing shares per-group program compilation, but never
 the random draws, so every request's times remain bit-identical to a
 direct ``predict(...)`` call.  Within a group, a static program is
 evaluated as ``BatchedVirtualMachine`` chunks, the engine's

@@ -35,8 +35,6 @@ from typing import Callable
 
 from ..mpibench.histogram import Histogram
 from .metrics import ServiceMetrics
-from .records import routing_key_for
-from .sharding import DEFAULT_REPLICAS, HashRing
 
 __all__ = [
     "LoadGenerator",
@@ -418,61 +416,27 @@ class LoadResult:
 
 
 class LoadGenerator:
-    """Closed-loop load: *concurrency* threads, each firing back-to-back.
-
-    With *endpoints* (a list of ``(host, port)`` shard addresses) each
-    request is routed client-side on its
-    :func:`~.records.routing_key_for` over the same consistent-hash
-    ring the front router builds (endpoint index = shard id, same
-    ``replicas``), so direct-to-shard load preserves cluster-wide cache
-    affinity exactly as router-side routing would -- the topology for
-    SO_REUSEPORT-free benchmarking without the router hop.
-    """
+    """Closed-loop load: *concurrency* threads, each firing back-to-back
+    at one service address (a single server, or a sharded tier's
+    router)."""
 
     def __init__(
         self,
-        host: str | None = None,
-        port: int | None = None,
-        request_factory: Callable[[int], dict] | None = None,
+        host: str,
+        port: int,
+        request_factory: Callable[[int], dict],
         concurrency: int = 8,
         retry: RetryPolicy | None = None,
-        *,
-        endpoints: list[tuple[str, int]] | None = None,
-        replicas: int = DEFAULT_REPLICAS,
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if request_factory is None:
-            raise ValueError("request_factory is required")
-        if endpoints is None:
-            if host is None or port is None:
-                raise ValueError("need host+port or endpoints")
-            endpoints = [(host, int(port))]
-        elif not endpoints:
-            raise ValueError("endpoints must be non-empty")
-        self.endpoints = [(h, int(p)) for h, p in endpoints]
-        self.host, self.port = self.endpoints[0]
-        #: endpoint-index ring, mirroring the router's shard-id ring;
-        #: ``None`` (single endpoint) keeps routing off the hot path
-        self._ring = (
-            HashRing(range(len(self.endpoints)), replicas=replicas)
-            if len(self.endpoints) > 1
-            else None
-        )
+        self.host = host
+        self.port = int(port)
         self.request_factory = request_factory
         self.concurrency = concurrency
         #: optional client-side retry policy; ``None`` measures the raw
         #: service (every 429/504 lands in ``status_counts`` verbatim)
         self.retry = retry
-
-    def endpoint_for(self, request: dict) -> int:
-        """Index of the endpoint owning *request* (0 when unrouted)."""
-        if self._ring is None:
-            return 0
-        key = routing_key_for(request)
-        if key is None:
-            return 0
-        return self._ring.owner(key)
 
     def run(
         self,
@@ -506,20 +470,8 @@ class LoadGenerator:
                         else self.retry.seed + index
                     ),
                 )
-            # One persistent connection per endpoint per thread, made
-            # lazily: a thread whose keys all hash to one shard opens
-            # exactly one connection, as in the unsharded case.
-            clients: dict[int, ServiceClient] = {}
-
-            def client_for(idx: int) -> ServiceClient:
-                client = clients.get(idx)
-                if client is None:
-                    host, port = self.endpoints[idx]
-                    client = clients[idx] = ServiceClient(
-                        host, port, retry=retry
-                    )
-                return client
-
+            # One persistent connection per thread.
+            client = ServiceClient(self.host, self.port, retry=retry)
             start_barrier.wait()
             while True:
                 with lock:
@@ -533,7 +485,6 @@ class LoadGenerator:
                     counter["sent"] += 1
                     sequence = counter["sent"] - 1
                 request = self.request_factory(sequence)
-                client = client_for(self.endpoint_for(request))
                 t0 = _time.perf_counter()
                 try:
                     if retry is not None:
@@ -552,14 +503,10 @@ class LoadGenerator:
                     result.status_counts[status] = (
                         result.status_counts.get(status, 0) + 1
                     )
-            retried = sum(
-                client.metrics.total("repro_client_retries_total")
-                for client in clients.values()
-            )
+            retried = client.metrics.total("repro_client_retries_total")
             with lock:
                 result.retries += int(retried)
-            for client in clients.values():
-                client.close()
+            client.close()
 
         threads = [
             threading.Thread(

@@ -8,9 +8,6 @@ numbers right.  This module provides the controlled failures the
 fault-tolerance tests, the chaos benchmark and the ``repro chaos`` CLI
 inject:
 
-* ``kill_worker``      -- SIGKILL one process of the engine's
-  :class:`~concurrent.futures.ProcessPoolExecutor` mid-evaluation
-  (exercises the ``BrokenProcessPool`` rebuild/re-dispatch path);
 * ``corrupt_cache``    -- overwrite an on-disk entry of one of the
   service's content stores (prediction cache, registry databases,
   imported programs) with truncated garbage (exercises the one
@@ -21,11 +18,11 @@ inject:
 
 Every fault is *armed* explicitly (or through a seeded
 :class:`FaultPlan`) and fires at a deterministic site: the injector
-counts site events (evaluator batches, disk-cache reads, pool
-dispatches) and a fault armed ``at=k`` fires on event *k*; ``at=None``
-fires on the next event.  Randomness (which cache entry to corrupt,
-plan composition) comes only from the injector's own seeded generator,
-so a chaos run is replayable.
+counts site events (evaluator batches, disk-cache reads) and a fault
+armed ``at=k`` fires on event *k*; ``at=None`` fires on the next
+event.  Randomness (which cache entry to corrupt, plan composition)
+comes only from the injector's own seeded generator, so a chaos run is
+replayable.
 
 The injector is attached to a :class:`~.server.PredictionService`
 (``fault_injector=``/``repro serve --chaos``) which exposes it over
@@ -37,9 +34,7 @@ state the recovery paths must reconstruct bit-identically.
 
 from __future__ import annotations
 
-import os
 import random
-import signal
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -48,15 +43,7 @@ from pathlib import Path
 __all__ = ["FAULT_KINDS", "FaultInjector", "FaultPlan", "FaultSpec"]
 
 #: the injectable fault kinds, in the order seeded plans draw them
-FAULT_KINDS = ("kill_worker", "corrupt_cache", "delay_cache", "stall_evaluator")
-
-#: site whose event counter triggers each fault kind
-_SITE_FOR = {
-    "kill_worker": "dispatch",
-    "corrupt_cache": "cache_read",
-    "delay_cache": "cache_read",
-    "stall_evaluator": "evaluate",
-}
+FAULT_KINDS = ("corrupt_cache", "delay_cache", "stall_evaluator")
 
 #: bytes a corrupted cache entry is truncated to (invalid JSON)
 _GARBAGE = '{"version": 2, "times": [0.0'
@@ -132,7 +119,7 @@ class FaultInjector:
 
     Thread-safe: faults are armed from the event-loop thread (the
     ``/chaos`` endpoint) or a test, and fire on the evaluator thread
-    (stalls, pool kills) or the event-loop thread (cache reads).
+    (stalls) or the event-loop thread (cache reads).
     """
 
     def __init__(self, seed: int = 0):
@@ -144,9 +131,7 @@ class FaultInjector:
         self.stores: dict = {}
         self._armed: dict[str, list[FaultSpec]] = {k: [] for k in FAULT_KINDS}
         #: site -> events seen so far
-        self.events: dict[str, int] = {
-            "evaluate": 0, "cache_read": 0, "dispatch": 0,
-        }
+        self.events: dict[str, int] = {"evaluate": 0, "cache_read": 0}
         #: kind -> faults actually fired
         self.injected: dict[str, int] = {k: 0 for k in FAULT_KINDS}
 
@@ -234,28 +219,6 @@ class FaultInjector:
         spec = self._take("delay_cache", "cache_read")
         if spec is not None and spec.seconds > 0:
             _time.sleep(spec.seconds)
-
-    def on_pool_dispatch(self, pool) -> None:
-        """Engine thread, after submitting work to a fresh process pool."""
-        with self._lock:
-            self.events["dispatch"] += 1
-        spec = self._take("kill_worker", "dispatch")
-        if spec is None:
-            return
-        procs = sorted(
-            getattr(pool, "_processes", {}).values(), key=lambda p: p.pid
-        )
-        if not procs:
-            # Pool has no live worker yet: re-arm for the next dispatch.
-            with self._lock:
-                self.injected["kill_worker"] -= 1
-                self._armed["kill_worker"].insert(0, spec)
-            return
-        victim = procs[self._rng.randrange(len(procs))]
-        try:
-            os.kill(victim.pid, signal.SIGKILL)
-        except (OSError, ProcessLookupError):
-            pass
 
     # -- introspection -----------------------------------------------------------
     @property

@@ -139,9 +139,8 @@ class ServiceMetrics:
         self._gauge_fns: dict[tuple[str, tuple], Callable[[], float]] = {}
         self._reservoir = reservoir
         # Counters are bumped from the event loop *and* the evaluator
-        # thread (pool rebuilds, fault-injector hooks); the lock makes
-        # the read-modify-write atomic so no increment is lost.  Cheap
-        # relative to any engine evaluation.
+        # thread; the lock makes the read-modify-write atomic so no
+        # increment is lost.  Cheap relative to any engine evaluation.
         self._lock = threading.Lock()
 
     # -- recording ----------------------------------------------------------------

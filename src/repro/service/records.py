@@ -414,7 +414,6 @@ def prediction_record(
     seed: int | None = None,
     vector_batch: int | None = None,
     nic_serialisation: str | None = None,
-    workers: int | None = None,
     extra: dict | None = None,
 ) -> dict:
     """Machine-readable record of one prediction.
@@ -445,8 +444,6 @@ def prediction_record(
     record["engine"]["vector_batch"] = vector_batch or VECTOR_BATCH
     if nic_serialisation is not None:
         record["engine"]["nic_serialisation"] = nic_serialisation
-    if workers is not None:
-        record["engine"]["workers"] = workers
     if extra:
         record.update(extra)
     return record

@@ -1,9 +1,8 @@
 """The front router: one public socket over N shard server processes.
 
-A :class:`ShardRouter` is the portable scale-out path (SO_REUSEPORT is
-the zero-hop alternative where available): it accepts client
-connections, parses each request with the same HTTP machinery the
-shards use, and forwards it to the shard that *owns* the request --
+A :class:`ShardRouter` is how the service scales out: it accepts
+client connections, parses each request with the same HTTP machinery
+the shards use, and forwards it to the shard that *owns* the request --
 consistent-hash routing (:mod:`.sharding`) on the content-addressed
 routing key (:meth:`~.records.PredictRequest.routing_key`).  A key
 always lands on the same shard, so the funnel's throughput tiers keep
@@ -41,7 +40,7 @@ import threading
 from .metrics import ServiceMetrics
 from .records import routing_key_for
 from .server import read_http_request, render_http_response
-from .sharding import DEFAULT_REPLICAS, HashRing
+from .sharding import HashRing
 
 __all__ = ["Backend", "RouterThread", "ShardRouter"]
 
@@ -88,7 +87,6 @@ class ShardRouter:
         backends: list[Backend],
         host: str = "127.0.0.1",
         port: int = 0,
-        replicas: int = DEFAULT_REPLICAS,
         backend_timeout: float = 60.0,
         on_down=None,
     ):
@@ -101,7 +99,7 @@ class ShardRouter:
         }
         #: ring over *all* configured shards; down/draining members are
         #: skipped at lookup so a recovered shard reclaims its range
-        self.ring = HashRing(self.backends, replicas=replicas)
+        self.ring = HashRing(self.backends)
         self.backend_timeout = backend_timeout
         #: callback(shard_id) fired (loop thread) when a backend dies
         self.on_down = on_down

@@ -50,7 +50,6 @@ from urllib.parse import parse_qsl, urlsplit
 from ..cas import LRU
 from ..mpibench.results import DistributionDB
 from ..obs import ENGINE_PHASES, JsonLogger, Tracer, clean_trace_id, merge_phases
-from ..pevpm import parallel as _parallel
 from ..pevpm.machine import ModelDeadlock
 from ..pevpm.parallel import (
     RunGroup,
@@ -162,7 +161,6 @@ class PredictionService:
         db: DistributionDB,
         spec=None,
         *,
-        workers: int | None = 1,
         cache_dir=None,
         lru_size: int = 1024,
         max_batch: int = 8,
@@ -187,7 +185,6 @@ class PredictionService:
     ):
         self.db = db
         self.spec = spec if spec is not None else perseus()
-        self.workers = workers
         self.deadline_s = deadline_s
         self.caching = caching
         self.dedup_enabled = dedup
@@ -209,9 +206,6 @@ class PredictionService:
                 "repro_trace_buffer_traces", lambda: len(tracer)
             )
         self.faults = fault_injector
-        if fault_injector is not None:
-            # Pool-kill faults fire inside the engine module.
-            _parallel.install_fault_injector(fault_injector)
         # The prediction cache: an LRU of finished documents (the memory
         # tier, no encoding on either path) in front of the optional
         # on-disk store shared by every process writing the directory.
@@ -409,11 +403,16 @@ class PredictionService:
         fixed-``runs`` groups evaluate in its first round, and adaptive
         groups' refinement increments coalesce -- every round is a
         single ``evaluate_groups`` dispatch covering all still-active
-        requests, so concurrent adaptive refinements share the pool just
-        as fixed batch-mates do.  A failure (e.g. a deadlocking model)
-        falls back to per-request evaluation so one poisoned request
-        cannot fail its batch-mates.  Returns one document or exception
-        per request.
+        requests, so concurrent adaptive refinements share program
+        compilation just as fixed batch-mates do.  A failure (e.g. a
+        deadlocking model) falls back to per-request evaluation so one
+        poisoned request cannot fail its batch-mates.  Returns one
+        document or exception per request.
+
+        Evaluation stays in this process: ``workers=1`` is explicit
+        because the engine defaults to one worker per core.  Served
+        requests are too small for a process pool to pay; more cores
+        serve through more shards (``repro serve --shards N``).
         """
         if self.faults is not None:
             self.faults.on_evaluate()
@@ -439,20 +438,13 @@ class PredictionService:
             return results
         try:
             fixed_out, fixed_walls, adaptive_results = evaluate_with_precision(
-                fixed_groups,
-                adaptive_pairs,
-                workers=self.workers,
-                on_rebuild=self._pool_rebuilt,
+                fixed_groups, adaptive_pairs, workers=1
             )
         except Exception:
             for i, group in zip(fixed_idx, fixed_groups):
                 try:
                     t1 = _time.perf_counter()
-                    outcomes = evaluate_groups(
-                        [group],
-                        workers=self.workers,
-                        on_rebuild=self._pool_rebuilt,
-                    )[0]
+                    outcomes = evaluate_groups([group], workers=1)[0]
                     results[i] = self._finish(
                         group, outcomes, _time.perf_counter() - t1
                     )
@@ -461,10 +453,7 @@ class PredictionService:
             for i, (group, target) in zip(adaptive_idx, adaptive_pairs):
                 try:
                     _, _, singles = evaluate_with_precision(
-                        [],
-                        [(group, target)],
-                        workers=self.workers,
-                        on_rebuild=self._pool_rebuilt,
+                        [], [(group, target)], workers=1
                     )
                     results[i] = self._finish_adaptive(group, target, singles[0])
                 except Exception as exc:
@@ -480,10 +469,6 @@ class PredictionService:
                 results[i] = self._finish_adaptive(group, target, result)
         return results
 
-    def _pool_rebuilt(self, ordinal: int) -> None:
-        """Engine recovery hook: a broken process pool was rebuilt."""
-        self.metrics.inc("repro_pool_rebuilds_total")
-
     # -- request funnel (event-loop thread) -----------------------------------
     async def _engine_submit(
         self, req: PredictRequest, trace=None, tenant: str | None = None
@@ -491,7 +476,7 @@ class PredictionService:
         """Admit one request to the engine, with breaker accounting.
 
         The breaker watches engine *health*: infrastructure failures
-        (evaluator crash, unrecoverable pool loss) count against it;
+        (an evaluator crash) count against it;
         request-shaped outcomes (deadlocking models, bad requests,
         shedding, throttling, cancellation) do not.
         """
@@ -870,7 +855,6 @@ class PredictionService:
             seed=req.seed,
             vector_batch=req.vector_batch,
             nic_serialisation=req.nic_serialisation,
-            workers=self.workers,
             extra={
                 "model": req.model,
                 "model_params": req.model_params,
@@ -1255,30 +1239,20 @@ class PredictionService:
 
     def close(self) -> None:
         self.batcher.close()
-        if self.faults is not None:
-            _parallel.install_fault_injector(None)
 
 
 class ServiceServer:
-    """HTTP front-end binding a :class:`PredictionService` to a socket.
-
-    With ``reuse_port=True`` the listener sets ``SO_REUSEPORT`` before
-    binding, so N shard processes can share one (host, port) and let the
-    kernel spread connections -- the router-less deployment topology
-    (no cache affinity, but zero added hops; see DESIGN.md section 7).
-    """
+    """HTTP front-end binding a :class:`PredictionService` to a socket."""
 
     def __init__(
         self,
         service: PredictionService,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuse_port: bool = False,
     ):
         self.service = service
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
 
@@ -1499,9 +1473,8 @@ class ServiceServer:
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.host, self.port

@@ -20,11 +20,6 @@ the next point clockwise -- the shard's *failover owner*); every other
 key keeps its owner.  That property is what makes shard death cheap:
 the router re-routes exactly the dead shard's hash range and nothing
 else, and when the supervisor restarts the shard its range snaps back.
-
-Both the router and the sharding-aware load generator build their rings
-from the same shard ids with the same ``replicas``, so client-side
-routing (direct-to-shard, the SO_REUSEPORT-style topology) and
-router-side routing agree on every key's owner.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ and binds them together into one deployment:
   so concurrent shard processes need no further coordination: a
   prediction computed by any shard (or by ``repro predict`` against
   the same directory) is a disk hit for all of them.
-* **front router** (default) -- a :class:`~.router.ShardRouter` on the
-  public port, consistent-hash routing per :mod:`.sharding`; or
-* **SO_REUSEPORT** -- no router: every shard binds the same (host,
-  port) and the kernel spreads connections.  Zero added hops, no cache
-  affinity; the shared disk tier is what keeps repeat traffic cheap.
+* **front router** -- a :class:`~.router.ShardRouter` on the public
+  port, consistent-hash routing per :mod:`.sharding`: one ``/metrics``
+  and one ``/healthz`` for the tier, and per-key cache and singleflight
+  affinity.
 * **restart** -- a monitor thread waits on the child process sentinels;
   an unexpected exit marks the backend down (its hash range fails over
   to the next ring owner) and respawns it on the same port, after
@@ -90,7 +89,6 @@ def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
     service = PredictionService(
         db,
         spec=perseus(),
-        workers=cfg["workers"],
         cache_dir=cfg["cache_dir"],
         lru_size=cfg["lru_size"],
         max_batch=cfg["max_batch"],
@@ -105,12 +103,7 @@ def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
         registry=registry,
         tenant_rate=cfg.get("tenant_rate", 0.0),
     )
-    server = ServiceServer(
-        service,
-        host=cfg["host"],
-        port=cfg["port"],
-        reuse_port=cfg["reuse_port"],
-    )
+    server = ServiceServer(service, host=cfg["host"], port=cfg["port"])
 
     async def _serve() -> None:
         await server.start()
@@ -137,7 +130,7 @@ def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
 
 
 class Supervisor:
-    """N shard server processes plus (optionally) the front router."""
+    """N shard server processes behind the front router."""
 
     def __init__(
         self,
@@ -147,11 +140,8 @@ class Supervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_dir=None,
-        router: bool = True,
-        reuse_port: bool = False,
         restart: bool = True,
         drain_grace: float = 10.0,
-        workers: int | None = 1,
         lru_size: int = 1024,
         max_batch: int = 8,
         max_wait: float = 0.002,
@@ -167,20 +157,13 @@ class Supervisor:
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
-                raise RuntimeError("SO_REUSEPORT not available on this platform")
-            router = False
         self.db = db  # a DistributionDB or a path to a saved one
         self.n_shards = n_shards
         self.host = host
-        self.port = port  #: public port (router's, or the shared one)
-        self.use_router = router
-        self.reuse_port = reuse_port
+        self.port = port  #: public port: the router's
         self.restart = restart
         self.drain_grace = drain_grace
         self._opts = {
-            "workers": workers,
             "lru_size": lru_size,
             "max_batch": max_batch,
             "max_wait": max_wait,
@@ -228,7 +211,6 @@ class Supervisor:
             "host": self.host,
             "port": self.shard_ports[shard_id],
             "cache_dir": self.cache_dir,
-            "reuse_port": self.reuse_port,
             "drain_grace": self.drain_grace,
             "registry_dir": (
                 None if self.registry_dir is None
@@ -295,36 +277,25 @@ class Supervisor:
             self.cache_dir = tempfile.mkdtemp(prefix="repro-shard-cache-")
         if self._tmp_registry:
             self.registry_dir = tempfile.mkdtemp(prefix="repro-registry-")
-        if self.reuse_port:
-            # All shards share the public port; pick one if unbound.
-            if self.port == 0:
-                self.port = _free_port(self.host)
-            self.shard_ports = [self.port] * self.n_shards
-        else:
-            self.shard_ports = [
-                _free_port(self.host) for _ in range(self.n_shards)
-            ]
+        self.shard_ports = [
+            _free_port(self.host) for _ in range(self.n_shards)
+        ]
         for shard_id in range(self.n_shards):
             self.procs[shard_id] = self._spawn(shard_id)
         for shard_id in range(self.n_shards):
             self._wait_healthy(shard_id)
-        if self.use_router:
-            backends = [
-                Backend(i, self.host, self.shard_ports[i])
-                for i in range(self.n_shards)
-            ]
-            router = ShardRouter(
-                backends,
-                host=self.host,
-                port=self.port,
-                on_down=lambda _sid: self._wake.set(),
-            )
-            self.router_thread = RouterThread(router)
-            _, self.port = self.router_thread.start()
-        elif not self.reuse_port:
-            # Router-less, distinct ports: "the public port" is shard
-            # 0's; callers route client-side via shard_address().
-            self.port = self.shard_ports[0]
+        backends = [
+            Backend(i, self.host, self.shard_ports[i])
+            for i in range(self.n_shards)
+        ]
+        router = ShardRouter(
+            backends,
+            host=self.host,
+            port=self.port,
+            on_down=lambda _sid: self._wake.set(),
+        )
+        self.router_thread = RouterThread(router)
+        _, self.port = self.router_thread.start()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-supervisor", daemon=True
         )
@@ -466,14 +437,9 @@ class Supervisor:
         }
         try:
             host, port = self.start()
-            topology = (
-                "SO_REUSEPORT" if self.reuse_port
-                else "router" if self.use_router
-                else "direct"
-            )
             print(
                 f"repro service listening on http://{host}:{port} "
-                f"({self.n_shards} shards, {topology}; shard ports: "
+                f"({self.n_shards} shards, router; shard ports: "
                 f"{json.dumps(self.shard_ports)})",
                 flush=True,
             )

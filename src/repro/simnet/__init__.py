@@ -9,11 +9,8 @@ on top of it; MPIBench and PEVPM never look inside.
 
 from .clock import ClockManager, NodeClock
 from .engine import (
-    AllOf,
-    AnyOf,
     DeadlockError,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -36,8 +33,6 @@ from .topology import (
 from .transport import Delivery, Network
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "BandwidthResource",
     "ClockManager",
     "ClusterSpec",
@@ -46,7 +41,6 @@ __all__ = [
     "Event",
     "GBIT",
     "HostModel",
-    "Interrupt",
     "MBIT",
     "Network",
     "NetworkMonitor",

@@ -9,8 +9,7 @@ discrete-event framework in the style of SimPy:
 * :class:`Event` objects that processes can wait on,
 * :class:`Timeout` events that fire after a simulated delay,
 * :class:`Process` objects wrapping Python generators -- a process *yields*
-  events and is resumed when they trigger,
-* :class:`AnyOf` / :class:`AllOf` composite conditions.
+  events and is resumed when they trigger.
 
 The engine is deterministic: events scheduled for the same simulated time
 are processed in schedule order (FIFO), so a simulation driven by seeded
@@ -41,9 +40,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
     "SimulationError",
     "DeadlockError",
 ]
@@ -57,19 +53,6 @@ class DeadlockError(SimulationError):
     """Raised by :meth:`Simulator.run` when live processes remain but no
     events are scheduled -- i.e. every process is waiting on an event that
     can never trigger."""
-
-
-class Interrupt(Exception):
-    """Thrown *into* a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives this exception at its current yield
-    point and may catch it to implement cancellation or retry logic;
-    nothing in :mod:`repro` does (TCP retransmission waits on timeouts).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -199,26 +182,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._waiting_on
-        if target is None:
-            raise SimulationError(f"process {self.name!r} is not waiting")
-        # Deliver the interrupt via a fresh immediate event so kernel
-        # invariants (no synchronous resumption) hold.
-        intr = Event(self.sim, name=f"interrupt:{self.name}")
-        self._waiting_on = intr
-        intr.add_callback(self._resume)
-        self.sim._schedule(self.sim.now, intr, Interrupt(cause), ok=False)
-
     # -- kernel internals --------------------------------------------------
     def _resume(self, ev: Event) -> None:
-        if self._triggered:  # interrupted after completion race; ignore
+        if self._triggered:  # already finished; ignore
             return
         if ev is not self._waiting_on:
-            # A stale event (e.g. superseded by an interrupt) fired; drop it.
+            # A stale event (one this process no longer waits on) fired; drop it.
             return
         self._waiting_on = None
         try:
@@ -230,10 +199,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            raise SimulationError(
-                f"process {self.name!r} did not handle an Interrupt"
-            ) from None
         except Exception as exc:
             # The process died with an error: fail the process event so any
             # process waiting on it has the exception thrown at its yield
@@ -251,104 +216,6 @@ class Process(Event):
         nxt.add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: list[Event], name: str):
-        super().__init__(sim, name=name)
-        self.events = list(events)
-        for ev in self.events:
-            if not isinstance(ev, Event):
-                raise TypeError(f"condition operand {ev!r} is not an Event")
-        self._pending = sum(1 for ev in self.events if not ev.triggered)
-        if self._check_initial():
-            return
-        for ev in self.events:
-            if not ev.triggered:
-                ev.add_callback(self._on_child)
-
-    def _check_initial(self) -> bool:
-        raise NotImplementedError
-
-    def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _values(self) -> dict[Event, Any]:
-        return {ev: ev.value for ev in self.events if ev.triggered}
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any constituent event triggers.
-
-    The value is a dict mapping each *already-triggered* event to its value,
-    so a waiter can find out which one(s) fired.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: list[Event]):
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        super().__init__(sim, events, name="any_of")
-
-    def _check_initial(self) -> bool:
-        for ev in self.events:
-            if ev.triggered:
-                if ev.ok:
-                    self.succeed(self._values())
-                else:
-                    ev._defused = True
-                    self.fail(ev.value)
-                return True
-        return False
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.ok:
-            self.succeed(self._values())
-        else:
-            ev._defused = True
-            self.fail(ev.value)
-
-
-class AllOf(_Condition):
-    """Triggers when every constituent event has triggered.
-
-    The value is a dict mapping every event to its value.  Fails fast if any
-    constituent fails.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: list[Event]):
-        super().__init__(sim, events, name="all_of")
-
-    def _check_initial(self) -> bool:
-        for ev in self.events:
-            if ev.triggered and not ev.ok:
-                ev._defused = True
-                self.fail(ev.value)
-                return True
-        if self._pending == 0:
-            self.succeed(self._values())
-            return True
-        return False
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            ev._defused = True
-            self.fail(ev.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._values())
-
-
 class Simulator:
     """The discrete-event kernel: a clock plus a time-ordered event queue.
 
@@ -359,7 +226,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, Event, Any, bool]] = []
+        self._queue: list[tuple[float, int, Event, Any]] = []
         self._seq = 0  # tie-breaker preserving FIFO order at equal times
         self._live_processes = 0
         self._dispatching: list[Event] = []
@@ -385,14 +252,6 @@ class Simulator:
         proc.add_callback(self._process_done)
         return proc
 
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Composite event: triggers when any of *events* does."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: list[Event]) -> AllOf:
-        """Composite event: triggers when all of *events* have."""
-        return AllOf(self, events)
-
     def call_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule plain callable *fn(*args)* at absolute time *when*."""
         if not when >= self._now:  # NaN fails too
@@ -407,13 +266,13 @@ class Simulator:
     def _process_done(self, ev: Event) -> None:
         self._live_processes -= 1
 
-    def _schedule(self, when: float, ev: Event, value: Any, ok: bool = True) -> None:
+    def _schedule(self, when: float, ev: Event, value: Any) -> None:
         """Arrange for *ev* to trigger at absolute time *when*."""
         if not when >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, ev, value, ok))
+        heapq.heappush(self._queue, (when, self._seq, ev, value))
         self._seq += 1
 
     def _dispatch(self, ev: Event) -> None:
@@ -443,15 +302,12 @@ class Simulator:
     # -- main loop -----------------------------------------------------------
     def step(self) -> None:
         """Advance to and process the next scheduled event."""
-        when, _seq, ev, value, ok = heapq.heappop(self._queue)
+        when, _seq, ev, value = heapq.heappop(self._queue)
         self._now = when
         if ev._triggered:
-            # e.g. a timeout superseded by an interrupt -- drop silently.
+            # triggered by hand since it was scheduled -- drop silently.
             return
-        if ok:
-            ev.succeed(value)
-        else:
-            ev.fail(value)
+        ev.succeed(value)
 
     def run(self, until: float | None = None, detect_deadlock: bool = True) -> None:
         """Run until the queue drains or simulated time reaches *until*.

@@ -71,10 +71,6 @@ class BandwidthResource:
         """Seconds of already-committed work queued ahead of a new arrival."""
         return max(0.0, self._available_at - self.sim._now)
 
-    @property
-    def busy(self) -> bool:
-        return self._available_at > self.sim.now
-
     def service_time(self, nbytes: int) -> float:
         """Pure serialisation time of *nbytes* through this pipe."""
         if nbytes < 0:

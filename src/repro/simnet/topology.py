@@ -19,6 +19,7 @@ All bandwidths are stored in **bytes per second** and all times in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -55,9 +56,9 @@ class HostModel:
     def validate(self) -> None:
         for name in ("send_overhead", "recv_overhead", "byte_copy_cost",
                      "smp_latency"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"HostModel.{name} must be non-negative")
-        if self.smp_bandwidth <= 0:
+        if not self.smp_bandwidth > 0:
             raise ValueError("HostModel.smp_bandwidth must be positive")
 
 
@@ -116,8 +117,15 @@ class TcpModel:
     def validate(self) -> None:
         if self.mtu <= 40:
             raise ValueError("TcpModel.mtu must exceed 40 bytes of headers")
-        if self.rto <= 0:
+        if not self.rto > 0:
             raise ValueError("TcpModel.rto must be positive")
+        if not self.rto_jitter >= 0:
+            raise ValueError("TcpModel.rto_jitter must be non-negative")
+        if not self.loss_backlog_scale > 0:
+            raise ValueError("TcpModel.loss_backlog_scale must be positive")
+        # A negative threshold is allowed: loss from zero backlog on.
+        if math.isnan(self.loss_backlog_threshold):
+            raise ValueError("TcpModel.loss_backlog_threshold must not be NaN")
         if not 0.0 <= self.loss_max_probability <= 1.0:
             raise ValueError("loss_max_probability must be in [0, 1]")
         if self.max_retransmits < 0:
@@ -172,14 +180,19 @@ class ClusterSpec:
             raise ValueError("n_nodes must be >= 1")
         if self.processors_per_node < 1:
             raise ValueError("processors_per_node must be >= 1")
-        if (
-            self.link_bandwidth <= 0
-            or self.backplane_bandwidth <= 0
-            or self.switch_fabric_bandwidth <= 0
+        # Written as `not x > 0` / `not x >= 0` so NaN fails too.
+        if not (
+            self.link_bandwidth > 0
+            and self.backplane_bandwidth > 0
+            and self.switch_fabric_bandwidth > 0
         ):
             raise ValueError("bandwidths must be positive")
-        if self.link_latency < 0 or self.switch_latency < 0:
+        if not (self.link_latency >= 0 and self.switch_latency >= 0):
             raise ValueError("latencies must be non-negative")
+        for name in ("jitter_base_sigma", "jitter_contention_sigma",
+                     "congestion_delay_mean"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"ClusterSpec.{name} must be non-negative")
         needed = -(-self.n_nodes // self.ports_per_switch)
         if self.n_switches < needed:
             raise ValueError(

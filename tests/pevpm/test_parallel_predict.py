@@ -99,7 +99,8 @@ class TestSerialParallelIdentity:
             parse_jacobi(), 4, timing, runs=runs, seed=1,
             params=jacobi_params, workers=2,
         )
-        assert pools == [2]
+        # Below two usable cores the pool is clamped to the serial path.
+        assert pools == ([2] if parallel.usable_cores() >= 2 else [])
         assert pooled.times == serial.times
         assert len(pooled.run_walls) == runs
         assert all(w > 0 for w in pooled.run_walls)
@@ -146,12 +147,21 @@ class TestSerialParallelIdentity:
         parallel = predict(program, 2, timing, runs=3, seed=2, workers=2)
         assert parallel.times == serial.times
 
-    def test_resolve_workers(self):
+    def test_resolve_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 8)
         assert resolve_workers(1, 100) == 1
         assert resolve_workers(16, 3) == 3
-        assert resolve_workers(None, 2) <= 2
+        assert resolve_workers(None, 2) == 2
+        assert resolve_workers(None, 100) == 8
         with pytest.raises(ValueError):
             resolve_workers(0, 4)
+
+    def test_resolve_workers_clamps_to_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        assert resolve_workers(4, 100) == 2
+        assert resolve_workers(None, 100) == 2
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+        assert resolve_workers(4, 100) == 1  # the serial path
 
 
 class TestPredictionCache:

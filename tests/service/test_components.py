@@ -74,9 +74,9 @@ class TestServiceMetrics:
         assert snap["latency_seconds"]["/predict"]["count"] == 1
 
     def test_inc_is_thread_safe(self):
-        # Counters are bumped from the evaluator thread (pool rebuilds,
-        # fault hooks) concurrently with the event loop; racing unlocked
-        # read-modify-writes would silently lose increments.
+        # Counters are bumped from the evaluator thread concurrently
+        # with the event loop; racing unlocked read-modify-writes would
+        # silently lose increments.
         import threading
 
         m = ServiceMetrics()
@@ -84,14 +84,14 @@ class TestServiceMetrics:
 
         def hammer():
             for _ in range(per_thread):
-                m.inc("repro_pool_rebuilds_total")
+                m.inc("repro_evaluation_errors_total")
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert m.counter("repro_pool_rebuilds_total") == 4 * per_thread
+        assert m.counter("repro_evaluation_errors_total") == 4 * per_thread
 
 
 class TestJobQueue:

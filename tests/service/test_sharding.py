@@ -629,27 +629,3 @@ def test_sharded_deployment_end_to_end(db, tmp_path):
     finally:
         supervisor.rolling_drain()
     assert not supervisor.procs  # every shard exited
-
-
-@pytest.mark.slow
-def test_supervisor_reuseport_topology(db):
-    """SO_REUSEPORT mode: all shards share the public port, the kernel
-    spreads connections, and served numbers keep the contract."""
-    import socket as _socket
-
-    if not hasattr(_socket, "SO_REUSEPORT"):
-        pytest.skip("SO_REUSEPORT not available")
-    supervisor = Supervisor(db, 2, reuse_port=True, tracing=False,
-                            drain_grace=5.0)
-    try:
-        host, port = supervisor.start()
-        assert supervisor.shard_ports == [port, port]
-        assert supervisor.router_thread is None
-        request = _request(seed=5)
-        expected = direct_jacobi(db, request).times
-        client = ServiceClient(host, port, timeout=60.0)
-        for _ in range(3):
-            assert client.predict(**request)["times"] == expected
-        client.close()
-    finally:
-        supervisor.stop()

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.simnet.engine import (
-    AllOf,
-    AnyOf,
     DeadlockError,
     Event,
-    Interrupt,
     Simulator,
     SimulationError,
 )
@@ -187,62 +184,6 @@ def test_wait_on_already_triggered_event():
     assert got == [7]
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, "one")
-    t2 = sim.timeout(2.0, "two")
-    got = []
-
-    def waiter():
-        values = yield sim.any_of([t1, t2])
-        got.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got[0][0] == 1.0
-    assert got[0][1] == {t1: "one"}
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, "one")
-    t2 = sim.timeout(3.0, "two")
-    got = []
-
-    def waiter():
-        values = yield sim.all_of([t1, t2])
-        got.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [(3.0, {t1: "one", t2: "two"})]
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-    got = []
-
-    def waiter():
-        yield sim.all_of([])
-        got.append(sim.now)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [0.0]
-
-
-def test_any_of_empty_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
-def test_condition_with_non_event_rejected():
-    sim = Simulator()
-    with pytest.raises(TypeError):
-        AllOf(sim, [object()])
-
-
 def test_deadlock_detection():
     sim = Simulator()
 
@@ -278,58 +219,6 @@ def test_run_until_stops_the_clock():
     assert fired == []
     sim.run()
     assert fired == [10.0]
-
-
-def test_interrupt_is_catchable():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-        yield sim.timeout(1.0)
-        log.append(("done", sim.now))
-
-    proc = sim.spawn(victim())
-
-    def attacker():
-        yield sim.timeout(2.0)
-        proc.interrupt(cause="why")
-
-    sim.spawn(attacker())
-    sim.run()
-    assert log == [("interrupted", 2.0, "why"), ("done", 3.0)]
-
-
-def test_unhandled_interrupt_is_an_error():
-    sim = Simulator()
-
-    def victim():
-        yield sim.timeout(100.0)
-
-    proc = sim.spawn(victim())
-
-    def attacker():
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.spawn(attacker())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_interrupt_finished_process_is_error():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_process_requires_generator():
@@ -467,27 +356,3 @@ def test_unwaited_process_exception_surfaces_at_run():
     sim.spawn(lonely())
     with pytest.raises(RuntimeError, match="nobody is listening"):
         sim.run()
-
-
-def test_failed_child_fails_all_of_waiter():
-    sim = Simulator()
-    caught = []
-
-    def child_ok():
-        yield sim.timeout(2.0)
-
-    def child_bad():
-        yield sim.timeout(1.0)
-        raise ValueError("bad child")
-
-    def parent():
-        try:
-            yield sim.all_of([sim.spawn(child_ok()), sim.spawn(child_bad())])
-        except ValueError as exc:
-            caught.append(str(exc))
-        # Let the surviving child finish so the run drains cleanly.
-        yield sim.timeout(5.0)
-
-    sim.spawn(parent())
-    sim.run()
-    assert caught == ["bad child"]

@@ -1,5 +1,7 @@
 """Tests for cluster topology specifications."""
 
+import dataclasses
+
 import pytest
 
 from repro.simnet.topology import (
@@ -11,6 +13,23 @@ from repro.simnet.topology import (
     ideal_cluster,
     perseus,
 )
+
+NAN = float("nan")
+
+
+def _change_id(changes: dict) -> str:
+    """``field=value`` for a spec change; ``host.field=value`` when the
+    change swaps in a sub-model that differs from its default in one
+    field."""
+    (name, value), = changes.items()
+    if dataclasses.is_dataclass(value):
+        default = type(value)()
+        field = next(
+            f.name for f in dataclasses.fields(value)
+            if getattr(value, f.name) != getattr(default, f.name)
+        )
+        name, value = f"{name}.{field}", getattr(value, field)
+    return f"{name}={value}"
 
 
 class TestPerseus:
@@ -84,6 +103,32 @@ class TestValidation:
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
             ClusterSpec(n_nodes=0)
+
+    @pytest.mark.parametrize("changes", [
+        {"link_latency": NAN},
+        {"switch_latency": NAN},
+        {"link_bandwidth": NAN},
+        {"backplane_bandwidth": NAN},
+        {"switch_fabric_bandwidth": NAN},
+        {"jitter_base_sigma": -1.0},
+        {"jitter_base_sigma": NAN},
+        {"jitter_contention_sigma": -0.1},
+        {"jitter_contention_sigma": NAN},
+        {"congestion_delay_mean": -1.0},
+        {"congestion_delay_mean": NAN},
+        {"host": HostModel(send_overhead=NAN)},
+        {"host": HostModel(smp_bandwidth=NAN)},
+        {"tcp": TcpModel(rto=NAN)},
+        {"tcp": TcpModel(rto_jitter=-0.5)},
+        {"tcp": TcpModel(loss_backlog_scale=0.0)},
+        {"tcp": TcpModel(loss_backlog_scale=NAN)},
+        {"tcp": TcpModel(loss_backlog_threshold=NAN)},
+    ], ids=_change_id)
+    def test_invalid_value_rejected_when_built(self, changes):
+        # NaN passes `x < 0` and `x <= 0`; a bad value must fail when
+        # the spec is built, not mid-run or silently read as zero.
+        with pytest.raises(ValueError):
+            perseus(4).with_(**changes)
 
     def test_with_functional_update(self):
         spec = perseus()

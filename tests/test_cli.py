@@ -221,6 +221,33 @@ class TestServiceParsers:
         assert args.concurrency == [1, 4, 16]
         assert args.duration == 2.0
 
+    def test_bench_serve_argv_parses(self):
+        # The repo benchmark's serve-zipf workload starts the server
+        # with exactly this command line.
+        args = build_parser().parse_args([
+            "serve", "--host", "127.0.0.1", "--port", "0", "--db", "db.json",
+            "--workers", "1", "--no-seed-registry", "--no-trace",
+        ])
+        assert args.workers == 1
+        assert args.port == 0 and args.db == "db.json"
+        assert not args.seed_registry and args.no_trace
+
+    def test_serve_workers_above_one_names_shards(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shards", "2", "--reuseport"],
+        ["loadgen", "--endpoints", "127.0.0.1:8101", "127.0.0.1:8102"],
+    ], ids=["reuseport", "endpoints"])
+    def test_removed_topology_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPredictModels:
     """``repro predict --model`` reaches beyond jacobi."""
