@@ -17,6 +17,17 @@ alternating two phases:
   ``max(post time, arrival)``, remove the message from the scoreboard and
   make the process runnable again.
 
+The match is event-driven, as a transition of MP net (PAPERS.md) fires
+only once a matching message enables it: a blocked process joins a
+*ready list* when it blocks with a message its receive accepts already
+on the scoreboard, or when a later send adds one.  Each match serves
+that list in ``(block time, procnum)`` order; a process not on it has
+no candidate, so it would neither draw nor complete.  A fixed-source
+receive takes its pair's FIFO head.  A wildcard draws the arrival of
+each source's head not drawn before, in (departure time, msg id)
+order, onto a per-destination heap of drawn candidates, and takes the
+earliest ``(arrival, msg id)``.
+
 Evaluation "operates as a series of interleaved sweep/match phases until
 no more decision points are encountered".  If a match phase cannot
 unblock anything while processes remain, the program is deadlocked -- the
@@ -46,6 +57,7 @@ the paper hand-translated its directives into)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Generator
 
@@ -53,7 +65,7 @@ import numpy as np
 
 from typing import NamedTuple
 
-from .scoreboard import Scoreboard, ScoreboardEntry
+from .scoreboard import Scoreboard, ScoreboardEntry, _fifo_key
 from .timing import TimingModel
 from .trace import TraceRecorder
 
@@ -174,11 +186,16 @@ class _Proc:
     blocked_src: int | None = None  #: None = runnable; else recv source pattern
     blocked_label: str = ""
     block_start: float = 0.0
+    ready: bool = False  #: blocked with a matching message outstanding
     done: bool = False
     # accounting
     compute_time: float = 0.0
     send_time: float = 0.0
     recv_wait_time: float = 0.0
+
+
+def _block_order(proc: _Proc) -> tuple[float, int]:
+    return (proc.block_start, proc.ctx.procnum)
 
 
 @dataclass
@@ -276,6 +293,12 @@ class VirtualMachine:
         for p in range(self.nprocs):
             ctx = ProcContext(p, self.nprocs, self.params)
             procs.append(_Proc(ctx=ctx, gen=program(ctx)))
+        #: blocked processes with a message their receive accepts
+        ready: list[_Proc] = []
+        #: per destination, a heap of (arrival, msg id, entry) of the
+        #: wildcard candidates drawn so far; *queued* holds their ids
+        drawn: list[list] = [[] for _ in procs]
+        queued: set[int] = set()
 
         rng = self.rng
         timing = self.timing
@@ -321,6 +344,12 @@ class VirtualMachine:
                     scoreboard.add(
                         me, dst, size, depart, intra=intra, payload=payload
                     )
+                    peer = procs[dst]
+                    if not peer.ready and (
+                        peer.blocked_src == me or peer.blocked_src == ANY_SOURCE
+                    ):
+                        peer.ready = True
+                        ready.append(peer)
                     if trace is not None:
                         trace.record(proc.ctx.procnum, "send", label, depart, proc.vtime)
                 elif kind == "recv":
@@ -328,26 +357,33 @@ class VirtualMachine:
                     proc.blocked_src = src
                     proc.blocked_label = label
                     proc.block_start = proc.vtime
+                    me = proc.ctx.procnum
+                    if (
+                        scoreboard.sources_for(me) if src == ANY_SOURCE
+                        else scoreboard.oldest_for(src, me) is not None
+                    ):
+                        proc.ready = True
+                        ready.append(proc)
                     return
                 else:
                     raise ValueError(f"unknown model operation {op!r}")
 
-        def candidate(proc: _Proc) -> ScoreboardEntry | None:
-            """The message a blocked process would match, if any."""
-            dst = proc.ctx.procnum
-            if proc.blocked_src == ANY_SOURCE:
-                # Per-source FIFO: only each source's oldest message is
-                # eligible; pick the one with the earliest (sampled) arrival.
-                eligible: dict[int, ScoreboardEntry] = {}
-                for e in scoreboard.any_for_dst(dst):
-                    if e.src not in eligible:
-                        eligible[e.src] = e
-                if not eligible:
-                    return None
-                return min(
-                    eligible.values(), key=lambda e: (arrival_of(e), e.msg_id)
-                )
-            return scoreboard.oldest_for(proc.blocked_src, dst)
+        def wildcard(dst: int) -> ScoreboardEntry:
+            """The message a wildcard receive at *dst* matches: of each
+            source's oldest message, the earliest (arrival, msg id)."""
+            heap = drawn[dst]
+            fresh = [e for e in scoreboard.heads_for(dst) if e.msg_id not in queued]
+            if len(fresh) > 1:
+                fresh.sort(key=_fifo_key)
+            for e in fresh:
+                queued.add(e.msg_id)
+                heappush(heap, (arrival_of(e), e.msg_id, e))
+            while True:
+                _t, msg_id, entry = heappop(heap)
+                queued.discard(msg_id)
+                # Skip messages matched since, or no longer their pair's head.
+                if scoreboard.oldest_for(entry.src, dst) is entry:
+                    return entry
 
         def arrival_of(entry: ScoreboardEntry) -> float:
             """Sample (once) the arrival time of a message, conditioned on
@@ -396,6 +432,7 @@ class VirtualMachine:
 
         # Interleaved sweep/match until every process terminates.
         runnable = list(procs)
+        finished = 0
         while True:
             sweeps += 1
             if sweeps > self.max_sweeps:
@@ -413,31 +450,33 @@ class VirtualMachine:
                 # Sample draws inside the sweep are already counted;
                 # exclusive() keeps the buckets disjoint.
                 prof.exclusive("sweep", _perf_counter() - t0, mark)
-            alive = [p for p in procs if not p.done]
-            if not alive:
+            finished += sum(proc.done for proc in runnable)
+            if finished == self.nprocs:
                 break
             if prof is not None:
                 match_mark = prof.mark()
                 match_t0 = _perf_counter()
 
-            # Match phase: complete what we can, in deterministic order of
-            # (block time, procnum).
-            blocked = sorted(
-                (p for p in alive if p.blocked_src is not None),
-                key=lambda p: (p.block_start, p.ctx.procnum),
-            )
-            runnable = []
-            for proc in blocked:
-                entry = candidate(proc)
-                if entry is None:
-                    continue
+            # Match phase: complete every receive that has a candidate,
+            # in deterministic order of (block time, procnum).  A blocked
+            # process without one is not on the ready list; it would
+            # neither draw nor complete, so skipping it changes nothing.
+            ready.sort(key=_block_order)
+            runnable, ready = ready, []
+            for proc in runnable:
+                proc.ready = False
+                dst = proc.ctx.procnum
+                if proc.blocked_src == ANY_SOURCE:
+                    entry = wildcard(dst)
+                else:
+                    entry = scoreboard.oldest_for(proc.blocked_src, dst)
                 t_arr = arrival_of(entry)
                 completion = max(proc.vtime, t_arr)
                 wait = completion - proc.block_start
                 proc.recv_wait_time += wait
                 if trace is not None:
                     trace.record(
-                        proc.ctx.procnum, "recv", proc.blocked_label,
+                        dst, "recv", proc.blocked_label,
                         proc.block_start, completion,
                     )
                 proc.vtime = completion
@@ -449,13 +488,15 @@ class VirtualMachine:
                 proc.resume_value = MatchInfo(entry.src, entry.size, entry.payload)
                 scoreboard.remove(entry.msg_id)
                 arrivals.pop(entry.msg_id, None)
-                runnable.append(proc)
             if prof is not None:
                 prof.exclusive(
                     "match", _perf_counter() - match_t0, match_mark
                 )
 
             if not runnable:
+                blocked = sorted(
+                    (p for p in procs if not p.done), key=_block_order
+                )
                 raise ModelDeadlock(
                     {p.ctx.procnum: p.blocked_src for p in blocked},
                     scoreboard.entries(),

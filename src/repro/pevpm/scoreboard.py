@@ -12,6 +12,14 @@ sweep phase adds every message a process sends; the match phase samples an
 arrival time for a message using the *current scoreboard population* as
 the contention level, then removes it.
 
+Outstanding messages are indexed by destination and source: one FIFO
+per ``(src, dst)`` pair, ordered by (departure time, message id), so
+MPI's non-overtaking rule is a read of the FIFO's head.  A receive
+never scans the board: a fixed-source receive reads its pair's head
+(:meth:`Scoreboard.oldest_for`), a wildcard the heads of its
+destination's pairs (:meth:`Scoreboard.heads_for`), and
+:meth:`Scoreboard.sources_for` counts those pairs.
+
 :class:`Scoreboard` serves the per-run engine.  The batched engine keeps
 no scoreboard object: for a static program the population is structure,
 the same in every run, so its phase plan
@@ -23,6 +31,7 @@ times are per-run values.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 __all__ = ["ScoreboardEntry", "Scoreboard"]
@@ -50,11 +59,17 @@ class ScoreboardEntry:
             raise ValueError("departure time must be non-negative")
 
 
+def _fifo_key(entry: ScoreboardEntry) -> tuple[float, int]:
+    return (entry.depart_time, entry.msg_id)
+
+
 class Scoreboard:
     """Outstanding-message bookkeeping with FIFO per (src, dst) pair."""
 
     def __init__(self):
         self._entries: dict[int, ScoreboardEntry] = {}
+        #: dst -> src -> that pair's outstanding messages, oldest first
+        self._fifos: dict[int, dict[int, list[ScoreboardEntry]]] = {}
         self._ids = itertools.count()
         self._inter_count = 0  #: outstanding inter-node messages
         self.peak = 0  #: highest population seen (diagnostics)
@@ -83,6 +98,17 @@ class Scoreboard:
             payload=payload,
         )
         self._entries[entry.msg_id] = entry
+        by_src = self._fifos.get(dst)
+        if by_src is None:
+            by_src = self._fifos[dst] = {}
+        fifo = by_src.get(src)
+        if fifo is None:
+            by_src[src] = [entry]
+        elif depart_time < fifo[-1].depart_time:
+            # A model may send out of departure order; ids only grow.
+            insort(fifo, entry, key=_fifo_key)
+        else:
+            fifo.append(entry)
         self.total_added += 1
         if not intra:
             self._inter_count += 1
@@ -97,6 +123,14 @@ class Scoreboard:
             entry = self._entries.pop(msg_id)
         except KeyError:
             raise KeyError(f"message {msg_id} not on the scoreboard") from None
+        by_src = self._fifos[entry.dst]
+        fifo = by_src[entry.src]
+        if fifo[0] is entry:
+            del fifo[0]
+        else:
+            del fifo[bisect_left(fifo, _fifo_key(entry), key=_fifo_key)]
+        if not fifo:
+            del by_src[entry.src]
         if not entry.intra:
             self._inter_count -= 1
         return entry
@@ -104,19 +138,23 @@ class Scoreboard:
     def oldest_for(self, src: int, dst: int) -> ScoreboardEntry | None:
         """The earliest-departed outstanding message from src to dst --
         MPI's non-overtaking rule applied at the model level."""
-        best = None
-        for e in self._entries.values():
-            if e.src == src and e.dst == dst:
-                if best is None or (e.depart_time, e.msg_id) < (best.depart_time, best.msg_id):
-                    best = e
-        return best
+        by_src = self._fifos.get(dst)
+        if by_src:
+            fifo = by_src.get(src)
+            if fifo:
+                return fifo[0]
+        return None
 
-    def any_for_dst(self, dst: int) -> list[ScoreboardEntry]:
-        """All outstanding messages addressed to *dst* (for wildcard
-        receives), oldest first."""
-        entries = [e for e in self._entries.values() if e.dst == dst]
-        entries.sort(key=lambda e: (e.depart_time, e.msg_id))
-        return entries
+    def heads_for(self, dst: int) -> list[ScoreboardEntry]:
+        """Each source's :meth:`oldest_for` message to *dst* -- the
+        candidates of a wildcard receive -- in no particular order."""
+        by_src = self._fifos.get(dst)
+        return [fifo[0] for fifo in by_src.values()] if by_src else []
+
+    def sources_for(self, dst: int) -> int:
+        """How many sources have an outstanding message to *dst*."""
+        by_src = self._fifos.get(dst)
+        return len(by_src) if by_src else 0
 
     # -- contention ----------------------------------------------------------------
     @property
@@ -135,7 +173,7 @@ class Scoreboard:
 
     def entries(self) -> list[ScoreboardEntry]:
         """Snapshot of all outstanding messages (oldest first)."""
-        return sorted(self._entries.values(), key=lambda e: (e.depart_time, e.msg_id))
+        return sorted(self._entries.values(), key=_fifo_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Scoreboard outstanding={len(self)} peak={self.peak}>"

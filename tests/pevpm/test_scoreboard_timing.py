@@ -51,13 +51,15 @@ class TestScoreboard:
         sb.add(0, 2, 8, 0.0)
         assert sb.oldest_for(0, 1) is None
 
-    def test_any_for_dst_sorted(self):
+    def test_heads_for_one_per_source(self):
         sb = Scoreboard()
-        sb.add(2, 1, 8, 3.0)
-        sb.add(0, 1, 8, 1.0)
+        late = sb.add(2, 1, 8, 3.0)
+        sb.add(2, 1, 8, 4.0)
+        early = sb.add(0, 1, 8, 1.0)
         sb.add(3, 9, 8, 0.0)
-        got = sb.any_for_dst(1)
-        assert [e.src for e in got] == [0, 2]
+        assert sorted(sb.heads_for(1), key=lambda e: e.src) == [early, late]
+        assert sb.sources_for(1) == 2
+        assert sb.heads_for(5) == [] and sb.sources_for(5) == 0
 
     def test_peak_and_total(self):
         sb = Scoreboard()
@@ -96,6 +98,75 @@ def test_scoreboard_contention_invariant(plan):
         sb.remove(e.msg_id)
         assert sb.contention == sum(1 for x in outstanding if not x.intra)
     assert sb.contention == 0
+
+
+class BruteScoreboard:
+    """The scoreboard as a plain list, every query a scan."""
+
+    def __init__(self):
+        self.entries = []
+        self.peak = 0
+        self.total_added = 0
+
+    def add(self, entry):
+        self.entries.append(entry)
+        self.total_added += 1
+        self.peak = max(self.peak, len(self.entries))
+
+    def remove(self, msg_id):
+        self.entries = [e for e in self.entries if e.msg_id != msg_id]
+
+    def oldest_for(self, src, dst):
+        pair = [e for e in self.entries if (e.src, e.dst) == (src, dst)]
+        return min(pair, key=fifo_order, default=None)
+
+    def heads_for(self, dst):
+        srcs = {e.src for e in self.entries if e.dst == dst}
+        return sorted((self.oldest_for(s, dst) for s in srcs), key=fifo_order)
+
+
+def fifo_order(entry):
+    return (entry.depart_time, entry.msg_id)
+
+
+#: one step: add (src, dst, depart, intra) or remove the k-th outstanding
+_steps = st.one_of(
+    st.tuples(
+        st.just("add"), st.integers(0, 3), st.integers(0, 3),
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, 5.0]), st.booleans(),
+    ),
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+)
+
+
+@given(steps=st.lists(_steps, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_indexed_scoreboard_matches_brute_force(steps):
+    """The per-pair FIFO index answers every query as a scan of all
+    outstanding messages would, through adds in and out of departure
+    order within one pair, removals of heads and of later messages, and
+    intra- and inter-node messages."""
+    sb, brute = Scoreboard(), BruteScoreboard()
+    for step in steps:
+        if step[0] == "add":
+            _, src, dst, depart, intra = step
+            brute.add(sb.add(src, dst, 8, depart, intra=intra))
+        elif brute.entries:
+            msg_id = brute.entries[step[1] % len(brute.entries)].msg_id
+            brute.remove(msg_id)
+            assert sb.remove(msg_id).msg_id == msg_id
+            assert msg_id not in sb
+        for dst in range(4):
+            heads = brute.heads_for(dst)
+            assert sorted(sb.heads_for(dst), key=fifo_order) == heads
+            assert sb.sources_for(dst) == len(heads)
+            for src in range(4):
+                assert sb.oldest_for(src, dst) is brute.oldest_for(src, dst)
+        assert sb.contention == sum(1 for e in brute.entries if not e.intra)
+        assert len(sb) == len(brute.entries)
+        assert sb.peak == brute.peak
+        assert sb.total_added == brute.total_added
+        assert sb.entries() == sorted(brute.entries, key=fifo_order)
 
 
 def _synthetic_db():
