@@ -18,6 +18,7 @@ same workload.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -50,8 +51,8 @@ def make_tasks(n_tasks: int, mean: float = 5e-3, cv: float = 0.5, seed: int = 0)
     measurement and model describe the same bag."""
     if n_tasks < 1:
         raise ValueError("need at least one task")
-    if mean <= 0 or cv <= 0:
-        raise ValueError("mean and cv must be positive")
+    if not (0 < mean < math.inf and 0 < cv < math.inf):
+        raise ValueError(f"mean and cv must be positive and finite, got {mean}, {cv}")
     rng = np.random.default_rng(seed)
     shape = 1.0 / cv**2
     scale = mean / shape

@@ -56,6 +56,7 @@ the paper hand-translated its directives into)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from time import perf_counter as _perf_counter
@@ -150,8 +151,10 @@ class ProcContext:
 
     def serial(self, seconds: float, label: str = "serial"):
         """A serial computation segment of *seconds* virtual time."""
-        if seconds < 0:
-            raise ValueError("serial time must be non-negative")
+        if not 0 <= seconds < math.inf:
+            raise ValueError(
+                f"serial time must be finite and non-negative, got {seconds}"
+            )
         return ("serial", seconds, label)
 
     def send(self, dst: int, size: int, label: str = "send", payload=None):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -162,6 +163,44 @@ def _as_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _as_positive(value, name: str) -> float:
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and 0 < value < math.inf,
+        f"{name} must be a positive finite number",
+    )
+    return value
+
+
+def _check_jacobi(params: dict) -> None:
+    _as_int(params["iterations"], "iterations", 0)
+    _as_int(params["xsize"], "xsize", 0)
+
+
+def _check_fft(params: dict) -> None:
+    n_points = _as_int(params["n_points"], "n_points", 1)
+    try:
+        fft_model(n_points)
+    except ValueError as exc:
+        raise RequestError(f"bad fft parameters: {exc}") from None
+
+
+def _check_taskfarm(params: dict) -> None:
+    _as_int(params["n_tasks"], "n_tasks", 1)
+    _as_positive(params["task_mean"], "task_mean")
+    _as_positive(params["task_cv"], "task_cv")
+    _as_int(params["task_seed"], "task_seed", 0)
+
+
+#: ingress checks of the models whose builders raise plain errors; the
+#: halo and amg builders turn theirs into RequestError themselves
+_PARAM_CHECKS = {
+    "jacobi": _check_jacobi,
+    "fft": _check_fft,
+    "taskfarm": _check_taskfarm,
+}
+
+
 @dataclass
 class PredictRequest:
     """One validated ``/predict`` request, defaults filled in."""
@@ -211,6 +250,9 @@ class PredictRequest:
         bad = set(raw_params) - set(defaults)
         _require(not bad, f"unknown model_params for {model!r}: {sorted(bad)}")
         params = dict(defaults, **raw_params)
+        check = _PARAM_CHECKS.get(model)
+        if check is not None:
+            check(params)
         if model == "imported":
             ref = params.get("program")
             _require(

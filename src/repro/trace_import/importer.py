@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..pevpm.compile import compile_program
@@ -241,8 +242,11 @@ def _validate_events(nprocs: int, events: list[list[tuple]]) -> None:
             kind = event[0]
             where = f"rank {rank} event {i}"
             if kind == "compute":
-                if event[1] < 0:
-                    raise TraceError(f"{where}: negative compute time")
+                if not 0 <= event[1] < math.inf:
+                    raise TraceError(
+                        f"{where}: compute time must be finite and "
+                        f"non-negative, got {event[1]}"
+                    )
             elif kind == "send":
                 dst = event[1]
                 if not 0 <= dst < nprocs:

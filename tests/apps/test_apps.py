@@ -141,6 +141,13 @@ class TestTaskfarm:
         with pytest.raises(ValueError):
             make_tasks(5, mean=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_make_tasks_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_tasks(5, mean=bad)
+        with pytest.raises(ValueError, match="finite"):
+            make_tasks(5, cv=bad)
+
     def test_model_prediction_close_to_measured(self, db):
         tasks = make_tasks(80, seed=5)
         measured = run_program(

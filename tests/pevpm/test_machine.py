@@ -257,6 +257,11 @@ class TestDeadlockAndErrors:
         with pytest.raises(ValueError):
             ctx.serial(-1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_serial_must_be_finite(self, seconds):
+        with pytest.raises(ValueError, match="finite"):
+            ProcContext(0, 4).serial(seconds)
+
     def test_unknown_op_rejected(self):
         def program(ctx):
             yield ("teleport", 1)

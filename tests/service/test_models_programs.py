@@ -226,6 +226,15 @@ class TestTraceRejection:
         assert "deadlock" in detail
         assert "at op 0" in detail
 
+    @pytest.mark.parametrize("seconds", ["NaN", "Infinity"])
+    def test_non_finite_compute(self, db, seconds):
+        text = RING.to_jsonl().replace(
+            '"seconds": ', f'"seconds": {seconds}, "was": ', 1
+        )
+        with serve(db) as (_service, client):
+            detail = self.reject(client, text)
+        assert "finite" in detail
+
     def test_rejections_counted(self, db):
         with serve(db) as (service, client):
             self.reject(client, "NPROCS 2\n0 MPI_SEND 1 8\n")

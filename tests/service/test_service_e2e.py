@@ -395,6 +395,35 @@ class TestHttpSurface:
         assert missing[0] == 404
         assert wrong_method[0] == 405
 
+    def test_malformed_model_params_never_trip_the_breaker(self, db):
+        # Five engine failures in a row open the breaker.  Bad parameters
+        # are the client's fault: each is a 400 at ingress and counts
+        # nothing, so the valid request after them is served.
+        bad = [
+            ("taskfarm", {"task_mean": "x"}),
+            ("taskfarm", {"n_tasks": 2.5}),
+            ("taskfarm", {"task_seed": -1}),
+            ("taskfarm", {"task_cv": float("inf")}),
+            ("taskfarm", {"task_mean": -1}),
+            ("taskfarm", {"task_mean": float("nan")}),
+            ("fft", {"n_points": 3}),
+            ("jacobi", {"iterations": "x"}),
+            ("jacobi", {"iterations": -2}),
+        ]
+        with serve(db) as (service, client):
+            statuses = [
+                client.predict_raw(
+                    {"model": model, "model_params": params, "nprocs": 4}
+                )[0]
+                for model, params in bad
+            ]
+            ok, _, _ = client.predict_raw(jacobi_request())
+        assert statuses == [400] * len(bad)
+        assert ok == 200
+        assert service.metrics.counter("repro_evaluation_errors_total") == 0
+        assert service.metrics.counter("repro_bad_requests_total") == len(bad)
+        assert service.breaker.state == "closed"
+
     def test_http_429_and_504_end_to_end(self, db):
         # The backpressure paths over a real socket: one slot, a long
         # batching window, four concurrent clients.

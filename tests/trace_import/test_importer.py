@@ -87,6 +87,25 @@ class TestValidation:
         with pytest.raises(TraceError, match="itself"):
             TraceProgram.build("t", 2, [[("send", 0, 8)], []])
 
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_compute_must_be_finite_and_non_negative(self, seconds):
+        with pytest.raises(TraceError, match="compute time"):
+            TraceProgram.build("t", 2, [[("compute", seconds)], []])
+
+    @pytest.mark.parametrize("word", ["NaN", "Infinity"])
+    def test_non_finite_jsonl_compute_rejected(self, word):
+        text = (
+            '{"trace": "repro-mpi", "version": 1, "nprocs": 1}\n'
+            f'{{"rank": 0, "op": "compute", "seconds": {word}}}\n'
+        )
+        with pytest.raises(TraceError, match="finite"):
+            parse_jsonl(text)
+
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_otf2_compute_rejected(self, word):
+        with pytest.raises(TraceError, match="compute time"):
+            parse_otf2_text(f"NPROCS 1\n0 COMPUTE {word}\n")
+
     def test_unmatched_send_rejected(self):
         with pytest.raises(TraceError, match="unmatched send"):
             TraceProgram.build("t", 2, [[("send", 1, 8)], []])
