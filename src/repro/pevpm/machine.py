@@ -307,6 +307,8 @@ class VirtualMachine:
         timing = self.timing
         trace = self.trace
         prof = self.profiler
+        ppn = self.ppn
+        nic = self.nic_serialisation
         sweeps = 0
 
         def sweep(proc: _Proc) -> None:
@@ -330,7 +332,7 @@ class VirtualMachine:
                 elif kind == "send":
                     _k, dst, size, label, payload = op
                     me = proc.ctx.procnum
-                    intra = me // self.ppn == dst // self.ppn
+                    intra = me // ppn == dst // ppn
                     depart = proc.vtime
                     if prof is None:
                         cost = timing.local_send_time(
@@ -404,21 +406,21 @@ class VirtualMachine:
                         entry.size, scoreboard.contention, rng, intra=entry.intra
                     )
                     prof.add("sample", _perf_counter() - t0)
-                if entry.intra or self.nic_serialisation == "off":
+                if entry.intra or nic == "off":
                     # Shared-memory messages never touch the NIC.
                     t = entry.depart_time + oneway
                 else:
                     gap = timing.serialisation_gap(entry.size)
                     # NICs belong to *nodes*: processes sharing a node
                     # share its transmit and receive pipes.
-                    src_node = entry.src // self.ppn
-                    dst_node = entry.dst // self.ppn
+                    src_node = entry.src // ppn
+                    dst_node = entry.dst // ppn
                     # The sender's NIC must have drained the previous
                     # message before this one can enter the wire.
                     inject = max(entry.depart_time, tx_free.get(src_node, 0.0))
                     tx_free[src_node] = inject + gap
                     t = inject + oneway
-                    if self.nic_serialisation == "txrx":
+                    if nic == "txrx":
                         # Arrivals at one receiver serialise through its NIC.
                         floor = rx_free.get(dst_node, 0.0)
                         if t < floor + gap:

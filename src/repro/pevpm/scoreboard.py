@@ -88,14 +88,7 @@ class Scoreboard:
     ) -> ScoreboardEntry:
         """Record a message entering the network; returns its entry."""
         entry = ScoreboardEntry(
-            msg_id=next(self._ids),
-            src=src,
-            dst=dst,
-            size=size,
-            depart_time=depart_time,
-            op=op,
-            intra=intra,
-            payload=payload,
+            next(self._ids), src, dst, size, depart_time, op, intra, payload
         )
         self._entries[entry.msg_id] = entry
         by_src = self._fifos.get(dst)
