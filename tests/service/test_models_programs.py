@@ -228,8 +228,11 @@ class TestTraceRejection:
 
     @pytest.mark.parametrize("seconds", ["NaN", "Infinity"])
     def test_non_finite_compute(self, db, seconds):
-        text = RING.to_jsonl().replace(
-            '"seconds": ', f'"seconds": {seconds}, "was": ', 1
+        text = (
+            '{"trace": "repro-mpi", "version": 1, "nprocs": 2}\n'
+            f'{{"rank": 0, "op": "compute", "seconds": {seconds}}}\n'
+            '{"rank": 0, "op": "send", "dst": 1, "bytes": 8}\n'
+            '{"rank": 1, "op": "recv", "src": 0}\n'
         )
         with serve(db) as (_service, client):
             detail = self.reject(client, text)
