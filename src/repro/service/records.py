@@ -172,28 +172,37 @@ def _as_positive(value, name: str) -> float:
     return value
 
 
-def _check_jacobi(params: dict) -> None:
+def _check_jacobi(params: dict, nprocs: int) -> None:
     _as_int(params["iterations"], "iterations", 0)
     _as_int(params["xsize"], "xsize", 0)
 
 
-def _check_fft(params: dict) -> None:
+def _check_fft(params: dict, nprocs: int) -> None:
     n_points = _as_int(params["n_points"], "n_points", 1)
     try:
         fft_model(n_points)
     except ValueError as exc:
         raise RequestError(f"bad fft parameters: {exc}") from None
+    _require(
+        n_points % (nprocs * nprocs) == 0,
+        f"fft needs n_points divisible by nprocs^2 for the transpose "
+        f"(n_points={n_points}, nprocs={nprocs})",
+    )
 
 
-def _check_taskfarm(params: dict) -> None:
+def _check_taskfarm(params: dict, nprocs: int) -> None:
+    _require(
+        nprocs >= 2, "taskfarm needs nprocs >= 2: a master and at least one worker"
+    )
     _as_int(params["n_tasks"], "n_tasks", 1)
     _as_positive(params["task_mean"], "task_mean")
     _as_positive(params["task_cv"], "task_cv")
     _as_int(params["task_seed"], "task_seed", 0)
 
 
-#: ingress checks of the models whose builders raise plain errors; the
-#: halo and amg builders turn theirs into RequestError themselves
+#: ingress checks of the models whose builders or programs raise plain
+#: errors, given the request's nprocs; the halo and amg builders turn
+#: theirs into RequestError themselves
 _PARAM_CHECKS = {
     "jacobi": _check_jacobi,
     "fft": _check_fft,
@@ -250,9 +259,10 @@ class PredictRequest:
         bad = set(raw_params) - set(defaults)
         _require(not bad, f"unknown model_params for {model!r}: {sorted(bad)}")
         params = dict(defaults, **raw_params)
+        nprocs = _as_int(doc.get("nprocs"), "nprocs", 1)
         check = _PARAM_CHECKS.get(model)
         if check is not None:
-            check(params)
+            check(params, nprocs)
         if model == "imported":
             ref = params.get("program")
             _require(
@@ -313,7 +323,7 @@ class PredictRequest:
             vector_batch = VECTOR_BATCH
         return cls(
             model=model,
-            nprocs=_as_int(doc.get("nprocs"), "nprocs", 1),
+            nprocs=nprocs,
             model_params=params,
             ppn=_as_int(doc.get("ppn", 1), "ppn", 1),
             runs=_as_int(doc.get("runs", 16), "runs", 1),

@@ -11,9 +11,18 @@ discrete-event framework in the style of SimPy:
 * :class:`Process` objects wrapping Python generators -- a process *yields*
   events and is resumed when they trigger.
 
-The engine is deterministic: events scheduled for the same simulated time
+The engine is deterministic: entries scheduled for the same simulated time
 are processed in schedule order (FIFO), so a simulation driven by seeded
 random streams is exactly reproducible.
+
+The queue holds ``(time, seq, target, value)`` entries.  An :class:`Event`
+target is triggered with *value* (a timeout, or a completion scheduled by
+the transport layer).  Any other target is a plain call, ``target(value)``:
+a process start, and a wait on an event that has already fired, each take
+one such entry at the current time, so the process resumes behind every
+entry already scheduled for that instant.  :meth:`Simulator.run` pops and
+triggers entries inline; an event triggered while callbacks run is queued
+and dispatched after them, in trigger order.
 
 Example
 -------
@@ -31,8 +40,9 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = [
@@ -100,9 +110,11 @@ class Event:
         if self._triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
-        self.sim._dispatch(self)
+        # With nobody waiting there is nothing to dispatch; a later waiter
+        # finds the event triggered and resumes through its own entry.
+        if self._callbacks:
+            self.sim._dispatch(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -120,14 +132,12 @@ class Event:
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Register *fn* to run when the event triggers.
 
-        If the event already triggered, *fn* runs at the next dispatch
-        opportunity (immediately from the kernel's perspective).
+        If the event already triggered, *fn* runs in a fresh entry at the
+        current time: callbacks never run synchronously inside the
+        caller's frame.
         """
         if self._triggered:
-            # Already fired: schedule callback at current time to preserve
-            # the invariant that callbacks never run synchronously inside
-            # the caller's frame.
-            self.sim.call_at(self.sim.now, fn, self)
+            self.sim._call_now(fn, self)
         else:
             self._callbacks.append(fn)
 
@@ -145,9 +155,30 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # NaN fails too
             raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        super().__init__(sim, name="timeout")
+        # Every field is set here rather than through Event.__init__: the
+        # kernel creates one timeout per delay, the commonest entry.
+        self.sim = sim
+        self.name = "timeout"
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._callbacks = []
+        self._defused = False
         self.delay = delay
-        sim._schedule(sim._now + delay, self, value)
+        heappush(sim._queue, (sim._now + delay, sim._seq, self, value))
+        sim._seq += 1
+
+
+class _Start:
+    """What a process resumes with when it starts: a fired event's
+    ``_ok``/``_value`` pair, with value ``None``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 
 class Process(Event):
@@ -160,7 +191,7 @@ class Process(Event):
     value -- so processes can wait on each other.
     """
 
-    __slots__ = ("gen", "_waiting_on")
+    __slots__ = ("gen", "_wake")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if not isinstance(gen, Generator):
@@ -170,12 +201,11 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
-        self._waiting_on: Event | None = None
+        #: the one bound method every wait of this process registers
+        self._wake = self._resume
+        sim._live_processes += 1
         # Kick off the process at the current simulated time.
-        boot = Event(sim, name="boot")
-        boot.add_callback(self._resume)
-        self._waiting_on = boot
-        sim._schedule(sim.now, boot, None)
+        sim._call_now(self._wake, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -184,12 +214,6 @@ class Process(Event):
 
     # -- kernel internals --------------------------------------------------
     def _resume(self, ev: Event) -> None:
-        if self._triggered:  # already finished; ignore
-            return
-        if ev is not self._waiting_on:
-            # A stale event (one this process no longer waits on) fired; drop it.
-            return
-        self._waiting_on = None
         try:
             if ev._ok:
                 nxt = self.gen.send(ev._value)
@@ -197,12 +221,14 @@ class Process(Event):
                 ev._defused = True  # this process consumes the failure
                 nxt = self.gen.throw(ev._value)
         except StopIteration as stop:
+            self.sim._live_processes -= 1
             self.succeed(stop.value)
             return
         except Exception as exc:
             # The process died with an error: fail the process event so any
             # process waiting on it has the exception thrown at its yield
             # point.  If nobody is waiting the kernel re-raises (fail-fast).
+            self.sim._live_processes -= 1
             self.fail(exc)
             return
         if not isinstance(nxt, Event):
@@ -210,10 +236,15 @@ class Process(Event):
                 f"process {self.name!r} yielded {nxt!r}; processes must "
                 "yield Event instances"
             )
-        if nxt.sim is not self.sim:
+        sim = self.sim
+        if nxt.sim is not sim:
             raise SimulationError("event belongs to a different Simulator")
-        self._waiting_on = nxt
-        nxt.add_callback(self._resume)
+        if nxt._triggered:
+            # Already fired: resume behind everything scheduled so far.
+            heappush(sim._queue, (sim._now, sim._seq, self._wake, nxt))
+            sim._seq += 1
+        else:
+            nxt._callbacks.append(self._wake)
 
 
 class Simulator:
@@ -226,10 +257,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, Event, Any]] = []
+        self._queue: list[tuple[float, int, Any, Any]] = []
         self._seq = 0  # tie-breaker preserving FIFO order at equal times
         self._live_processes = 0
-        self._dispatching: list[Event] = []
+        #: events triggered while callbacks run, dispatched after them
+        self._pending: deque[Event] = deque()
+        self._busy = False  # True while callbacks run
 
     @property
     def now(self) -> float:
@@ -247,24 +280,14 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running *gen* at the current time."""
-        proc = Process(self, gen, name=name)
-        self._live_processes += 1
-        proc.add_callback(self._process_done)
-        return proc
-
-    def call_at(self, when: float, fn: Callable, *args: Any) -> None:
-        """Schedule plain callable *fn(*args)* at absolute time *when*."""
-        if not when >= self._now:  # NaN fails too
-            raise SimulationError(
-                f"cannot schedule at {when} before current time {self._now}"
-            )
-        ev = Event(self, name="call_at")
-        ev._callbacks.append(lambda _ev: fn(*args))
-        self._schedule(when, ev, None)
+        return Process(self, gen, name=name)
 
     # -- kernel internals ----------------------------------------------------
-    def _process_done(self, ev: Event) -> None:
-        self._live_processes -= 1
+    def _call_now(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Arrange for ``fn(arg)`` to run at the current time, behind every
+        entry already scheduled for it."""
+        heappush(self._queue, (self._now, self._seq, fn, arg))
+        self._seq += 1
 
     def _schedule(self, when: float, ev: Event, value: Any) -> None:
         """Arrange for *ev* to trigger at absolute time *when*."""
@@ -272,19 +295,27 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, ev, value))
+        heappush(self._queue, (when, self._seq, ev, value))
         self._seq += 1
 
     def _dispatch(self, ev: Event) -> None:
         """Run the callbacks of an event that has just triggered."""
-        dispatching = self._dispatching
-        dispatching.append(ev)
-        if len(dispatching) > 1:
+        self._pending.append(ev)
+        if self._busy:
             # Re-entrant trigger (a callback triggered another event):
             # queue it behind the current dispatch to keep FIFO semantics.
             return
-        while dispatching:
-            current = dispatching[0]
+        self._busy = True
+        try:
+            self._drain()
+        finally:
+            self._busy = False
+
+    def _drain(self) -> None:
+        """Dispatch queued events, and any they trigger, in trigger order."""
+        pending = self._pending
+        while pending:
+            current = pending.popleft()
             callbacks, current._callbacks = current._callbacks, []
             for fn in callbacks:
                 fn(current)
@@ -295,33 +326,50 @@ class Simulator:
             ):
                 # A process failed and nothing consumed the failure:
                 # surface the error instead of swallowing it.
-                dispatching.clear()
+                pending.clear()
                 raise current._value
-            dispatching.pop(0)
 
     # -- main loop -----------------------------------------------------------
-    def step(self) -> None:
-        """Advance to and process the next scheduled event."""
-        when, _seq, ev, value = heapq.heappop(self._queue)
-        self._now = when
-        if ev._triggered:
-            # triggered by hand since it was scheduled -- drop silently.
-            return
-        ev.succeed(value)
-
     def run(self, until: float | None = None, detect_deadlock: bool = True) -> None:
         """Run until the queue drains or simulated time reaches *until*.
 
-        Raises :class:`DeadlockError` if the queue drains while spawned
+        Raises :class:`ValueError` if *until* is NaN or before the current
+        time, and :class:`DeadlockError` if the queue drains while spawned
         processes are still alive (they are all waiting on events that can
         no longer trigger) and *detect_deadlock* is true.
         """
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            self.step()
+        if until is not None and not until >= self._now:  # NaN fails too
+            raise ValueError(
+                f"run(until={until}) must not precede the current time {self._now}"
+            )
+        limit = float("inf") if until is None else until
+        queue = self._queue
+        pending = self._pending
+        self._busy = True
+        try:
+            while queue:
+                if queue[0][0] > limit:
+                    self._now = limit
+                    return
+                when, _seq, target, value = heappop(queue)
+                self._now = when
+                if isinstance(target, Event):
+                    if target._triggered:
+                        # triggered by hand since it was scheduled -- drop.
+                        continue
+                    target._triggered = True
+                    target._value = value
+                    for fn in target._callbacks:
+                        fn(target)
+                else:
+                    target(value)
+                if pending:
+                    self._drain()
+        except BaseException:
+            pending.clear()
+            raise
+        finally:
+            self._busy = False
         if until is not None:
             self._now = until
         if detect_deadlock and self._live_processes > 0:

@@ -88,10 +88,12 @@ class BandwidthResource:
         """
         if service_scale <= 0:
             raise ValueError("service_scale must be positive")
-        now = self.sim.now
-        backlog = self.backlog
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        now = self.sim._now
+        backlog = max(0.0, self._available_at - now)
         start = now + backlog
-        service = self.service_time(nbytes) * service_scale
+        service = nbytes / self.rate * service_scale
         finish = start + service
 
         st = self.stats

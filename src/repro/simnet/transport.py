@@ -27,19 +27,45 @@ Two stochastic effects ride on top:
 
 Intra-node messages bypass the fabric entirely and use the host's
 shared-memory latency/bandwidth.
+
+A transfer is not a kernel process of its own: :meth:`Network.send`
+checks its arguments and returns a generator that the sending MPI system
+process runs with ``yield from``.  It starts in a zero-delay timeout,
+behind every entry already due at that instant.  Each attempt then takes
+one completion event at its slowest pipe's drain, plus a congestion
+timeout when contention draws one; an attempt whose pipes drain before
+that delay ends needs no completion event and resumes through a
+zero-delay timeout behind it, as a wait on an already fired event does.
+A lost attempt adds an RTO timeout, and the path latency a last one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .engine import Process, Simulator
+from .engine import Event, Simulator
 from .resources import BandwidthResource
 from .rng import RngRegistry
 from .tcp import TcpBehaviour, TransmissionAborted
 from .topology import ClusterSpec
 
-__all__ = ["Delivery", "Network"]
+__all__ = ["Delivery", "Network", "check_size"]
+
+
+def check_size(size, what: str) -> None:
+    """Reject a message size that is not a non-negative integer.
+
+    Python and numpy integers pass.  A float does not, whatever its
+    value: a NaN or infinite size would reach the kernel as a time, and a
+    fractional one would move a fraction of a byte.
+    """
+    try:
+        operator.index(size)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer byte count, got {size!r}") from None
+    if size < 0:
+        raise ValueError(f"{what} must be non-negative, got {size}")
 
 
 @dataclass(frozen=True)
@@ -168,22 +194,27 @@ class Network:
         return float(self._jitter.exponential(mean))
 
     # -- sending -----------------------------------------------------------------
-    def send(self, src_node: int, dst_node: int, payload: int) -> Process:
-        """Inject a message; returns a Process whose value is a :class:`Delivery`.
+    def send(self, src_node: int, dst_node: int, payload: int):
+        """Inject a message: checks the arguments now and returns the
+        transfer as a generator whose value is a :class:`Delivery`.
 
-        The caller (the simulated MPI layer) typically does::
+        The calling process (the simulated MPI layer's system process)
+        runs it in its own frame::
 
-            delivery = yield network.send(src, dst, nbytes)
+            delivery = yield from network.send(src, dst, nbytes)
         """
         for node in (src_node, dst_node):
             if not 0 <= node < self.spec.n_nodes:
                 raise ValueError(f"node {node} outside cluster of {self.spec.n_nodes}")
-        if payload < 0:
-            raise ValueError("payload must be non-negative")
-        return self.sim.spawn(self._transfer(src_node, dst_node, payload), name="xfer")
+        check_size(payload, "payload")
+        return self._transfer(src_node, dst_node, payload)
 
     def _transfer(self, src_node: int, dst_node: int, payload: int):
         sim = self.sim
+        # Start in a fresh entry behind every entry already due now: the
+        # kernel's event order, and with it every simulated output that
+        # tests/simnet/test_kernel_digest.py pins, depends on it.
+        yield sim.timeout(0.0)
         depart = sim.now
 
         if src_node == dst_node:
@@ -211,24 +242,31 @@ class Network:
         try:
             while True:
                 attempts += 1
-                backlog = max([r.backlog for r in path])
+                backlog = max(0.0, max([r._available_at for r in path]) - sim._now)
                 scale = self._jitter_scale(contention)
                 # Jitter models host/NIC-side variability; the switch
                 # backplane is a deterministic fabric, so only the two
                 # NIC pipes get the scaled service time.  The attempt
-                # completes when its slowest reservation has drained; that
-                # event is scheduled before the congestion timeout, so at
-                # equal times it fires first.
+                # completes when its slowest reservation has drained.
                 drained = nic_tx.transmit(wire, scale)
                 for res in switches:
                     drained = max(drained, res.transmit(wire))
                 drained = max(drained, nic_rx.transmit(wire, scale))
-                done = sim.event("drained")
-                sim._schedule(drained, done, None)
                 congestion = self._congestion_delay(contention)
-                if congestion > 0.0:
+                if congestion > 0.0 and drained <= sim._now + congestion:
+                    # Drained before the congestion delay ends: no
+                    # completion event, but resume in a fresh entry behind
+                    # the timeout, as a wait on a fired event does.
                     yield sim.timeout(congestion)
-                yield done
+                    yield sim.timeout(0.0)
+                else:
+                    # The completion is scheduled before the congestion
+                    # timeout, so at equal times it fires first.
+                    done = Event(sim, "drained")
+                    sim._schedule(drained, done, None)
+                    if congestion > 0.0:
+                        yield sim.timeout(congestion)
+                    yield done
 
                 if not self.tcp.attempt_is_lost(backlog):
                     break

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..simnet.engine import Event
+from ..simnet.transport import check_size
 from .matching import Envelope, EnvelopeKind, Mailbox, PostedRecv
 from .request import Request, RequestKind
 from .status import ANY_SOURCE, ANY_TAG, RankError, Status, TagError
@@ -162,8 +163,7 @@ class Comm:
         """
         self._check_rank(dest, "destination")
         self._check_tag(tag, allow_any=False)
-        if size < 0:
-            raise ValueError("message size must be non-negative")
+        check_size(size, "message size")
         rt = self._rt
         host = rt.spec.host
         overhead = host.send_overhead + size * host.byte_copy_cost
@@ -198,8 +198,7 @@ class Comm:
         expose unsafe send/recv orderings that eager buffering hides."""
         self._check_rank(dest, "destination")
         self._check_tag(tag, allow_any=False)
-        if size < 0:
-            raise ValueError("message size must be non-negative")
+        check_size(size, "message size")
         rt = self._rt
         host = rt.spec.host
         overhead = host.send_overhead + size * host.byte_copy_cost
@@ -225,7 +224,7 @@ class Comm:
         """System process: move an eager message and deliver it."""
         rt = self._rt
         seq = rt.pair_seq(self.rank, dest)
-        delivery = yield rt.network.send(self.node, rt.node_of(dest), size)
+        delivery = yield from rt.network.send(self.node, rt.node_of(dest), size)
         yield from rt.pair_fifo(self.rank, dest, seq)
         env = Envelope(
             kind=EnvelopeKind.EAGER,
@@ -248,7 +247,7 @@ class Comm:
 
         # Ready-to-send control message.
         seq = rt.pair_seq(self.rank, dest)
-        yield rt.network.send(src_node, dst_node, CTRL_MSG_BYTES)
+        yield from rt.network.send(src_node, dst_node, CTRL_MSG_BYTES)
         yield from rt.pair_fifo(self.rank, dest, seq)
 
         def on_match(posted: PostedRecv) -> None:
@@ -284,12 +283,12 @@ class Comm:
 
         # Clear-to-send travels receiver -> sender.
         cts_seq = rt.pair_seq(dest, self.rank)
-        yield rt.network.send(dst_node, src_node, CTRL_MSG_BYTES)
+        yield from rt.network.send(dst_node, src_node, CTRL_MSG_BYTES)
         yield from rt.pair_fifo(dest, self.rank, cts_seq)
 
         # Data transfer sender -> receiver.
         data_seq = rt.pair_seq(self.rank, dest)
-        delivery = yield rt.network.send(src_node, dst_node, size)
+        delivery = yield from rt.network.send(src_node, dst_node, size)
         yield from rt.pair_fifo(self.rank, dest, data_seq)
 
         env = Envelope(

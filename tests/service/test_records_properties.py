@@ -31,10 +31,26 @@ _DEFAULTS = {
     "vector_batch": 64,
 }
 
-request_docs = st.fixed_dictionaries(
+
+def _valid_nprocs(model: str):
+    """nprocs the model's program accepts: the fft transpose needs the
+    default 4096 points divisible by nprocs^2, the task farm a master and
+    at least one worker."""
+    if model == "fft":
+        return st.sampled_from([1, 2, 4, 8, 16, 32, 64])
+    if model == "taskfarm":
+        return st.integers(min_value=2, max_value=128)
+    return st.integers(min_value=1, max_value=128)
+
+
+#: (model, nprocs) shapes the engine can run, so from_dict accepts them
+_model_shapes = st.sampled_from(["jacobi", "fft", "taskfarm"]).flatmap(
+    lambda model: st.tuples(st.just(model), _valid_nprocs(model))
+)
+
+_request_fields = st.fixed_dictionaries(
     {
-        "model": st.sampled_from(["jacobi", "fft", "taskfarm"]),
-        "nprocs": st.integers(min_value=1, max_value=128),
+        "shape": _model_shapes,
         "ppn": st.integers(min_value=1, max_value=4),
         "runs": st.integers(min_value=1, max_value=64),
         "seed": st.integers(min_value=0, max_value=10_000),
@@ -46,6 +62,15 @@ request_docs = st.fixed_dictionaries(
         "vector_batch": st.sampled_from([16, 64]),
     }
 )
+
+
+def _as_doc(fields: dict) -> dict:
+    doc = dict(fields)
+    doc["model"], doc["nprocs"] = doc.pop("shape")
+    return doc
+
+
+request_docs = _request_fields.map(_as_doc)
 
 FP = "db-fingerprint-a"
 

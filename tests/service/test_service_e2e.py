@@ -424,6 +424,25 @@ class TestHttpSurface:
         assert service.metrics.counter("repro_bad_requests_total") == len(bad)
         assert service.breaker.state == "closed"
 
+    def test_nprocs_dependent_params_are_400s_at_ingress(self, db):
+        # The fft transpose needs n_points divisible by nprocs^2 and the
+        # task farm a master plus a worker; these used to fail inside the
+        # engine as 500s that counted toward opening the breaker.
+        bad = [
+            {"model": "fft", "nprocs": 3},
+            {"model": "fft", "nprocs": 128},
+            {"model": "taskfarm", "nprocs": 1},
+        ]
+        with serve(db) as (service, client):
+            replies = [client.predict_raw(dict(doc, runs=2)) for doc in bad]
+            ok, _, _ = client.predict_raw(jacobi_request())
+        assert [status for status, _, _ in replies] == [400, 400, 400]
+        assert "nprocs^2" in replies[0][2]["error"]
+        assert "master" in replies[2][2]["error"]
+        assert ok == 200
+        assert service.metrics.counter("repro_evaluation_errors_total") == 0
+        assert service.metrics.counter("repro_bad_requests_total") == len(bad)
+
     def test_http_429_and_504_end_to_end(self, db):
         # The backpressure paths over a real socket: one slot, a long
         # batching window, four concurrent clients.

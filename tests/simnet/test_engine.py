@@ -221,6 +221,81 @@ def test_run_until_stops_the_clock():
     assert fired == [10.0]
 
 
+def test_run_until_before_now_rejected():
+    """The clock never moves backwards: once it reads 12.0, running until
+    5.0 is an error and leaves the clock and the queue alone."""
+    sim = Simulator()
+    fired = []
+
+    def proc():
+        yield sim.timeout(12.0)
+        yield sim.timeout(3.0)
+        fired.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run(until=12.0, detect_deadlock=False)
+    assert sim.now == 12.0
+    with pytest.raises(ValueError):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    sim.run()
+    assert fired == [15.0]
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    fired = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        fired.append(sim.now)
+
+    sim.spawn(proc())
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert (sim.now, fired) == (0.0, [])
+    sim.run()
+    assert fired == [1.0]
+
+
+def test_wait_on_fired_event_resumes_behind_queued_entries():
+    """A process that yields an event which has already fired resumes in
+    a fresh entry at the current time, behind the entries already
+    scheduled for that instant."""
+    sim = Simulator()
+    fired = sim.event()
+    fired.succeed("v")
+    log = []
+
+    def waiter():
+        yield sim.timeout(1.0)
+        value = yield fired
+        log.append(("waiter", sim.now, value))
+
+    def other():
+        yield sim.timeout(1.0)
+        log.append(("other", sim.now))
+
+    sim.spawn(waiter())
+    sim.spawn(other())
+    sim.run()
+    assert log == [("other", 1.0), ("waiter", 1.0, "v")]
+    # Two starts, two timeouts and the fresh entry: one each.
+    assert sim._seq == 5
+
+
+def test_add_callback_on_fired_event_runs_in_a_fresh_entry():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("v")
+    log = []
+    sim.timeout(0.0).add_callback(lambda e: log.append("queued first"))
+    ev.add_callback(lambda e: log.append(("late", e.value)))
+    assert log == []
+    sim.run()
+    assert log == ["queued first", ("late", "v")]
+
+
 def test_process_requires_generator():
     sim = Simulator()
 
@@ -242,32 +317,16 @@ def test_yielding_non_event_is_error():
         sim.run()
 
 
-def test_call_at_runs_callable():
-    sim = Simulator()
-    calls = []
-    sim.call_at(3.0, calls.append, "hello")
-    sim.run()
-    assert calls == ["hello"]
-    assert sim.now == 3.0
-
-
-def test_call_at_in_past_rejected():
+def test_schedule_in_past_rejected():
     sim = Simulator()
 
     def proc():
         yield sim.timeout(5.0)
         with pytest.raises(SimulationError):
-            sim.call_at(1.0, lambda: None)
+            sim._schedule(1.0, sim.event(), None)
 
     sim.spawn(proc())
     sim.run()
-
-
-def test_call_at_nan_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.call_at(float("nan"), lambda: None)
-    assert sim.peek() == float("inf")
 
 
 def test_schedule_at_nan_rejected():

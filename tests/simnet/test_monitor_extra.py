@@ -19,7 +19,7 @@ def _flood(spec, sends, seed=0):
 
     def sender(src, dst, size, reps):
         for _ in range(reps):
-            yield net.send(src, dst, size)
+            yield from net.send(src, dst, size)
 
     for src, dst, size, reps in sends:
         sim.spawn(sender(src, dst, size, reps))
@@ -92,7 +92,7 @@ def _one_transfer(spec, size):
     out = {}
 
     def sender():
-        d = yield net.send(0, 1, size)
+        d = yield from net.send(0, 1, size)
         out["t"] = d.transit_time
 
     sim.spawn(sender())

@@ -23,7 +23,7 @@ def _run_sends(spec, sends, seed=0):
     out = []
 
     def sender(src, dst, size):
-        d = yield net.send(src, dst, size)
+        d = yield from net.send(src, dst, size)
         out.append(d)
 
     for src, dst, size in sends:
@@ -41,7 +41,7 @@ class TestKernelEvents:
         net = Network(sim, perseus(64), RngRegistry(0))
 
         def sender():
-            yield net.send(src, dst, 1024)
+            yield from net.send(src, dst, 1024)
 
         sim.spawn(sender())
         sim.run()
@@ -141,7 +141,7 @@ class TestContention:
 
             def sender(src, dst):
                 for _ in range(reps):
-                    d = yield net.send(src, dst, 1024)
+                    d = yield from net.send(src, dst, 1024)
                     times.append(d.transit_time)
 
             for src, dst in pairs:
@@ -189,7 +189,7 @@ class TestLossAndRto:
 
         def sender():
             try:
-                yield net.send(0, 1, 1024)
+                yield from net.send(0, 1, 1024)
             except TransmissionAborted as exc:
                 failures.append(exc.attempts)
 
@@ -236,6 +236,14 @@ class TestValidationAndMonitor:
             net.send(-1, 0, 10)
         with pytest.raises(ValueError):
             net.send(0, 1, -10)
+
+    @pytest.mark.parametrize("payload", [float("nan"), float("inf"), 2.5, 8.0])
+    def test_non_integer_payload_rejected_at_the_call(self, payload):
+        sim = Simulator()
+        net = Network(sim, ideal_cluster(4), RngRegistry(0))
+        with pytest.raises(TypeError):
+            net.send(0, 1, payload)
+        assert sim.peek() == float("inf")
 
     def test_path_resources_structure(self):
         spec = perseus(64)

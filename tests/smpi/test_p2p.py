@@ -1,5 +1,6 @@
 """Tests for point-to-point MPI semantics on the simulated cluster."""
 
+import numpy as np
 import pytest
 
 from repro.simnet import ideal_cluster, perseus
@@ -282,6 +283,30 @@ class TestValidation:
 
         assert run2(program).returns == [True, True]
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 2.5, 1024.0])
+    @pytest.mark.parametrize("op", ["isend", "issend"])
+    def test_non_integer_size_rejected(self, op, size):
+        # A NaN size used to fail inside the kernel, an infinite one to
+        # finish at t = inf and 2.5 to deliver 2.5 bytes.
+        def program(comm):
+            with pytest.raises(TypeError):
+                yield from getattr(comm, op)(size, dest=1 - comm.rank)
+            if False:
+                yield
+            return True
+
+        assert run2(program).returns == [True, True]
+
+    def test_numpy_integer_size_accepted(self):
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.send(np.int64(2048), dest=1)
+                return None
+            _payload, status = yield from comm.recv(source=0)
+            return status.size
+
+        assert run2(program).returns[1] == 2048
+
     def test_negative_compute_rejected(self):
         def program(comm):
             with pytest.raises(ValueError):
@@ -335,3 +360,13 @@ class TestMaxTime:
 
         with pytest.raises(CommAbort):
             run_program(ideal_cluster(2), program, nprocs=2, max_time=1.0)
+
+    @pytest.mark.parametrize("max_time", [float("nan"), -1.0])
+    def test_bad_max_time_rejected(self, max_time):
+        # NaN used to run the job to the end and leave the clock at NaN;
+        # a time before the start moved the clock backwards.
+        def program(comm):
+            yield from comm.compute(1.0)
+
+        with pytest.raises(ValueError, match="until"):
+            run_program(ideal_cluster(2), program, nprocs=2, max_time=max_time)
