@@ -58,6 +58,27 @@ class TestKernelEvents:
         assert (far_pipes, near_pipes) == (6, 3)
         assert far == near == 4
 
+    def test_attempt_drained_before_its_congestion_delay_takes_no_completion(self):
+        """The second of two concurrent messages sees contention 1 and
+        draws a congestion delay far longer than its drain: it resumes
+        through a zero-delay timeout after the delay and schedules no
+        completion event, so it takes five entries to the first's four."""
+        sim = Simulator()
+        spec = perseus(8).with_(congestion_delay_mean=10.0)
+        net = Network(sim, spec, RngRegistry(0))
+        out = []
+
+        def sender(dst):
+            delivery = yield from net.send(0, dst, 1024)
+            out.append(delivery)
+
+        sim.spawn(sender(1))
+        sim.spawn(sender(2))
+        sim.run()
+        assert sim._seq == 4 + 5
+        first, second = out
+        assert second.transit_time > first.transit_time + 1e-3
+
 
 class TestIdealDeterminism:
     def test_single_transfer_matches_analytic_time(self):
