@@ -16,6 +16,13 @@ mean elapsed time so a drift reads as a number.  The first seed of a
 cell runs traced and pins its trace events.  The deadlock cells pin
 ``ModelDeadlock.blocked`` in its insertion order, the orphans and the
 message.
+
+Two more DBs pin the per-run path's other inverse CDFs at ``nic="tx"``:
+the same DB stripped of its retained samples, so every draw goes
+through a histogram's binned inverse CDF, and the same DB with every
+0-byte histogram collapsed to a constant, which the wildcard program's
+0-byte messages draw exactly and the farm's 8-byte stop message blends
+with the 512-byte measurement.
 """
 
 import hashlib
@@ -24,7 +31,13 @@ import numpy as np
 import pytest
 
 from repro.apps import make_tasks, taskfarm_model
-from repro.mpibench import BenchSettings, MPIBench
+from repro.mpibench import (
+    BenchmarkResult,
+    BenchSettings,
+    DistributionDB,
+    Histogram,
+    MPIBench,
+)
 from repro.pevpm import ANY_SOURCE, ModelDeadlock, VirtualMachine, timing_from_db
 from repro.simnet import perseus
 
@@ -41,6 +54,34 @@ def db():
     return bench.sweep_isend(
         [(1, 2), (2, 1), (8, 1), (16, 1)], sizes=[0, 512, 1024, 2048]
     )
+
+
+def stripped_db(db):
+    """The same DB without retained samples, as
+    ``tests/pevpm/test_phase_plan.py`` builds its binned DB."""
+    return DistributionDB.from_doc(db.to_doc(include_samples=False))
+
+
+def degenerate_db(db):
+    """The same DB with every 0-byte histogram's samples set to its
+    minimum: a degenerate (constant) histogram per op and config."""
+    out = DistributionDB(cluster=db.cluster)
+    for op in db.ops():
+        for nodes, ppn in db.configs(op):
+            result = db.result(op, nodes, ppn)
+            hists = dict(result.histograms)
+            zero = hists[0]
+            hists[0] = Histogram.from_samples([zero.min] * zero.n, bins=zero.nbins)
+            out.add(BenchmarkResult(
+                op=op, nodes=nodes, ppn=ppn, cluster=result.cluster,
+                histograms=hists, reps=result.reps, seed=result.seed,
+            ))
+    return out
+
+
+@pytest.fixture(scope="module")
+def form_dbs(db):
+    return {"binned": stripped_db(db), "degenerate": degenerate_db(db)}
 
 
 def wildcard_mix(ctx):
@@ -164,6 +205,28 @@ PINNED = {
 }
 
 
+#: (DB form, program, nprocs, ppn) -> the same, at ``nic="tx"`` on the
+#: stripped or degenerate DB
+PINNED_FORMS = {
+    ('binned', 'taskfarm', 8, 1): {'elapsed': '771d6acdeabad5ad', 'finish_times': '71e7c94eecbe511f', 'compute_time': '2065709b8ab36ad6', 'send_time': '593546c04b3fa6e8', 'recv_wait_time': '11438ec6b5a18936', 'messages': 'b5a3001d8f764ae9', 'peak_contention': '73aad18427eee87c', 'sweeps': 'd0aae172f00645e5', 'orphans': 'e0af4f4b011b185c', 'trace': '9daf4102e826dd6c', 'mean': 0.03604158613384677},
+    ('binned', 'taskfarm', 8, 2): {'elapsed': '91cd5dcf5eefbb97', 'finish_times': '5c3c26644ce6ff12', 'compute_time': 'b4dc84157c1bc59d', 'send_time': '2334f206537a319e', 'recv_wait_time': 'ca54806a9d9795b5', 'messages': 'b5a3001d8f764ae9', 'peak_contention': '73aad18427eee87c', 'sweeps': 'd0aae172f00645e5', 'orphans': 'e0af4f4b011b185c', 'trace': 'cbc4480107f4969e', 'mean': 0.03790165300298327},
+    ('binned', 'taskfarm', 16, 1): {'elapsed': 'a7b3117212c954d5', 'finish_times': 'c0df2ee38c41c560', 'compute_time': '4fc3374e1ab9049a', 'send_time': 'd31efa7ffbe45143', 'recv_wait_time': '404de2be56ee8b8c', 'messages': '354ef13e7ddd8bec', 'peak_contention': '130b719e6b6c4184', 'sweeps': '6e5ab8b72fc0a5ed', 'orphans': 'e0af4f4b011b185c', 'trace': 'e166e2b747b4ddcf', 'mean': 0.021669674904032796},
+    ('binned', 'taskfarm', 16, 2): {'elapsed': 'd68526f1830c7959', 'finish_times': '034457f96a2aaec5', 'compute_time': '2148e1a9603f45c3', 'send_time': 'df1fef278a7cb111', 'recv_wait_time': 'e1b8d3bceb7f44c3', 'messages': '354ef13e7ddd8bec', 'peak_contention': '130b719e6b6c4184', 'sweeps': '6e5ab8b72fc0a5ed', 'orphans': 'e0af4f4b011b185c', 'trace': '5b4569d165d99977', 'mean': 0.02194783558248946},
+    ('binned', 'wildcard', 8, 1): {'elapsed': 'e4d65188002ae3d6', 'finish_times': '36a420cefcc3f229', 'compute_time': 'a0d5656de9350bc2', 'send_time': '42994e28ebcd5c3d', 'recv_wait_time': '9e74ee89ca3492f7', 'messages': '77d148157a85e93f', 'peak_contention': 'b70d90ef3e5c7cb7', 'sweeps': 'fe5df1035a53ec79', 'orphans': 'e0af4f4b011b185c', 'trace': 'dfcde57b7ddb41bf', 'mean': 0.006228795083954146},
+    ('binned', 'wildcard', 8, 2): {'elapsed': 'ffd8442aa6fc9556', 'finish_times': '5f10d9d0e32dbfea', 'compute_time': 'a0d5656de9350bc2', 'send_time': '71016721f87e1ff7', 'recv_wait_time': 'afe6d2373b69ed0a', 'messages': '77d148157a85e93f', 'peak_contention': 'b70d90ef3e5c7cb7', 'sweeps': 'fe5df1035a53ec79', 'orphans': 'e0af4f4b011b185c', 'trace': 'b08c2d74c9c7d0ce', 'mean': 0.006050314978647817},
+    ('binned', 'wildcard', 16, 1): {'elapsed': '16c1283a8311bf7a', 'finish_times': 'e092d59656c53cac', 'compute_time': '27115fa82a3c2484', 'send_time': '14f065f0a69010eb', 'recv_wait_time': '93005bc11a691a26', 'messages': 'cf91583e278d9193', 'peak_contention': '1896c6d39b54f4a1', 'sweeps': '83d8f352563b3106', 'orphans': 'e0af4f4b011b185c', 'trace': 'e9db66d2270e5e50', 'mean': 0.006449305312618975},
+    ('binned', 'wildcard', 16, 2): {'elapsed': '3a685d6a138921ee', 'finish_times': 'd5d27556b6946579', 'compute_time': '27115fa82a3c2484', 'send_time': '76dc6d400d8c65be', 'recv_wait_time': '8d940842d1abcb41', 'messages': 'cf91583e278d9193', 'peak_contention': '1896c6d39b54f4a1', 'sweeps': '83d8f352563b3106', 'orphans': 'e0af4f4b011b185c', 'trace': '4e0640b6f316fec5', 'mean': 0.006942526377044467},
+    ('degenerate', 'taskfarm', 8, 1): {'elapsed': '4733e1b004b73273', 'finish_times': '2d15c1f021612767', 'compute_time': '2065709b8ab36ad6', 'send_time': '07945b96eb8dd5e8', 'recv_wait_time': '6959739e1488b450', 'messages': 'b5a3001d8f764ae9', 'peak_contention': '73aad18427eee87c', 'sweeps': 'd0aae172f00645e5', 'orphans': 'e0af4f4b011b185c', 'trace': '182e64f1309e5ee3', 'mean': 0.03603700873867671},
+    ('degenerate', 'taskfarm', 8, 2): {'elapsed': 'cbf1feeb3b1a6171', 'finish_times': '5528e15a54375e1f', 'compute_time': 'b4dc84157c1bc59d', 'send_time': '3e42a9242e7cd5bb', 'recv_wait_time': '52cb533f979e4c7b', 'messages': 'b5a3001d8f764ae9', 'peak_contention': '73aad18427eee87c', 'sweeps': 'd0aae172f00645e5', 'orphans': 'e0af4f4b011b185c', 'trace': 'b7019fbbdab6dcc9', 'mean': 0.03789904807498556},
+    ('degenerate', 'taskfarm', 16, 1): {'elapsed': '1cee4ab44c1e9a38', 'finish_times': '893c220390863b82', 'compute_time': '4fc3374e1ab9049a', 'send_time': '6819e68a9f9101d9', 'recv_wait_time': '4f6a3be7d8ec8ed1', 'messages': '354ef13e7ddd8bec', 'peak_contention': '130b719e6b6c4184', 'sweeps': '6e5ab8b72fc0a5ed', 'orphans': 'e0af4f4b011b185c', 'trace': '1e081e5643bb75ca', 'mean': 0.021668007269315982},
+    ('degenerate', 'taskfarm', 16, 2): {'elapsed': '65b7f6ae60c892f1', 'finish_times': '85151efb7474fb5b', 'compute_time': '2148e1a9603f45c3', 'send_time': '9ee7c9238ba9ee4e', 'recv_wait_time': '8dfaca3b2bb18c18', 'messages': '354ef13e7ddd8bec', 'peak_contention': '130b719e6b6c4184', 'sweeps': '6e5ab8b72fc0a5ed', 'orphans': 'e0af4f4b011b185c', 'trace': 'ff6a748db68a6282', 'mean': 0.021945645830827414},
+    ('degenerate', 'wildcard', 8, 1): {'elapsed': 'cc74a7f75d21496c', 'finish_times': '12e16a5dda7e16ad', 'compute_time': 'a0d5656de9350bc2', 'send_time': 'be863be6a49fd828', 'recv_wait_time': 'c1af0e0a711f1556', 'messages': '77d148157a85e93f', 'peak_contention': 'b70d90ef3e5c7cb7', 'sweeps': 'fe5df1035a53ec79', 'orphans': 'e0af4f4b011b185c', 'trace': '2405b61b191f3dde', 'mean': 0.006173570682382083},
+    ('degenerate', 'wildcard', 8, 2): {'elapsed': '56193d64ef0a8ecd', 'finish_times': 'db927b85d685e592', 'compute_time': 'a0d5656de9350bc2', 'send_time': 'cb5f2e645517efff', 'recv_wait_time': 'ce142165862468f2', 'messages': '77d148157a85e93f', 'peak_contention': 'b70d90ef3e5c7cb7', 'sweeps': 'fe5df1035a53ec79', 'orphans': 'e0af4f4b011b185c', 'trace': 'a651e02c3eeefdbf', 'mean': 0.006032523232247676},
+    ('degenerate', 'wildcard', 16, 1): {'elapsed': '172ae37b5a093f34', 'finish_times': '652fc972089b1d9d', 'compute_time': '27115fa82a3c2484', 'send_time': '59d6c53579e40b8b', 'recv_wait_time': '59965c3a87691249', 'messages': 'cf91583e278d9193', 'peak_contention': '1896c6d39b54f4a1', 'sweeps': '83d8f352563b3106', 'orphans': 'e0af4f4b011b185c', 'trace': 'ab9bc8e9c8efd40f', 'mean': 0.006336691405984683},
+    ('degenerate', 'wildcard', 16, 2): {'elapsed': '49664fa5f956f6c7', 'finish_times': '33f94f5ad3e3fb4c', 'compute_time': '27115fa82a3c2484', 'send_time': '8e6ded133375de09', 'recv_wait_time': '230dfd5f3d08cd52', 'messages': 'cf91583e278d9193', 'peak_contention': '1896c6d39b54f4a1', 'sweeps': '83d8f352563b3106', 'orphans': 'e0af4f4b011b185c', 'trace': '64a54706010ae63e', 'mean': 0.006911686832151898},
+}
+
+
 #: (nic, ppn, seed) -> the deadlock's blocked items, orphans, message
 PINNED_DEADLOCK = {
     ('off', 1, 1): {'blocked': [(7, 0), (5, 6), (4, 5), (3, -1), (2, 3), (1, 2)], 'orphans': '81abf0ff8a74b316', 'message': 'model deadlock: proc 1 waiting on proc 2, proc 2 waiting on proc 3, proc 3 waiting on ANY, proc 4 waiting on proc 5, proc 5 waiting on proc 6, proc 7 waiting on proc 0; 2 message(s) in flight'},
@@ -190,6 +253,26 @@ def test_cell_is_bit_identical(db, name, nprocs, nic, ppn):
     want = PINNED[(name, nprocs, nic, ppn)]
     assert got["mean"] == want["mean"]
     assert got == want
+
+
+@pytest.mark.parametrize("ppn", [1, 2])
+@pytest.mark.parametrize("nprocs", [8, 16])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("form", ["binned", "degenerate"])
+def test_form_cell_is_bit_identical(form_dbs, form, name, nprocs, ppn):
+    got = run_cell(form_dbs[form], name, nprocs, "tx", ppn)
+    want = PINNED_FORMS[(form, name, nprocs, ppn)]
+    assert got["mean"] == want["mean"]
+    assert got == want
+
+
+def test_degenerate_db_collapses_zero_byte_histograms(form_dbs):
+    # The degenerate cells pin the constant inverse CDF only if the
+    # collapsed histograms are degenerate and the programs draw them.
+    db = form_dbs["degenerate"]
+    for op in db.ops():
+        for nodes, ppn in db.configs(op):
+            assert db.result(op, nodes, ppn).histograms[0].degenerate
 
 
 @pytest.mark.parametrize("seed", [1, 2])
