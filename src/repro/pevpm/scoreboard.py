@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ScoreboardEntry", "Scoreboard"]
 
 
-@dataclass(frozen=True)
-class ScoreboardEntry:
-    """One outstanding (in-flight) message."""
-
+class _Entry(NamedTuple):
     msg_id: int
     src: int
     dst: int
@@ -52,11 +49,24 @@ class ScoreboardEntry:
     #: no simulated bytes (size alone determines timing).
     payload: object = None
 
-    def __post_init__(self):
-        if self.size < 0:
+
+class ScoreboardEntry(_Entry):
+    """One outstanding (in-flight) message: an immutable record, built
+    once per modelled send, so a light tuple rather than a dataclass."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, msg_id, src, dst, size, depart_time, op="isend", intra=False,
+        payload=None,
+    ):
+        if size < 0:
             raise ValueError("message size must be non-negative")
-        if self.depart_time < 0:
+        if depart_time < 0:
             raise ValueError("departure time must be non-negative")
+        return tuple.__new__(
+            cls, (msg_id, src, dst, size, depart_time, op, intra, payload)
+        )
 
 
 def _fifo_key(entry: ScoreboardEntry) -> tuple[float, int]:
