@@ -21,8 +21,10 @@ PEVPM's vectorised draws (:meth:`DistributionDB.sample_times` and the
 phase blocks of :meth:`DistributionDB.cell_quantiles`) resolve a lookup
 once to a *cell* id and read one flat inverse-CDF table holding every
 retained-sample histogram's sorted samples, so a whole phase of draws
-is one gather-and-lerp; histograms without retained samples keep their
-binned :meth:`~repro.mpibench.histogram.Histogram.icdf`.
+is one gather-and-lerp; the per-run engine's scalar draws run the same
+arithmetic on one uniform (:meth:`DistributionDB.cell_quantile`).
+Histograms without retained samples keep their binned
+:meth:`~repro.mpibench.histogram.Histogram.icdf`.
 
 Everything serialises to JSON so a benchmark campaign can be saved and
 reloaded without re-simulation.
@@ -180,6 +182,25 @@ class _SampleTable:
 
     def _side(self, side, u):
         return side(u) if callable(side) else self._lerp(side[0], side[1], u)
+
+    def value(self, cell: int, u: float) -> float:
+        """One cell's time at one uniform *u*: the arithmetic of
+        :meth:`values` on Python floats, which IEEE makes the same bit
+        for bit (each step is one rounded multiply, subtract or add).  A
+        binned side goes through its icdf on a one-element array."""
+        lo, hi, w, omw = self.cells[cell]
+        if hi is None:
+            return self._side_value(lo, u)
+        return self._side_value(lo, u) * omw + self._side_value(hi, u) * w
+
+    def _side_value(self, side, u: float) -> float:
+        if callable(side):
+            return side(np.array([u])).item()
+        at, scale = side
+        pos = u * scale
+        j = int(pos)
+        frac = pos - j
+        return self.vals.item(at + j) * (1.0 - frac) + self.nxt.item(at + j) * frac
 
 
 @dataclass
@@ -407,12 +428,9 @@ class DistributionDB:
         if not interpolate or lo == hi:
             nearest = lo if abs(size - lo) <= abs(hi - size) else hi
             return float(result.histograms[nearest].sample(rng))
-        # Quantile-space interpolation between the bracketing sizes.
-        w = (size - lo) / (hi - lo)
-        u = float(rng.random())
-        qlo = result.histograms[lo].quantile(u)
-        qhi = result.histograms[hi].quantile(u)
-        return float((1.0 - w) * qlo + w * qhi)
+        # Quantile-space interpolation between the bracketing sizes: the
+        # lookup's cell at one uniform.
+        return self.cell_quantile(self.cell(op, size, contention, intra), rng.random())
 
     def cell(
         self, op: str, size: int, contention: int, intra: bool = False
@@ -450,6 +468,12 @@ class DistributionDB:
         ``cells[i]`` (a ``(k,)`` array of :meth:`cell` ids): row *i* is
         what ``sample_times`` of that cell gives for uniforms ``u[i]``."""
         return self._sample_table().quantiles(cells, u)
+
+    def cell_quantile(self, cell: int, u: float) -> float:
+        """The time at one uniform *u* in ``[0, 1)`` from :meth:`cell`
+        id *cell*: what :meth:`cell_quantiles` gives for that uniform,
+        bit for bit, without the array work."""
+        return self._sample_table().value(cell, u)
 
     def sample_times(
         self,

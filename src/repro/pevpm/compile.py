@@ -308,10 +308,11 @@ class PhasePlan:
 
     __slots__ = (
         "rounds", "messages", "peak", "compute", "n_slots", "n_pairs",
-        "n_nodes", "gap_sizes", "kinds", "orphans",
+        "n_nodes", "gap_sizes", "kinds", "orphans", "_windows",
     )
 
     def __init__(self, ops, record: Rounds, nprocs: int, ppn: int, nic: str):
+        self._windows: dict[int, list] = {}
         self.n_nodes = -(-nprocs // ppn)
         self.compute = record.compute
         n_rounds = len(record.segments)
@@ -535,6 +536,60 @@ class PhasePlan:
              send_ops[m][4], int(slot[m]))
             for m in np.flatnonzero(~received).tolist()
         ]
+
+    def windows(self, max_rows: int) -> list[tuple]:
+        """The draws whose order is structure, grouped in engine order.
+
+        A phase draws in plan order (its :attr:`~SweepPhase.kind` and
+        :attr:`~SweepPhase.level`) unless it follows the previous match's
+        run-time order: a sweep after a match of two or more receives, or
+        such a match, unless :attr:`~SweepPhase.fixed`.  Each run of
+        consecutive plan-order phases becomes windows of at most
+        *max_rows* draws (a larger phase is a window alone), each a
+        ``(kind, level, bounds)``: the phases' draws concatenated and
+        their row offsets.  A run-time-order phase ends a window and
+        draws alone at its turn.  Cached per *max_rows*.
+        """
+        cached = self._windows.get(max_rows)
+        if cached is not None:
+            return cached
+        windows: list[tuple] = []
+        kinds: list = []
+        levels: list = []
+        bounds = [0]
+
+        def close():
+            if kinds:
+                windows.append((
+                    kinds[0] if len(kinds) == 1 else np.concatenate(kinds),
+                    levels[0] if len(levels) == 1 else np.concatenate(levels),
+                    bounds[:],
+                ))
+                kinds.clear()
+                levels.clear()
+                del bounds[1:]
+
+        ordered = False  # the previous match ran in run-time order
+        for sweep, match in self.rounds:
+            phases = []
+            if len(sweep.kind):
+                phases.append((sweep, sweep.fixed or not ordered))
+            if match is not None:
+                ordered = len(match.procs) > 1
+                phases.append((match, match.fixed or not ordered))
+            for phase, planned in phases:
+                rows = len(phase.kind)
+                if not planned or bounds[-1] + rows > max_rows:
+                    close()
+                if planned:
+                    kinds.append(phase.kind)
+                    levels.append(phase.level)
+                    bounds.append(bounds[-1] + rows)
+            if match is None:
+                break
+        close()
+        self._windows[max_rows] = windows
+        return windows
 
 
 def _as_program(model, params: dict | None) -> Callable:

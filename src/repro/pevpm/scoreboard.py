@@ -51,8 +51,9 @@ class _Entry(NamedTuple):
 
 
 class ScoreboardEntry(_Entry):
-    """One outstanding (in-flight) message: an immutable record, built
-    once per modelled send, so a light tuple rather than a dataclass."""
+    """One outstanding (in-flight) message: an immutable record.  The
+    per-run engine builds one per modelled send, so it is a tuple whose
+    constructor runs only the two range checks."""
 
     __slots__ = ()
 

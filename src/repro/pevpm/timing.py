@@ -249,15 +249,19 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     size, contention, intra) lookup to a
     :meth:`~repro.mpibench.results.DistributionDB.cell` of the DB's flat
     inverse-CDF table: a phase is one uniform block plus one gather for
-    all its rows, bit-identical to one batch draw per row.
+    all its rows, bit-identical to one batch draw per row, and a scalar
+    draw inverts one buffered uniform
+    (:meth:`~repro.mpibench.results.DistributionDB.cell_quantile`).
+    Every draw is clamped at zero (:func:`clamp_times`).
     """
 
-    #: initial draws pre-sampled per (op, size, contention) key; PEVPM
-    #: consumes millions of samples per study, so batching the
-    #: inverse-CDF work matters (see the eval-cost benchmark).  Each
-    #: refill doubles the key's buffer up to :attr:`BATCH_MAX`, so hot
-    #: keys amortise towards pure vectorised sampling while one-shot
-    #: keys (a single barrier message) never over-draw.
+    #: uniforms drawn ahead per (op, size, contention, intra) key of the
+    #: scalar path: ``rng.random(BATCH)`` on the key's first draw, then
+    #: twice the last refill up to :attr:`BATCH_MAX` whenever the key's
+    #: buffer runs dry.  These sizes fix only how the per-run engine
+    #: consumes its generator -- the seed-stream convention every
+    #: per-run pin holds -- since each draw inverts its own uniform when
+    #: it is used.
     BATCH = 64
     BATCH_MAX = 8192
 
@@ -292,24 +296,22 @@ class DistributionTiming(_DbGapMixin, TimingModel):
         self._buffers.clear()
 
     def _draw(self, op, size, contention, rng, intra):
-        c = self._contention(contention)
         # Key on the raw contention level (it determines the benchmark
         # config deterministically) to keep the hot path free of config
-        # lookups.
-        key = (op, size, c, intra)
+        # lookups.  A buffer is [uniforms, next index, DB cell id]: plain
+        # values, so the model pickles between calls.
+        key = (op, size, self._contention(contention), intra)
         buf = self._buffers.get(key)
-        if buf is None or buf[1] >= len(buf[0]):
-            batch = (
-                self.BATCH
-                if buf is None
-                else min(2 * len(buf[0]), self.BATCH_MAX)
-            )
-            values = self.db.sample_times(op, size, c, rng, batch, intra=intra)
-            buf = [values, 0]
-            self._buffers[key] = buf
-        value = float(buf[0][buf[1]])
+        if buf is None:
+            cell = self.db.cell(*key)
+            buf = self._buffers[key] = [rng.random(self.BATCH).tolist(), 0, cell]
+        elif buf[1] == len(buf[0]):
+            buf[0] = rng.random(min(2 * len(buf[0]), self.BATCH_MAX)).tolist()
+            buf[1] = 0
+        u = buf[0][buf[1]]
         buf[1] += 1
-        return value
+        value = self.db.cell_quantile(buf[2], u)
+        return value if value > 0.0 else 0.0  # clamp_times, inlined
 
     def one_way_time(self, size, contention, rng, intra=False):
         return self._draw(self._oneway_op, size, contention, rng, intra)
@@ -317,9 +319,9 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     def local_send_time(self, size, contention, rng, intra=False):
         return self._draw(self._local_op, size, contention, rng, intra)
 
-    # Batch draws go straight to the vectorised DB sampler: exactly *n*
-    # inverse-CDF draws, no per-key buffers (the buffers exist to amortise
-    # scalar calls; a batch call is already amortised).
+    # Batch draws go straight to the vectorised DB sampler: *n* uniforms
+    # and *n* inversions, no per-key buffers (those only fix how the
+    # scalar path consumes its stream).
     def one_way_times(self, size, contention, rng, n, intra=False):
         return clamp_times(self.db.sample_times(
             self._oneway_op, size, self._contention(contention), rng, n,

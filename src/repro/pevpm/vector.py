@@ -32,7 +32,10 @@ Batch-mode conventions (documented in DESIGN.md section 6):
   arrays -- each draw's ``(op, size, intra)`` kind and its contention
   level -- exactly the values one ``(r,)`` draw per decision would
   give, in the same order: the phase is a unit of work, not of
-  randomness;
+  randomness.  A run of phases whose lists are plan-time structure
+  draws as one window of at most :data:`WINDOW` uniforms
+  (:meth:`~repro.pevpm.compile.PhasePlan.windows`), the same values
+  again;
 * a match phase lists its draws in order of batch-mean block time (the
   per-run engine orders by block time, a per-run quantity, which one
   congruent draw list cannot use), and the next sweep runs its
@@ -59,6 +62,13 @@ from .timing import TimingModel
 from .trace import TraceRecorder
 
 __all__ = ["BatchedVirtualMachine"]
+
+#: the most uniforms one draw window holds (its rows times the batch's
+#: runs; a larger phase draws alone).  In an in-process A/B on the
+#: Figure 6 batch, windows of 16k to 64k uniforms ran it 14-16% faster
+#: than phase-by-phase draws, 4k windows 5%, and 1M windows 4% slower:
+#: a larger block's gather-and-lerp leaves cache.
+WINDOW = 16_384
 
 
 def _step(ready, free, gap, tx: bool):
@@ -166,6 +176,8 @@ class BatchedVirtualMachine:
         gap = self.timing.serialisation_gap
         self._gap = np.array([gap(size) for size in plan.gap_sizes])
         self._sample = self.timing.bind(plan.kinds)
+        self._windows = iter(plan.windows(max(1, WINDOW // r)))
+        self._ahead: list[np.ndarray] = []
         prof = self.profiler
         order = None
         for sweep, match in plan.rounds:
@@ -191,9 +203,9 @@ class BatchedVirtualMachine:
 
     # -- the batched sweep/match loop ---------------------------------------------
     def _draw(self, kind, level):
-        """The engine's one draw site: a phase's draws, of the plan's
-        ``kinds[kind[i]]`` at contention ``level[i]``, as one block whose
-        ``(r,)`` rows are in that order."""
+        """The engine's one draw site: the draws of a phase or window,
+        of the plan's ``kinds[kind[i]]`` at contention ``level[i]``, as
+        one block whose ``(r,)`` rows are in that order."""
         prof = self.profiler
         if prof is None:
             return self._sample(kind, level, self.rng, self.runs)
@@ -201,6 +213,20 @@ class BatchedVirtualMachine:
         block = self._sample(kind, level, self.rng, self.runs)
         prof.add("sample", _perf_counter() - t0)
         return block
+
+    def _planned(self):
+        """The next plan-order phase's draws: a slice of the current
+        window's block, drawing the next window (:meth:`PhasePlan.windows`)
+        when this one is used up.  One block of concatenated rows holds
+        exactly the uniforms, and so the draws, of one block per phase."""
+        ahead = self._ahead
+        if not ahead:
+            kind, level, bounds = next(self._windows)
+            block = self._draw(kind, level)
+            ahead.extend(
+                block[a:b] for a, b in zip(bounds[-2::-1], bounds[:0:-1])
+            )
+        return ahead.pop()
 
     def _sweep(self, sweep: SweepPhase, order) -> None:
         """One sweep phase: every runnable process runs to its next
@@ -216,18 +242,17 @@ class BatchedVirtualMachine:
         cost = None
         if len(sweep.kind):
             if order is None:
-                block = self._draw(sweep.kind, sweep.level)
+                block = self._planned()
                 cost = block if sweep.rows is None else block[sweep.rows]
             else:
                 counts = sweep.counts[order]
                 starts = _exclusive_cumsum(counts)
                 row_start = np.empty_like(starts)
                 row_start[order] = starts
-                kind, level = (
-                    (sweep.kind, sweep.level) if sweep.fixed
-                    else self._sweep_draws(sweep, order, counts, starts)
+                block = (
+                    self._planned() if sweep.fixed
+                    else self._draw(*self._sweep_draws(sweep, order, counts, starts))
                 )
-                block = self._draw(kind, level)
                 cost = block[row_start[sweep.send_proc] + sweep.send_nth]
         # The last run's (start, end) per op, by process, when tracing.
         last = {} if self.trace is not None else None
@@ -284,18 +309,15 @@ class BatchedVirtualMachine:
             # The receivers are in procnum order, so a stable sort breaks
             # ties by procnum.
             order = np.add.reduce(start, axis=1).argsort(kind="stable")
-            if match.fixed:
-                block = self._draw(match.kind, match.level)
-            else:
-                block = self._draw(
-                    match.kind[order],
-                    match.c0 - _exclusive_cumsum(match.inter[order]),
-                )
+            block = self._planned() if match.fixed else self._draw(
+                match.kind[order],
+                match.c0 - _exclusive_cumsum(match.inter[order]),
+            )
             oneway = np.empty_like(block)
             oneway[order] = block
         else:
             order = None
-            oneway = self._draw(match.kind, match.level)
+            oneway = self._planned()
         t = self._arrivals(match, start, oneway)
         # One TCP stream per pair: arrivals cannot overtake.  A phase
         # completes at most one receive per process, so this only looks

@@ -1,19 +1,27 @@
-"""Phase-block draws of the batched engine.
+"""Phase-block draws of the batched engine, and the scalar draws of the
+per-run engine.
 
-The batched VM draws each sweep/match phase as one call of the sampler
-``TimingModel.bind`` returns (see :mod:`repro.pevpm.vector`).  These
-tests pin the two things that make that bit-identical to one draw per
-decision:
+The batched VM draws runs of plan-order phases as one window, one call
+of the sampler ``TimingModel.bind`` returns (see
+:mod:`repro.pevpm.vector`).  These tests pin the things that make that
+bit-identical to one draw per decision:
 
 * ``draw_block`` rows, and the bound sampler's rows for random DBs and
   draws, equal successive ``one_way_times`` / ``local_send_times``
   calls on an identically seeded generator, and leave the generator in
   the same state;
+* a window draws the rows its phases draw one at a time, in the same
+  order, and leaves the generator in the same state;
 * the engine asks for the same ``(kind, size, contention, intra)``
   sequence it asked for one draw at a time -- pinned as literals
   recorded from the one-draw-per-decision engine, because an off-by-one
   contention often resolves to the same benchmark config and the
   goldens' times would not notice.
+
+The per-run engine's ``DistributionTiming`` buffers uniforms and
+inverts each one when it is used: the scalar inversion equals the
+table's vectorised one bit for bit, and the buffers advance the
+generator as ``rng.random(64)``, ``rng.random(128)``, ... do.
 """
 
 import numpy as np
@@ -21,16 +29,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import jacobi_model
+from repro.apps import amg_model, jacobi_model, make_tasks, parse_jacobi, taskfarm_model
 from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
+from repro.mpibench.results import _SampleTable
 from repro.pevpm import (
     BatchedVirtualMachine,
     DistributionTiming,
     HockneyTiming,
     ParametricTiming,
     TimingModel,
+    VirtualMachine,
     compile_program,
 )
+from repro.pevpm import vector
 from repro.pevpm.interpreter import compile_model
 from repro.pevpm.timing import LOCAL_OP, ONEWAY_OP
 
@@ -229,6 +240,80 @@ def test_bound_sampler_equals_per_op_draws(case, n):
         assert block.tobytes() == reference.tobytes()
 
 
+def _lookups(timing, kinds, phases):
+    """The distinct ``(op, size, contention, intra)`` DB lookups the
+    phases' draws resolve to under *timing*."""
+    ops = {ONEWAY_OP: timing._oneway_op, LOCAL_OP: timing._local_op}
+    fixed = timing.fixed_contention
+    return sorted({
+        (ops[op], size, level if fixed is None else fixed, intra)
+        for kind, levels in phases
+        for (op, size, intra), level in zip(
+            map(kinds.__getitem__, kind.tolist()), levels.tolist()
+        )
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=sampling_cases(),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_scalar_inversion_equals_table_values(case, u):
+    # Retained, blended, degenerate and binned cells alike; the ends of
+    # [0, 1) always included.
+    timing, kinds, phases = case
+    db = timing.db
+    u = np.array(u + [0.0, np.nextafter(1.0, 0.0)])
+    for lookup in _lookups(timing, kinds, phases):
+        cell = db.cell(*lookup)
+        want = db._sample_table().values(cell, u)
+        got = np.array([db.cell_quantile(cell, x) for x in u.tolist()])
+        assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("batch_max", [DistributionTiming.BATCH_MAX, 256])
+@pytest.mark.parametrize("case", ["interpolated-768", "binned-no-samples", "degenerate"])
+def test_scalar_buffers_advance_the_stream_as_batch_draws(case, batch_max):
+    # Each key draws rng.random(64) on first use, then twice the last
+    # refill up to BATCH_MAX when its buffer runs dry; every draw is the
+    # clamped table value of its uniform.
+    timing, specs = CASES[case]
+    timing = DistributionTiming(timing.db)
+    timing.BATCH_MAX = batch_max
+    op, size, contention, intra = specs[1]
+    draw = timing.one_way_time if op == ONEWAY_OP else timing.local_send_time
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    got, uniforms = [], []
+    for batch in (64, 128, 256, min(512, batch_max), min(1024, batch_max)):
+        got += [draw(size, contention, rng, intra=intra) for _ in range(batch)]
+        uniforms.append(ref.random(batch))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    cell = timing.db.cell(op, size, contention, intra)
+    want = np.maximum(timing.db._sample_table().values(cell, np.concatenate(uniforms)), 0.0)
+    assert np.array(got).tobytes() == want.tobytes()
+    # reset() starts every key over at BATCH uniforms.
+    timing.reset()
+    draw(size, contention, rng, intra=intra)
+    ref.random(64)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_per_run_draws_invert_one_uniform_each(monkeypatch):
+    # A 16-proc, 64-task farm run: every message draws its local send
+    # time and its one-way time once, and only those uniforms are
+    # inverted, not the buffers' look-ahead.
+    calls = []
+    value = _SampleTable.value
+    monkeypatch.setattr(_SampleTable, "value", lambda *a: calls.append(1) or value(*a))
+    monkeypatch.setattr(_SampleTable, "values", None)  # never the array form
+    result = VirtualMachine(16, DistributionTiming(DB), seed=5).run(
+        taskfarm_model(make_tasks(64, seed=1))
+    )
+    assert result.messages == 158
+    assert len(calls) == 2 * result.messages
+
+
 def test_degenerate_rows_are_the_exact_constant():
     timing, specs = CASES["degenerate"]
     block = timing.draw_block(specs, np.random.default_rng(1), 5)
@@ -320,3 +405,88 @@ def test_jacobi_draw_sequence_is_pinned(form):
         compile_program(source, 8, params)
     )
     assert timing.log == JACOBI_8P_DRAWS
+
+
+# -- draw windows ---------------------------------------------------------------------
+
+
+class LoggedTiming(DistributionTiming):
+    """DistributionTiming whose bound sampler logs each call's rows."""
+
+    def bind(self, kinds):
+        sample = super().bind(kinds)
+        self.calls = []
+
+        def logged(kind, level, rng, n):
+            self.calls.append(list(zip(kind.tolist(), level.tolist())))
+            return sample(kind, level, rng, n)
+
+        return logged
+
+
+#: the engine's window cap, read before any test patches it
+WINDOW = vector.WINDOW
+AMG = amg_model(iterations=1, nx=8, coarse_nx=4)
+
+
+def _run_logged(program, window, monkeypatch):
+    monkeypatch.setattr(vector, "WINDOW", window)
+    timing = LoggedTiming(DB)
+    vm = BatchedVirtualMachine(program.nprocs, timing, seed=5, runs=8)
+    results = vm.run(program)
+    return timing.calls, vm.rng.bit_generator.state, results
+
+
+def test_windows_draw_the_phases_rows_in_order(monkeypatch):
+    # amg at 16 procs has run-time-ordered phases between plan-order
+    # ones, so its windows end before them as well as at the cap.
+    program = compile_program(AMG, 16)
+    phased, phased_state, phased_results = _run_logged(program, 1, monkeypatch)
+    calls, state, results = _run_logged(program, WINDOW, monkeypatch)
+    assert [row for call in calls for row in call] == [
+        row for call in phased for row in call
+    ]
+    assert state == phased_state
+    assert results == phased_results
+    windows = program.plan(1, "tx").windows(WINDOW // 8)
+    run_time = len(calls) - len(windows)
+    assert run_time > 0 and len(windows) > 1
+    assert len(calls) < len(phased)
+
+
+@pytest.mark.parametrize("max_rows", [1, 40, 256, 10**6])
+def test_windows_hold_at_most_the_cap_or_one_phase(max_rows):
+    plan = compile_program(AMG, 16).plan(1, "tx")
+    windows = plan.windows(max_rows)
+    for kind, level, bounds in windows:
+        assert bounds[0] == 0 and bounds[-1] == len(kind) == len(level)
+        assert bounds[-1] <= max_rows or len(bounds) == 2
+    assert plan.windows(max_rows) is windows  # cached
+
+
+class CountingTiming(HockneyTiming):
+    """Hockney timing that counts its bound sampler's calls."""
+
+    def bind(self, kinds):
+        sample = super().bind(kinds)
+        self.calls = 0
+
+        def counted(kind, level, rng, n):
+            self.calls += 1
+            return sample(kind, level, rng, n)
+
+        return counted
+
+
+def test_fig6_shape_draw_calls_are_pinned(monkeypatch):
+    # predict() of the Figure 6 Jacobi at 64 procs runs one 64-run
+    # batch: 360 phase draws, drawn in 53 windowed calls.
+    params = {"iterations": 50, "xsize": 256, "serial_time": 1e-3}
+    program = compile_program(parse_jacobi(), 64, params)
+    counts = {}
+    for window in (1, WINDOW):
+        monkeypatch.setattr(vector, "WINDOW", window)
+        timing = CountingTiming(1e-5, 1e8)
+        BatchedVirtualMachine(64, timing, seed=1, runs=64).run(program)
+        counts[window] = timing.calls
+    assert counts == {1: 360, WINDOW: 53}

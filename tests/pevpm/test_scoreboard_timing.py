@@ -1,11 +1,15 @@
 """Tests for the contention scoreboard and the timing models."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import amg_model, make_tasks, taskfarm_model
 from repro.mpibench import BenchmarkResult, DistributionDB, Histogram
+from repro.pevpm import VirtualMachine
 from repro.pevpm.scoreboard import Scoreboard, ScoreboardEntry
 from repro.pevpm.timing import (
     AverageTiming,
@@ -75,6 +79,20 @@ class TestScoreboard:
             ScoreboardEntry(0, 0, 1, -8, 0.0)
         with pytest.raises(ValueError):
             ScoreboardEntry(0, 0, 1, 8, -1.0)
+
+    def test_entry_is_an_immutable_value(self):
+        entry = ScoreboardEntry(
+            msg_id=3, src=0, dst=1, size=8, depart_time=0.5, payload=(1, "a"),
+        )
+        assert (entry.msg_id, entry.src, entry.dst, entry.size) == (3, 0, 1, 8)
+        assert (entry.depart_time, entry.op, entry.intra) == (0.5, "isend", False)
+        assert entry.payload == (1, "a")
+        assert entry == ScoreboardEntry(3, 0, 1, 8, 0.5, "isend", False, (1, "a"))
+        assert entry != ScoreboardEntry(3, 0, 1, 8, 0.5, intra=True, payload=(1, "a"))
+        with pytest.raises(AttributeError):
+            entry.depart_time = 1.0
+        again = pickle.loads(pickle.dumps(entry))
+        assert type(again) is ScoreboardEntry and again == entry
 
 
 @given(
@@ -292,3 +310,59 @@ class TestTimingFactory:
             timing_from_db(db, "psychic")
         with pytest.raises(ValueError):
             timing_from_db(db, "average", "3x3")
+
+
+# -- samples below zero -------------------------------------------------------------
+
+
+def _below_zero_db():
+    """:func:`_synthetic_db` with every histogram's samples shifted so
+    its minimum is -1 us: a loadable DB whose draws can go negative."""
+    db = DistributionDB(cluster="synthetic")
+    src = _synthetic_db()
+    for op in src.ops():
+        for nodes, ppn in src.configs(op):
+            result = src.result(op, nodes, ppn)
+            db.add(BenchmarkResult(
+                op=op, nodes=nodes, ppn=ppn, cluster="synthetic",
+                histograms={
+                    size: Histogram.from_samples(
+                        h.samples - h.min - 1e-6, bins=h.nbins,
+                    )
+                    for size, h in result.histograms.items()
+                },
+            ))
+    return db
+
+
+class TestBelowZeroSamples:
+    """Per-run draws clamp at zero as batched draws do."""
+
+    def test_scalar_draws_equal_the_clamped_batch_draws(self):
+        t = DistributionTiming(_below_zero_db())
+        rng = np.random.default_rng(4)
+        scalar = [t.local_send_time(1024, 3, rng) for _ in range(64)]
+        batch = t.local_send_times(1024, 3, np.random.default_rng(4), 64)
+        assert np.array(scalar).tobytes() == batch.tobytes()
+        assert min(scalar) == 0.0
+
+    def test_one_run_engine_parity(self):
+        from tests.pevpm.test_collective_models_properties import (
+            assert_engine_parity,
+        )
+
+        timing = timing_from_db(_below_zero_db(), mode="distribution", nprocs=8)
+        assert_engine_parity(amg_model(iterations=1, nx=8, coarse_nx=4), 8, timing, 3)
+
+    def test_task_farm_clocks_never_decrease(self):
+        t = DistributionTiming(_below_zero_db())
+        result = VirtualMachine(6, t, seed=2, trace=True).run(
+            taskfarm_model(make_tasks(30, seed=1))
+        )
+        # Each event ends where that process's clock stands after it.
+        clocks: dict[int, float] = {}
+        for e in result.trace.events:
+            assert e.start <= e.end
+            assert e.end >= clocks.get(e.proc, 0.0)
+            clocks[e.proc] = e.end
+        assert min(result.send_time) >= 0.0
