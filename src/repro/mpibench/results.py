@@ -21,8 +21,9 @@ PEVPM's vectorised draws (:meth:`DistributionDB.sample_times` and the
 phase blocks of :meth:`DistributionDB.cell_quantiles`) resolve a lookup
 once to a *cell* id and read one flat inverse-CDF table holding every
 retained-sample histogram's sorted samples, so a whole phase of draws
-is one gather-and-lerp; the per-run engine's scalar draws run the same
-arithmetic on one uniform (:meth:`DistributionDB.cell_quantile`).
+is one gather-and-lerp; the per-run engine's first draws of a lookup
+run the same arithmetic on one uniform
+(:meth:`DistributionDB.cell_quantile`).
 Histograms without retained samples keep their binned
 :meth:`~repro.mpibench.histogram.Histogram.icdf`.
 

@@ -214,9 +214,11 @@ class SweepPhase:
     The engine draws the sweep's sends in run-time process order (the
     previous match's order) and op order: :attr:`kind` (an index into
     :attr:`PhasePlan.kinds`) and :attr:`level` (the contention each
-    draw sees) list them in ascending procnum order, which is
-    :attr:`fixed` when every process order lists the same draws, and
-    :attr:`intra` flags the intra-node sends.  :attr:`steps` then
+    draw sees) list them in ascending procnum order, and the engine
+    draws them so when :attr:`planned`: every process order lists the
+    same draws, or the previous match leaves the processes in procnum
+    order (it has at most one receiver).  :attr:`intra` flags the
+    intra-node sends.  :attr:`steps` then
     advance the clocks one op position at a time, so each process's
     clock takes its ops' additions in program order: per position,
     ``(rows, seconds, procs)`` for the serial ops and ``(rows, sends,
@@ -227,7 +229,7 @@ class SweepPhase:
     """
 
     __slots__ = (
-        "procs", "starts", "ends", "c0", "kind", "level", "fixed",
+        "procs", "starts", "ends", "c0", "kind", "level", "planned",
         "counts", "intra", "send_proc", "send_nth", "rows", "steps",
     )
 
@@ -238,8 +240,9 @@ class MatchPhase:
     message each takes.
 
     Local index *i* is the *i*-th receiver.  :attr:`kind` and
-    :attr:`level` list the arrival draws in that order (:attr:`fixed`
-    when any order lists the same), and :attr:`inter` is 1 for each
+    :attr:`level` list the arrival draws in that order, and the engine
+    draws them so when :attr:`planned`: any order lists the same, or
+    there is one receiver.  :attr:`inter` is 1 for each
     inter-node message.  :attr:`direct` names the messages that reach
     their receiver without a NIC pipe: ``None``, all of them (``True``)
     or their local indices.  :attr:`tx` and :attr:`rx` group the others by NIC pipe:
@@ -251,7 +254,7 @@ class MatchPhase:
 
     __slots__ = (
         "procs", "recv", "recv_ops", "slots", "pairs", "c0", "kind",
-        "level", "fixed", "inter", "direct", "tx", "rx",
+        "level", "planned", "inter", "direct", "tx", "rx",
     )
 
 
@@ -484,8 +487,10 @@ class PhasePlan:
                 rx = _pipes(recv_round, dst_node[recv_msg], wire, recv_gcls,
                             r_first, self.n_nodes, n_rounds)
 
-        # -- the phases
+        # -- the phases.  A phase's draws follow the previous match's
+        # run-time order when that match has two or more receivers.
         rounds = []
+        ordered = False
         for k in range(n_rounds):
             sweep = SweepPhase()
             s0, s1 = int(seg_first[k]), int(seg_first[k + 1])
@@ -498,7 +503,7 @@ class PhasePlan:
             sweep.level = send_level[a:b]
             sweep.c0 = int(send_level[a]) if b > a else 0
             sweep.counts = counts[s0:s1]
-            sweep.fixed = send_fixed[k] or procs_with_sends[k] <= 1
+            sweep.planned = send_fixed[k] or procs_with_sends[k] <= 1 or not ordered
             sweep.intra = intra[a:b]
             sweep.send_proc = send_proc[a:b]
             sweep.send_nth = send_nth[a:b]
@@ -516,7 +521,8 @@ class PhasePlan:
                 match.kind = recv_kind[u:v]
                 match.level = recv_level[u:v]
                 match.c0 = int(recv_level[u])
-                match.fixed = recv_fixed[k]
+                ordered = v - u > 1
+                match.planned = recv_fixed[k] or not ordered
                 match.inter = recv_inter[u:v]
                 direct = (list(range(v - u)) if nic == "off"
                           else [i for i, f in enumerate(m_intra) if f])
@@ -538,17 +544,15 @@ class PhasePlan:
         ]
 
     def windows(self, max_rows: int) -> list[tuple]:
-        """The draws whose order is structure, grouped in engine order.
+        """The :attr:`~SweepPhase.planned` phases' draws, grouped in
+        engine order.
 
-        A phase draws in plan order (its :attr:`~SweepPhase.kind` and
-        :attr:`~SweepPhase.level`) unless it follows the previous match's
-        run-time order: a sweep after a match of two or more receives, or
-        such a match, unless :attr:`~SweepPhase.fixed`.  Each run of
-        consecutive plan-order phases becomes windows of at most
-        *max_rows* draws (a larger phase is a window alone), each a
+        Each run of consecutive planned phases becomes windows of at
+        most *max_rows* draws (a larger phase is a window alone), each a
         ``(kind, level, bounds)``: the phases' draws concatenated and
-        their row offsets.  A run-time-order phase ends a window and
-        draws alone at its turn.  Cached per *max_rows*.
+        their row offsets.  A phase that is not planned draws in the
+        previous match's run-time order, alone at its turn, so it ends a
+        window.  Cached per *max_rows*.
         """
         cached = self._windows.get(max_rows)
         if cached is not None:
@@ -569,19 +573,15 @@ class PhasePlan:
                 levels.clear()
                 del bounds[1:]
 
-        ordered = False  # the previous match ran in run-time order
         for sweep, match in self.rounds:
-            phases = []
-            if len(sweep.kind):
-                phases.append((sweep, sweep.fixed or not ordered))
+            phases = [sweep] if len(sweep.kind) else []
             if match is not None:
-                ordered = len(match.procs) > 1
-                phases.append((match, match.fixed or not ordered))
-            for phase, planned in phases:
+                phases.append(match)
+            for phase in phases:
                 rows = len(phase.kind)
-                if not planned or bounds[-1] + rows > max_rows:
+                if not phase.planned or bounds[-1] + rows > max_rows:
                     close()
-                if planned:
+                if phase.planned:
                     kinds.append(phase.kind)
                     levels.append(phase.level)
                     bounds.append(bounds[-1] + rows)

@@ -249,19 +249,22 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     size, contention, intra) lookup to a
     :meth:`~repro.mpibench.results.DistributionDB.cell` of the DB's flat
     inverse-CDF table: a phase is one uniform block plus one gather for
-    all its rows, bit-identical to one batch draw per row, and a scalar
-    draw inverts one buffered uniform
-    (:meth:`~repro.mpibench.results.DistributionDB.cell_quantile`).
-    Every draw is clamped at zero (:func:`clamp_times`).
+    all its rows, bit-identical to one batch draw per row.  A key's
+    first scalar draws each invert one buffered uniform
+    (:meth:`~repro.mpibench.results.DistributionDB.cell_quantile`), and
+    its later ones read refills drawn whole by
+    :meth:`~repro.mpibench.results.DistributionDB.sample_times`.  Every
+    draw is clamped at zero (:func:`clamp_times`).
     """
 
-    #: uniforms drawn ahead per (op, size, contention, intra) key of the
+    #: draws taken ahead per (op, size, contention, intra) key of the
     #: scalar path: ``rng.random(BATCH)`` on the key's first draw, then
     #: twice the last refill up to :attr:`BATCH_MAX` whenever the key's
-    #: buffer runs dry.  These sizes fix only how the per-run engine
-    #: consumes its generator -- the seed-stream convention every
-    #: per-run pin holds -- since each draw inverts its own uniform when
-    #: it is used.
+    #: buffer runs dry.  These sizes fix how the per-run engine consumes
+    #: its generator -- the seed-stream convention every per-run pin
+    #: holds.  The first BATCH uniforms are inverted one by one as they
+    #: are used, since most keys of a run use a few of them; a key that
+    #: uses them all is hot, and its refills are inverted whole.
     BATCH = 64
     BATCH_MAX = 8192
 
@@ -298,19 +301,29 @@ class DistributionTiming(_DbGapMixin, TimingModel):
     def _draw(self, op, size, contention, rng, intra):
         # Key on the raw contention level (it determines the benchmark
         # config deterministically) to keep the hot path free of config
-        # lookups.  A buffer is [uniforms, next index, DB cell id]: plain
+        # lookups.  A buffer is [floats, next index, uniforms?]: plain
         # values, so the model pickles between calls.
-        key = (op, size, self._contention(contention), intra)
+        c = self._contention(contention)
+        key = (op, size, c, intra)
         buf = self._buffers.get(key)
         if buf is None:
-            cell = self.db.cell(*key)
-            buf = self._buffers[key] = [rng.random(self.BATCH).tolist(), 0, cell]
+            # Most keys of a run use few of their first BATCH draws, so
+            # these stay uniforms, each inverted when it is used.
+            buf = self._buffers[key] = [rng.random(self.BATCH).tolist(), 0, True]
         elif buf[1] == len(buf[0]):
-            buf[0] = rng.random(min(2 * len(buf[0]), self.BATCH_MAX)).tolist()
+            # A key that used them all is hot: each refill is inverted
+            # whole, as one vectorised draw.
+            n = min(2 * len(buf[0]), self.BATCH_MAX)
+            buf[0] = clamp_times(
+                self.db.sample_times(op, size, c, rng, n, intra=intra)
+            ).tolist()
             buf[1] = 0
-        u = buf[0][buf[1]]
-        buf[1] += 1
-        value = self.db.cell_quantile(buf[2], u)
+            buf[2] = False
+        i = buf[1]
+        buf[1] = i + 1
+        if not buf[2]:
+            return buf[0][i]
+        value = self.db.cell_quantile(self.db.cell(*key), buf[0][i])
         return value if value > 0.0 else 0.0  # clamp_times, inlined
 
     def one_way_time(self, size, contention, rng, intra=False):
@@ -320,8 +333,8 @@ class DistributionTiming(_DbGapMixin, TimingModel):
         return self._draw(self._local_op, size, contention, rng, intra)
 
     # Batch draws go straight to the vectorised DB sampler: *n* uniforms
-    # and *n* inversions, no per-key buffers (those only fix how the
-    # scalar path consumes its stream).
+    # and *n* inversions, no per-key buffers (those serve the scalar
+    # path's one draw per call).
     def one_way_times(self, size, contention, rng, n, intra=False):
         return clamp_times(self.db.sample_times(
             self._oneway_op, size, self._contention(contention), rng, n,

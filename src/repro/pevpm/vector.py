@@ -215,10 +215,11 @@ class BatchedVirtualMachine:
         return block
 
     def _planned(self):
-        """The next plan-order phase's draws: a slice of the current
-        window's block, drawing the next window (:meth:`PhasePlan.windows`)
-        when this one is used up.  One block of concatenated rows holds
-        exactly the uniforms, and so the draws, of one block per phase."""
+        """The next :attr:`~SweepPhase.planned` phase's draws: a slice of
+        the current window's block, drawing the next window
+        (:meth:`PhasePlan.windows`) when this one is used up.  One block
+        of concatenated rows holds exactly the uniforms, and so the
+        draws, of one block per phase."""
         ahead = self._ahead
         if not ahead:
             kind, level, bounds = next(self._windows)
@@ -242,18 +243,18 @@ class BatchedVirtualMachine:
         cost = None
         if len(sweep.kind):
             if order is None:
-                block = self._planned()
-                cost = block if sweep.rows is None else block[sweep.rows]
+                rows = sweep.rows
             else:
                 counts = sweep.counts[order]
                 starts = _exclusive_cumsum(counts)
                 row_start = np.empty_like(starts)
                 row_start[order] = starts
-                block = (
-                    self._planned() if sweep.fixed
-                    else self._draw(*self._sweep_draws(sweep, order, counts, starts))
-                )
-                cost = block[row_start[sweep.send_proc] + sweep.send_nth]
+                rows = row_start[sweep.send_proc] + sweep.send_nth
+            # A phase that is not planned follows a match's order.
+            block = self._planned() if sweep.planned else self._draw(
+                *self._sweep_draws(sweep, order, counts, starts)
+            )
+            cost = block if rows is None else block[rows]
         # The last run's (start, end) per op, by process, when tracing.
         last = {} if self.trace is not None else None
         for serial, sent in sweep.steps:
@@ -301,23 +302,22 @@ class BatchedVirtualMachine:
         recv = match.recv
         # A blocked process's clock is its block start.
         start = clock[recv]
-        n = len(match.procs)
-        if n > 1:
+        order = None
+        if len(match.procs) > 1:
             # The block-time *sum* orders as the mean does (every process
             # divides by the same run count); one row-wise reduce, each
             # row summed exactly as a reduce of that vector alone would.
             # The receivers are in procnum order, so a stable sort breaks
             # ties by procnum.
             order = np.add.reduce(start, axis=1).argsort(kind="stable")
-            block = self._planned() if match.fixed else self._draw(
-                match.kind[order],
-                match.c0 - _exclusive_cumsum(match.inter[order]),
-            )
+        block = self._planned() if match.planned else self._draw(
+            match.kind[order], match.c0 - _exclusive_cumsum(match.inter[order]),
+        )
+        if order is None:
+            oneway = block
+        else:
             oneway = np.empty_like(block)
             oneway[order] = block
-        else:
-            order = None
-            oneway = self._planned()
         t = self._arrivals(match, start, oneway)
         # One TCP stream per pair: arrivals cannot overtake.  A phase
         # completes at most one receive per process, so this only looks

@@ -18,10 +18,11 @@ bit-identical to one draw per decision:
   contention often resolves to the same benchmark config and the
   goldens' times would not notice.
 
-The per-run engine's ``DistributionTiming`` buffers uniforms and
-inverts each one when it is used: the scalar inversion equals the
-table's vectorised one bit for bit, and the buffers advance the
-generator as ``rng.random(64)``, ``rng.random(128)``, ... do.
+The per-run engine's ``DistributionTiming`` buffers a key's first 64
+uniforms and inverts each one when it is used, then inverts the key's
+refills whole: the scalar inversion equals the table's vectorised one
+bit for bit, and the buffers advance the generator as
+``rng.random(64)``, ``rng.random(128)``, ... do.
 """
 
 import numpy as np
@@ -299,19 +300,26 @@ def test_scalar_buffers_advance_the_stream_as_batch_draws(case, batch_max):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_per_run_draws_invert_one_uniform_each(monkeypatch):
+def test_per_run_draws_invert_what_they_use(monkeypatch):
     # A 16-proc, 64-task farm run: every message draws its local send
-    # time and its one-way time once, and only those uniforms are
-    # inverted, not the buffers' look-ahead.
-    calls = []
-    value = _SampleTable.value
-    monkeypatch.setattr(_SampleTable, "value", lambda *a: calls.append(1) or value(*a))
-    monkeypatch.setattr(_SampleTable, "values", None)  # never the array form
+    # time and its one-way time once.  A key's first 64 uniforms are
+    # inverted one at a time as they are used, not the look-ahead; the
+    # one key drawn 65 times takes the 65th from a 128-draw refill,
+    # inverted whole.
+    scalar, refills = [], []
+    value, values = _SampleTable.value, _SampleTable.values
+    monkeypatch.setattr(
+        _SampleTable, "value", lambda *a: scalar.append(1) or value(*a)
+    )
+    monkeypatch.setattr(
+        _SampleTable, "values", lambda t, c, u: refills.append(u.size) or values(t, c, u)
+    )
     result = VirtualMachine(16, DistributionTiming(DB), seed=5).run(
         taskfarm_model(make_tasks(64, seed=1))
     )
     assert result.messages == 158
-    assert len(calls) == 2 * result.messages
+    assert len(scalar) == 2 * result.messages - 1
+    assert refills == [128]  # 443 inversions in all, not 3,264
 
 
 def test_degenerate_rows_are_the_exact_constant():

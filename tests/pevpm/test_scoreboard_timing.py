@@ -287,6 +287,46 @@ class TestTimingModels:
             HockneyTiming(latency=0, bandwidth=1, send_fraction=2.0)
 
 
+class TestScalarBuffers:
+    """The per-run draw buffers hold plain values, so a model pickled or
+    a DB grown between draws goes on with the draws an untouched model
+    gives: the first 64 on a key (uniforms inverted when used) and its
+    refills (inverted whole) alike."""
+
+    keys = ((1024, 3), (0, 40))
+
+    def _draws(self, t, rng, n, key=0):
+        size, contention = self.keys[key]
+        return [t.one_way_time(size, contention, rng) for _ in range(n)]
+
+    def _reference(self):
+        t, rng = DistributionTiming(_synthetic_db()), np.random.default_rng(9)
+        return (self._draws(t, rng, 10) + self._draws(t, rng, 1, key=1)
+                + self._draws(t, rng, 100) + self._draws(t, rng, 90))
+
+    def test_pickled_model_draws_on(self):
+        t, rng = DistributionTiming(_synthetic_db()), np.random.default_rng(9)
+        got = self._draws(t, rng, 10)
+        t, rng = pickle.loads(pickle.dumps((t, rng)))
+        got += self._draws(t, rng, 1, key=1)  # takes a cell id first
+        got += self._draws(t, rng, 100)  # the rest of the first 64, a refill
+        t, rng = pickle.loads(pickle.dumps((t, rng)))
+        got += self._draws(t, rng, 90)
+        assert got == self._reference()
+
+    def test_draws_go_on_after_the_db_grows(self):
+        db = _synthetic_db()
+        t, rng = DistributionTiming(db), np.random.default_rng(9)
+        got = self._draws(t, rng, 10)
+        db.add(BenchmarkResult(
+            op="bcast", nodes=2, ppn=1, cluster="synthetic",
+            histograms={0: Histogram.from_samples(np.full(8, 1e-5), bins=4)},
+        ))
+        got += self._draws(t, rng, 1, key=1)
+        got += self._draws(t, rng, 190)
+        assert got == self._reference()
+
+
 class TestTimingFactory:
     def test_modes(self):
         db = _synthetic_db()
