@@ -76,6 +76,15 @@ class TestSeedStreams:
         pred = predict(parse_jacobi(), 4, timing, runs=4, seed=0, params=jacobi_params)
         assert len(set(pred.times)) > 1
 
+    def test_every_run_of_a_two_chunk_call_has_a_wall(self, db, jacobi_params):
+        runs = VECTOR_BATCH + 4
+        timing = timing_from_db(db, mode="distribution")
+        pred = predict(
+            parse_jacobi(), 4, timing, runs=runs, seed=1, params=jacobi_params
+        )
+        assert len(pred.times) == len(pred.run_walls) == runs
+        assert all(w > 0 for w in pred.run_walls)
+
 
 class TestSerialParallelIdentity:
     def test_predict_bit_identical(self, db, jacobi_params, monkeypatch):

@@ -23,7 +23,7 @@ import pytest
 from repro.apps.fft import fft_model
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
-from repro.pevpm import VECTOR_BATCH, parallel, predict, timing_from_db
+from repro.pevpm import VECTOR_BATCH, predict, timing_from_db
 from repro.pevpm.machine import ModelDeadlock
 from repro.service import MODELS, PredictionService, ServiceClient, ServiceThread
 from repro.service import records as service_records
@@ -125,28 +125,21 @@ class TestReproducibilityContract:
         assert record["db_fingerprint"] == db.fingerprint()
         assert record["runs"] == 4
 
-    def test_engine_never_starts_a_process_pool(self, db, monkeypatch):
-        # Both requests split into several work units, so an engine call
-        # left at its default worker count (one per core) would start a
-        # pool here; the server evaluates in its own process.
-        pools = []
-
-        class CountingPool(parallel.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 4)
+    def test_engine_never_starts_a_process_pool(self, db):
+        # The engine evaluates in the server's own process.  Both
+        # requests span several evaluation steps -- the fixed one two
+        # chunks, the adaptive one three refinement rounds -- and both
+        # must still equal the direct call.
         fixed = jacobi_request(runs=2 * VECTOR_BATCH, seed=11)
         adaptive = jacobi_request(seed=12, target_rse=1e-9, max_runs=16)
         del adaptive["runs"]
         with serve(db) as (_service, client):
             fixed_record = client.predict(**fixed)
             adaptive_record = client.predict(**adaptive)
-        assert pools == []
         assert fixed_record["times"] == direct_jacobi(db, fixed).times
-        assert adaptive_record["runs"] == 16  # 4 + 4 + 8 in three rounds
+        assert adaptive_record["runs"] == 16
+        rounds = adaptive_record["precision"]["rounds"]
+        assert [r["added"] for r in rounds] == [4, 4, 8]
 
     def test_scalar_engine_requests_match_too(self, db):
         # The task farm is divergent, so it runs on the per-run engine.

@@ -114,7 +114,7 @@ class TestPredictJson:
         rc = main([
             "predict", "--db", str(saved_db), "--nprocs", "4",
             "--iterations", "20", "--runs", "2", "--seed", "3",
-            "--workers", "1", "--json",
+            "--json",
         ])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
@@ -142,7 +142,7 @@ class TestPredictJson:
         main([
             "predict", "--db", str(saved_db), "--nprocs", "4",
             "--iterations", "20", "--runs", "2", "--seed", "3",
-            "--workers", "1", "--json",
+            "--json",
         ])
         doc = json.loads(capsys.readouterr().out)
         spec = perseus()
