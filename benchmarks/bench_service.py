@@ -14,11 +14,12 @@ one engine evaluation per request), and asserts:
   call -- throughput features must not move the numbers.
 """
 
+import os
+
 from conftest import write_figure
 from repro._tables import format_table
 from repro.apps.jacobi import parse_jacobi
 from repro.pevpm import predict, timing_from_db
-from repro.pevpm.parallel import usable_cores
 from repro.service import (
     LoadGenerator,
     PredictionService,
@@ -170,7 +171,7 @@ def test_sharded_service_throughput(spec, fig6_db, out_dir):
             )
             client.close()
 
-    cpus = usable_cores()
+    cpus = len(os.sched_getaffinity(0))
     ratio = results[4]["throughput_rps"] / max(
         results[1]["throughput_rps"], 1e-9
     )

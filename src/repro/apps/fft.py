@@ -139,7 +139,7 @@ def fft_model(n_points: int):
     :class:`~repro.pevpm.machine.VirtualMachine` /
     :func:`~repro.pevpm.predict.predict`.  It pickles (a module-level
     generator bound with :func:`functools.partial`), so the prediction
-    cache and the compile cache can key it and pool workers can run it.
+    cache and the compile cache can key it.
     """
     _require_pow2(n_points, "n_points")
     return partial(_fft_program, n_points)

@@ -114,7 +114,7 @@ def taskfarm_model(tasks: list[float]):
     stop message is distinguished by its size, exactly as the runtime
     version distinguishes it by tag.  The program pickles (a
     module-level generator bound with :func:`functools.partial`), so
-    the prediction cache can key it and pool workers can run it.
+    the prediction cache and the compile cache can key it.
     """
     return partial(_taskfarm_program, tuple(tasks))
 

@@ -158,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the real (simulated) Jacobi for comparison",
     )
     p_pred.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the Monte Carlo runs "
-             "(default: one per host core; results are identical either way)",
-    )
-    p_pred.add_argument(
         "--cache-dir", metavar="DIR",
         help="reuse finished predictions from this on-disk cache",
     )
@@ -609,7 +604,7 @@ def cmd_predict(args) -> int:
     try:
         preds = compare_timing_modes(
             model, args.nprocs, db, runs=args.runs, seed=args.seed,
-            params=vm_params, ppn=args.ppn, workers=args.workers,
+            params=vm_params, ppn=args.ppn,
             cache_dir=args.cache_dir, target_rse=args.target_rse,
             min_runs=args.min_runs, max_runs=args.max_runs,
         )
@@ -624,6 +619,9 @@ def cmd_predict(args) -> int:
             print(json.dumps({"error": "deadlock", "detail": str(exc)}))
         print(f"repro predict: deadlock detected: {exc}", file=sys.stderr)
         return EXIT_DEADLOCK
+    except ValueError as exc:
+        print(f"repro predict: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         from .service.records import prediction_record
 
@@ -771,10 +769,14 @@ def cmd_import_trace(args) -> int:
             )
             configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
             db = bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
-        preds = compare_timing_modes(
-            program.model(), program.nprocs, db,
-            runs=args.runs, seed=args.seed,
-        )
+        try:
+            preds = compare_timing_modes(
+                program.model(), program.nprocs, db,
+                runs=args.runs, seed=args.seed,
+            )
+        except ValueError as exc:
+            print(f"repro import-trace: {exc}", file=sys.stderr)
+            return 1
         doc["db_fingerprint"] = db.fingerprint()
         doc["predictions"] = {
             name: {"mean_time": pred.mean_time, "times": list(pred.times)}

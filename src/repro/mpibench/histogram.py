@@ -299,7 +299,7 @@ class Histogram:
         PEVPM's draws use the binned form through
         ``DistributionDB.cell`` for histograms without retained samples;
         the DB's flat table reproduces the other two forms bit for bit.
-        Compiled lazily and cached; never pickled (workers recompile on
+        Compiled lazily and cached; never pickled (a clone recompiles on
         first use).
         """
         f = self._icdf
@@ -350,7 +350,7 @@ class Histogram:
         return f
 
     # -- pickling ---------------------------------------------------------------
-    # Histograms ride to pool workers inside pickled timing models; the
+    # Histograms pickle inside pickled DBs and timing models; the
     # compiled inverse-CDF is a closure (unpicklable) and cheap to
     # rebuild, so it is dropped from the pickled state.
     def __getstate__(self):

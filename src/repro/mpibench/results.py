@@ -599,10 +599,10 @@ class DistributionDB:
         return self._fingerprint
 
     # -- pickling ---------------------------------------------------------------------
-    # The DB ships to prediction-pool workers by pickle; the sampling
-    # table duplicates the samples and its binned sides are closures,
-    # so it travels empty with its cells and each worker rebuilds it on
-    # first use.
+    # A pickled DB leaves its sampling table behind: the table
+    # duplicates the samples and its binned sides are closures, so it
+    # travels empty with its cells and the clone rebuilds it on first
+    # use.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_table"] = None

@@ -13,7 +13,7 @@ al. argue for with Caliper/Benchpark).
   bounded ring buffer and exported by ``GET /trace``;
 * :mod:`.profile` -- per-phase accumulators for the engine's
   sweep/match/sample buckets (PEVPM's loss-attribution categories
-  applied to host time), shipped back from worker processes on each
+  applied to host time), returned on each
   :class:`~repro.pevpm.parallel.RunOutcome`;
 * :mod:`.jsonlog` -- one structured JSON line per served prediction
   (trace ID, cache tier outcome, batch ID, retry count) behind

@@ -19,9 +19,8 @@ region subtract the sample time recorded inside it (see
 :meth:`PhaseProfiler.exclusive`).
 
 A profiler is plain mutable state with no locks -- each evaluation
-(worker process or evaluator thread) owns its own instance, and the
-per-run shares ride back on :class:`~repro.pevpm.parallel.RunOutcome`
-as a ``dict[str, float]``, which pickles across the process pool.
+owns its own instance, and the per-run shares ride back on
+:class:`~repro.pevpm.parallel.RunOutcome` as a ``dict[str, float]``.
 """
 
 from __future__ import annotations

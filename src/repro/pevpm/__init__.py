@@ -43,7 +43,6 @@ from .parallel import (
     as_seed_sequence,
     chunk_seed,
     evaluate_groups,
-    resolve_workers,
     run_seeds,
 )
 from .vector import BatchedVirtualMachine
@@ -131,7 +130,6 @@ __all__ = [
     "evaluate_groups",
     "evaluate_with_precision",
     "lower_collective",
-    "resolve_workers",
     "run_seeds",
     "extract_symbolic_model",
     "static_profile",

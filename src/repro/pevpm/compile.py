@@ -743,11 +743,10 @@ def compile_program(
 
 # -- the compile cache -----------------------------------------------------------
 # Keyed by (model fingerprint, nprocs): the same identity prediction_key
-# hashes, so any model the prediction cache can address
-# compiles exactly once per process (workers included -- each worker
-# process carries its own cache).  Unfingerprintable models (closures
-# pickle refuses) compile per call; the per-group program cache in
-# repro.pevpm.parallel still bounds that to once per (group, process).
+# hashes, so any model the prediction cache can address compiles
+# exactly once per process.  Unfingerprintable models (closures pickle
+# refuses) compile per call; evaluate_groups still compiles each group
+# once per call.
 _COMPILE_CACHE: dict[tuple[str, int], CompiledProgram] = {}
 
 

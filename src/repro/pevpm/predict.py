@@ -7,11 +7,10 @@ several times with independent random streams and aggregates; helpers
 compute speedups (for Figure 6) and compare the paper's timing-source
 variants side by side.
 
-All entry points route through :mod:`repro.pevpm.parallel`: Monte Carlo
-runs (and the ``proc_counts`` / timing-mode axes of the helpers) fan out
-over a process pool when ``workers`` allows, with per-run
-``SeedSequence`` streams keeping serial and parallel evaluation
-bit-identical for the same seed.  Pass ``cache_dir`` to reuse finished
+All entry points route through :mod:`repro.pevpm.parallel`, which
+evaluates every Monte Carlo run (and the ``proc_counts`` / timing-mode
+axes of the helpers) in the caller's process, each run on its own
+``SeedSequence`` stream.  Pass ``cache_dir`` to reuse finished
 evaluations across calls and processes.
 """
 
@@ -147,7 +146,8 @@ class Prediction:
 
     @property
     def max_run_wall(self) -> float:
-        """Slowest single run's host seconds -- the parallel critical path."""
+        """Slowest single run's host seconds (a batched chunk's runs each
+        carry an equal share of the chunk's wall)."""
         if not self.run_walls:
             return 0.0
         return float(np.max(self.run_walls))
@@ -262,13 +262,13 @@ def prediction_key(
     return h.hexdigest()
 
 
-def _evaluate_predictions(
-    groups: list[RunGroup],
-    workers: int | None,
-    cache_dir,
-) -> list[Prediction]:
+def _evaluate_predictions(groups: list[RunGroup], cache_dir) -> list[Prediction]:
     """Serve each group from the cache when possible; evaluate the rest
-    (misses of *all* groups share one pool) and persist their results."""
+    (misses of *all* groups in one :func:`evaluate_groups` call) and
+    persist their results.  The fixed-runs path of every entry point:
+    it rejects a group of fewer than one run."""
+    if any(g.runs < 1 for g in groups):
+        raise ValueError("runs must be >= 1")
     cache = PredictionCache(cache_dir) if cache_dir is not None else None
     preds: list[Prediction | None] = [None] * len(groups)
     keys: list[str | None] = [None] * len(groups)
@@ -289,12 +289,11 @@ def _evaluate_predictions(
             misses.append(i)
     if misses:
         t0 = _time.perf_counter()
-        outcomes = evaluate_groups([groups[i] for i in misses], workers=workers)
+        outcomes = evaluate_groups([groups[i] for i in misses])
         wall = _time.perf_counter() - t0
         for i, group_outcomes in zip(misses, outcomes):
-            # Attribute the shared pool's wall time to each group by its
-            # own runs' host cost (exact when serial; proportional under
-            # the pool).
+            # Split the call's wall time, compilation included, across
+            # the groups by their own runs' host cost.
             own = sum(o.wall for o in group_outcomes)
             total = sum(o.wall for per in outcomes for o in per) or 1.0
             preds[i] = build_prediction(groups[i], group_outcomes, wall * own / total)
@@ -372,23 +371,22 @@ class _AdaptiveState:
 def evaluate_with_precision(
     fixed_groups: list[RunGroup],
     adaptive_pairs: list[tuple[RunGroup, PrecisionTarget]],
-    workers: int | None = None,
 ) -> tuple[list[list], list[float], list[AdaptiveResult]]:
     """Round-based evaluation mixing fixed and adaptive groups.
 
     Each round issues **one** :func:`evaluate_groups` call covering every
     adaptive group's next increment (fixed groups join the first round),
-    so concurrent refinements share the pool and the micro-batcher's
-    coalescing just as fixed batches do.  Increments extend each group's
+    so concurrent refinements share the micro-batcher's coalescing just
+    as fixed batches do.  Increments extend each group's
     seed streams at absolute run indices (``run_offset``), and every
     scheduled total is chunk-aligned, so a group stopping at N runs has
     drawn exactly what a one-shot ``runs=N`` evaluation would --
     bit-identical times (the Hypothesis property
     ``tests/pevpm/test_adaptive_predict.py`` pins).
 
-    Returns ``(fixed_outcomes, fixed_walls, adaptive_results)``; wall
-    time of each round's shared pool is attributed proportionally to the
-    host cost of each group's own runs, as in fixed evaluation.
+    Returns ``(fixed_outcomes, fixed_walls, adaptive_results)``; each
+    round's wall time is attributed proportionally to the host cost of
+    each group's own runs, as in fixed evaluation.
     """
     states = [_AdaptiveState(g, t) for g, t in adaptive_pairs]
     fixed_out: list[list | None] = [None] * len(fixed_groups)
@@ -410,7 +408,7 @@ def evaluate_with_precision(
             break
         first = False
         t0 = _time.perf_counter()
-        per = evaluate_groups(round_groups, workers=workers)
+        per = evaluate_groups(round_groups)
         wall = _time.perf_counter() - t0
         total_w = sum(o.wall for outs in per for o in outs) or 1.0
         for owner, g, outs in zip(owners, round_groups, per):
@@ -436,7 +434,6 @@ def precision_doc(target: PrecisionTarget, result: AdaptiveResult) -> dict:
 def _evaluate_adaptive_predictions(
     groups: list[RunGroup],
     targets: list[PrecisionTarget],
-    workers: int | None,
     cache_dir,
 ) -> list[Prediction]:
     """Adaptive counterpart of :func:`_evaluate_predictions`.
@@ -475,9 +472,7 @@ def _evaluate_adaptive_predictions(
         miss_pairs.append((group, target))
         miss_idx.append(i)
     if miss_pairs:
-        _, _, results = evaluate_with_precision(
-            [], miss_pairs, workers=workers
-        )
+        _, _, results = evaluate_with_precision([], miss_pairs)
         for i, (group, target), result in zip(miss_idx, miss_pairs, results):
             finished = replace(group, runs=result.runs)
             pred = build_prediction(finished, result.outcomes, result.wall)
@@ -524,7 +519,6 @@ def predict(
     trace_last: bool = False,
     nic_serialisation: str = "tx",
     ppn: int = 1,
-    workers: int | None = 1,
     cache_dir=None,
     vector_runs: bool = False,
     precision: PrecisionTarget | None = None,
@@ -535,21 +529,18 @@ def predict(
     """Evaluate *model* (directive Block or program callable) *runs* times.
 
     Run *i* uses child stream *i* of ``SeedSequence(seed)``, so results
-    are independent across runs yet bit-identical for any ``workers``
-    setting.  ``workers=1`` (the default) evaluates serially; ``None``
-    uses one process per host core.  The pool's work unit is a chunk of
-    runs for a static program and one run for a divergent one, so a
-    static program only spreads over workers once its runs fill several
-    chunks, and each worker first recompiles the program and rebuilds
-    its sampler tables.  ``cache_dir`` enables the on-disk prediction
-    cache for models that pickle (:func:`prediction_key`); the last run
-    can be traced for loss attribution (which bypasses the cache).
+    are independent across runs and fixed by the seed.  Evaluation runs
+    in the caller's process; more cores serve more requests through
+    ``repro serve --shards N``.  ``cache_dir`` enables the on-disk
+    prediction cache for models that pickle (:func:`prediction_key`);
+    the last run can be traced for loss attribution (which bypasses the
+    cache).
 
     The model is compiled once (:mod:`repro.pevpm.compile`) and its
     shape picks the engine.  A static program runs on the batched
     virtual machine (:mod:`repro.pevpm.vector`): all runs of a
     fixed-size chunk advance in one sweep/match pass with vectorised
-    timing draws, and chunks fan out over ``workers``.  A program whose
+    timing draws.  A program whose
     structure is timing-dependent (a wildcard receive with racing
     senders, detected at compile time) runs run by run on the per-run
     engine.  Tracing the last run never changes the times.
@@ -573,8 +564,6 @@ def predict(
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
     if target is not None and trace_last:
         raise ValueError("trace_last is incompatible with adaptive evaluation")
-    if target is None and runs < 1:
-        raise ValueError("runs must be >= 1")
     group = RunGroup(
         model=model,
         nprocs=nprocs,
@@ -588,10 +577,8 @@ def predict(
     )
     if target is not None:
         group = replace(group, vector_batch=_adaptive_batch(target))
-        return _evaluate_adaptive_predictions(
-            [group], [target], workers, cache_dir
-        )[0]
-    return _evaluate_predictions([group], workers, cache_dir)[0]
+        return _evaluate_adaptive_predictions([group], [target], cache_dir)[0]
+    return _evaluate_predictions([group], cache_dir)[0]
 
 
 def predict_speedups(
@@ -603,7 +590,6 @@ def predict_speedups(
     seed: int | np.random.SeedSequence = 0,
     params: dict | None = None,
     ppn: int = 1,
-    workers: int | None = 1,
     cache_dir=None,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
@@ -616,8 +602,7 @@ def predict_speedups(
     models just return the same Block); *timing_factory(nprocs)* builds
     the timing source (average-n x p models depend on nprocs).  Each
     machine size gets its own child seed stream, so the points are
-    statistically independent; with ``workers`` > 1 the (size x run)
-    grid evaluates in one shared pool.
+    statistically independent.
 
     With ``precision``/``target_rse`` set, every size stops at its own
     adaptive total: small machines (low variance) spend few runs, large
@@ -643,10 +628,10 @@ def predict_speedups(
     ]
     if target is not None:
         preds = _evaluate_adaptive_predictions(
-            groups, [target] * len(groups), workers, cache_dir
+            groups, [target] * len(groups), cache_dir
         )
     else:
-        preds = _evaluate_predictions(groups, workers, cache_dir)
+        preds = _evaluate_predictions(groups, cache_dir)
     return {
         nprocs: pred.speedup(serial_time)
         for nprocs, pred in zip(proc_counts, preds)
@@ -663,7 +648,6 @@ def compare_timing_modes(
     params: dict | None = None,
     nic_serialisation: str = "tx",
     ppn: int = 1,
-    workers: int | None = 1,
     cache_dir=None,
     precision: PrecisionTarget | None = None,
     target_rse: float | None = None,
@@ -675,8 +659,7 @@ def compare_timing_modes(
     *modes* is a list of (mode, source) pairs; defaults to the paper's
     four: distribution sampling vs. min/avg ping-pong vs. avg n x p.
     Every mode reuses the same seed streams (a paired comparison: the
-    ablation differs only in timing source, not in random draws); with
-    ``workers`` > 1 the (mode x run) grid shares one pool.
+    ablation differs only in timing source, not in random draws).
 
     ``precision``/``target_rse`` makes each mode stop at its own
     adaptive total -- the deterministic modes (min/avg ping-pong draw no
@@ -708,10 +691,10 @@ def compare_timing_modes(
     ]
     if target is not None:
         preds = _evaluate_adaptive_predictions(
-            groups, [target] * len(groups), workers, cache_dir
+            groups, [target] * len(groups), cache_dir
         )
     else:
-        preds = _evaluate_predictions(groups, workers, cache_dir)
+        preds = _evaluate_predictions(groups, cache_dir)
     return {
         f"{mode}-{source}": pred
         for (mode, source), pred in zip(modes, preds)

@@ -27,7 +27,7 @@ Batch-mode conventions (documented in DESIGN.md section 6):
 
 * one RNG stream per batch, consumed in a deterministic order fixed by
   the program's structure, so the same seed gives bit-identical output
-  regardless of host or worker count;
+  on any host;
 * each sweep or match phase draws as one block, listed as two int
   arrays -- each draw's ``(op, size, intra)`` kind and its contention
   level -- exactly the values one ``(r,)`` draw per decision would

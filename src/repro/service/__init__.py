@@ -8,8 +8,8 @@ the request funnel a production serving layer needs:
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
 * :mod:`.batcher` -- micro-batching of concurrent misses into one
-  :func:`~repro.pevpm.parallel.evaluate_groups` call (whose work units
-  are ``BatchedVirtualMachine`` chunks for static programs);
+  :func:`~repro.pevpm.parallel.evaluate_groups` call (which runs
+  static programs as ``BatchedVirtualMachine`` chunks);
 * :mod:`.dedup`   -- singleflight collapse of identical in-flight
   requests;
 * :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines

@@ -409,10 +409,8 @@ class PredictionService:
         poisoned request cannot fail its batch-mates.  Returns one
         document or exception per request.
 
-        Evaluation stays in this process: ``workers=1`` is explicit
-        because the engine defaults to one worker per core.  Served
-        requests are too small for a process pool to pay; more cores
-        serve through more shards (``repro serve --shards N``).
+        Evaluation stays in this process, as every evaluation does; more
+        cores serve through more shards (``repro serve --shards N``).
         """
         if self.faults is not None:
             self.faults.on_evaluate()
@@ -438,13 +436,13 @@ class PredictionService:
             return results
         try:
             fixed_out, fixed_walls, adaptive_results = evaluate_with_precision(
-                fixed_groups, adaptive_pairs, workers=1
+                fixed_groups, adaptive_pairs
             )
         except Exception:
             for i, group in zip(fixed_idx, fixed_groups):
                 try:
                     t1 = _time.perf_counter()
-                    outcomes = evaluate_groups([group], workers=1)[0]
+                    outcomes = evaluate_groups([group])[0]
                     results[i] = self._finish(
                         group, outcomes, _time.perf_counter() - t1
                     )
@@ -453,7 +451,7 @@ class PredictionService:
             for i, (group, target) in zip(adaptive_idx, adaptive_pairs):
                 try:
                     _, _, singles = evaluate_with_precision(
-                        [], [(group, target)], workers=1
+                        [], [(group, target)]
                     )
                     results[i] = self._finish_adaptive(group, target, singles[0])
                 except Exception as exc:

@@ -133,8 +133,8 @@ def next_total(done: int, target: PrecisionTarget, batch: int | None = None) -> 
     """The next cumulative run total of the doubling schedule.
 
     ``done=0`` starts at ``min_runs``; afterwards the total doubles
-    (geometric growth keeps the number of refinement rounds -- each a
-    pool dispatch -- logarithmic in the final spend).  With *batch* set
+    (geometric growth keeps the number of refinement rounds -- each an
+    engine call -- logarithmic in the final spend).  With *batch* set
     (a vectorised group's chunk size), totals align **up** to chunk
     multiples so every increment is whole chunks; the ``max_runs`` cap
     wins over alignment (its final chunk may be partial -- see module

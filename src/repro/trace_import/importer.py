@@ -86,8 +86,8 @@ class TraceDeadlock(TraceError):
 class TraceModel:
     """The replayable model program of an imported trace.
 
-    A picklable callable (so the process-pool workers, the on-disk
-    prediction cache, and the compile cache can all fingerprint it):
+    A picklable callable (so the on-disk prediction cache and the
+    compile cache can fingerprint it):
     ``program(ctx)`` yields rank ``ctx.procnum``'s recorded events in
     order.  The model is pinned to the trace's rank count -- predicting
     it at a different ``nprocs`` is a request error, not a silent

