@@ -75,15 +75,6 @@ class TestSeedStreams:
         pred = predict(parse_jacobi(), 4, timing, runs=4, seed=0, params=jacobi_params)
         assert len(set(pred.times)) > 1
 
-    def test_every_run_of_a_two_chunk_call_has_a_wall(self, db, jacobi_params):
-        runs = VECTOR_BATCH + 4
-        timing = timing_from_db(db, mode="distribution")
-        pred = predict(
-            parse_jacobi(), 4, timing, runs=runs, seed=1, params=jacobi_params
-        )
-        assert len(pred.times) == len(pred.run_walls) == runs
-        assert all(w > 0 for w in pred.run_walls)
-
 
 class TestSerialEvaluation:
     def test_evaluate_groups_accepts_only_one_worker(self, db, jacobi_params):
@@ -100,6 +91,15 @@ class TestSerialEvaluation:
             parse_jacobi(), 4, timing, runs=4, seed=1, params=jacobi_params
         )
         assert [o.elapsed for o in outcomes] == direct.times
+
+    def test_every_run_of_a_two_chunk_call_has_a_wall(self, db, jacobi_params):
+        runs = VECTOR_BATCH + 4
+        timing = timing_from_db(db, mode="distribution")
+        pred = predict(
+            parse_jacobi(), 4, timing, runs=runs, seed=1, params=jacobi_params
+        )
+        assert len(pred.times) == len(pred.run_walls) == runs
+        assert all(w > 0 for w in pred.run_walls)
 
 
 class TestPredictionCache:
