@@ -67,6 +67,14 @@ def _parse_config(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _quick_campaign(seed: int, reps: int = 50) -> DistributionDB:
+    """The small MPIBench campaign ``predict``, ``import-trace
+    --predict`` and ``serve`` measure when given no ``--db``."""
+    bench = MPIBench(perseus(), seed=seed, settings=BenchSettings(reps=reps))
+    configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
+    return bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
+
+
 def _serve_workers(text: str) -> int:
     """``repro serve --workers``: only 1 is accepted.  A server
     evaluates in its own process; more cores serve through shards."""
@@ -234,30 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-dir", metavar="DIR",
-        help="on-disk prediction cache tier (shared with repro predict)",
+        help="on-disk prediction cache tier (repro predict --cache-dir "
+             "may share the directory, but not its entries)",
     )
-    p_serve.add_argument("--lru-size", type=int, default=1024)
-    p_serve.add_argument("--max-batch", type=int, default=8)
     p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds",
+        "--lru-size", type=int, default=1024,
+        help="in-memory prediction cache entries (0 disables the tier)",
+    )
+    p_serve.add_argument(
+        "--max-batch", type=int, default=8,
+        help="most requests evaluated together; requests queued while "
+             "the evaluator is busy share its next batch",
     )
     p_serve.add_argument("--queue-limit", type=int, default=64)
     p_serve.add_argument(
         "--deadline-s", type=float, default=30.0,
         help="default per-request deadline (504 when exceeded)",
-    )
-    p_serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable micro-batching (one evaluation per request)",
-    )
-    p_serve.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable singleflight deduplication",
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the LRU/disk cache tiers",
     )
     p_serve.add_argument(
         "--breaker-threshold", type=int, default=5,
@@ -588,6 +588,10 @@ def cmd_predict(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.target_rse is None and args.runs < 1:
+        # Checked before the campaign; adaptive mode ignores --runs.
+        print("repro predict: runs must be >= 1", file=sys.stderr)
+        return 1
     try:
         params, model, vm_params, serial = _resolve_workload(args, spec)
     except ValueError as exc:
@@ -598,9 +602,7 @@ def cmd_predict(args) -> int:
     else:
         if not args.json:
             print("no --db given: running a quick benchmark campaign first...")
-        bench = MPIBench(spec, seed=args.seed, settings=BenchSettings(reps=50))
-        configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
-        db = bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
+        db = _quick_campaign(args.seed)
     try:
         preds = compare_timing_modes(
             model, args.nprocs, db, runs=args.runs, seed=args.seed,
@@ -706,6 +708,9 @@ def cmd_import_trace(args) -> int:
 
     from .trace_import import TraceDeadlock, TraceError, parse_trace
 
+    if args.predict and args.runs < 1:
+        print("repro import-trace: runs must be >= 1", file=sys.stderr)
+        return 1
     if args.file == "-":
         text = sys.stdin.read()
         default_name = args.name
@@ -757,18 +762,13 @@ def cmd_import_trace(args) -> int:
                   f"to {args.host}:{args.port}")
     doc = dict(meta)
     if args.predict:
-        spec = perseus()
         if args.db:
             db = DistributionDB.load(args.db)
         else:
             if not args.json:
                 print("no --db given: running a quick benchmark "
                       "campaign first...")
-            bench = MPIBench(
-                spec, seed=args.seed, settings=BenchSettings(reps=50)
-            )
-            configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
-            db = bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
+            db = _quick_campaign(args.seed)
         try:
             preds = compare_timing_modes(
                 program.model(), program.nprocs, db,
@@ -802,13 +802,9 @@ def cmd_import_trace(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-    import signal
-
     from .obs import Tracer
     from .service import FaultInjector, PredictionService, ServiceServer
 
-    spec = perseus()
     if args.db:
         db = DistributionDB.load(args.db)
     else:
@@ -817,11 +813,18 @@ def cmd_serve(args) -> int:
             f"(reps={args.reps})...",
             flush=True,
         )
-        bench = MPIBench(
-            spec, seed=args.seed, settings=BenchSettings(reps=args.reps)
-        )
-        configs = [(1, 2), (2, 1), (8, 1), (16, 1), (32, 1)]
-        db = bench.sweep_isend(configs, sizes=[0, 512, 1024, 2048])
+        db = _quick_campaign(args.seed, reps=args.reps)
+    # The PredictionService options a standalone server and every shard
+    # of a sharded one share.
+    options = dict(
+        lru_size=args.lru_size,
+        max_batch=args.max_batch,
+        queue_limit=args.queue_limit,
+        deadline_s=args.deadline_s,
+        breaker_threshold=args.breaker_threshold,
+        breaker_cooldown=args.breaker_cooldown,
+        tenant_rate=args.tenant_rate,
+    )
     if args.shards > 1:
         import tempfile
 
@@ -857,18 +860,10 @@ def cmd_serve(args) -> int:
             port=args.port,
             cache_dir=args.cache_dir,
             drain_grace=args.drain_grace,
-            lru_size=args.lru_size,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-            deadline_s=args.deadline_s,
-            batching=not args.no_batch,
-            dedup=not args.no_dedup,
-            caching=not args.no_cache,
             tracing=not args.no_trace,
             trace_buffer=args.trace_buffer,
             registry_dir=registry_dir,
-            tenant_rate=args.tenant_rate,
+            **options,
         )
         return supervisor.run()
     registry = None
@@ -883,23 +878,13 @@ def cmd_serve(args) -> int:
     tracer = None if args.no_trace else Tracer(capacity=args.trace_buffer)
     service = PredictionService(
         db,
-        spec=spec,
+        spec=perseus(),
         cache_dir=args.cache_dir,
-        lru_size=args.lru_size,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
-        queue_limit=args.queue_limit,
-        deadline_s=args.deadline_s,
-        batching=not args.no_batch,
-        dedup=not args.no_dedup,
-        caching=not args.no_cache,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         fault_injector=injector,
         tracer=tracer,
         log_json=args.log_json,
         registry=registry,
-        tenant_rate=args.tenant_rate,
+        **options,
     )
     if args.seed_registry:
         from .registry.seeds import seed_builtin
@@ -910,38 +895,10 @@ def cmd_serve(args) -> int:
         )
         seeded = seed_builtin(service.registry, reps=args.seed_reps)
         print(f"registry fleet: {json.dumps(sorted(seeded))}", flush=True)
+    if args.chaos:
+        print("chaos mode: /chaos enabled", flush=True)
     server = ServiceServer(service, host=args.host, port=args.port)
-
-    async def _serve() -> None:
-        host, port = await server.start()
-        chaos = " (chaos mode: /chaos enabled)" if args.chaos else ""
-        print(
-            f"repro service listening on http://{host}:{port}{chaos}",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        stop_signal = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop_signal.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-Unix loop: fall back to KeyboardInterrupt
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        try:
-            await stop_signal.wait()
-            print(
-                f"draining (grace {args.drain_grace:g}s)...", flush=True
-            )
-            await server.drain(args.drain_grace)
-        finally:
-            serve_task.cancel()
-            await asyncio.gather(serve_task, return_exceptions=True)
-            await server.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("shutting down")
+    server.run(args.drain_grace, log=lambda line: print(line, flush=True))
     print("drained; bye", flush=True)
     return 0
 

@@ -8,6 +8,10 @@ contention-free minimum) and a right skew, so the natural families are the
 maximum likelihood (via :mod:`scipy.stats`), scores them with the
 Kolmogorov-Smirnov statistic, and wraps the winner in a sampler that can
 stand in for a histogram as a PEVPM timing source.
+
+scipy is imported where a fit is made or used, not when this module
+loads: importing it takes about a second, and most processes that load
+the package (``repro`` commands, service shards) never fit.
 """
 
 from __future__ import annotations
@@ -15,17 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .histogram import Histogram
 
 __all__ = ["ParametricFit", "fit_histogram", "fit_samples"]
 
 
-_FAMILIES = {
-    "gamma": stats.gamma,
-    "lognorm": stats.lognorm,
-}
+_FAMILIES = ("gamma", "lognorm")
+
+
+def _family(name: str):
+    """The scipy distribution of a fit family."""
+    if name not in _FAMILIES:
+        raise KeyError(name)
+    from scipy import stats
+
+    return getattr(stats, name)
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class ParametricFit:
     @property
     def frozen(self):
         """The frozen scipy distribution object."""
-        return _FAMILIES[self.family](*self.params)
+        return _family(self.family)(*self.params)
 
     @property
     def mean(self) -> float:
@@ -104,9 +113,11 @@ def fit_samples(samples: np.ndarray, families: tuple[str, ...] = ("gamma", "logn
             ks=0.0, n=arr.size,
         )
 
+    from scipy import stats
+
     best: ParametricFit | None = None
     for name in families:
-        dist = _FAMILIES[name]
+        dist = _family(name)
         # Anchor the left edge slightly below the observed minimum: the
         # distributions "rise from a bounded minimum time", and fixing the
         # location makes the remaining two-parameter MLE stable (free-loc

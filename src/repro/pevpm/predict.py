@@ -376,8 +376,7 @@ def evaluate_with_precision(
 
     Each round issues **one** :func:`evaluate_groups` call covering every
     adaptive group's next increment (fixed groups join the first round),
-    so concurrent refinements share the micro-batcher's coalescing just
-    as fixed batches do.  Increments extend each group's
+    so the service's batch-mates share each round's call.  Increments extend each group's
     seed streams at absolute run indices (``run_offset``), and every
     scheduled total is chunk-aligned, so a group stopping at N runs has
     drawn exactly what a one-shot ``runs=N`` evaluation would --

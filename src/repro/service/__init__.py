@@ -7,9 +7,10 @@ the request funnel a production serving layer needs:
 
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
-* :mod:`.batcher` -- micro-batching of concurrent misses into one
-  :func:`~repro.pevpm.parallel.evaluate_groups` call (which runs
-  static programs as ``BatchedVirtualMachine`` chunks);
+* :mod:`.batcher` -- misses that queue while the evaluator is busy
+  share its next :func:`~repro.pevpm.parallel.evaluate_groups` call,
+  and so only the hop to the evaluator thread; a lone miss is
+  evaluated at once;
 * :mod:`.dedup`   -- singleflight collapse of identical in-flight
   requests;
 * :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines

@@ -1,23 +1,21 @@
-"""Micro-batching: coalesce concurrent predictions into engine batches.
+"""Micro-batching: batch the misses that queue while the evaluator is busy.
 
-PR 2's :class:`~repro.pevpm.vector.BatchedVirtualMachine` evaluates a
-whole chunk of Monte Carlo runs in one lockstep sweep/match pass --
-exactly the shape a serving layer wants.  The micro-batcher completes
-the picture on the request side: concurrent ``/predict`` misses are
-collected for up to ``max_wait`` seconds (or ``max_batch`` requests,
-whichever first) and handed to the engine as **one**
-:func:`~repro.pevpm.parallel.evaluate_groups` call.  Each request stays
-its own :class:`~repro.pevpm.parallel.RunGroup` with its own seed
-streams -- coalescing shares per-group program compilation, but never
-the random draws, so every request's times remain bit-identical to a
-direct ``predict(...)`` call.  Within a group, a static program is
-evaluated as ``BatchedVirtualMachine`` chunks, the engine's
-highest-throughput path.
+Concurrent ``/predict`` misses are handed to the engine as **one**
+:func:`~repro.pevpm.parallel.evaluate_groups` call per batch.  The
+collector takes the first queued request plus whatever else is already
+queued, up to ``max_batch``, evaluates that batch, and only then looks
+at the queue again.  A lone request is therefore evaluated at once --
+no window waits for batch-mates -- and requests that arrive during an
+evaluation share the next batch.
 
-Evaluation runs on a single dedicated executor thread: batches pipeline
-(the collector keeps coalescing the next batch while the current one
-evaluates) and the engine's timing-model state is never shared between
-threads.
+A batch shares only the hop to the evaluator thread.  Each request
+stays its own :class:`~repro.pevpm.parallel.RunGroup` with its own seed
+streams, so every request's times remain bit-identical to a direct
+``predict(...)`` call; compiled programs, model trees and timing
+instances are cached for the whole process, batched or not.
+
+Evaluation runs on a single dedicated executor thread, so the engine's
+timing-model state is never shared between threads.
 """
 
 from __future__ import annotations
@@ -32,12 +30,14 @@ __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Coalesce ``submit()`` items into batched evaluator calls.
+    """Batch ``submit()`` items that queue while the evaluator is busy.
 
     *evaluate* is called with a list of items on the evaluator thread
     and must return one result per item **in order**; a result may be an
     exception instance, which is re-raised to that item's awaiter only
-    (one poisoned request must not fail its batch-mates).
+    (one poisoned request must not fail its batch-mates).  *max_batch*
+    caps a batch, and so how long its first request waits for its
+    batch-mates to be evaluated.
     """
 
     def __init__(
@@ -45,27 +45,16 @@ class MicroBatcher:
         evaluate: Callable[[list], list],
         metrics: ServiceMetrics,
         max_batch: int = 8,
-        max_wait: float = 0.002,
-        enabled: bool = True,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
         self._evaluate = evaluate
         self._metrics = metrics
         self.max_batch = max_batch
-        self.max_wait = max_wait
-        self.enabled = enabled
         #: monotonically increasing batch ordinal (trace/log correlation)
         self._batch_seq = 0
         self._pending: asyncio.Queue | None = None
         self._collector: asyncio.Task | None = None
-        self._dispatches: set[asyncio.Task] = set()
-        #: True while the collector holds popped items it has not yet
-        #: handed to a dispatch task (the coalescing window); drain()
-        #: must not declare the batcher empty during it.
-        self._coalescing = False
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-eval"
         )
@@ -73,18 +62,15 @@ class MicroBatcher:
     async def submit(self, item, trace=None) -> object:
         """Queue *item* for batched evaluation; await its result.
 
-        With *trace*, the whole stay in the batcher -- coalescing wait
-        plus evaluation -- is recorded as a ``batch`` span, and the
-        dispatch adds a per-request ``engine`` span covering the
-        evaluator-thread call (tagged with batch ordinal and size).
+        With *trace*, the whole stay in the batcher -- queueing behind
+        a busy evaluator plus evaluation -- is recorded as a ``batch``
+        span, and the dispatch adds a per-request ``engine`` span
+        covering the evaluator-thread call (tagged with batch ordinal
+        and size).
         """
         start = None if trace is None else trace.now()
         try:
-            loop = asyncio.get_running_loop()
-            fut: asyncio.Future = loop.create_future()
-            if not self.enabled:
-                await self._dispatch([(item, fut, trace)])
-                return await fut
+            fut = asyncio.get_running_loop().create_future()
             if self._pending is None:
                 self._pending = asyncio.Queue()
             if self._collector is None or self._collector.done():
@@ -95,38 +81,25 @@ class MicroBatcher:
                     self._collector.cancelled() or self._collector.exception()
                     self._metrics.inc("repro_batcher_restarts_total")
                 self._collector = asyncio.create_task(self._collect())
-            await self._pending.put((item, fut, trace))
+            self._pending.put_nowait((item, fut, trace))
             return await fut
         finally:
             if trace is not None:
                 trace.add_span("batch", start, trace.now())
 
     async def _collect(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            first = await self._pending.get()
-            self._coalescing = True
+            batch = [await self._pending.get()]
+            while len(batch) < self.max_batch and not self._pending.empty():
+                batch.append(self._pending.get_nowait())
             try:
-                batch = [first]
-                deadline = loop.time() + self.max_wait
-                while len(batch) < self.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._pending.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                # Evaluate in the background so the collector keeps
-                # coalescing the next batch while this one runs; track the
-                # task so shutdown can drain in-flight evaluations.
-                task = asyncio.create_task(self._dispatch(batch))
-                self._dispatches.add(task)
-                task.add_done_callback(self._dispatches.discard)
+                await self._dispatch(batch)
             finally:
-                self._coalescing = False
+                for _, fut, _ in batch:
+                    # A no-op once resolved; a dispatch cut short (the
+                    # collector cancelled) must not strand its waiters.
+                    fut.cancel()
+                    self._pending.task_done()
 
     async def _dispatch(self, batch: list[tuple]) -> None:
         self._batch_seq += 1
@@ -147,7 +120,7 @@ class MicroBatcher:
             results = await loop.run_in_executor(
                 self._pool, self._evaluate, items
             )
-        except BaseException as exc:  # evaluator itself failed wholesale
+        except Exception as exc:  # evaluator itself failed wholesale
             results = [exc] * len(batch)
         if traces:
             t1 = traces[0].now()
@@ -165,25 +138,11 @@ class MicroBatcher:
                 fut.set_result(result)
 
     async def drain(self) -> None:
-        """Wait until every queued item has been dispatched and every
+        """Wait until every queued item has been evaluated and every
         in-flight batch has resolved (the graceful-shutdown barrier:
         callers holding responses still get them)."""
-        while True:
-            if self._dispatches:
-                await asyncio.gather(
-                    *list(self._dispatches), return_exceptions=True
-                )
-                continue
-            if self._coalescing or (
-                self._pending is not None and not self._pending.empty()
-            ):
-                # Queued items, or items the collector popped but has
-                # not yet handed to a dispatch task: wait a coalescing
-                # interval and re-check (returning now would let stop()
-                # cancel connections still awaiting that batch).
-                await asyncio.sleep(self.max_wait or 0.001)
-                continue
-            return
+        if self._pending is not None:
+            await self._pending.join()
 
     def close(self) -> None:
         if self._collector is not None:

@@ -7,8 +7,7 @@ consistent-hash routing (:mod:`.sharding`) on the content-addressed
 routing key (:meth:`~.records.PredictRequest.routing_key`).  A key
 always lands on the same shard, so the funnel's throughput tiers keep
 working cluster-wide: each shard's LRU holds a disjoint key range,
-singleflight collapses identical in-flight requests in one process,
-and repeat traffic coalesces into its owner's micro-batches.
+and singleflight collapses identical in-flight requests in one process.
 
 Fault handling, in preference-ring order:
 

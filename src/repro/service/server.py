@@ -29,7 +29,8 @@ PEVPM engine and the MPIBench distribution database:
 The ``/predict`` funnel, in order: parse/validate -> content key ->
 LRU/disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
 admission (:mod:`.jobs`, 429 when full) -> micro-batcher
-(:mod:`.batcher`) -> :func:`~repro.pevpm.parallel.evaluate_groups`.
+(:mod:`.batcher`, which batches what queues while the evaluator is
+busy) -> :func:`~repro.pevpm.parallel.evaluate_groups`.
 Deadlines produce 504 without cancelling the evaluation (the result
 still warms the cache).  Every stage preserves the reproducibility
 contract: a served response's ``times`` are bit-identical to the same
@@ -42,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import threading
 import time as _time
 from dataclasses import replace
@@ -164,13 +166,9 @@ class PredictionService:
         cache_dir=None,
         lru_size: int = 1024,
         max_batch: int = 8,
-        max_wait: float = 0.002,
         queue_limit: int = 64,
         deadline_s: float = 30.0,
         retry_after: float = 1.0,
-        batching: bool = True,
-        dedup: bool = True,
-        caching: bool = True,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 2.0,
         fault_injector=None,
@@ -186,8 +184,6 @@ class PredictionService:
         self.db = db
         self.spec = spec if spec is not None else perseus()
         self.deadline_s = deadline_s
-        self.caching = caching
-        self.dedup_enabled = dedup
         #: identity within a sharded deployment (``None`` standalone):
         #: stamped onto every Prometheus series so a router-level
         #: aggregation of N shards stays a valid, collision-free scrape
@@ -211,8 +207,8 @@ class PredictionService:
         # on-disk store shared by every process writing the directory.
         # Keys are content-addressed request keys, so a hit is by
         # construction bit-identical to re-evaluating the request.
-        self.lru = LRU(lru_size if caching else 0)
-        self.disk = PredictionCache(cache_dir) if (caching and cache_dir) else None
+        self.lru = LRU(lru_size)
+        self.disk = PredictionCache(cache_dir) if cache_dir else None
         self.dedup = SingleFlight(self.metrics)
         # The registry is the data plane the service reads through: the
         # injected startup db is entry zero (registered under its
@@ -283,11 +279,7 @@ class PredictionService:
         #: set by graceful shutdown: new predictions are shed with 503
         self.draining = False
         self.batcher = MicroBatcher(
-            self._evaluate_requests,
-            self.metrics,
-            max_batch=max_batch,
-            max_wait=max_wait,
-            enabled=batching,
+            self._evaluate_requests, self.metrics, max_batch=max_batch
         )
         # Evaluator-thread caches: model trees and timing instances are
         # deterministic per key and reused across requests (both engines
@@ -398,16 +390,17 @@ class PredictionService:
     def _evaluate_requests(self, reqs: list[PredictRequest]) -> list:
         """Evaluate one micro-batch (runs on the evaluator thread).
 
+        The batch is whatever queued while the previous one evaluated.
         All requests' groups go through **one**
         :func:`~repro.pevpm.predict.evaluate_with_precision` call:
-        fixed-``runs`` groups evaluate in its first round, and adaptive
-        groups' refinement increments coalesce -- every round is a
-        single ``evaluate_groups`` dispatch covering all still-active
-        requests, so concurrent adaptive refinements share program
-        compilation just as fixed batch-mates do.  A failure (e.g. a
-        deadlocking model) falls back to per-request evaluation so one
-        poisoned request cannot fail its batch-mates.  Returns one
-        document or exception per request.
+        fixed-``runs`` groups evaluate in its first round, and every
+        later round is a single ``evaluate_groups`` dispatch covering
+        the still-active adaptive groups.  Batch-mates share only this
+        call: each keeps its own ``RunGroup`` and seed streams, and
+        programs, models and timings are cached per process anyway.  A
+        failure (e.g. a deadlocking model) falls back to per-request
+        evaluation so one poisoned request cannot fail its batch-mates.
+        Returns one document or exception per request.
 
         Evaluation stays in this process, as every evaluation does; more
         cores serve through more shards (``repro serve --shards N``).
@@ -503,15 +496,9 @@ class PredictionService:
         tenant: str | None = None,
     ) -> tuple[dict, str]:
         """Resolve one validated request to (document, served-from)."""
-        if self.caching:
-            doc = self._cache_get(key, trace)
-            if doc is not None:
-                return doc, "cache"
-        if not self.dedup_enabled:
-            doc = await self._engine_submit(req, trace, tenant)
-            if self.caching:
-                self._cache_store(req, key, doc)
-            return doc, "engine"
+        doc = self._cache_get(key, trace)
+        if doc is not None:
+            return doc, "cache"
         leader, fut = self.dedup.claim(key, trace)
         if not leader:
             if trace is None:
@@ -522,8 +509,7 @@ class PredictionService:
             return doc, "singleflight"
         try:
             doc = await self._engine_submit(req, trace, tenant)
-            if self.caching:
-                self._cache_store(req, key, doc)
+            self._cache_store(req, key, doc)
             self.dedup.resolve(key, (doc, "engine"))
             return doc, "engine"
         except BaseException as exc:
@@ -1221,9 +1207,6 @@ class PredictionService:
             "db_fingerprint": self.db_fingerprint,
             "inflight": self.jobs.inflight,
             "queue_limit": self.jobs.limit,
-            "batching": self.batcher.enabled,
-            "dedup": self.dedup_enabled,
-            "caching": self.caching,
             "lru_entries": len(self.lru),
             "breaker": self.breaker.state,
             "draining": self.draining,
@@ -1511,6 +1494,38 @@ class ServiceServer:
                 return_when=asyncio.ALL_COMPLETED,
             )
         await self.stop()
+
+    def run(self, grace: float, log=None) -> None:
+        """Serve in the foreground until SIGTERM or SIGINT, then drain
+        (bounded by *grace* seconds) and stop: the shutdown path of a
+        standalone ``repro serve`` and of every shard it supervises.
+        *log*, if given, receives the listening and draining lines."""
+        log = log or (lambda line: None)
+
+        async def _serve() -> None:
+            host, port = await self.start()
+            log(f"repro service listening on http://{host}:{port}")
+            loop = asyncio.get_running_loop()
+            stop_signal = asyncio.Event()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, stop_signal.set)
+                except (NotImplementedError, RuntimeError):  # pragma: no cover
+                    pass  # non-Unix loop: fall back to KeyboardInterrupt
+            serve_task = asyncio.ensure_future(self.serve_forever())
+            try:
+                await stop_signal.wait()
+                log(f"draining (grace {grace:g}s)...")
+                await self.drain(grace)
+            finally:
+                serve_task.cancel()
+                await asyncio.gather(serve_task, return_exceptions=True)
+                await self.stop()
+
+        try:
+            asyncio.run(_serve())
+        except KeyboardInterrupt:  # pragma: no cover - signal-handler race
+            log("shutting down")
 
     async def stop(self) -> None:
         if self._server is not None:

@@ -9,8 +9,8 @@ request key must always land on the same shard:
   so N shards hold N disjoint working sets instead of N copies of one;
 * **singleflight** -- concurrent identical requests meet in one process
   and still collapse to a single evaluation;
-* **micro-batching** -- repeat traffic for a key coalesces on its owner
-  instead of spreading thin across shards.
+* **micro-batching** -- misses that queue on a busy shard share its
+  next batch, which saves only the hop to its evaluator thread.
 
 :class:`HashRing` is the classic consistent-hash ring (Karger et al.)
 with virtual nodes: each shard hashes to ``replicas`` points on a

@@ -9,8 +9,10 @@ and binds them together into one deployment:
   cache directory.  Content-store writes are already atomic
   (:mod:`repro.cas`) and corrupt entries quarantine on read,
   so concurrent shard processes need no further coordination: a
-  prediction computed by any shard (or by ``repro predict`` against
-  the same directory) is a disk hit for all of them.
+  prediction computed by any shard is a disk hit for all of them.
+  ``repro predict --cache-dir`` may share the directory and its file
+  format, but not entries: the library keys a prediction by its
+  pickled model, the service by its canonical request.
 * **front router** -- a :class:`~.router.ShardRouter` on the public
   port, consistent-hash routing per :mod:`.sharding`: one ``/metrics``
   and one ``/healthz`` for the tier, and per-key cache and singleflight
@@ -59,23 +61,19 @@ def _free_port(host: str) -> int:
         return sock.getsockname()[1]
 
 
-def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
-    """Child-process entry point: one full prediction server.
+def _shard_service(cfg: dict):
+    """The :class:`~.server.PredictionService` one shard serves: the
+    supervisor's service options, plus the shard's identity and the
+    deployment's shared database snapshot, cache and registry planes.
 
-    *cfg* is a plain picklable dict (spawn ships it across).  The child
-    installs the same SIGTERM/SIGINT graceful drain a standalone
-    ``repro serve`` process has, so the supervisor's rolling drain is
-    just a SIGTERM per shard.
+    *cfg* is a plain picklable dict (spawn ships it across).
     """
-    import asyncio
-
     from ..mpibench import DistributionDB
     from ..obs import Tracer
     from ..registry import RegistryStore
     from ..simnet import perseus
-    from .server import PredictionService, ServiceServer
+    from .server import PredictionService
 
-    db = DistributionDB.load(cfg["db_path"])
     tracer = Tracer(capacity=cfg["trace_buffer"]) if cfg["tracing"] else None
     # All shards of one deployment open the same registry directory:
     # writes are atomic per file, so a database uploaded (or an alias
@@ -86,47 +84,28 @@ def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
         if cfg.get("registry_dir")
         else None
     )
-    service = PredictionService(
-        db,
+    return PredictionService(
+        DistributionDB.load(cfg["db_path"]),
         spec=perseus(),
         cache_dir=cfg["cache_dir"],
-        lru_size=cfg["lru_size"],
-        max_batch=cfg["max_batch"],
-        max_wait=cfg["max_wait"],
-        queue_limit=cfg["queue_limit"],
-        deadline_s=cfg["deadline_s"],
-        batching=cfg["batching"],
-        dedup=cfg["dedup"],
-        caching=cfg["caching"],
         tracer=tracer,
         shard_id=cfg["shard_id"],
         registry=registry,
-        tenant_rate=cfg.get("tenant_rate", 0.0),
+        **cfg["service"],
     )
-    server = ServiceServer(service, host=cfg["host"], port=cfg["port"])
 
-    async def _serve() -> None:
-        await server.start()
-        loop = asyncio.get_running_loop()
-        stop_signal = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop_signal.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        try:
-            await stop_signal.wait()
-            await server.drain(cfg["drain_grace"])
-        finally:
-            serve_task.cancel()
-            await asyncio.gather(serve_task, return_exceptions=True)
-            await server.stop()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
+def _shard_main(cfg: dict) -> None:  # pragma: no cover - runs in the child
+    """Child-process entry point: one full prediction server, with the
+    same SIGTERM/SIGINT graceful drain a standalone ``repro serve``
+    process has, so the supervisor's rolling drain is just a SIGTERM
+    per shard."""
+    from .server import ServiceServer
+
+    service = _shard_service(cfg)
+    ServiceServer(service, host=cfg["host"], port=cfg["port"]).run(
+        cfg["drain_grace"]
+    )
 
 
 class Supervisor:
@@ -142,39 +121,28 @@ class Supervisor:
         cache_dir=None,
         restart: bool = True,
         drain_grace: float = 10.0,
-        lru_size: int = 1024,
-        max_batch: int = 8,
-        max_wait: float = 0.002,
-        queue_limit: int = 64,
-        deadline_s: float = 30.0,
-        batching: bool = True,
-        dedup: bool = True,
-        caching: bool = True,
         tracing: bool = True,
         trace_buffer: int = 256,
         registry_dir=None,
-        tenant_rate: float = 0.0,
+        **service_options,
     ):
+        """*service_options* are :class:`~.server.PredictionService`
+        keywords (``lru_size``, ``max_batch``, ``breaker_threshold``,
+        ...), passed to every shard's service as given."""
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.db = db  # a DistributionDB or a path to a saved one
+        self._db_path = (
+            os.fspath(db) if isinstance(db, (str, os.PathLike)) else None
+        )
         self.n_shards = n_shards
         self.host = host
         self.port = port  #: public port: the router's
         self.restart = restart
         self.drain_grace = drain_grace
-        self._opts = {
-            "lru_size": lru_size,
-            "max_batch": max_batch,
-            "max_wait": max_wait,
-            "queue_limit": queue_limit,
-            "deadline_s": deadline_s,
-            "batching": batching,
-            "dedup": dedup,
-            "caching": caching,
-            "tracing": tracing,
-            "trace_buffer": trace_buffer,
-        }
+        self.tracing = tracing
+        self.trace_buffer = trace_buffer
+        self.service_options = service_options
         self.cache_dir = cache_dir
         self._tmp_cache = cache_dir is None and n_shards > 1
         #: one registry directory shared by every shard.  Multi-shard
@@ -182,7 +150,6 @@ class Supervisor:
         #: per-shard in-memory registries would let an upload land on
         #: one shard and 404 on its siblings.
         self.registry_dir = registry_dir
-        self.tenant_rate = tenant_rate
         self._tmp_registry = registry_dir is None and n_shards > 1
         self._tmp_db: str | None = None
         self.shard_ports: list[int] = []
@@ -216,8 +183,9 @@ class Supervisor:
                 None if self.registry_dir is None
                 else os.fspath(self.registry_dir)
             ),
-            "tenant_rate": self.tenant_rate,
-            **self._opts,
+            "tracing": self.tracing,
+            "trace_buffer": self.trace_buffer,
+            "service": self.service_options,
         }
 
     def _spawn(self, shard_id: int):
@@ -262,9 +230,7 @@ class Supervisor:
     def start(self) -> tuple[str, int]:
         from ..mpibench.results import DistributionDB
 
-        if isinstance(self.db, (str, os.PathLike)):
-            self._db_path = os.fspath(self.db)
-        else:
+        if self._db_path is None:
             # Snapshot the live DB so spawned children (which do not
             # inherit our heap) load the exact same distributions.
             fd, self._tmp_db = tempfile.mkstemp(
@@ -415,7 +381,7 @@ class Supervisor:
                 os.unlink(self._tmp_db)
             except OSError:  # pragma: no cover
                 pass
-            self._tmp_db = None
+            self._tmp_db = self._db_path = None
         if self._tmp_cache and self.cache_dir is not None:
             shutil.rmtree(self.cache_dir, ignore_errors=True)
             self.cache_dir = None

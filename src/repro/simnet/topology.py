@@ -81,7 +81,6 @@ class TcpModel:
     """
 
     mtu: int = 1500  #: Ethernet MTU in bytes
-    header_bytes: int = 58  #: per-frame overhead: 18 Eth + 20 IP + 20 TCP
     preamble_gap_bytes: int = 20  #: preamble (8) + inter-frame gap (12)
     rto: float = 0.200  #: retransmission timeout (s)
     rto_jitter: float = 0.020  #: uniform jitter applied to each RTO (s)

@@ -7,6 +7,7 @@ end-to-end behaviour (and the reproducibility contract) is covered by
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -208,6 +209,25 @@ class TestTieredCache:
         svc.close()
 
 
+def held_evaluator(results):
+    """An evaluator that records each batch and blocks until its
+    ``release`` event is set, and the event itself."""
+    release = threading.Event()
+    batches = []
+
+    def evaluate(items):
+        batches.append(list(items))
+        assert release.wait(timeout=30), "evaluator never released"
+        return results(items)
+
+    return evaluate, release, batches
+
+
+async def wait_until(predicate):
+    while not predicate():
+        await asyncio.sleep(0.001)
+
+
 class TestMicroBatcher:
     def test_concurrent_submits_coalesce(self):
         batches = []
@@ -218,8 +238,10 @@ class TestMicroBatcher:
 
         async def scenario():
             m = ServiceMetrics()
-            b = MicroBatcher(evaluate, m, max_batch=8, max_wait=0.2)
+            b = MicroBatcher(evaluate, m, max_batch=8)
             try:
+                # Submitted in one event-loop turn: all four are queued
+                # before the collector first looks at the queue.
                 results = await asyncio.gather(*(b.submit(i) for i in range(4)))
             finally:
                 b.close()
@@ -239,14 +261,59 @@ class TestMicroBatcher:
             return list(items)
 
         async def scenario():
-            b = MicroBatcher(
-                evaluate, ServiceMetrics(), max_batch=2, max_wait=0.2
-            )
+            b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=2)
             try:
                 await asyncio.gather(*(b.submit(i) for i in range(5)))
             finally:
                 b.close()
-            assert all(len(batch) <= 2 for batch in batches)
+            assert [len(batch) for batch in batches] == [2, 2, 1]
+
+        asyncio.run(scenario())
+
+    def test_lone_request_evaluated_without_a_window(self):
+        # An idle batcher dispatches a lone request to the evaluator
+        # within a few event-loop turns of its submit: no timer runs
+        # between them waiting for batch-mates.
+        m = ServiceMetrics()
+
+        async def scenario():
+            b = MicroBatcher(list, m, max_batch=8)
+            try:
+                fut = asyncio.ensure_future(b.submit(7))
+                turns = 0
+                while m.counter("repro_batches_total") == 0 and turns < 10**4:
+                    await asyncio.sleep(0)
+                    turns += 1
+                assert await fut == 7
+            finally:
+                b.close()
+            return turns
+
+        assert asyncio.run(scenario()) <= 3
+
+    @pytest.mark.parametrize("queued, max_batch", [(3, 8), (5, 2)])
+    def test_requests_queued_while_busy_share_the_next_batch(
+        self, queued, max_batch
+    ):
+        evaluate, release, batches = held_evaluator(list)
+
+        async def scenario():
+            b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=max_batch)
+            first = asyncio.ensure_future(b.submit(-1))
+            try:
+                await wait_until(lambda: batches)  # evaluator busy
+                later = [
+                    asyncio.ensure_future(b.submit(i)) for i in range(queued)
+                ]
+                await asyncio.sleep(0.01)  # they queue behind the batch
+                assert batches == [[-1]]
+                release.set()
+                assert await first == -1
+                assert await asyncio.gather(*later) == list(range(queued))
+            finally:
+                release.set()
+                b.close()
+            assert batches[1] == list(range(min(queued, max_batch)))
 
         asyncio.run(scenario())
 
@@ -257,7 +324,7 @@ class TestMicroBatcher:
             ]
 
         async def scenario():
-            b = MicroBatcher(evaluate, ServiceMetrics(), max_wait=0.05)
+            b = MicroBatcher(evaluate, ServiceMetrics())
             try:
                 good, bad = await asyncio.gather(
                     b.submit(2), b.submit(3), return_exceptions=True
@@ -274,7 +341,7 @@ class TestMicroBatcher:
             raise RuntimeError("engine down")
 
         async def scenario():
-            b = MicroBatcher(evaluate, ServiceMetrics(), max_wait=0.05)
+            b = MicroBatcher(evaluate, ServiceMetrics())
             try:
                 results = await asyncio.gather(
                     b.submit(1), b.submit(2), return_exceptions=True
@@ -285,7 +352,7 @@ class TestMicroBatcher:
 
         asyncio.run(scenario())
 
-    def test_disabled_mode_evaluates_each_submit_alone(self):
+    def test_max_batch_of_one_evaluates_each_submit_alone(self):
         batches = []
 
         def evaluate(items):
@@ -293,9 +360,7 @@ class TestMicroBatcher:
             return list(items)
 
         async def scenario():
-            b = MicroBatcher(
-                evaluate, ServiceMetrics(), max_wait=0.2, enabled=False
-            )
+            b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=1)
             try:
                 await asyncio.gather(*(b.submit(i) for i in range(3)))
             finally:
@@ -307,32 +372,29 @@ class TestMicroBatcher:
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda items: items, ServiceMetrics(), max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, ServiceMetrics(), max_wait=-1)
 
-    def test_drain_waits_out_coalescing_window(self):
-        # Regression: between the collector popping an item off the
-        # queue and creating its dispatch task (up to max_wait), the
-        # item is in neither _pending nor _dispatches; drain() must not
-        # declare the batcher empty then, or stop() cancels a
-        # connection still awaiting that batch.
-        def evaluate(items):
-            return [i * 2 for i in items]
+    def test_drain_waits_for_the_batch_in_flight(self):
+        # A popped batch is in neither the queue nor resolved while the
+        # evaluator runs it; drain() must not declare the batcher empty
+        # then, or stop() cancels a connection still awaiting that batch.
+        evaluate, release, batches = held_evaluator(
+            lambda items: [i * 2 for i in items]
+        )
 
         async def scenario():
-            b = MicroBatcher(
-                evaluate, ServiceMetrics(), max_batch=8, max_wait=0.1
-            )
+            b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=8)
             try:
                 fut = asyncio.ensure_future(b.submit(21))
-                # Let the collector pop the item into its coalescing
-                # window (it then waits max_wait for batch-mates).
-                while not b._coalescing:
-                    await asyncio.sleep(0.001)
-                await b.drain()
+                await wait_until(lambda: batches)  # popped and evaluating
+                drained = asyncio.ensure_future(b.drain())
+                await asyncio.sleep(0.01)
+                assert not drained.done()
+                release.set()
+                await drained
                 assert fut.done()
                 assert fut.result() == 42
             finally:
+                release.set()
                 b.close()
 
         asyncio.run(scenario())

@@ -10,6 +10,10 @@ re-evaluated, and client retries re-request content-addressed
 
 import asyncio
 import http.client
+import os
+import signal
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -32,10 +36,13 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     ServiceMetrics,
+    ServiceServer,
     ServiceThread,
     SingleFlight,
 )
 from repro.simnet import perseus
+
+from .test_service_e2e import hold_evaluator
 
 pytestmark = [pytest.mark.service, pytest.mark.chaos]
 
@@ -420,7 +427,7 @@ class TestBreakerInService:
             closed = service.breaker.state
             return out, probe, closed
 
-        out, probe, closed = run_service(db, scenario, caching=False)
+        out, probe, closed = run_service(db, scenario, lru_size=0)
         assert [status for status, _, _ in out] == [500, 500, 503]
         status, headers, doc = out[2]
         assert doc["error"] == "circuit breaker open"
@@ -449,7 +456,7 @@ class TestBreakerInService:
             return shed, after, service.breaker.state
 
         shed, after, state = run_service(
-            db, scenario, caching=False, queue_limit=1
+            db, scenario, lru_size=0, queue_limit=1
         )
         assert shed[0] == 429   # shed by admission, not by the breaker
         assert after[0] == 200  # the next request probed: no wedge
@@ -489,8 +496,12 @@ class TestLeaderCancellation:
 
     def test_follower_gets_retryable_503_then_success(self, db):
         body = jacobi_request()
+        release = threading.Event()
 
         async def scenario(service):
+            # The leader's evaluation is held, so it is still in flight
+            # when the leader is cancelled.
+            hold_evaluator(service, release)
             req = PredictRequest.from_dict(body)
             key = req.key(service.db_fingerprint)
             leader = asyncio.ensure_future(service._predict(req, key))
@@ -502,12 +513,14 @@ class TestLeaderCancellation:
             status, headers, doc = await follower
             with pytest.raises(asyncio.CancelledError):
                 await leader
+            release.set()
             retry = await service.handle_predict(body)
             return (status, doc), retry
 
-        (status, doc), retry = run_service(
-            db, scenario, max_wait=0.2, caching=False
-        )
+        try:
+            (status, doc), retry = run_service(db, scenario, lru_size=0)
+        finally:
+            release.set()
         assert status == 503
         assert "leader" in doc["error"]
         assert retry[0] == 200  # a retry elects a new leader
@@ -629,18 +642,26 @@ class TestDrain:
 
     def test_drain_finishes_inflight_then_stops(self, db):
         request = jacobi_request(runs=16, seed=21)
-        service = PredictionService(db, spec=SPEC, max_wait=0.1)
+        service = PredictionService(db, spec=SPEC)
+        release = threading.Event()
+        hold_evaluator(service, release)
         thread = ServiceThread(service)
         host, port = thread.start()
-        pool = ThreadPoolExecutor(1)
+        pool = ThreadPoolExecutor(2)
         try:
             client = ServiceClient(host, port)
             inflight = pool.submit(client.predict, **request)
             while service.jobs.inflight == 0 and not inflight.done():
                 pass  # busy-wait: the request has reached admission
-            thread.drain(grace=30.0)
+            # Its evaluation is held until the drain has begun.
+            drained = pool.submit(thread.drain, 30.0)
+            while not service.draining:
+                time.sleep(0.001)
+            release.set()
+            drained.result(timeout=60)
             record = inflight.result(timeout=30)
         finally:
+            release.set()
             pool.shutdown(wait=False)
             thread.stop()
         # The admitted request got its full, correct response...
@@ -655,23 +676,70 @@ class TestDrain:
                 conn.close()
 
 
+    def test_run_serves_until_sigterm_then_drains(self, db):
+        # The foreground loop of `repro serve` and of every shard: the
+        # request gets its answer, SIGTERM starts the drain, run()
+        # returns once the server has stopped.
+        server = ServiceServer(PredictionService(db, spec=SPEC))
+        lines, records = [], []
+
+        def drive():
+            client = ServiceClient(server.host, server.port)
+            try:
+                # Answered only once run() awaits the signal, so its
+                # handlers are installed before the SIGTERM below.
+                records.append(client.predict(**jacobi_request()))
+            finally:
+                client.close()
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        def log(line):
+            lines.append(line)
+            if "listening" in line:
+                threading.Thread(target=drive, daemon=True).start()
+
+        server.run(5.0, log=log)
+        assert lines == [
+            f"repro service listening on http://127.0.0.1:{server.port}",
+            "draining (grace 5s)...",
+        ]
+        assert records[0]["times"] == direct_jacobi(db, jacobi_request()).times
+        assert server.service.draining
+
+
 # -- loadgen resilience (acceptance: no malformed responses) -------------------
 class TestLoadGeneratorRetries:
     @pytest.mark.slow
     def test_retries_mask_backpressure(self, db):
         service = PredictionService(
-            db, spec=SPEC, queue_limit=1, max_wait=0.1, caching=False,
-            dedup=False,
+            db, spec=SPEC, queue_limit=1, lru_size=0
         )
+        # The first evaluation is held until admission has shed a
+        # request, so the clients must retry.
+        shed = threading.Event()
+        acquire = service.jobs.acquire
+
+        def acquire_or_flag(*args, **kwargs):
+            try:
+                return acquire(*args, **kwargs)
+            except QueueFull:
+                shed.set()
+                raise
+
+        service.jobs.acquire = acquire_or_flag
+        hold_evaluator(service, shed)
         with ServiceThread(service) as thread:
             host, port = thread.address
             gen = LoadGenerator(
                 host, port,
-                lambda seq: jacobi_request(seed=seq % 4),
+                lambda seq: jacobi_request(seed=seq),
                 concurrency=4,
                 retry=RetryPolicy(retries=4, base=0.05, jitter=0.5, seed=0),
             )
-            result = gen.run(total_requests=8)
+            try:
+                result = gen.run(total_requests=8)
+            finally:
+                shed.set()
         summary = result.summary()
         assert summary["errors"] == 0
         assert summary["retries"] > 0

@@ -15,7 +15,8 @@ where request interleaving is deterministic.
 
 import asyncio
 import json
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 
 import pytest
@@ -97,6 +98,19 @@ def direct_predict(db, request: dict):
     )
 
 
+def hold_evaluator(service, release: threading.Event) -> None:
+    """Hold every evaluation until *release* is set (a test releases
+    it in a ``finally``): requests that arrive meanwhile queue behind
+    the busy evaluator and keep their admission slots."""
+    inner = service.batcher._evaluate
+
+    def held(reqs):
+        assert release.wait(timeout=30), "evaluator never released"
+        return inner(reqs)
+
+    service.batcher._evaluate = held
+
+
 def run_service(db, scenario, **kwargs):
     """Run an async *scenario(service)* against a funnel (no sockets)."""
     service = PredictionService(db, spec=SPEC, **kwargs)
@@ -171,13 +185,10 @@ class TestReproducibilityContract:
             ) == 1
 
     def test_naive_mode_serves_identical_numbers(self, db):
-        # Batching, dedup and caching are throughput features only: with
-        # all of them off the numbers must not change.
+        # Batching and caching are throughput features only: with
+        # batches of one and no memory tier the numbers must not change.
         request = jacobi_request()
-        with serve(db, batching=False, dedup=False, caching=False) as (
-            _service,
-            client,
-        ):
+        with serve(db, max_batch=1, lru_size=0) as (_service, client):
             first = client.predict(**request)
             second = client.predict(**request)
         assert first["served_from"] == second["served_from"] == "engine"
@@ -191,7 +202,7 @@ class TestReproducibilityContract:
             for s in range(2)
         ]
         requests = jacobi_reqs + fft_reqs
-        with serve(db, max_wait=0.05) as (_service, client):
+        with serve(db) as (_service, client):
             with ThreadPoolExecutor(len(requests)) as pool:
                 def call(request):
                     own = ServiceClient(client.host, client.port)
@@ -248,11 +259,10 @@ class TestFunnelStages:
             )
             return responses, service.metrics
 
-        responses, metrics = run_service(
-            db, scenario, max_batch=8, max_wait=0.2
-        )
+        responses, metrics = run_service(db, scenario, max_batch=8)
         assert all(status == 200 for status, _, _ in responses)
-        # All five distinct requests landed in one engine batch...
+        # All five distinct requests queued in one event-loop turn and
+        # landed in one engine batch...
         assert metrics.counter("repro_batches_total") == 1
         assert metrics.counter("repro_coalesced_requests_total") == 4
         # ...and coalescing never mixed their random draws.
@@ -268,10 +278,11 @@ class TestFunnelStages:
             )
             return responses, service.metrics
 
-        # One slot and a long batching window: the first request holds
-        # the slot while it waits, the rest must be shed immediately.
+        # One slot: the first request holds it until its evaluation
+        # returns, and the rest, admitted in the same event-loop turn,
+        # must be shed immediately.
         responses, metrics = run_service(
-            db, scenario, queue_limit=1, max_wait=0.3, caching=False
+            db, scenario, queue_limit=1, lru_size=0
         )
         statuses = sorted(status for status, _, _ in responses)
         assert statuses == [200, 429, 429, 429]
@@ -327,13 +338,15 @@ class TestFunnelStages:
         async def scenario(service):
             # Fired together so both land in one micro-batch: the
             # deadlocking request must fail alone, not its batch-mate.
-            return await asyncio.gather(
+            replies = await asyncio.gather(
                 service.handle_predict(bad), service.handle_predict(good)
             )
+            return replies, service.metrics
 
-        (bad_status, _, bad_doc), (good_status, _, good_doc) = run_service(
-            db, scenario, max_wait=0.2
-        )
+        replies, metrics = run_service(db, scenario)
+        (bad_status, _, bad_doc), (good_status, _, good_doc) = replies
+        assert metrics.counter("repro_batches_total") == 1
+        assert metrics.counter("repro_coalesced_requests_total") == 1
         assert bad_status == 422
         assert bad_doc["error"] == "model deadlock"
         assert good_status == 200
@@ -348,7 +361,8 @@ class TestHttpSurface:
         assert doc["queue_limit"] == 7
         assert doc["db_fingerprint"] == db.fingerprint()
         assert set(MODELS) <= set(doc["models"])
-        assert doc["batching"] and doc["dedup"] and doc["caching"]
+        # Batching, dedup and caching are always on; no switch to report.
+        assert not {"batching", "dedup", "caching"} & set(doc)
 
     def test_metrics_exposition(self, db):
         with serve(db) as (_service, client):
@@ -437,12 +451,13 @@ class TestHttpSurface:
         assert service.metrics.counter("repro_bad_requests_total") == len(bad)
 
     def test_http_429_and_504_end_to_end(self, db):
-        # The backpressure paths over a real socket: one slot, a long
-        # batching window, four concurrent clients.
-        with serve(db, queue_limit=1, max_wait=0.5, caching=False) as (
-            _service,
-            client,
-        ):
+        # The backpressure paths over a real socket: one slot, four
+        # concurrent clients, and the first admitted request's
+        # evaluation held until the other three have been shed.
+        release = threading.Event()
+        with serve(db, queue_limit=1, lru_size=0) as (service, client):
+            hold_evaluator(service, release)
+
             def call(seed):
                 own = ServiceClient(client.host, client.port)
                 try:
@@ -450,11 +465,19 @@ class TestHttpSurface:
                 finally:
                     own.close()
 
-            with ThreadPoolExecutor(4) as pool:
-                responses = list(pool.map(call, range(4)))
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    finished = as_completed(
+                        [pool.submit(call, seed) for seed in range(4)],
+                        timeout=60,
+                    )
+                    responses = [next(finished).result() for _ in range(3)]
+                    release.set()
+                    responses.append(next(finished).result())
+            finally:
+                release.set()
             statuses = sorted(status for status, _, _ in responses)
-            assert statuses[0] == 200
-            assert 429 in statuses
+            assert statuses == [200, 429, 429, 429]
             retry_after = [
                 headers for status, headers, _ in responses if status == 429
             ]

@@ -40,6 +40,7 @@ from repro.service import (
     routing_key_for,
 )
 from repro.service.sharding import ring_hash
+from repro.service.supervisor import _shard_service
 from repro.simnet import perseus
 
 pytestmark = pytest.mark.service
@@ -533,6 +534,29 @@ def direct_jacobi(db, request: dict):
         seed=request["seed"],
         params=params,
     )
+
+
+def test_service_options_reach_every_shard(db, tmp_path):
+    # Each shard builds its PredictionService from the options the
+    # supervisor was given; the breaker settings used to be dropped,
+    # leaving every shard at 5 failures and 2 s.
+    path = tmp_path / "db.json"
+    db.save(path)
+    supervisor = Supervisor(
+        path, 2, tracing=False, breaker_threshold=9, breaker_cooldown=0.5,
+        max_batch=3, lru_size=7,
+    )
+    supervisor.shard_ports = [0, 0]  # assigned by start(); unused here
+    service = _shard_service(supervisor._shard_cfg(1))
+    try:
+        assert service.breaker.threshold == 9
+        assert service.breaker.cooldown == 0.5
+        assert service.batcher.max_batch == 3
+        assert service.lru.capacity == 7
+        assert service.shard_id == 1
+        assert service.db_fingerprint == db.fingerprint()
+    finally:
+        service.close()
 
 
 @pytest.mark.slow

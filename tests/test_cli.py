@@ -197,6 +197,53 @@ class TestRunsBelowOne:
         assert "nan" not in captured.out
 
 
+    @pytest.mark.parametrize("command", ["predict", "import-trace"])
+    def test_rejected_before_the_quick_campaign(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # Without --db the command would first measure a campaign of a
+        # few seconds; a bad --runs must fail before it starts.
+        from repro.mpibench import MPIBench
+        from repro.trace_import import sample_trace
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran before --runs was checked")
+
+        monkeypatch.setattr(MPIBench, "sweep_isend", no_campaign)
+        if command == "predict":
+            argv = ["predict", "--iterations", "20", "--runs", "0"]
+        else:
+            path = tmp_path / "ring.jsonl"
+            path.write_text(sample_trace(nprocs=4).to_jsonl())
+            argv = ["import-trace", str(path), "--predict", "--runs", "0"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"repro {command}: runs must be >= 1" in captured.err
+        assert "campaign" not in captured.out
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy costs about a second to import and only parametric fits
+    # use it, so no repro command should pay for it at start-up.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.cli, repro.service.server; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "[]"
+
+
 class TestDeadlockExitCode:
     def test_predict_returns_3_on_model_deadlock(
         self, capsys, monkeypatch, saved_db
@@ -239,18 +286,29 @@ class TestServiceParsers:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8100
         assert args.queue_limit == 64
-        assert args.max_wait_ms == 2.0
-        assert not args.no_batch and not args.no_dedup and not args.no_cache
+        assert args.max_batch == 8
+        assert args.lru_size == 1024
 
     def test_serve_flags(self):
         args = build_parser().parse_args([
-            "serve", "--port", "0", "--no-batch", "--no-dedup", "--no-cache",
-            "--max-wait-ms", "0.5", "--queue-limit", "4",
+            "serve", "--port", "0", "--max-batch", "1", "--lru-size", "0",
+            "--queue-limit", "4", "--breaker-threshold", "9",
         ])
         assert args.port == 0
-        assert args.no_batch and args.no_dedup and args.no_cache
-        assert args.max_wait_ms == 0.5
+        assert args.max_batch == 1 and args.lru_size == 0
         assert args.queue_limit == 4
+        assert args.breaker_threshold == 9
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-wait-ms=2", "--no-batch", "--no-dedup", "--no-cache"]
+    )
+    def test_removed_funnel_switches_rejected(self, flag, capsys):
+        # Batching, singleflight and caching are always on; --max-batch 1
+        # and --lru-size 0 give the naive funnel.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_loadgen_concurrency_sweep(self):
         args = build_parser().parse_args([
