@@ -675,7 +675,6 @@ class TestDrain:
             finally:
                 conn.close()
 
-
     def test_run_serves_until_sigterm_then_drains(self, db):
         # The foreground loop of `repro serve` and of every shard: the
         # request gets its answer, SIGTERM starts the drain, run()
