@@ -376,12 +376,12 @@ def evaluate_with_precision(
 
     Each round issues **one** :func:`evaluate_groups` call covering every
     adaptive group's next increment (fixed groups join the first round),
-    so the service's batch-mates share each round's call.  Increments extend each group's
-    seed streams at absolute run indices (``run_offset``), and every
-    scheduled total is chunk-aligned, so a group stopping at N runs has
-    drawn exactly what a one-shot ``runs=N`` evaluation would --
-    bit-identical times (the Hypothesis property
-    ``tests/pevpm/test_adaptive_predict.py`` pins).
+    so the service's batch-mates share each round's call.  Increments
+    extend each group's seed streams at absolute run indices
+    (``run_offset``), and every scheduled total is chunk-aligned, so a
+    group stopping at N runs has drawn exactly what a one-shot
+    ``runs=N`` evaluation would -- bit-identical times (the Hypothesis
+    property ``tests/pevpm/test_adaptive_predict.py`` pins).
 
     Returns ``(fixed_outcomes, fixed_walls, adaptive_results)``; each
     round's wall time is attributed proportionally to the host cost of
