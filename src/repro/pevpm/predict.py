@@ -7,11 +7,14 @@ several times with independent random streams and aggregates; helpers
 compute speedups (for Figure 6) and compare the paper's timing-source
 variants side by side.
 
-All entry points route through :mod:`repro.pevpm.parallel`, which
-evaluates every Monte Carlo run (and the ``proc_counts`` / timing-mode
-axes of the helpers) in the caller's process, each run on its own
-``SeedSequence`` stream.  Pass ``cache_dir`` to reuse finished
-evaluations across calls and processes.
+A stopping rule decides each evaluation's run count.  A fixed ``runs``
+is the one-round rule; a :class:`~repro.stats.PrecisionTarget` extends
+the runs in doubling rounds until the mean is precise enough.  Every
+entry point, and the prediction service, evaluates through
+:func:`evaluate_with_precision`, which runs every Monte Carlo run (and
+the ``proc_counts`` / timing-mode axes of the helpers) in the caller's
+process, each run on its own ``SeedSequence`` stream.  Pass
+``cache_dir`` to reuse finished evaluations across calls and processes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from ..stats import PrecisionTarget, achieved_rse, next_total
 from ..stats.ci import ConfidenceInterval, mean_ci
 from .machine import MachineResult
 from .parallel import (
+    VECTOR_BATCH,
     RunGroup,
     as_seed_sequence,
     evaluate_groups,
@@ -164,8 +168,8 @@ def build_prediction(group: RunGroup, outcomes, wall: float) -> Prediction:
     """Aggregate one group's :class:`~repro.pevpm.parallel.RunOutcome`
     list into a :class:`Prediction` -- the entry point shared by
     :func:`predict` and the prediction service's micro-batcher (which
-    evaluates many groups per :func:`~repro.pevpm.parallel.evaluate_groups`
-    call and builds each request's prediction separately)."""
+    evaluates a batch per :func:`evaluate_with_precision` call and
+    builds each request's prediction separately)."""
     return Prediction(
         nprocs=group.nprocs,
         timing_name=group.timing.name,
@@ -179,7 +183,7 @@ def build_prediction(group: RunGroup, outcomes, wall: float) -> Prediction:
 def prediction_from_doc(doc: dict) -> Prediction:
     """Rehydrate a cached prediction document (the JSON form stored by
     :class:`PredictionCache` and the service's in-memory tier) into a
-    :class:`Prediction`."""
+    :class:`Prediction`, with its ``precision`` block when it has one."""
     return Prediction(
         nprocs=int(doc.get("nprocs", 0)),
         timing_name=str(doc.get("timing", "")),
@@ -188,6 +192,7 @@ def prediction_from_doc(doc: dict) -> Prediction:
         wall_time=0.0,
         run_walls=[float(w) for w in doc.get("run_walls", [])],
         cached=True,
+        precision=doc.get("precision"),
     )
 
 
@@ -206,8 +211,9 @@ def prediction_doc(group: RunGroup, pred: Prediction) -> dict:
 class PredictionCache(ContentStore):
     """Finished evaluations (:func:`prediction_doc`), one
     ``predict-<key>.json`` per :func:`prediction_key`; safe to delete
-    wholesale.  A non-object document is corrupt, one of another
-    :attr:`VERSION` a plain miss."""
+    wholesale.  A non-object document is corrupt; one of another
+    :attr:`VERSION`, or with no ``times`` list (an older adaptive
+    pointer entry), is a plain miss that the next put replaces."""
 
     VERSION = 5
 
@@ -217,7 +223,11 @@ class PredictionCache(ContentStore):
     def _decode(self, key: str, doc) -> dict | None:
         if not isinstance(doc, dict):
             raise ValueError("cache entry is not a JSON object")
-        return doc if doc.get("version") == self.VERSION else None
+        if doc.get("version") != self.VERSION or not isinstance(
+            doc.get("times"), list
+        ):
+            return None
+        return doc
 
     def put(self, key: str, doc: dict) -> int:
         return super().put(key, dict(doc, version=self.VERSION))
@@ -229,9 +239,8 @@ def prediction_key(
     """Content fingerprint of one group's evaluation (the cache key).
 
     The chunk size is keyed as :func:`~repro.pevpm.parallel.keyed_batch`
-    records it.  With *precision* it is the key of an adaptive request's
-    pointer entry: the target replaces ``runs``, which the stopping rule
-    decides.  ``None`` when the model and params do not pickle: nothing
+    records it.  With *precision* it keys an adaptive evaluation: the
+    target replaces ``runs``, which the stopping rule decides.  ``None`` when the model and params do not pickle: nothing
     else identifies a program's content (a closure's ``repr`` is its
     memory address, which CPython reuses), so such a group is never
     read from or written to the cache.
@@ -262,50 +271,14 @@ def prediction_key(
     return h.hexdigest()
 
 
-def _evaluate_predictions(groups: list[RunGroup], cache_dir) -> list[Prediction]:
-    """Serve each group from the cache when possible; evaluate the rest
-    (misses of *all* groups in one :func:`evaluate_groups` call) and
-    persist their results.  The fixed-runs path of every entry point:
-    it rejects a group of fewer than one run."""
-    if any(g.runs < 1 for g in groups):
-        raise ValueError("runs must be >= 1")
-    cache = PredictionCache(cache_dir) if cache_dir is not None else None
-    preds: list[Prediction | None] = [None] * len(groups)
-    keys: list[str | None] = [None] * len(groups)
-    misses: list[int] = []
-    for i, group in enumerate(groups):
-        # Traced runs carry MachineResult/TraceRecorder state the JSON
-        # cache does not hold -- always evaluate those live.
-        key = keys[i] = (
-            None if cache is None or group.trace_last else prediction_key(group)
-        )
-        if key is None:
-            misses.append(i)
-            continue
-        doc = cache.get(key)
-        if doc is not None:
-            preds[i] = prediction_from_doc(doc)
-        else:
-            misses.append(i)
-    if misses:
-        t0 = _time.perf_counter()
-        outcomes = evaluate_groups([groups[i] for i in misses])
-        wall = _time.perf_counter() - t0
-        for i, group_outcomes in zip(misses, outcomes):
-            # Split the call's wall time, compilation included, across
-            # the groups by their own runs' host cost.
-            own = sum(o.wall for o in group_outcomes)
-            total = sum(o.wall for per in outcomes for o in per) or 1.0
-            preds[i] = build_prediction(groups[i], group_outcomes, wall * own / total)
-            if keys[i] is not None:
-                cache.put(keys[i], prediction_doc(groups[i], preds[i]))
-    return preds  # type: ignore[return-value]
-
-
-# -- adaptive (precision-targeted) evaluation ---------------------------------
+# -- evaluation under a stopping rule -------------------------------------------
 @dataclass
 class AdaptiveResult:
-    """One group's adaptive evaluation: outcomes plus the decision trail."""
+    """One group's evaluation: outcomes plus the stopping rule's trail.
+
+    A fixed-``runs`` group (a ``None`` target) evaluates whole in the
+    first round: its ``rounds`` is empty and ``converged`` is True.
+    """
 
     outcomes: list  #: run-ordered RunOutcomes, length = runs spent
     rounds: list[dict]  #: per-round {"runs", "added", "rse", "wall"}
@@ -318,12 +291,13 @@ class AdaptiveResult:
 
 
 class _AdaptiveState:
-    """Progress of one group through the sequential stopping rule."""
+    """Progress of one group through its stopping rule (a ``None``
+    target is the one-round rule of a fixed run count)."""
 
-    def __init__(self, group: RunGroup, target: PrecisionTarget):
-        if group.run_offset:
+    def __init__(self, group: RunGroup, target: PrecisionTarget | None):
+        if target is not None and group.run_offset:
             raise ValueError("adaptive groups must start at run_offset 0")
-        if group.trace_last:
+        if target is not None and group.trace_last:
             raise ValueError(
                 "trace_last is incompatible with adaptive evaluation "
                 "(the last run is not known until the rule stops)"
@@ -338,7 +312,11 @@ class _AdaptiveState:
 
     def next_increment(self) -> RunGroup | None:
         """The next refinement slice, or ``None`` when finished."""
-        if self.converged or self.done >= self.target.max_runs:
+        if self.converged:
+            return None
+        if self.target is None:
+            return self.group
+        if self.done >= self.target.max_runs:
             return None
         total = next_total(self.done, self.target, self.group.vector_batch)
         if total <= self.done:
@@ -349,6 +327,9 @@ class _AdaptiveState:
         self.outcomes.extend(outcomes)
         self.done += increment.runs
         self.wall += wall_share
+        if self.target is None:
+            self.converged = True
+            return
         times = [o.elapsed for o in self.outcomes]
         rse = achieved_rse(times, self.target.level)
         self.converged = self.target.satisfied(times)
@@ -369,55 +350,39 @@ class _AdaptiveState:
 
 
 def evaluate_with_precision(
-    fixed_groups: list[RunGroup],
-    adaptive_pairs: list[tuple[RunGroup, PrecisionTarget]],
-) -> tuple[list[list], list[float], list[AdaptiveResult]]:
-    """Round-based evaluation mixing fixed and adaptive groups.
+    pairs: list[tuple[RunGroup, PrecisionTarget | None]],
+) -> list[AdaptiveResult]:
+    """Evaluate each ``(group, target)`` pair under its stopping rule.
 
-    Each round issues **one** :func:`evaluate_groups` call covering every
-    adaptive group's next increment (fixed groups join the first round),
-    so the service's batch-mates share each round's call.  Increments
-    extend each group's seed streams at absolute run indices
-    (``run_offset``), and every scheduled total is chunk-aligned, so a
-    group stopping at N runs has drawn exactly what a one-shot
-    ``runs=N`` evaluation would -- bit-identical times (the Hypothesis
-    property ``tests/pevpm/test_adaptive_predict.py`` pins).
+    A ``None`` target is a fixed run count: the group evaluates whole in
+    the first round.  A :class:`~repro.stats.PrecisionTarget` extends its
+    group in doubling increments until the target or ``max_runs`` is
+    met.  Each round issues **one** :func:`evaluate_groups` call
+    covering every unfinished group's next increment, so the service's
+    batch-mates share each round's call.  Increments extend each group's
+    seed streams at absolute run indices (``run_offset``), and every
+    scheduled total is chunk-aligned, so a group stopping at N runs has
+    drawn exactly what a one-shot ``runs=N`` evaluation would --
+    bit-identical times (the Hypothesis property
+    ``tests/pevpm/test_adaptive_predict.py`` pins).
 
-    Returns ``(fixed_outcomes, fixed_walls, adaptive_results)``; each
-    round's wall time is attributed proportionally to the host cost of
-    each group's own runs, as in fixed evaluation.
+    Returns one :class:`AdaptiveResult` per pair.  Each round's wall
+    time is attributed to its groups in proportion to the host cost of
+    their own runs.
     """
-    states = [_AdaptiveState(g, t) for g, t in adaptive_pairs]
-    fixed_out: list[list | None] = [None] * len(fixed_groups)
-    fixed_walls = [0.0] * len(fixed_groups)
-    first = True
+    states = [_AdaptiveState(group, target) for group, target in pairs]
     while True:
-        round_groups: list[RunGroup] = []
-        owners: list[tuple[str, int]] = []
-        if first:
-            for i, g in enumerate(fixed_groups):
-                round_groups.append(g)
-                owners.append(("fixed", i))
-        for i, st in enumerate(states):
-            inc = st.next_increment()
-            if inc is not None:
-                round_groups.append(inc)
-                owners.append(("adaptive", i))
-        if not round_groups:
+        active = [(st, st.next_increment()) for st in states]
+        active = [(st, inc) for st, inc in active if inc is not None]
+        if not active:
             break
-        first = False
         t0 = _time.perf_counter()
-        per = evaluate_groups(round_groups)
+        per = evaluate_groups([inc for _, inc in active])
         wall = _time.perf_counter() - t0
         total_w = sum(o.wall for outs in per for o in outs) or 1.0
-        for owner, g, outs in zip(owners, round_groups, per):
-            share = wall * sum(o.wall for o in outs) / total_w
-            if owner[0] == "fixed":
-                fixed_out[owner[1]] = outs
-                fixed_walls[owner[1]] = share
-            else:
-                states[owner[1]].absorb(g, outs, share)
-    return fixed_out, fixed_walls, [st.result() for st in states]  # type: ignore[return-value]
+        for (st, inc), outs in zip(active, per):
+            st.absorb(inc, outs, wall * sum(o.wall for o in outs) / total_w)
+    return [st.result() for st in states]
 
 
 def precision_doc(target: PrecisionTarget, result: AdaptiveResult) -> dict:
@@ -430,60 +395,53 @@ def precision_doc(target: PrecisionTarget, result: AdaptiveResult) -> dict:
     }
 
 
-def _evaluate_adaptive_predictions(
-    groups: list[RunGroup],
-    targets: list[PrecisionTarget],
-    cache_dir,
+def _evaluate_predictions(
+    pairs: list[tuple[RunGroup, PrecisionTarget | None]], cache_dir
 ) -> list[Prediction]:
-    """Adaptive counterpart of :func:`_evaluate_predictions`.
+    """Serve each ``(group, target)`` pair from the cache when possible;
+    evaluate the rest (the misses of *all* pairs in one
+    :func:`evaluate_with_precision` call) and persist their results.
+    The evaluation path of every entry point: it rejects a fixed group
+    of fewer than one run.
 
-    Cache story: the full result document is stored under the
-    **fixed-runs key of the achieved total** (so a later ``runs=N``
-    request drawing the same chunks hits it -- adaptive and fixed
-    answers for the same content are bit-identical by construction),
-    and a small *pointer* document
-    is stored under the adaptive key mapping target -> achieved run
-    count, so a repeated adaptive request replays the lookup without
-    re-running the stopping rule.
+    Each result is stored under its own :func:`prediction_key`.  An
+    adaptive result's document carries its ``precision`` block there,
+    and is stored again without it under the fixed-runs key of the run
+    count it spent, so a later ``runs=N`` call drawing the same chunks
+    hits it: adaptive and fixed answers for the same content are
+    bit-identical by construction.
     """
+    if any(target is None and group.runs < 1 for group, target in pairs):
+        raise ValueError("runs must be >= 1")
     cache = PredictionCache(cache_dir) if cache_dir is not None else None
-    preds: list[Prediction | None] = [None] * len(groups)
-    miss_pairs: list[tuple[RunGroup, PrecisionTarget]] = []
-    miss_idx: list[int] = []
-    pointer_keys: list[str | None] = [None] * len(groups)
-    for i, (group, target) in enumerate(zip(groups, targets)):
-        pkey = pointer_keys[i] = (
-            None if cache is None else prediction_key(group, target)
+    preds: list[Prediction | None] = [None] * len(pairs)
+    keys: list[str | None] = [None] * len(pairs)
+    misses: list[int] = []
+    for i, (group, target) in enumerate(pairs):
+        # Traced runs carry MachineResult/TraceRecorder state the JSON
+        # cache does not hold -- always evaluate those live.
+        key = keys[i] = (
+            None if cache is None or group.trace_last
+            else prediction_key(group, target)
         )
-        if pkey is None:
-            miss_pairs.append((group, target))
-            miss_idx.append(i)
-            continue
-        pointer = cache.get(pkey)
-        if pointer is not None and isinstance(pointer.get("achieved_runs"), int):
-            achieved = pointer["achieved_runs"]
-            doc = cache.get(prediction_key(replace(group, runs=achieved)))
-            if doc is not None:
-                pred = prediction_from_doc(doc)
-                pred.precision = pointer.get("precision")
-                preds[i] = pred
-                continue
-        miss_pairs.append((group, target))
-        miss_idx.append(i)
-    if miss_pairs:
-        _, _, results = evaluate_with_precision([], miss_pairs)
-        for i, (group, target), result in zip(miss_idx, miss_pairs, results):
-            finished = replace(group, runs=result.runs)
-            pred = build_prediction(finished, result.outcomes, result.wall)
+        doc = None if key is None else cache.get(key)
+        if doc is None:
+            misses.append(i)
+        else:
+            preds[i] = prediction_from_doc(doc)
+    results = evaluate_with_precision([pairs[i] for i in misses])
+    for i, result in zip(misses, results):
+        group, target = pairs[i]
+        pred = preds[i] = build_prediction(group, result.outcomes, result.wall)
+        if target is not None:
             pred.precision = precision_doc(target, result)
-            preds[i] = pred
-            if pointer_keys[i] is not None:
-                cache.put(prediction_key(finished), prediction_doc(finished, pred))
-                cache.put(pointer_keys[i], {
-                    "kind": "adaptive",
-                    "achieved_runs": result.runs,
-                    "precision": pred.precision,
-                })
+        if keys[i] is None:
+            continue
+        doc = prediction_doc(group, pred)
+        if target is not None:
+            cache.put(prediction_key(replace(group, runs=result.runs)), doc)
+            doc = dict(doc, precision=pred.precision)
+        cache.put(keys[i], doc)
     return preds  # type: ignore[return-value]
 
 
@@ -501,11 +459,12 @@ def _resolve_precision(
     return PrecisionTarget(rse=target_rse, min_runs=min_runs, max_runs=max_runs)
 
 
-def _adaptive_batch(precision: PrecisionTarget) -> int:
-    """Chunk size for adaptive groups: the first scheduled total, so the
-    refinement increment *is* one chunk and a loose target can stop
-    after ``min_runs`` instead of a full default chunk of 64."""
-    return precision.min_runs
+def _vector_batch(target: PrecisionTarget | None) -> int:
+    """Chunk size for a group under *target*: the default chunk for a
+    fixed run count; for a precision target its first scheduled total,
+    so the refinement increment *is* one chunk and a loose target can
+    stop after ``min_runs`` instead of a full default chunk of 64."""
+    return VECTOR_BATCH if target is None else target.min_runs
 
 
 def predict(
@@ -561,8 +520,6 @@ def predict(
     (the last run is unknown until the rule stops).
     """
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
-    if target is not None and trace_last:
-        raise ValueError("trace_last is incompatible with adaptive evaluation")
     group = RunGroup(
         model=model,
         nprocs=nprocs,
@@ -573,11 +530,9 @@ def predict(
         trace_last=trace_last,
         nic_serialisation=nic_serialisation,
         ppn=ppn,
+        vector_batch=_vector_batch(target),
     )
-    if target is not None:
-        group = replace(group, vector_batch=_adaptive_batch(target))
-        return _evaluate_adaptive_predictions([group], [target], cache_dir)[0]
-    return _evaluate_predictions([group], cache_dir)[0]
+    return _evaluate_predictions([(group, target)], cache_dir)[0]
 
 
 def predict_speedups(
@@ -611,26 +566,23 @@ def predict_speedups(
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
     root = as_seed_sequence(seed)
     children = run_seeds(root, len(proc_counts))
-    batch_kw = {"vector_batch": _adaptive_batch(target)} if target is not None else {}
-    groups = [
-        RunGroup(
-            model=model_factory(nprocs),
-            nprocs=nprocs,
-            timing=timing_factory(nprocs),
-            seed=child,
-            runs=runs,
-            params=params,
-            ppn=ppn,
-            **batch_kw,
+    pairs = [
+        (
+            RunGroup(
+                model=model_factory(nprocs),
+                nprocs=nprocs,
+                timing=timing_factory(nprocs),
+                seed=child,
+                runs=runs,
+                params=params,
+                ppn=ppn,
+                vector_batch=_vector_batch(target),
+            ),
+            target,
         )
         for nprocs, child in zip(proc_counts, children)
     ]
-    if target is not None:
-        preds = _evaluate_adaptive_predictions(
-            groups, [target] * len(groups), cache_dir
-        )
-    else:
-        preds = _evaluate_predictions(groups, cache_dir)
+    preds = _evaluate_predictions(pairs, cache_dir)
     return {
         nprocs: pred.speedup(serial_time)
         for nprocs, pred in zip(proc_counts, preds)
@@ -673,27 +625,24 @@ def compare_timing_modes(
         ("average", "nxp"),
     ]
     root = as_seed_sequence(seed)
-    batch_kw = {"vector_batch": _adaptive_batch(target)} if target is not None else {}
-    groups = [
-        RunGroup(
-            model=model,
-            nprocs=nprocs,
-            timing=timing_from_db(db, mode=mode, source=source, nprocs=nprocs),
-            seed=root,
-            runs=runs,
-            params=params,
-            nic_serialisation=nic_serialisation,
-            ppn=ppn,
-            **batch_kw,
+    pairs = [
+        (
+            RunGroup(
+                model=model,
+                nprocs=nprocs,
+                timing=timing_from_db(db, mode=mode, source=source, nprocs=nprocs),
+                seed=root,
+                runs=runs,
+                params=params,
+                nic_serialisation=nic_serialisation,
+                ppn=ppn,
+                vector_batch=_vector_batch(target),
+            ),
+            target,
         )
         for mode, source in modes
     ]
-    if target is not None:
-        preds = _evaluate_adaptive_predictions(
-            groups, [target] * len(groups), cache_dir
-        )
-    else:
-        preds = _evaluate_predictions(groups, cache_dir)
+    preds = _evaluate_predictions(pairs, cache_dir)
     return {
         f"{mode}-{source}": pred
         for (mode, source), pred in zip(modes, preds)

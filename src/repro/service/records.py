@@ -379,7 +379,7 @@ class PredictRequest:
             doc["precision"] = self.precision_target().to_doc()
         return doc
 
-    def fixed_canonical(self, achieved_runs: int) -> dict:
+    def fixed_canonical(self, runs: int) -> dict:
         """The canonical form of the *equivalent fixed request* of an
         adaptive one: same content, ``runs`` pinned to the stopping
         rule's achieved total, no precision block.  Adaptive results are
@@ -387,14 +387,14 @@ class PredictRequest:
         under its key lets later ``runs=N`` requests hit."""
         doc = self.canonical()
         doc.pop("precision", None)
-        doc["runs"] = achieved_runs
-        doc["vector_batch"] = keyed_batch(achieved_runs, self.vector_batch)
+        doc["runs"] = runs
+        doc["vector_batch"] = keyed_batch(runs, self.vector_batch)
         return doc
 
-    def fixed_key(self, db_fingerprint: str, achieved_runs: int) -> str:
+    def fixed_key(self, db_fingerprint: str, runs: int) -> str:
         """Cache key of :meth:`fixed_canonical` (see there)."""
         blob = json.dumps(
-            {"db": db_fingerprint, "request": self.fixed_canonical(achieved_runs)},
+            {"db": db_fingerprint, "request": self.fixed_canonical(runs)},
             sort_keys=True,
         ).encode()
         return hashlib.sha256(blob).hexdigest()

@@ -30,7 +30,7 @@ The ``/predict`` funnel, in order: parse/validate -> content key ->
 LRU/disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
 admission (:mod:`.jobs`, 429 when full) -> micro-batcher
 (:mod:`.batcher`, which batches what queues while the evaluator is
-busy) -> :func:`~repro.pevpm.parallel.evaluate_groups`.
+busy) -> :func:`~repro.pevpm.predict.evaluate_with_precision`.
 Deadlines produce 504 without cancelling the evaluation (the result
 still warms the cache).  Every stage preserves the reproducibility
 contract: a served response's ``times`` are bit-identical to the same
@@ -46,18 +46,13 @@ import os
 import signal
 import threading
 import time as _time
-from dataclasses import replace
 from urllib.parse import parse_qsl, urlsplit
 
 from ..cas import LRU
 from ..mpibench.results import DistributionDB
 from ..obs import ENGINE_PHASES, JsonLogger, Tracer, clean_trace_id, merge_phases
 from ..pevpm.machine import ModelDeadlock
-from ..pevpm.parallel import (
-    RunGroup,
-    as_seed_sequence,
-    evaluate_groups,
-)
+from ..pevpm.parallel import RunGroup, as_seed_sequence
 from ..pevpm.predict import (
     PredictionCache,
     build_prediction,
@@ -361,46 +356,44 @@ class PredictionService:
             profile=self.tracer is not None and self.tracer.enabled,
         )
 
-    def _finish(self, group: RunGroup, outcomes, wall: float) -> dict:
+    def _finish(self, group: RunGroup, target, result) -> dict:
+        """Document for one finished evaluation, with the ``precision``
+        provenance block (target, per-round RSE trail, convergence) when
+        a *target* decided its run count."""
         t0 = _time.perf_counter()
-        pred = build_prediction(group, outcomes, wall)
-        doc = dict(prediction_doc(group, pred), wall_time=wall)
-        phases = merge_phases(outcomes)
-        if phases:
-            phases["serialize"] = _time.perf_counter() - t0
-            doc["phases"] = phases
-        return doc
-
-    def _finish_adaptive(self, group: RunGroup, target, result) -> dict:
-        """Document for one adaptive evaluation: the finished group is
-        the equivalent fixed request at the achieved total, plus the
-        ``precision`` provenance block (target, per-round RSE trail,
-        convergence)."""
-        t0 = _time.perf_counter()
-        finished = replace(group, runs=result.runs)
-        pred = build_prediction(finished, result.outcomes, result.wall)
-        doc = dict(prediction_doc(finished, pred), wall_time=result.wall)
-        doc["precision"] = precision_doc(target, result)
+        pred = build_prediction(group, result.outcomes, result.wall)
+        doc = dict(prediction_doc(group, pred), wall_time=result.wall)
+        if target is not None:
+            doc["precision"] = precision_doc(target, result)
         phases = merge_phases(result.outcomes)
         if phases:
             phases["serialize"] = _time.perf_counter() - t0
             doc["phases"] = phases
         return doc
 
+    @staticmethod
+    def _evaluate_alone(pair):
+        """One request's evaluation, or the exception it raised."""
+        try:
+            return evaluate_with_precision([pair])[0]
+        except Exception as exc:
+            return exc
+
     def _evaluate_requests(self, reqs: list[PredictRequest]) -> list:
         """Evaluate one micro-batch (runs on the evaluator thread).
 
         The batch is whatever queued while the previous one evaluated.
-        All requests' groups go through **one**
-        :func:`~repro.pevpm.predict.evaluate_with_precision` call:
-        fixed-``runs`` groups evaluate in its first round, and every
-        later round is a single ``evaluate_groups`` dispatch covering
-        the still-active adaptive groups.  Batch-mates share only this
-        call: each keeps its own ``RunGroup`` and seed streams, and
-        programs, models and timings are cached per process anyway.  A
-        failure (e.g. a deadlocking model) falls back to per-request
-        evaluation so one poisoned request cannot fail its batch-mates.
-        Returns one document or exception per request.
+        All requests' ``(group, target)`` pairs go through **one**
+        :func:`~repro.pevpm.predict.evaluate_with_precision` call: a
+        fixed-``runs`` request is the one-round case and finishes in its
+        first round, and each later round is a single ``evaluate_groups``
+        dispatch covering the still-active adaptive requests.
+        Batch-mates share only this call: each keeps its own
+        ``RunGroup`` and seed streams, and programs, models and timings
+        are cached per process anyway.  A failure (e.g. a deadlocking
+        model) falls back to per-request evaluation so one poisoned
+        request cannot fail its batch-mates.  Returns one document or
+        exception per request.
 
         Evaluation stays in this process, as every evaluation does; more
         cores serve through more shards (``repro serve --shards N``).
@@ -408,56 +401,27 @@ class PredictionService:
         if self.faults is not None:
             self.faults.on_evaluate()
         results: list = [None] * len(reqs)
-        fixed_groups: list[RunGroup] = []
-        fixed_idx: list[int] = []
-        adaptive_pairs: list = []
-        adaptive_idx: list[int] = []
+        pairs: list[tuple] = []
+        owners: list[int] = []
         for i, req in enumerate(reqs):
             try:
-                group = self._group_for(req)
-                target = req.precision_target()
+                pair = (self._group_for(req), req.precision_target())
             except Exception as exc:
                 results[i] = exc
                 continue
-            if target is not None:
-                adaptive_pairs.append((group, target))
-                adaptive_idx.append(i)
-            else:
-                fixed_groups.append(group)
-                fixed_idx.append(i)
-        if not fixed_groups and not adaptive_pairs:
+            pairs.append(pair)
+            owners.append(i)
+        if not pairs:
             return results
         try:
-            fixed_out, fixed_walls, adaptive_results = evaluate_with_precision(
-                fixed_groups, adaptive_pairs
-            )
+            done = evaluate_with_precision(pairs)
         except Exception:
-            for i, group in zip(fixed_idx, fixed_groups):
-                try:
-                    t1 = _time.perf_counter()
-                    outcomes = evaluate_groups([group])[0]
-                    results[i] = self._finish(
-                        group, outcomes, _time.perf_counter() - t1
-                    )
-                except Exception as exc:
-                    results[i] = exc
-            for i, (group, target) in zip(adaptive_idx, adaptive_pairs):
-                try:
-                    _, _, singles = evaluate_with_precision(
-                        [], [(group, target)]
-                    )
-                    results[i] = self._finish_adaptive(group, target, singles[0])
-                except Exception as exc:
-                    results[i] = exc
-        else:
-            for i, group, outcomes, wall in zip(
-                fixed_idx, fixed_groups, fixed_out, fixed_walls
-            ):
-                results[i] = self._finish(group, outcomes, wall)
-            for i, (group, target), result in zip(
-                adaptive_idx, adaptive_pairs, adaptive_results
-            ):
-                results[i] = self._finish_adaptive(group, target, result)
+            done = [self._evaluate_alone(pair) for pair in pairs]
+        for i, (group, target), result in zip(owners, pairs, done):
+            results[i] = (
+                result if isinstance(result, Exception)
+                else self._finish(group, target, result)
+            )
         return results
 
     # -- request funnel (event-loop thread) -----------------------------------
@@ -827,7 +791,6 @@ class PredictionService:
         pred = prediction_from_doc(doc)
         pred.cached = source != "engine"
         pred.wall_time = float(doc.get("wall_time", 0.0))
-        pred.precision = doc.get("precision")
         if source == "engine":
             # Spend accounting: how many MC runs each engine-served
             # prediction cost, split by who decided the count.

@@ -17,8 +17,10 @@ from repro.mpibench import BenchSettings, MPIBench
 from repro.pevpm import PrecisionTarget, predict, timing_from_db
 from repro.pevpm.predict import (
     AdaptiveResult,
-    _adaptive_batch,
+    PredictionCache,
+    _vector_batch,
     evaluate_with_precision,
+    prediction_key,
 )
 from repro.pevpm.parallel import RunGroup, as_seed_sequence, evaluate_groups
 from repro.simnet import perseus
@@ -49,6 +51,17 @@ def _predict(db, params, **kw):
     return predict(parse_jacobi(), 8, timing, params=params, **kw)
 
 
+def _precision_key(db, params, seed, target):
+    """The cache key ``_predict(..., seed=seed, precision=target)`` uses."""
+    group = RunGroup(
+        model=parse_jacobi(), nprocs=8,
+        timing=timing_from_db(db, mode="distribution", nprocs=8),
+        seed=as_seed_sequence(seed), runs=5, params=params,
+        vector_batch=_vector_batch(target),
+    )
+    return prediction_key(group, target)
+
+
 class TestBitIdentity:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -69,7 +82,7 @@ class TestBitIdentity:
         group = RunGroup(
             model=parse_jacobi(), nprocs=8, timing=timing,
             seed=as_seed_sequence(seed), runs=n, params=jacobi_params,
-            vector_batch=_adaptive_batch(target),
+            vector_batch=_vector_batch(target),
         )
         fixed_times = [o.elapsed for o in evaluate_groups([group])[0]]
         assert adaptive.times == fixed_times
@@ -176,6 +189,41 @@ class TestAdaptiveCache:
         assert not b.cached
         assert b.runs != a.runs or b.precision != a.precision
 
+    def test_precision_key_holds_the_full_document(
+        self, db, jacobi_params, tmp_path
+    ):
+        target = PrecisionTarget(rse=0.5)
+        pred = _predict(
+            db, jacobi_params, seed=8, precision=target, cache_dir=tmp_path
+        )
+        doc = PredictionCache(tmp_path).get(
+            _precision_key(db, jacobi_params, 8, target)
+        )
+        assert doc["times"] == pred.times
+        assert doc["precision"] == pred.precision
+
+    def test_old_pointer_entry_is_a_miss_that_the_next_put_repairs(
+        self, db, jacobi_params, tmp_path
+    ):
+        target = PrecisionTarget(rse=0.5)
+        uncached = _predict(db, jacobi_params, seed=9, precision=target)
+        key = _precision_key(db, jacobi_params, 9, target)
+        cache = PredictionCache(tmp_path)
+        # The pointer document earlier releases stored under this key.
+        cache.put(key, {
+            "kind": "adaptive",
+            "achieved_runs": uncached.runs,
+            "precision": uncached.precision,
+        })
+        pred = _predict(
+            db, jacobi_params, seed=9, precision=target, cache_dir=tmp_path
+        )
+        assert not pred.cached
+        assert pred.times == uncached.times
+        doc = PredictionCache(tmp_path).get(key)
+        assert doc["times"] == pred.times
+        assert doc["precision"] == pred.precision
+
 
 class TestEvaluateWithPrecision:
     def test_mixed_fixed_and_adaptive(self, db, jacobi_params):
@@ -189,18 +237,21 @@ class TestEvaluateWithPrecision:
             seed=as_seed_sequence(12), runs=1, params=jacobi_params,
         )
         target = PrecisionTarget(rse=0.5, min_runs=4, max_runs=16)
-        fixed_out, fixed_walls, results = evaluate_with_precision(
-            [fixed], [(adaptive, target)]
+        fixed_res, res = evaluate_with_precision(
+            [(fixed, None), (adaptive, target)]
         )
-        assert len(fixed_out[0]) == 3
-        assert fixed_walls[0] > 0
-        (res,) = results
+        assert isinstance(fixed_res, AdaptiveResult)
+        assert fixed_res.runs == 3
+        assert fixed_res.wall > 0
+        # A fixed run count is the one-round rule: no trail, converged.
+        assert fixed_res.rounds == []
+        assert fixed_res.converged
         assert isinstance(res, AdaptiveResult)
         assert res.runs >= 4
         assert res.wall > 0
         # Fixed group's outcomes match a standalone fixed evaluation.
         standalone = [o.elapsed for o in evaluate_groups([fixed])[0]]
-        assert [o.elapsed for o in fixed_out[0]] == standalone
+        assert [o.elapsed for o in fixed_res.outcomes] == standalone
 
     def test_rejects_offset_group(self, db, jacobi_params):
         timing = timing_from_db(db, mode="distribution")
@@ -210,7 +261,7 @@ class TestEvaluateWithPrecision:
             run_offset=3,
         )
         with pytest.raises(ValueError, match="run_offset"):
-            evaluate_with_precision([], [(g, PrecisionTarget(rse=0.5))])
+            evaluate_with_precision([(g, PrecisionTarget(rse=0.5))])
 
 
 class TestStderrRegression:

@@ -6,13 +6,16 @@ decision trail in ``precision``, and the achieved result is cached so a
 later fixed-``runs`` request for the same content hits it bit-identically.
 """
 
+import asyncio
+
 import pytest
 
 from repro.mpibench import BenchSettings, MPIBench
 from repro.service import PredictionService
+from repro.service import records as service_records
 from repro.simnet import perseus
 
-from .test_service_e2e import jacobi_request, run_service, serve
+from .test_service_e2e import direct_jacobi, jacobi_request, run_service, serve
 
 pytestmark = pytest.mark.service
 
@@ -43,6 +46,7 @@ class TestAdaptiveServing:
         p = record["precision"]
         assert p["target"]["rse"] == 0.5
         assert p["converged"] is True
+        assert p["achieved_rse"] <= p["target"]["rse"]
         assert record["runs"] == sum(r["added"] for r in p["rounds"])
         assert len(record["times"]) == record["runs"]
 
@@ -84,6 +88,60 @@ class TestAdaptiveServing:
         assert second["served_from"] == "cache"
         assert second["times"] == first["times"]
         assert second["precision"] == first["precision"]
+
+
+class TestPoisonedBatch:
+    def test_adaptive_and_fixed_batch_mates_survive_a_deadlock(
+        self, db, monkeypatch
+    ):
+        def all_receive(ctx):
+            yield ctx.recv((ctx.procnum + 1) % 2)
+
+        monkeypatch.setitem(
+            service_records.MODELS,
+            "deadlock",
+            ({}, lambda spec, params: (all_receive, None)),
+        )
+        bad = {"model": "deadlock", "nprocs": 2, "runs": 2}
+        fixed = jacobi_request()
+        adaptive = adaptive_request(target_rse=1e-9, max_runs=8)
+
+        async def together(service):
+            # Fired together so all three land in one micro-batch.
+            replies = await asyncio.gather(
+                service.handle_predict(bad),
+                service.handle_predict(fixed),
+                service.handle_predict(adaptive),
+            )
+            return replies, service.metrics
+
+        async def alone(service):
+            return await service.handle_predict(adaptive)
+
+        replies, metrics = run_service(db, together)
+        (bad_status, _, bad_doc), (fixed_status, _, fixed_doc), (
+            adaptive_status, _, adaptive_doc
+        ) = replies
+        assert metrics.counter("repro_batches_total") == 1
+        assert bad_status == 422
+        assert bad_doc["error"] == "model deadlock"
+        assert fixed_status == 200
+        assert fixed_doc["times"] == direct_jacobi(db, fixed).times
+        assert adaptive_status == 200
+        alone_status, _, alone_doc = run_service(db, alone)
+        assert alone_status == 200
+        assert adaptive_doc["times"] == alone_doc["times"]
+
+        def without_walls(precision):
+            rounds = [
+                {k: v for k, v in r.items() if k != "wall"}
+                for r in precision["rounds"]
+            ]
+            return dict(precision, rounds=rounds)
+
+        assert without_walls(adaptive_doc["precision"]) == without_walls(
+            alone_doc["precision"]
+        )
 
 
 class TestValidation:
