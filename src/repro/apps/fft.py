@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from ..pevpm import patterns
 from ..pevpm.machine import ProcContext
 
 __all__ = [
@@ -155,10 +156,6 @@ def _fft_program(n_points: int, ctx: ProcContext):
 
     yield ctx.serial(fft_local_work(M, M), label="fft-step1")
     yield ctx.serial(FFT_POINT_TIME * M, label="twiddle")
-    # The runtime's alltoall: P-1 shifted pairwise exchanges.
-    for step in range(1, P):
-        dst = (ctx.procnum + step) % P
-        src = (ctx.procnum - step) % P
-        yield ctx.send(dst, size, label="transpose-send")
-        yield ctx.recv(src, label="transpose-recv")
+    # The transpose: the runtime's alltoall.
+    yield from patterns.alltoall(ctx, size)
     yield ctx.serial(fft_local_work(block * P, P), label="fft-step4")

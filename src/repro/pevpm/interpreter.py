@@ -25,7 +25,7 @@ from .directives import (
     Serial,
 )
 from .expr import evaluate
-from .machine import ProcContext
+from .machine import ANY_SOURCE, ProcContext
 
 __all__ = ["compile_model", "lower_collective", "model_messages"]
 
@@ -37,13 +37,16 @@ def lower_collective(
 
     Returns ``("send", peer, size)`` / ``("recv", peer)`` records in
     execution order, mirroring :mod:`repro.smpi.collectives` operation
-    for operation: binomial tree for ``bcast``/``reduce`` (the same
-    lowest-set-bit parent and mask walk), ``allreduce`` as reduce-to-0
-    followed by bcast-from-0, and ``allgather`` as the P-1-step ring
-    (each step sends right and receives from the left -- the machine's
-    sends are non-blocking, so the straight-line order cannot deadlock).
-    Exposed so tests can compare the lowered schedules against the
-    ``smpi`` generators directly.
+    for operation: the dissemination ``barrier`` (0-byte exchanges at
+    distance 1, 2, 4, ...), binomial tree for ``bcast``/``reduce`` (the
+    same lowest-set-bit parent and mask walk), ``allreduce`` as
+    reduce-to-0 followed by bcast-from-0, linear ``gather`` (the root
+    posts P-1 wildcard receives) and ``scatter`` (the root sends in rank
+    order), the P-1-step ring ``allgather`` and the P-1 shifted pairwise
+    exchanges of ``alltoall``.  Every exchange sends before it receives:
+    the machine's sends are non-blocking, so the straight-line order
+    cannot deadlock.  Exposed so tests can compare the lowered schedules
+    against the ``smpi`` generators directly.
     """
     if nprocs < 1:
         raise ModelError("nprocs must be >= 1")
@@ -51,11 +54,18 @@ def lower_collective(
         raise ModelError(f"rank {rank} outside 0..{nprocs - 1}")
     if size < 0:
         raise ModelError("collective size must be non-negative")
-    if op in ("bcast", "reduce") and not 0 <= root < nprocs:
+    if not 0 <= root < nprocs:
         raise ModelError(f"collective root {root} outside 0..{nprocs - 1}")
     P = nprocs
     out: list[tuple] = []
     if P == 1:
+        return out
+    if op == "barrier":
+        mask = 1
+        while mask < P:
+            out.append(("send", (rank + mask) % P, 0))
+            out.append(("recv", (rank - mask) % P))
+            mask <<= 1
         return out
     if op == "bcast":
         relative = (rank - root) % P
@@ -88,12 +98,25 @@ def lower_collective(
         out.extend(lower_collective("reduce", rank, nprocs, size, root=0))
         out.extend(lower_collective("bcast", rank, nprocs, size, root=0))
         return out
+    if op == "gather":
+        if rank != root:
+            return [("send", root, size)]
+        return [("recv", ANY_SOURCE)] * (P - 1)
+    if op == "scatter":
+        if rank != root:
+            return [("recv", root)]
+        return [("send", dest, size) for dest in range(P) if dest != root]
     if op == "allgather":
         right = (rank + 1) % P
         left = (rank - 1) % P
         for _ in range(P - 1):
             out.append(("send", right, size))
             out.append(("recv", left))
+        return out
+    if op == "alltoall":
+        for step in range(1, P):
+            out.append(("send", (rank + step) % P, size))
+            out.append(("recv", (rank - step) % P))
         return out
     raise ModelError(f"unknown collective op {op!r}")
 

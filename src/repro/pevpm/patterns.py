@@ -3,22 +3,28 @@
 The PEVPM directive language models point-to-point messages; programs
 that use MPI collectives are modelled by their constituent messages
 (exactly how the runtime implements them).  This module provides the
-patterns as reusable generators that mirror
-:mod:`repro.smpi.collectives` message-for-message -- same algorithms,
-same rounds, same sizes -- so a model of a collective-using program stays
-structurally faithful to its execution:
+patterns as reusable generators.  Each emits the schedule of
+:func:`~repro.pevpm.interpreter.lower_collective` -- the lowering the
+``coll_*`` directives use, which mirrors :mod:`repro.smpi.collectives`
+message for message: same algorithms, same rounds, same sizes -- so a
+model of a collective-using program stays structurally faithful to its
+execution:
 
     def program(ctx):
         yield from patterns.bcast(ctx, size=1024, root=0)
         yield ctx.serial(work)
         yield from patterns.allreduce(ctx, size=8)
 
-Each pattern is validated against the measured runtime collectives in
-``tests/pevpm/test_patterns.py``.
+A root outside the communicator raises
+:class:`~repro.pevpm.directives.ModelError`.  The lowering is checked
+against the ``smpi`` generators in
+``tests/smpi/test_collective_lowering.py``, and the patterns against the
+measured runtime collectives in ``tests/pevpm/test_patterns.py``.
 """
 
 from __future__ import annotations
 
+from .interpreter import lower_collective
 from .machine import ProcContext
 
 __all__ = [
@@ -33,112 +39,50 @@ __all__ = [
 ]
 
 
+def _emit(ctx: ProcContext, op: str, size: int, root: int = 0):
+    """This rank's lowered schedule of collective *op*, labelled *op*."""
+    for prim in lower_collective(op, ctx.procnum, ctx.numprocs, size, root):
+        if prim[0] == "send":
+            yield ctx.send(prim[1], prim[2], label=op)
+        else:
+            yield ctx.recv(prim[1], label=op)
+
+
 def barrier(ctx: ProcContext):
     """Dissemination barrier: ceil(log2 P) rounds of 0-byte exchanges."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    mask = 1
-    while mask < P:
-        dest = (ctx.procnum + mask) % P
-        source = (ctx.procnum - mask) % P
-        # The runtime's sendrecv posts the receive first; the model's
-        # nonblocking send makes plain send+recv equivalent here.
-        yield ctx.send(dest, 0, label="barrier")
-        yield ctx.recv(source, label="barrier")
-        mask <<= 1
+    yield from _emit(ctx, "barrier", 0)
 
 
 def bcast(ctx: ProcContext, size: int, root: int = 0):
-    """Binomial-tree broadcast (mirrors smpi.collectives.bcast)."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    relative = (ctx.procnum - root) % P
-    if relative != 0:
-        lsb = relative & (-relative)
-        parent = (ctx.procnum - lsb) % P
-        yield ctx.recv(parent, label="bcast")
-        mask = lsb >> 1
-    else:
-        mask = 1
-        while mask < P:
-            mask <<= 1
-        mask >>= 1
-    while mask >= 1:
-        if relative + mask < P:
-            child = (ctx.procnum + mask) % P
-            yield ctx.send(child, size, label="bcast")
-        mask >>= 1
+    """Binomial-tree broadcast from *root*."""
+    yield from _emit(ctx, "bcast", size, root)
 
 
 def reduce(ctx: ProcContext, size: int, root: int = 0):
-    """Binomial-tree reduction (mirrors smpi.collectives.reduce)."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    relative = (ctx.procnum - root) % P
-    mask = 1
-    while mask < P:
-        if relative & mask:
-            parent = (ctx.procnum - mask) % P
-            yield ctx.send(parent, size, label="reduce")
-            return
-        partner_rel = relative + mask
-        if partner_rel < P:
-            child = (ctx.procnum + mask) % P
-            yield ctx.recv(child, label="reduce")
-        mask <<= 1
+    """Binomial-tree reduction to *root*."""
+    yield from _emit(ctx, "reduce", size, root)
 
 
 def allreduce(ctx: ProcContext, size: int):
-    """reduce-to-0 then broadcast, like the runtime."""
-    yield from reduce(ctx, size, root=0)
-    yield from bcast(ctx, size, root=0)
+    """Reduce to rank 0, then broadcast from it."""
+    yield from _emit(ctx, "allreduce", size)
 
 
 def gather(ctx: ProcContext, size: int, root: int = 0):
-    """Linear gather to *root*."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    if ctx.procnum != root:
-        yield ctx.send(root, size, label="gather")
-        return
-    for _ in range(P - 1):
-        yield ctx.recv(label="gather")
+    """Linear gather to *root* (its receives take any source)."""
+    yield from _emit(ctx, "gather", size, root)
 
 
 def scatter(ctx: ProcContext, size: int, root: int = 0):
     """Linear scatter from *root*."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    if ctx.procnum == root:
-        for dest in range(P):
-            if dest != root:
-                yield ctx.send(dest, size, label="scatter")
-        return
-    yield ctx.recv(root, label="scatter")
+    yield from _emit(ctx, "scatter", size, root)
 
 
 def allgather(ctx: ProcContext, size: int):
     """Ring allgather: P-1 forwarding steps."""
-    P = ctx.numprocs
-    if P == 1:
-        return
-    right = (ctx.procnum + 1) % P
-    left = (ctx.procnum - 1) % P
-    for _ in range(P - 1):
-        yield ctx.send(right, size, label="allgather")
-        yield ctx.recv(left, label="allgather")
+    yield from _emit(ctx, "allgather", size)
 
 
 def alltoall(ctx: ProcContext, size: int):
     """Shifted pairwise exchange: P-1 rounds."""
-    P = ctx.numprocs
-    for step in range(1, P):
-        dest = (ctx.procnum + step) % P
-        source = (ctx.procnum - step) % P
-        yield ctx.send(dest, size, label="alltoall")
-        yield ctx.recv(source, label="alltoall")
+    yield from _emit(ctx, "alltoall", size)

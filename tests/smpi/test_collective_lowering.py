@@ -2,28 +2,36 @@
 
 ``repro.pevpm.lower_collective`` claims to produce, per rank, the same
 point-to-point schedule the simulated MPI collectives execute --
-binomial tree for bcast/reduce (same lowest-set-bit parent and mask
-walk), allreduce as reduce-to-0 + bcast-from-0, and the (P-1)-step ring
-allgather.  Here each ``smpi`` generator is driven against a recording
-stub communicator and its message sequence is compared against the
-lowered schedule, operation for operation, across the awkward tree
-shapes: a single rank (empty schedule), non-power-of-two sizes (ragged
-binomial trees), and broadcast/reduction roots other than 0.
+dissemination barrier, binomial tree for bcast/reduce (same
+lowest-set-bit parent and mask walk), allreduce as reduce-to-0 +
+bcast-from-0, linear gather/scatter, the (P-1)-step ring allgather and
+the P-1 shifted exchanges of alltoall.  Here each ``smpi`` generator is
+driven against a recording stub communicator and its message sequence
+is compared against the lowered schedule, operation for operation,
+across the awkward tree shapes: a single rank (empty schedule),
+non-power-of-two sizes (ragged binomial trees), and roots other than 0.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.pevpm import lower_collective
+from repro.pevpm import ModelError, lower_collective, patterns
+from repro.pevpm.machine import ProcContext
 from repro.smpi import collectives
+from repro.smpi.status import ANY_SOURCE, RankError
 
 NPROCS = [1, 2, 3, 4, 5, 6, 7, 8, 13]
+ROOTED = ["bcast", "reduce", "gather", "scatter"]
+ROOTLESS = ["barrier", "allreduce", "allgather", "alltoall"]
 
 
 class RecordingComm:
     """Stands in for an smpi communicator: records the message pattern
     instead of simulating it.
 
-    Receives return ``(None, None)`` payload/status pairs, except
+    Receives return a ``None`` payload and a status from rank 0 (the
+    linear gather indexes its results by the status source), except
     ``wait`` which returns the ``(origin, block)`` tuple the ring
     allgather forwards -- origin 0 keeps its indexing happy without
     simulating delivery.  An ``irecv`` is logged when it completes (at
@@ -43,9 +51,9 @@ class RecordingComm:
         return
         yield
 
-    def recv(self, source=None, tag=0):
+    def recv(self, source=ANY_SOURCE, tag=0):
         self.log.append(("recv", source))
-        return (None, None)
+        return (None, SimpleNamespace(source=0))
         yield
 
     def irecv(self, source=None, tag=0):
@@ -78,22 +86,15 @@ def drive(gen):
 
 def recorded(op: str, rank: int, nprocs: int, size: int, root: int = 0):
     comm = RecordingComm(rank, nprocs)
-    if op == "bcast":
-        drive(collectives.bcast(comm, size, root=root))
-    elif op == "reduce":
-        drive(collectives.reduce(comm, size, root=root))
-    elif op == "allreduce":
-        drive(collectives.allreduce(comm, size))
-    elif op == "allgather":
-        drive(collectives.allgather(comm, size))
-    else:
-        raise AssertionError(op)
+    args = () if op == "barrier" else (size,)
+    kwargs = {"root": root} if op in ROOTED else {}
+    drive(getattr(collectives, op)(comm, *args, **kwargs))
     return comm.log
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-@pytest.mark.parametrize("op", ["bcast", "reduce"])
-def test_rooted_tree_matches_lowering_for_every_root(op, nprocs):
+@pytest.mark.parametrize("op", ROOTED)
+def test_rooted_matches_lowering_for_every_root(op, nprocs):
     for root in range(nprocs):
         for rank in range(nprocs):
             expected = lower_collective(op, rank, nprocs, 1024, root=root)
@@ -101,7 +102,7 @@ def test_rooted_tree_matches_lowering_for_every_root(op, nprocs):
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
-@pytest.mark.parametrize("op", ["allreduce", "allgather"])
+@pytest.mark.parametrize("op", ROOTLESS)
 def test_rootless_matches_lowering(op, nprocs):
     for rank in range(nprocs):
         expected = lower_collective(op, rank, nprocs, 512)
@@ -109,9 +110,35 @@ def test_rootless_matches_lowering(op, nprocs):
 
 
 def test_single_rank_schedules_are_empty():
-    for op in ("bcast", "reduce", "allreduce", "allgather"):
+    for op in ROOTED + ROOTLESS:
         assert lower_collective(op, 0, 1, 4096) == []
         assert recorded(op, 0, 1, 4096) == []
+
+
+@pytest.mark.parametrize("op", ROOTED)
+def test_root_outside_the_communicator_raises(op):
+    """The runtime raises RankError; the lowering and the patterns
+    built on it raise ModelError instead of wrapping the root."""
+    with pytest.raises(RankError):
+        drive(getattr(collectives, op)(RecordingComm(0, 4), 64, root=4))
+    with pytest.raises(ModelError, match="root 4"):
+        lower_collective(op, 0, 4, 64, root=4)
+    with pytest.raises(ModelError, match="root 4"):
+        list(getattr(patterns, op)(ProcContext(0, 4), 64, root=4))
+
+
+def test_patterns_emit_the_lowered_schedule():
+    """Each pattern is the lowering, send for send and receive for
+    receive, labelled with the collective's name."""
+    for op in ROOTED + ROOTLESS:
+        for rank in range(6):
+            args = () if op == "barrier" else (256,)
+            kwargs = {"root": 2} if op in ROOTED else {}
+            ops = getattr(patterns, op)(ProcContext(rank, 6), *args, **kwargs)
+            lowered = lower_collective(op, rank, 6, 256, **kwargs)
+            for got, want in zip(ops, lowered, strict=True):
+                assert got[: len(want)] == want
+                assert got[len(want)] == op  # the label
 
 
 def test_non_power_of_two_reduce_root_receives_all_contributions():
