@@ -86,6 +86,27 @@ def _serve_workers(text: str) -> int:
     return 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least *low*."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for a non-number
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number greater than 0 (not NaN)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -220,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8100)
     p_serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=_int_at_least(1), default=1, metavar="N",
         help="server processes to run (N > 1: supervised sharded tier "
              "behind a consistent-hash router, sharing one disk cache); "
              "the way to serve on more than one core",
@@ -246,25 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
              "may share the directory, but not its entries)",
     )
     p_serve.add_argument(
-        "--lru-size", type=int, default=1024,
+        "--lru-size", type=_int_at_least(0), default=1024,
         help="in-memory prediction cache entries (0 disables the tier)",
     )
     p_serve.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_int_at_least(1), default=8,
         help="most requests evaluated together; requests queued while "
              "the evaluator is busy share its next batch",
     )
-    p_serve.add_argument("--queue-limit", type=int, default=64)
+    p_serve.add_argument("--queue-limit", type=_int_at_least(1), default=64)
     p_serve.add_argument(
-        "--deadline-s", type=float, default=30.0,
+        "--deadline-s", type=_positive_float, default=30.0,
         help="default per-request deadline (504 when exceeded)",
     )
     p_serve.add_argument(
-        "--breaker-threshold", type=int, default=5,
+        "--breaker-threshold", type=_int_at_least(1), default=5,
         help="consecutive engine failures that open the circuit breaker",
     )
     p_serve.add_argument(
-        "--breaker-cooldown", type=float, default=2.0,
+        "--breaker-cooldown", type=_positive_float, default=2.0,
         help="seconds the open breaker sheds before probing the engine",
     )
     p_serve.add_argument(
@@ -284,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable request tracing (spans, /trace, X-Repro-Trace)",
     )
     p_serve.add_argument(
-        "--trace-buffer", type=int, default=256, metavar="N",
+        "--trace-buffer", type=_int_at_least(1), default=256, metavar="N",
         help="finished traces kept in the ring buffer behind GET /trace",
     )
     p_serve.add_argument(

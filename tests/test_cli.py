@@ -288,6 +288,43 @@ class TestServiceParsers:
         assert args.queue_limit == 64
         assert args.max_batch == 8
         assert args.lru_size == 1024
+        assert args.shards == 1
+        assert args.trace_buffer == 256
+        assert args.breaker_threshold == 5
+        assert args.deadline_s == 30.0
+        assert args.breaker_cooldown == 2.0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--shards", "0"),
+        ("--max-batch", "0"),
+        ("--queue-limit", "0"),
+        ("--trace-buffer", "0"),
+        ("--breaker-threshold", "0"),
+        ("--lru-size", "-1"),
+        ("--deadline-s", "0"),
+        ("--breaker-cooldown", "0"),
+    ])
+    def test_out_of_range_sizes_are_usage_errors(self, flag, value, capsys):
+        # Rejected while parsing, before any campaign or server starts.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    def test_smallest_sizes_accepted(self):
+        args = build_parser().parse_args([
+            "serve", "--shards", "1", "--max-batch", "1", "--queue-limit", "1",
+            "--trace-buffer", "1", "--breaker-threshold", "1",
+            "--lru-size", "0", "--deadline-s", "0.001",
+            "--breaker-cooldown", "0.001",
+        ])
+        assert (args.shards, args.max_batch, args.queue_limit) == (1, 1, 1)
+        assert (args.trace_buffer, args.breaker_threshold, args.lru_size) == (
+            1, 1, 0
+        )
+        assert args.deadline_s == args.breaker_cooldown == 0.001
 
     def test_serve_flags(self):
         args = build_parser().parse_args([
