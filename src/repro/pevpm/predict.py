@@ -240,10 +240,11 @@ def prediction_key(
 
     The chunk size is keyed as :func:`~repro.pevpm.parallel.keyed_batch`
     records it.  With *precision* it keys an adaptive evaluation: the
-    target replaces ``runs``, which the stopping rule decides.  ``None`` when the model and params do not pickle: nothing
-    else identifies a program's content (a closure's ``repr`` is its
-    memory address, which CPython reuses), so such a group is never
-    read from or written to the cache.
+    target replaces ``runs``, which the stopping rule decides.  ``None``
+    when the model and params do not pickle: nothing else identifies a
+    program's content (a closure's ``repr`` is its memory address, which
+    CPython reuses), so such a group is never read from or written to
+    the cache.
     """
     try:
         model_blob = pickle.dumps((group.model, group.params), protocol=4)
@@ -295,13 +296,14 @@ class _AdaptiveState:
     target is the one-round rule of a fixed run count)."""
 
     def __init__(self, group: RunGroup, target: PrecisionTarget | None):
-        if target is not None and group.run_offset:
-            raise ValueError("adaptive groups must start at run_offset 0")
-        if target is not None and group.trace_last:
-            raise ValueError(
-                "trace_last is incompatible with adaptive evaluation "
-                "(the last run is not known until the rule stops)"
-            )
+        if target is not None:
+            if group.run_offset:
+                raise ValueError("adaptive groups must start at run_offset 0")
+            if group.trace_last:
+                raise ValueError(
+                    "trace_last is incompatible with adaptive evaluation "
+                    "(the last run is not known until the rule stops)"
+                )
         self.group = group
         self.target = target
         self.outcomes: list = []
@@ -566,23 +568,20 @@ def predict_speedups(
     target = _resolve_precision(precision, target_rse, min_runs, max_runs)
     root = as_seed_sequence(seed)
     children = run_seeds(root, len(proc_counts))
-    pairs = [
-        (
-            RunGroup(
-                model=model_factory(nprocs),
-                nprocs=nprocs,
-                timing=timing_factory(nprocs),
-                seed=child,
-                runs=runs,
-                params=params,
-                ppn=ppn,
-                vector_batch=_vector_batch(target),
-            ),
-            target,
+    groups = [
+        RunGroup(
+            model=model_factory(nprocs),
+            nprocs=nprocs,
+            timing=timing_factory(nprocs),
+            seed=child,
+            runs=runs,
+            params=params,
+            ppn=ppn,
+            vector_batch=_vector_batch(target),
         )
         for nprocs, child in zip(proc_counts, children)
     ]
-    preds = _evaluate_predictions(pairs, cache_dir)
+    preds = _evaluate_predictions([(g, target) for g in groups], cache_dir)
     return {
         nprocs: pred.speedup(serial_time)
         for nprocs, pred in zip(proc_counts, preds)
@@ -625,24 +624,21 @@ def compare_timing_modes(
         ("average", "nxp"),
     ]
     root = as_seed_sequence(seed)
-    pairs = [
-        (
-            RunGroup(
-                model=model,
-                nprocs=nprocs,
-                timing=timing_from_db(db, mode=mode, source=source, nprocs=nprocs),
-                seed=root,
-                runs=runs,
-                params=params,
-                nic_serialisation=nic_serialisation,
-                ppn=ppn,
-                vector_batch=_vector_batch(target),
-            ),
-            target,
+    groups = [
+        RunGroup(
+            model=model,
+            nprocs=nprocs,
+            timing=timing_from_db(db, mode=mode, source=source, nprocs=nprocs),
+            seed=root,
+            runs=runs,
+            params=params,
+            nic_serialisation=nic_serialisation,
+            ppn=ppn,
+            vector_batch=_vector_batch(target),
         )
         for mode, source in modes
     ]
-    preds = _evaluate_predictions(pairs, cache_dir)
+    preds = _evaluate_predictions([(g, target) for g in groups], cache_dir)
     return {
         f"{mode}-{source}": pred
         for (mode, source), pred in zip(modes, preds)
