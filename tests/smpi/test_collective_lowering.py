@@ -94,7 +94,7 @@ def recorded(op: str, rank: int, nprocs: int, size: int, root: int = 0):
 
 @pytest.mark.parametrize("nprocs", NPROCS)
 @pytest.mark.parametrize("op", ROOTED)
-def test_rooted_matches_lowering_for_every_root(op, nprocs):
+def test_rooted_tree_matches_lowering_for_every_root(op, nprocs):
     for root in range(nprocs):
         for rank in range(nprocs):
             expected = lower_collective(op, rank, nprocs, 1024, root=root)
