@@ -5,6 +5,9 @@ The paper's PEVPM is an execution-driven predictor meant to be *queried*
 This subsystem turns the engine into a stdlib-only asyncio service with
 the request funnel a production serving layer needs:
 
+* :mod:`.http`    -- the one HTTP/1.1 wire layer: message reader and
+  writer, the keep-alive connection loop and the background loop thread
+  that the server and the router share;
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
 * :mod:`.batcher` -- misses that queue while the evaluator is busy
@@ -53,7 +56,7 @@ from .records import (
     prediction_record,
     routing_key_for,
 )
-from .router import Backend, RouterThread, ShardRouter
+from .router import Backend, ShardRouter
 from .server import PredictionService, ServiceServer
 from .server import ServiceThread
 from .sharding import HashRing
@@ -80,7 +83,6 @@ __all__ = [
     "QueueFull",
     "RequestError",
     "RetryPolicy",
-    "RouterThread",
     "ServiceClient",
     "ServiceError",
     "ServiceMetrics",

@@ -1,8 +1,8 @@
 """The front router: one public socket over N shard server processes.
 
 A :class:`ShardRouter` is how the service scales out: it accepts
-client connections, parses each request with the same HTTP machinery
-the shards use, and forwards it to the shard that *owns* the request --
+client connections, parses each request with the same HTTP layer the
+shards use (:mod:`.http`), and forwards it to the shard that *owns* the request --
 consistent-hash routing (:mod:`.sharding`) on the content-addressed
 routing key (:meth:`~.records.PredictRequest.routing_key`).  A key
 always lands on the same shard, so the funnel's throughput tiers keep
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
+from urllib.parse import parse_qsl
 
+from .http import HTTPServer, read_http_response, render_http_message
 from .metrics import ServiceMetrics
 from .records import routing_key_for
-from .server import read_http_request, render_http_response
 from .sharding import HashRing
 
-__all__ = ["Backend", "RouterThread", "ShardRouter"]
+__all__ = ["Backend", "ShardRouter"]
 
 #: shard statuses a router retries against the failover owner: breaker
 #: open / draining / leader-cancelled are per-process conditions another
@@ -78,8 +78,12 @@ class Backend:
         self._pool.clear()
 
 
-class ShardRouter:
-    """Asyncio front router with consistent-hash request routing."""
+class ShardRouter(HTTPServer):
+    """Asyncio front router with consistent-hash request routing.
+
+    Membership changes from other threads (the supervisor's) must run
+    on the router's loop: see :meth:`.http.LoopThread.call`.
+    """
 
     def __init__(
         self,
@@ -91,8 +95,7 @@ class ShardRouter:
     ):
         if not backends:
             raise ValueError("router needs at least one backend")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.backends: dict[int, Backend] = {
             b.shard_id: b for b in backends
         }
@@ -103,10 +106,11 @@ class ShardRouter:
         #: callback(shard_id) fired (loop thread) when a backend dies
         self.on_down = on_down
         self.metrics = ServiceMetrics(constant_labels={"shard_id": "router"})
+        self.metrics.register_gauge(
+            "repro_router_backends_up", lambda: len(self.routable())
+        )
         self.draining = False
         self._rr = 0  # round-robin cursor for keyless requests
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
 
     # -- membership ------------------------------------------------------------
     def routable(self) -> list[Backend]:
@@ -152,32 +156,23 @@ class ShardRouter:
         self, backend: Backend, raw_request: bytes
     ) -> tuple[int, dict, bytes]:
         """One request/response round trip on a pooled connection."""
-        if backend._pool:
-            reader, writer = backend._pool.pop()
-            fresh = False
-        else:
-            reader, writer = await asyncio.open_connection(*backend.address)
-            fresh = True
-        try:
-            writer.write(raw_request)
-            await writer.drain()
-            status, headers, payload = await self._read_response(reader)
-        except (OSError, asyncio.IncompleteReadError, ConnectionError):
-            writer.close()
-            if not fresh:
+        for fresh in (False, True) if backend._pool else (True,):
+            if fresh:
+                reader, writer = await asyncio.open_connection(*backend.address)
+            else:
+                reader, writer = backend._pool.pop()
+            try:
+                writer.write(raw_request)
+                await writer.drain()
+                status, headers, payload = await read_http_response(reader)
+                break
+            except (OSError, asyncio.IncompleteReadError, ConnectionError):
+                writer.close()
+                if fresh:
+                    raise
                 # A pooled connection may simply have gone stale (shard
                 # restarted, idle timeout): one clean retry on a fresh
                 # connection before declaring the backend dead.
-                reader, writer = await asyncio.open_connection(*backend.address)
-                try:
-                    writer.write(raw_request)
-                    await writer.drain()
-                    status, headers, payload = await self._read_response(reader)
-                except (OSError, asyncio.IncompleteReadError, ConnectionError):
-                    writer.close()
-                    raise
-            else:
-                raise
         if headers.get("connection", "keep-alive") == "close":
             writer.close()
         else:
@@ -185,57 +180,35 @@ class ShardRouter:
         return status, headers, payload
 
     @staticmethod
-    async def _read_response(reader) -> tuple[int, dict, bytes]:
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionError("backend closed connection")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError("malformed backend status line")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        payload = await reader.readexactly(length) if length else b""
-        return status, headers, payload
-
     def _serialise(
-        self, method: str, target: str, headers: dict, body: bytes
+        method: str, target: str, headers: dict, body: bytes
     ) -> bytes:
-        lines = [f"{method} {target} HTTP/1.1", "Connection: keep-alive"]
-        for name in _FORWARD_HEADERS:
-            value = headers.get(name)
-            if value is not None:
-                lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(body)}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        return head + body
+        fields = [("Connection", "keep-alive")]
+        fields += [
+            (name, headers[name]) for name in _FORWARD_HEADERS
+            if name in headers
+        ]
+        fields.append(("Content-Length", len(body)))
+        return render_http_message(f"{method} {target} HTTP/1.1", fields, body)
 
     async def _forward(
         self,
-        key: str | None,
+        backends: list[Backend],
         method: str,
         target: str,
         headers: dict,
         body: bytes,
-        failover: bool = True,
     ) -> tuple[int, dict, bytes, int | None]:
-        """Route one request: ``(status, headers, payload, shard_id)``.
+        """Send one request down *backends*, a preference order:
+        ``(status, headers, payload, shard_id)``.
 
-        Walks the key's preference ring: transport failures mark the
-        backend down (firing ``on_down``) and move on; a
-        :data:`FAILOVER_STATUSES` response is retried once against the
-        next owner.  Exhausting the ring returns 503.
+        Transport failures mark the backend down (firing ``on_down``)
+        and move on; a :data:`FAILOVER_STATUSES` response is retried
+        once against the next backend.  Exhausting the list returns 503.
         """
         raw = self._serialise(method, target, headers, body)
         shed: tuple[int, dict, bytes, int] | None = None
-        tried = 0
-        for backend in self._owners_for(key):
+        for backend in backends:
             try:
                 async with asyncio.timeout(self.backend_timeout):
                     status, resp_headers, payload = await self._exchange(
@@ -253,13 +226,7 @@ class ShardRouter:
             self.metrics.inc(
                 "repro_router_requests_total", shard=str(backend.shard_id)
             )
-            tried += 1
-            if (
-                failover
-                and status in FAILOVER_STATUSES
-                and shed is None
-                and tried <= 1
-            ):
+            if status in FAILOVER_STATUSES and shed is None:
                 # The owner is shedding for a per-process reason; its
                 # failover owner gets one chance before the client does.
                 shed = (status, resp_headers, payload, backend.shard_id)
@@ -337,12 +304,12 @@ class ShardRouter:
     async def _route(
         self, method: str, target: str, headers: dict, body: bytes
     ) -> tuple[int, dict, bytes, int | None]:
-        path = target.split("?", 1)[0]
+        path, _, query = target.partition("?")
         if path == "/healthz" and method == "GET":
             status, extra, payload = await self._healthz()
             return status, extra, payload, None
         if path == "/metrics" and method == "GET":
-            return 200, {"_ctype": "text/plain; version=0.0.4"}, (
+            return 200, {"content-type": "text/plain; version=0.0.4"}, (
                 await self._metrics_text()
             ), None
         if path == "/predict":
@@ -358,191 +325,47 @@ class ShardRouter:
                     key = routing_key_for(json.loads(body) if body else {})
                 except ValueError:
                     key = None  # the shard answers 400
-            return await self._forward(key, method, target, headers, body)
+            return await self._forward(
+                self._owners_for(key), method, target, headers, body
+            )
         # Reads against shard state (/distributions, /trace, /chaos...)
         # go to one live shard -- ?shard=N pins a specific one.
-        if "shard=" in target:
+        pinned = dict(parse_qsl(query, keep_blank_values=True)).get("shard")
+        if pinned is None:
+            backends = self._owners_for(None)
+        else:
             try:
-                wanted = int(
-                    dict(
-                        pair.split("=", 1)
-                        for pair in target.split("?", 1)[1].split("&")
-                        if "=" in pair
-                    ).get("shard", "")
-                )
+                backend = self.backends.get(int(pinned))
             except ValueError:
-                wanted = None
-            backend = self.backends.get(wanted)
-            if backend is not None and backend.state != "down":
-                raw = self._serialise(method, target, headers, body)
-                try:
-                    async with asyncio.timeout(self.backend_timeout):
-                        status, resp_headers, payload = await self._exchange(
-                            backend, raw
-                        )
-                    return status, resp_headers, payload, backend.shard_id
-                except (OSError, ConnectionError, TimeoutError,
-                        asyncio.IncompleteReadError):
-                    self.mark_down(backend.shard_id)
-                    if self.on_down is not None:
-                        self.on_down(backend.shard_id)
-            payload = json.dumps({"error": "shard unavailable"}).encode()
-            return 503, {"retry-after": "1"}, payload, None
-        return await self._forward(None, method, target, headers, body)
+                backend = None
+            if backend is None or backend.state == "down":
+                payload = json.dumps({"error": "shard unavailable"}).encode()
+                return 503, {"retry-after": "1"}, payload, None
+            backends = [backend]
+        return await self._forward(backends, method, target, headers, body)
 
-    # -- connection handling ---------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    async def respond(self, method, target, headers, body):
+        """Route one request; the serving shard's ``Retry-After`` and
+        ``X-Repro-Trace`` pass through and ``X-Repro-Shard`` names it."""
         try:
-            while True:
-                try:
-                    request = await read_http_request(reader)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        ValueError):
-                    break
-                if request is None:
-                    break
-                method, target, headers, body = request
-                try:
-                    status, resp_headers, payload, shard_id = await (
-                        self._route(method, target, headers, body)
-                    )
-                except Exception as exc:  # pragma: no cover - last resort
-                    self.metrics.inc("repro_router_errors_total")
-                    status, resp_headers, shard_id = 502, {}, None
-                    payload = json.dumps(
-                        {"error": f"router error: {exc}"}
-                    ).encode()
-                ctype = resp_headers.pop(
-                    "_ctype",
-                    resp_headers.get("content-type", "application/json"),
-                )
-                extra = {
-                    name: value
-                    for name, value in resp_headers.items()
-                    if name in ("retry-after", "x-repro-trace")
-                }
-                if shard_id is not None:
-                    extra["X-Repro-Shard"] = str(shard_id)
-                keep_alive = (
-                    headers.get("connection", "keep-alive") != "close"
-                    and not self.draining
-                )
-                writer.write(
-                    render_http_response(
-                        status, payload, ctype, extra, keep_alive
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-
-    # -- lifecycle -------------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.metrics.register_gauge(
-            "repro_router_backends_up", lambda: len(self.routable())
-        )
-        return self.host, self.port
+            status, resp_headers, payload, shard_id = await self._route(
+                method, target, headers, body
+            )
+        except Exception as exc:  # pragma: no cover - last resort
+            self.metrics.inc("repro_router_errors_total")
+            status, resp_headers, shard_id = 502, {}, None
+            payload = json.dumps({"error": f"router error: {exc}"}).encode()
+        extra = {
+            name: value
+            for name, value in resp_headers.items()
+            if name in ("retry-after", "x-repro-trace")
+        }
+        if shard_id is not None:
+            extra["X-Repro-Shard"] = str(shard_id)
+        content_type = resp_headers.get("content-type", "application/json")
+        return status, payload, content_type, extra
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await super().stop()
         for backend in self.backends.values():
             backend.close_pool()
-
-
-class RouterThread:
-    """Run a :class:`ShardRouter` on a background thread with its own
-    event loop -- the supervisor's (and tests') handle on the router.
-
-    Membership mutations from other threads go through
-    :meth:`mark_down` / :meth:`mark_up` / :meth:`mark_draining`, which
-    hop onto the router's loop so backend state and connection pools
-    are only ever touched from one thread.
-    """
-
-    def __init__(self, router: ShardRouter):
-        self.router = router
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-
-    def __enter__(self) -> "RouterThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.router.host, self.router.port
-
-    def start(self) -> tuple[str, int]:
-        def _run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            loop.run_until_complete(self.router.start())
-            self._started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.router.stop())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("router failed to start within 30s")
-        return self.address
-
-    def _call(self, fn, *args) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(fn, *args)
-        else:
-            fn(*args)
-
-    def mark_down(self, shard_id: int) -> None:
-        self._call(self.router.mark_down, shard_id)
-
-    def mark_up(self, shard_id: int) -> None:
-        self._call(self.router.mark_up, shard_id)
-
-    def mark_draining(self, shard_id: int) -> None:
-        self._call(self.router.mark_draining, shard_id)
-
-    def set_draining(self) -> None:
-        self._call(setattr, self.router, "draining", True)
-
-    def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-        self._loop = None

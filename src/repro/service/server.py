@@ -1,8 +1,7 @@
 """The asyncio prediction server.
 
-A stdlib-only HTTP/1.1 server (hand-rolled request parsing over
-``asyncio.start_server`` streams -- no ``http.server``) exposing the
-PEVPM engine and the MPIBench distribution database:
+A stdlib-only HTTP/1.1 server (on the wire layer of :mod:`.http`)
+exposing the PEVPM engine and the MPIBench distribution database:
 
 * ``POST /predict``       -- serve a PEVPM prediction (JSON in/out),
   optionally against a named registry database (``"db": "gigabit@v1"``);
@@ -44,7 +43,6 @@ import asyncio
 import json
 import os
 import signal
-import threading
 import time as _time
 from urllib.parse import parse_qsl, urlsplit
 
@@ -77,77 +75,12 @@ from ..trace_import import ProgramStore, TraceError, parse_trace
 from .batcher import MicroBatcher
 from .dedup import LeaderCancelled, SingleFlight
 from .faults import FaultPlan
+from .http import HTTPServer, LoopThread
 from .jobs import BreakerOpen, CircuitBreaker, JobQueue, QueueFull
 from .metrics import ServiceMetrics
 from .records import MODELS, PredictRequest, RequestError, prediction_record
 
-__all__ = [
-    "PredictionService",
-    "ServiceServer",
-    "read_http_request",
-    "render_http_response",
-]
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-async def read_http_request(reader):
-    """Read one HTTP/1.1 request from an asyncio stream.
-
-    Returns ``(method, target, headers, body)`` with lower-cased header
-    names, or ``None`` on a cleanly closed connection.  Shared between
-    the shard server and the front router so both ends of a forwarded
-    request parse identically.
-    """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    try:
-        method, target, _version = request_line.decode("latin-1").split()
-    except ValueError:
-        raise ConnectionError("malformed request line")
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
-
-
-def render_http_response(
-    status: int,
-    payload: bytes,
-    content_type: str,
-    extra_headers: dict | None = None,
-    keep_alive: bool = True,
-) -> bytes:
-    """Serialise one HTTP/1.1 response (Content-Length framed)."""
-    lines = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(payload)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + payload
+__all__ = ["PredictionService", "ServiceServer", "ServiceThread"]
 
 
 class PredictionService:
@@ -1185,7 +1118,23 @@ class PredictionService:
         self.batcher.close()
 
 
-class ServiceServer:
+def _json_body(body: bytes):
+    """A request body's JSON value; an empty body is ``{}``."""
+    try:
+        return json.loads(body) if body else {}
+    except ValueError:
+        raise RequestError("body is not valid JSON") from None
+
+
+def _tenant(headers: dict) -> str:
+    """The request's ``X-Repro-Tenant``, validated."""
+    try:
+        return clean_tenant(headers.get("x-repro-tenant"))
+    except RegistryError as exc:
+        raise RequestError(str(exc)) from None
+
+
+class ServiceServer(HTTPServer):
     """HTTP front-end binding a :class:`PredictionService` to a socket."""
 
     def __init__(
@@ -1194,241 +1143,118 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        super().__init__(host, port)
         self.service = service
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
 
-    # -- HTTP plumbing ---------------------------------------------------------
-    async def _read_request(self, reader):
-        return await read_http_request(reader)
+    @property
+    def draining(self) -> bool:
+        return self.service.draining
 
-    @staticmethod
-    def _response(
-        status: int,
-        payload: bytes,
-        content_type: str,
-        extra_headers: dict | None = None,
-        keep_alive: bool = True,
-    ) -> bytes:
-        return render_http_response(
-            status, payload, content_type, extra_headers, keep_alive
-        )
-
-    async def _route(
-        self, method: str, target: str, body: bytes,
-        headers: dict | None = None,
-    ):
-        """Dispatch one request -> (status, headers, payload, content-type)."""
+    async def respond(self, method, target, headers, body):
+        """Route one request, with its endpoint and status metrics.  The
+        one text document is ``/metrics``; every other answer is JSON."""
         svc = self.service
         split = urlsplit(target)
+        svc.metrics.inc("repro_requests_total", endpoint=split.path)
+        t0 = _time.perf_counter()
+        try:
+            status, extra, doc = await self._route(method, split, headers, body)
+        except RequestError as exc:
+            status, extra, doc = 400, {}, {"error": str(exc)}
+        except Exception as exc:  # never tear the connection down
+            svc.metrics.inc("repro_evaluation_errors_total")
+            status, extra, doc = 500, {}, {"error": f"internal error: {exc}"}
+        svc.metrics.observe(split.path, _time.perf_counter() - t0)
+        svc.metrics.inc("repro_responses_total", code=str(status))
+        if isinstance(doc, str):
+            return status, doc.encode(), "text/plain; version=0.0.4", extra
+        return status, json.dumps(doc).encode(), "application/json", extra
+
+    async def _route(self, method: str, split, headers: dict, body: bytes):
+        """Dispatch one request -> (status, headers, doc).  A malformed
+        body or tenant header raises :class:`RequestError` (a 400)."""
+        svc = self.service
         path = split.path
         query = dict(parse_qsl(split.query))
         if path == "/healthz" and method == "GET":
-            return 200, {}, svc.healthz(), "application/json"
+            return 200, {}, svc.healthz()
         if path == "/metrics" and method == "GET":
-            return 200, {}, svc.metrics.render_prometheus(), "text/plain; version=0.0.4"
+            return 200, {}, svc.metrics.render_prometheus()
         if path == "/trace" and method == "GET":
             tracer = svc.tracer
             if tracer is None:
-                return 404, {}, {"error": "tracing disabled"}, "application/json"
+                return 404, {}, {"error": "tracing disabled"}
             trace_id = query.get("id")
             if trace_id:
                 doc = tracer.get(trace_id)
                 if doc is None:
-                    return (
-                        404, {}, {"error": f"no trace {trace_id!r}"},
-                        "application/json",
-                    )
-                return 200, {}, doc, "application/json"
+                    return 404, {}, {"error": f"no trace {trace_id!r}"}
+                return 200, {}, doc
             try:
                 limit = int(query.get("limit", "20"))
             except ValueError:
-                return (
-                    400, {}, {"error": "limit must be an integer"},
-                    "application/json",
-                )
-            return 200, {}, {"traces": tracer.traces(limit)}, "application/json"
+                return 400, {}, {"error": "limit must be an integer"}
+            return 200, {}, {"traces": tracer.traces(limit)}
         if path == "/models" or path.startswith("/models/"):
             if method != "GET":
-                return 405, {}, {"error": "use GET"}, "application/json"
+                return 405, {}, {"error": "use GET"}
             parts = [p for p in path.split("/") if p][1:]
             if len(parts) > 1:
-                return 404, {}, {"error": f"no such endpoint {path!r}"}, "application/json"
-            status, extra, doc = svc.handle_models(parts[0] if parts else None)
-            return status, extra, doc, "application/json"
+                return 404, {}, {"error": f"no such endpoint {path!r}"}
+            return svc.handle_models(parts[0] if parts else None)
         if path == "/programs" or path.startswith("/programs/"):
-            try:
-                tenant = clean_tenant((headers or {}).get("x-repro-tenant"))
-            except RegistryError as exc:
-                return 400, {}, {"error": str(exc)}, "application/json"
+            tenant = _tenant(headers)
             parts = [p for p in path.split("/") if p][1:]
             if not parts:
                 if method == "GET":
-                    return (
-                        200, {}, {"programs": svc.programs.entries()},
-                        "application/json",
-                    )
+                    return 200, {}, {"programs": svc.programs.entries()}
                 if method != "POST":
-                    return 405, {}, {"error": "use GET or POST"}, "application/json"
-                try:
-                    posted = json.loads(body) if body else {}
-                except ValueError:
-                    return 400, {}, {"error": "body is not valid JSON"}, "application/json"
-                status, extra, doc = svc.handle_program_upload(posted, tenant)
-                return status, extra, doc, "application/json"
+                    return 405, {}, {"error": "use GET or POST"}
+                return svc.handle_program_upload(_json_body(body), tenant)
             if len(parts) == 1:
                 if method == "GET":
-                    status, extra, doc = svc.handle_program_get(parts[0])
-                elif method == "DELETE":
-                    status, extra, doc = svc.handle_program_delete(
-                        parts[0], tenant
-                    )
-                else:
-                    return 405, {}, {"error": "use GET or DELETE"}, "application/json"
-                return status, extra, doc, "application/json"
-            return 404, {}, {"error": f"no such endpoint {path!r}"}, "application/json"
+                    return svc.handle_program_get(parts[0])
+                if method == "DELETE":
+                    return svc.handle_program_delete(parts[0], tenant)
+                return 405, {}, {"error": "use GET or DELETE"}
+            return 404, {}, {"error": f"no such endpoint {path!r}"}
         if path == "/distributions" or path.startswith("/distributions/"):
-            try:
-                tenant = clean_tenant(
-                    (headers or {}).get("x-repro-tenant")
-                )
-            except RegistryError as exc:
-                return 400, {}, {"error": str(exc)}, "application/json"
+            tenant = _tenant(headers)
             parts = [p for p in path.split("/") if p][1:]
             if not parts:
-                if method == "POST" and body:
-                    try:
-                        posted = json.loads(body)
-                    except ValueError:
-                        return 400, {}, {"error": "body is not valid JSON"}, "application/json"
-                    if not isinstance(posted, dict):
-                        return 400, {}, {"error": "body must be a JSON object"}, "application/json"
-                    if "results" in posted or "topology" in posted:
-                        status, extra, doc = await svc.handle_registry_upload(
-                            posted, tenant
-                        )
-                        return status, extra, doc, "application/json"
-                    # legacy describe-by-POST: body keys merge into the query
-                    query = {**query, **{k: str(v) for k, v in posted.items()}}
-                elif method not in ("GET", "POST"):
-                    return 405, {}, {"error": "use GET or POST"}, "application/json"
-                status, extra, doc = svc.handle_distributions(query)
-                return status, extra, doc, "application/json"
-            if len(parts) == 1:
-                ref = parts[0]
                 if method == "GET":
-                    status, extra, doc = svc.handle_registry_get(ref, query)
-                elif method == "DELETE":
-                    status, extra, doc = svc.handle_registry_delete(ref, tenant)
-                else:
-                    return 405, {}, {"error": "use GET or DELETE"}, "application/json"
-                return status, extra, doc, "application/json"
+                    return svc.handle_distributions(query)
+                if method != "POST":
+                    return 405, {}, {"error": "use GET or POST"}
+                return await svc.handle_registry_upload(
+                    _json_body(body), tenant
+                )
+            if len(parts) == 1:
+                if method == "GET":
+                    return svc.handle_registry_get(parts[0], query)
+                if method == "DELETE":
+                    return svc.handle_registry_delete(parts[0], tenant)
+                return 405, {}, {"error": "use GET or DELETE"}
             if len(parts) == 2 and parts[1] == "alias":
                 if method != "PUT":
-                    return 405, {}, {"error": "use PUT"}, "application/json"
-                try:
-                    posted = json.loads(body) if body else {}
-                except ValueError:
-                    return 400, {}, {"error": "body is not valid JSON"}, "application/json"
-                status, extra, doc = svc.handle_registry_alias(
-                    parts[0], posted, tenant
+                    return 405, {}, {"error": "use PUT"}
+                return svc.handle_registry_alias(
+                    parts[0], _json_body(body), tenant
                 )
-                return status, extra, doc, "application/json"
-            return 404, {}, {"error": f"no such endpoint {path!r}"}, "application/json"
+            return 404, {}, {"error": f"no such endpoint {path!r}"}
         if path == "/predict":
             if method != "POST":
-                return 405, {}, {"error": "use POST"}, "application/json"
-            try:
-                parsed = json.loads(body) if body else {}
-            except ValueError:
-                return 400, {}, {"error": "body is not valid JSON"}, "application/json"
-            status, resp_headers, doc = await svc.handle_predict(
-                parsed, headers
-            )
-            return status, resp_headers, doc, "application/json"
+                return 405, {}, {"error": "use POST"}
+            return await svc.handle_predict(_json_body(body), headers)
         if path == "/chaos" and svc.faults is not None:
             if method == "GET":
-                return 200, {}, {"chaos": svc.faults.snapshot()}, "application/json"
+                return 200, {}, {"chaos": svc.faults.snapshot()}
             if method == "POST":
-                try:
-                    parsed = json.loads(body) if body else {}
-                except ValueError:
-                    return 400, {}, {"error": "body is not valid JSON"}, "application/json"
-                status, headers, doc = svc.handle_chaos(parsed)
-                return status, headers, doc, "application/json"
-            return 405, {}, {"error": "use GET or POST"}, "application/json"
-        return 404, {}, {"error": f"no such endpoint {path!r}"}, "application/json"
-
-    async def _handle_connection(self, reader, writer) -> None:
-        svc = self.service
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-                    break
-                if request is None:
-                    break
-                method, target, headers, body = request
-                endpoint = urlsplit(target).path
-                svc.metrics.inc("repro_requests_total", endpoint=endpoint)
-                t0 = _time.perf_counter()
-                try:
-                    status, extra, doc, ctype = await self._route(
-                        method, target, body, headers
-                    )
-                except Exception as exc:  # never tear the connection down
-                    svc.metrics.inc("repro_evaluation_errors_total")
-                    status, extra, doc, ctype = (
-                        500, {}, {"error": f"internal error: {exc}"}, "application/json"
-                    )
-                svc.metrics.observe(endpoint, _time.perf_counter() - t0)
-                svc.metrics.inc("repro_responses_total", code=str(status))
-                payload = (
-                    doc.encode() if isinstance(doc, str) else json.dumps(doc).encode()
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive") != "close"
-                    and not svc.draining
-                )
-                writer.write(
-                    self._response(status, payload, ctype, extra, keep_alive)
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            # Server shutdown cancelling an idle keep-alive connection:
-            # end it quietly (asyncio's stream wrapper retrieves the
-            # handler task's exception and would log the cancellation).
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
+                return svc.handle_chaos(_json_body(body))
+            return 405, {}, {"error": "use GET or POST"}
+        return 404, {}, {"error": f"no such endpoint {path!r}"}
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def drain(self, grace: float = 10.0) -> None:
         """Graceful shutdown: stop accepting, shed new predictions with
         503, let in-flight requests finish (bounded by *grace* seconds),
@@ -1437,8 +1263,6 @@ class ServiceServer:
         self.service.draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         deadline = asyncio.get_running_loop().time() + grace
         try:
             await asyncio.wait_for(
@@ -1475,14 +1299,11 @@ class ServiceServer:
                     loop.add_signal_handler(sig, stop_signal.set)
                 except (NotImplementedError, RuntimeError):  # pragma: no cover
                     pass  # non-Unix loop: fall back to KeyboardInterrupt
-            serve_task = asyncio.ensure_future(self.serve_forever())
             try:
                 await stop_signal.wait()
                 log(f"draining (grace {grace:g}s)...")
                 await self.drain(grace)
             finally:
-                serve_task.cancel()
-                await asyncio.gather(serve_task, return_exceptions=True)
                 await self.stop()
 
         try:
@@ -1491,61 +1312,17 @@ class ServiceServer:
             log("shutting down")
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Idle keep-alive connections park in readline(); cancel them so
-        # shutdown doesn't leave pending tasks behind on the loop.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await super().stop()
         self.service.close()
 
 
-class ServiceThread:
+class ServiceThread(LoopThread):
     """Run a :class:`ServiceServer` on a background thread (tests, the
     load-generator benchmark, and anything else that wants an in-process
     server with a real socket)."""
 
     def __init__(self, service: PredictionService, host: str = "127.0.0.1", port: int = 0):
-        self.server = ServiceServer(service, host, port)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-
-    def __enter__(self) -> "ServiceThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.host, self.server.port
-
-    def start(self) -> tuple[str, int]:
-        def _run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            loop.run_until_complete(self.server.start())
-            self._started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.server.stop())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("service failed to start within 30s")
-        return self.address
+        super().__init__(ServiceServer(service, host, port))
 
     def drain(self, grace: float = 10.0) -> None:
         """Gracefully drain the server from any thread, then stop."""
@@ -1558,11 +1335,3 @@ class ServiceThread:
             except Exception:
                 pass
         self.stop()
-
-    def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-        self._loop = None

@@ -46,7 +46,8 @@ import tempfile
 import threading
 import time
 
-from .router import Backend, RouterThread, ShardRouter
+from .http import LoopThread
+from .router import Backend, ShardRouter
 
 __all__ = ["Supervisor"]
 
@@ -154,7 +155,7 @@ class Supervisor:
         self._tmp_db: str | None = None
         self.shard_ports: list[int] = []
         self.procs: dict[int, multiprocessing.process.BaseProcess] = {}
-        self.router_thread: RouterThread | None = None
+        self.router_thread: LoopThread | None = None
         self.restarts = 0  #: shards respawned after unexpected death
         self._ctx = multiprocessing.get_context("spawn")
         self._stopping = threading.Event()
@@ -260,7 +261,7 @@ class Supervisor:
             port=self.port,
             on_down=lambda _sid: self._wake.set(),
         )
-        self.router_thread = RouterThread(router)
+        self.router_thread = LoopThread(router)
         _, self.port = self.router_thread.start()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-supervisor", daemon=True
@@ -274,6 +275,11 @@ class Supervisor:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def _router_call(self, fn, *args) -> None:
+        """Run ``fn(router, *args)`` on the router's loop (if it runs)."""
+        if self.router_thread is not None:
+            self.router_thread.call(fn, self.router_thread.server, *args)
 
     # -- shard death -----------------------------------------------------------
     def _monitor_loop(self) -> None:
@@ -308,8 +314,7 @@ class Supervisor:
             ):
                 return
             proc.join(timeout=5.0)
-            if self.router_thread is not None:
-                self.router_thread.mark_down(shard_id)
+            self._router_call(ShardRouter.mark_down, shard_id)
             if not self.restart:
                 del self.procs[shard_id]
                 return
@@ -319,8 +324,7 @@ class Supervisor:
             self._wait_healthy(shard_id)
         except RuntimeError:
             return  # stays down; the ring keeps its range failed over
-        if self.router_thread is not None:
-            self.router_thread.mark_up(shard_id)
+        self._router_call(ShardRouter.mark_up, shard_id)
 
     def kill_shard(self, shard_id: int) -> int:
         """SIGKILL one shard (tests / chaos drills); returns its pid."""
@@ -343,17 +347,14 @@ class Supervisor:
                 proc = self.procs.get(shard_id)
             if proc is None or not proc.is_alive():
                 continue
-            if self.router_thread is not None:
-                self.router_thread.mark_draining(shard_id)
+            self._router_call(ShardRouter.mark_draining, shard_id)
             proc.terminate()  # SIGTERM -> child-side graceful drain
             proc.join(timeout=self.drain_grace + 10.0)
             if proc.is_alive():  # pragma: no cover - wedged child
                 proc.kill()
                 proc.join(timeout=5.0)
-            if self.router_thread is not None:
-                self.router_thread.mark_down(shard_id)
-        if self.router_thread is not None:
-            self.router_thread.set_draining()
+            self._router_call(ShardRouter.mark_down, shard_id)
+        self._router_call(setattr, "draining", True)
         self.stop()
 
     def stop(self) -> None:

@@ -231,7 +231,7 @@ class StubShard:
             self.server = None
 
     async def _handle(self, reader, writer):
-        from repro.service.server import (
+        from repro.service.http import (
             read_http_request,
             render_http_response,
         )
