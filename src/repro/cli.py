@@ -847,8 +847,6 @@ def cmd_serve(args) -> int:
         tenant_rate=args.tenant_rate,
     )
     if args.shards > 1:
-        import tempfile
-
         from .registry import RegistryStore
         from .registry.seeds import seed_builtin
         from .service.supervisor import Supervisor
@@ -860,20 +858,6 @@ def cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Seed the shared registry plane once, in the parent, before any
-        # shard opens it -- every shard then lists the same fleet.
-        registry_dir = args.registry_dir or tempfile.mkdtemp(
-            prefix="repro-registry-"
-        )
-        if args.seed_registry:
-            print(
-                f"seeding built-in registry fleet (reps={args.seed_reps})...",
-                flush=True,
-            )
-            seeded = seed_builtin(
-                RegistryStore(registry_dir), reps=args.seed_reps
-            )
-            print(f"registry fleet: {json.dumps(sorted(seeded))}", flush=True)
         supervisor = Supervisor(
             args.db if args.db else db,
             args.shards,
@@ -883,9 +867,25 @@ def cmd_serve(args) -> int:
             drain_grace=args.drain_grace,
             tracing=not args.no_trace,
             trace_buffer=args.trace_buffer,
-            registry_dir=registry_dir,
+            registry_dir=args.registry_dir,
             **options,
         )
+        # Seed the shared registry plane once, in the parent, before any
+        # shard opens it -- every shard then lists the same fleet.
+        if args.seed_registry:
+            print(
+                f"seeding built-in registry fleet (reps={args.seed_reps})...",
+                flush=True,
+            )
+            try:
+                seeded = seed_builtin(
+                    RegistryStore(supervisor.registry_dir),
+                    reps=args.seed_reps,
+                )
+            except BaseException:
+                supervisor.stop()  # removes a temporary registry plane
+                raise
+            print(f"registry fleet: {json.dumps(sorted(seeded))}", flush=True)
         return supervisor.run()
     registry = None
     if args.registry_dir:

@@ -147,11 +147,14 @@ class Supervisor:
         self.cache_dir = cache_dir
         self._tmp_cache = cache_dir is None and n_shards > 1
         #: one registry directory shared by every shard.  Multi-shard
-        #: deployments always get one (temporary if unconfigured) --
-        #: per-shard in-memory registries would let an upload land on
-        #: one shard and 404 on its siblings.
+        #: deployments always get one -- per-shard in-memory registries
+        #: would let an upload land on one shard and 404 on its
+        #: siblings.  An unconfigured one is made here, so a caller can
+        #: seed it before start(), and :meth:`stop` removes it.
         self.registry_dir = registry_dir
         self._tmp_registry = registry_dir is None and n_shards > 1
+        if self._tmp_registry:
+            self.registry_dir = tempfile.mkdtemp(prefix="repro-registry-")
         self._tmp_db: str | None = None
         self.shard_ports: list[int] = []
         self.procs: dict[int, multiprocessing.process.BaseProcess] = {}
@@ -242,8 +245,6 @@ class Supervisor:
             self._db_path = self._tmp_db
         if self._tmp_cache:
             self.cache_dir = tempfile.mkdtemp(prefix="repro-shard-cache-")
-        if self._tmp_registry:
-            self.registry_dir = tempfile.mkdtemp(prefix="repro-registry-")
         self.shard_ports = [
             _free_port(self.host) for _ in range(self.n_shards)
         ]

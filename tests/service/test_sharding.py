@@ -557,6 +557,7 @@ def test_service_options_reach_every_shard(db, tmp_path):
         assert service.db_fingerprint == db.fingerprint()
     finally:
         service.close()
+        supervisor.stop()  # removes its temporary registry plane
 
 
 @pytest.mark.slow

@@ -382,6 +382,29 @@ class TestServiceParsers:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_sharded_serve_removes_its_registry_plane(
+    monkeypatch, tmp_path, saved_db
+):
+    # Without --registry-dir, a --shards N server's shared registry
+    # plane is temporary; the supervisor owns it, so it is removed even
+    # when start-up fails.
+    import tempfile
+
+    from repro.service.supervisor import Supervisor
+
+    def fail_to_start(self):
+        raise RuntimeError("start failed")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(Supervisor, "start", fail_to_start)
+    with pytest.raises(RuntimeError, match="start failed"):
+        main([
+            "serve", "--shards", "2", "--db", str(saved_db),
+            "--no-seed-registry",
+        ])
+    assert not list(tmp_path.glob("repro-registry-*"))
+
+
 class TestPredictModels:
     """``repro predict --model`` reaches beyond jacobi."""
 
