@@ -96,7 +96,6 @@ class PredictionService:
         max_batch: int = 8,
         queue_limit: int = 64,
         deadline_s: float = 30.0,
-        retry_after: float = 1.0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 2.0,
         fault_injector=None,
@@ -188,10 +187,7 @@ class PredictionService:
         if fault_injector is not None:
             fault_injector.stores = stores
         self.jobs = JobQueue(
-            queue_limit,
-            self.metrics,
-            retry_after=retry_after,
-            limiter=self.tenants.admit,
+            queue_limit, self.metrics, limiter=self.tenants.admit
         )
         self.metrics.register_gauge(
             "repro_registry_dbs", lambda: len(self.registry)

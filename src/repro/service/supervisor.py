@@ -120,7 +120,6 @@ class Supervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_dir=None,
-        restart: bool = True,
         drain_grace: float = 10.0,
         tracing: bool = True,
         trace_buffer: int = 256,
@@ -139,7 +138,6 @@ class Supervisor:
         self.n_shards = n_shards
         self.host = host
         self.port = port  #: public port: the router's
-        self.restart = restart
         self.drain_grace = drain_grace
         self.tracing = tracing
         self.trace_buffer = trace_buffer
@@ -316,9 +314,6 @@ class Supervisor:
                 return
             proc.join(timeout=5.0)
             self._router_call(ShardRouter.mark_down, shard_id)
-            if not self.restart:
-                del self.procs[shard_id]
-                return
             self.procs[shard_id] = self._spawn(shard_id)
             self.restarts += 1
         try:
