@@ -11,8 +11,8 @@ the request funnel a production serving layer needs:
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
 * :mod:`.batcher` -- misses that queue while the evaluator is busy
-  share its next :func:`~repro.pevpm.parallel.evaluate_groups` call,
-  and so only the hop to the evaluator thread; a lone miss is
+  share its next :func:`~repro.pevpm.predict.evaluate_with_precision`
+  call, and so only the hop to the evaluator thread; a lone miss is
   evaluated at once;
 * :mod:`.dedup`   -- singleflight collapse of identical in-flight
   requests;

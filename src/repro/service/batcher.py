@@ -1,7 +1,8 @@
 """Micro-batching: batch the misses that queue while the evaluator is busy.
 
 Concurrent ``/predict`` misses are handed to the engine as **one**
-:func:`~repro.pevpm.parallel.evaluate_groups` call per batch.  The
+:func:`~repro.pevpm.predict.evaluate_with_precision` call per batch
+(``PredictionService._evaluate_requests``).  The
 collector takes the first queued request plus whatever else is already
 queued, up to ``max_batch``, evaluates that batch, and only then looks
 at the queue again.  A lone request is therefore evaluated at once --
