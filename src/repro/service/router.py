@@ -2,8 +2,8 @@
 
 A :class:`ShardRouter` is how the service scales out: it accepts
 client connections, parses each request with the same HTTP layer the
-shards use (:mod:`.http`), and forwards it to the shard that *owns* the request --
-consistent-hash routing (:mod:`.sharding`) on the content-addressed
+shards use (:mod:`.http`), and forwards it to the shard that *owns*
+the request -- consistent-hash routing (:mod:`.sharding`) on the content-addressed
 routing key (:meth:`~.records.PredictRequest.routing_key`).  A key
 always lands on the same shard, so the funnel's throughput tiers keep
 working cluster-wide: each shard's LRU holds a disjoint key range,
@@ -109,7 +109,6 @@ class ShardRouter(HTTPServer):
         self.metrics.register_gauge(
             "repro_router_backends_up", lambda: len(self.routable())
         )
-        self.draining = False
         self._rr = 0  # round-robin cursor for keyless requests
 
     # -- membership ------------------------------------------------------------
@@ -155,7 +154,12 @@ class ShardRouter(HTTPServer):
     async def _exchange(
         self, backend: Backend, raw_request: bytes
     ) -> tuple[int, dict, bytes]:
-        """One request/response round trip on a pooled connection."""
+        """One request/response round trip on a pooled connection.
+
+        A pooled connection may simply have gone stale (shard restarted,
+        idle timeout): it gets one clean retry on a fresh connection
+        before the failure is the backend's.
+        """
         for fresh in (False, True) if backend._pool else (True,):
             if fresh:
                 reader, writer = await asyncio.open_connection(*backend.address)
@@ -170,9 +174,6 @@ class ShardRouter(HTTPServer):
                 writer.close()
                 if fresh:
                     raise
-                # A pooled connection may simply have gone stale (shard
-                # restarted, idle timeout): one clean retry on a fresh
-                # connection before declaring the backend dead.
         if headers.get("connection", "keep-alive") == "close":
             writer.close()
         else:
