@@ -163,50 +163,72 @@ class TestSingleFlight:
 
 class TestTieredCache:
     """The service's prediction cache: an LRU memory tier in front of
-    the optional on-disk store, with hit/miss/eviction counters."""
+    the optional on-disk store, with hit/miss/eviction counters, driven
+    through ``handle_predict`` over a stand-in engine that answers each
+    request's seed as its one time and logs what it evaluated."""
 
     @staticmethod
-    def service(lru_size, cache_dir=None):
-        return PredictionService(
+    def serve(lru_size, seeds, cache_dir=None):
+        """Send one request per seed; (service, engine log, responses)."""
+        svc = PredictionService(
             DistributionDB(), lru_size=lru_size, cache_dir=cache_dir
         )
+        evaluated = []
+
+        def engine(reqs):
+            evaluated.extend(req.seed for req in reqs)
+            return [
+                {"times": [float(req.seed)], "run_walls": [0.0],
+                 "nprocs": req.nprocs, "timing": "stub", "wall_time": 0.0}
+                for req in reqs
+            ]
+
+        svc.batcher._evaluate = engine
+        body = {"model": "jacobi", "nprocs": 2, "runs": 1}
+
+        async def scenario():
+            return [
+                (await svc.handle_predict(dict(body, seed=seed)))[2]
+                for seed in seeds
+            ]
+
+        try:
+            docs = asyncio.run(scenario())
+        finally:
+            svc.close()
+        assert [doc["times"] for doc in docs] == [[float(s)] for s in seeds]
+        return svc, evaluated, [doc["served_from"] for doc in docs]
 
     def test_lru_evicts_least_recently_used(self):
-        svc = self.service(2)
+        # Touching 1 makes 2 the least recent, so 3 evicts 2; 1 and 3
+        # then hit, and 2 is evaluated again (evicting 1).
+        svc, evaluated, sources = self.serve(2, [1, 2, 1, 3, 1, 3, 2])
+        assert evaluated == [1, 2, 3, 2]
+        assert sources == [
+            "engine", "engine", "cache", "engine", "cache", "cache", "engine",
+        ]
         m = svc.metrics
-        svc._cache_put("a", {"v": 1})
-        svc._cache_put("b", {"v": 2})
-        assert svc._cache_get("a") == {"v": 1}  # touch "a": "b" becomes LRU
-        svc._cache_put("c", {"v": 3})
-        assert svc._cache_get("b") is None
-        assert svc._cache_get("a") == {"v": 1}
-        assert svc._cache_get("c") == {"v": 3}
-        assert m.counter("repro_cache_evictions_total") == 1
-        assert m.counter("repro_cache_misses_total") == 1
+        assert m.counter("repro_cache_evictions_total") == 2
+        assert m.counter("repro_cache_misses_total") == 4
         assert m.counter("repro_cache_hits_total", tier="memory") == 3
-        svc.close()
 
     def test_disk_hits_promoted_to_memory(self, tmp_path):
-        first = self.service(4, tmp_path)
-        first._cache_put("k", {"times": [1.0]})
-        first.close()
-        # A fresh memory tier over the same directory: first read comes
-        # from disk, the second from the promoted memory entry.
-        second = self.service(4, tmp_path)
-        m = second.metrics
-        doc = second._cache_get("k")
-        assert doc["times"] == [1.0]
+        self.serve(4, [5], tmp_path)
+        # A fresh memory tier over the same directory: the first read
+        # comes from disk, the second from the promoted memory entry.
+        svc, evaluated, sources = self.serve(4, [5, 5], tmp_path)
+        assert evaluated == []
+        assert sources == ["cache", "cache"]
+        m = svc.metrics
         assert m.counter("repro_cache_hits_total", tier="disk") == 1
-        second._cache_get("k")
         assert m.counter("repro_cache_hits_total", tier="memory") == 1
-        second.close()
 
     def test_zero_capacity_disables_memory_tier(self):
-        svc = self.service(0)
-        svc._cache_put("k", {"v": 1})
+        svc, evaluated, sources = self.serve(0, [5, 5])
+        assert evaluated == [5, 5]
+        assert sources == ["engine", "engine"]
         assert len(svc.lru) == 0
-        assert svc._cache_get("k") is None
-        svc.close()
+        assert svc.metrics.total("repro_cache_hits_total") == 0
 
 
 def held_evaluator(results):
