@@ -26,7 +26,8 @@ exposing the PEVPM engine and the MPIBench distribution database:
   :mod:`repro.obs`).
 
 The ``/predict`` funnel, in order: parse/validate -> content key ->
-LRU/disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
+memory tier (a hit answers at once with its stored response body) ->
+disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
 admission (:mod:`.jobs`, 429 when full) -> micro-batcher
 (:mod:`.batcher`, which batches what queues while the evaluator is
 busy) -> :func:`~repro.pevpm.predict.evaluate_with_precision`.
@@ -40,6 +41,7 @@ response echoes back.
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import os
 import signal
@@ -81,6 +83,24 @@ from .metrics import ServiceMetrics
 from .records import MODELS, PredictRequest, RequestError, prediction_record
 
 __all__ = ["PredictionService", "ServiceServer", "ServiceThread"]
+
+#: response bodies one memory-tier entry keeps: one per echo seen, the
+#: oldest dropped first, so a client varying an echoed field cannot
+#: grow an entry without bound
+_BODIES_PER_ENTRY = 4
+
+
+class _Cached:
+    """A memory-tier entry: one finished document and the ``/predict``
+    response bodies rendered from it.  A body also depends on the two
+    request fields a record echoes that its key does not fix -- the
+    ``db`` ref and the raw ``vector_batch`` -- so it is kept per echo."""
+
+    __slots__ = ("doc", "bodies")
+
+    def __init__(self, doc: dict):
+        self.doc = doc
+        self.bodies: dict[tuple, bytes] = {}
 
 
 class PredictionService:
@@ -129,11 +149,12 @@ class PredictionService:
                 "repro_trace_buffer_traces", lambda: len(tracer)
             )
         self.faults = fault_injector
-        # The prediction cache: an LRU of finished documents (the memory
-        # tier, no encoding on either path) in front of the optional
-        # on-disk store shared by every process writing the directory.
-        # Keys are content-addressed request keys, so a hit is by
-        # construction bit-identical to re-evaluating the request.
+        # The prediction cache: an LRU of finished documents with their
+        # rendered response bodies (the memory tier, :class:`_Cached`)
+        # in front of the optional on-disk store shared by every process
+        # writing the directory.  Keys are content-addressed request
+        # keys, so a hit is by construction bit-identical to
+        # re-evaluating the request.
         self.lru = LRU(lru_size)
         self.disk = PredictionCache(cache_dir) if cache_dir else None
         self.dedup = SingleFlight(self.metrics)
@@ -413,7 +434,8 @@ class PredictionService:
         """Memory tier, then disk (promoting a hit); traced as a ``cache``
         span whose ``tier`` is ``memory``, ``disk`` or ``miss``."""
         start = None if trace is None else trace.now()
-        doc, tier = self.lru.get(key), "memory"
+        entry, tier = self.lru.get(key), "memory"
+        doc = None if entry is None else entry.doc
         if doc is None and self.disk is not None:
             if self.faults is not None:
                 self.faults.on_cache_read(self.disk.path(key))
@@ -429,8 +451,33 @@ class PredictionService:
             trace.add_span("cache", start, trace.now(), tier=tier)
         return doc
 
+    def _memory_hit(
+        self, req: PredictRequest, key: str, fingerprint: str, trace=None
+    ) -> bytes | None:
+        """The response body of a memory-tier hit, or ``None`` on a
+        miss, which records nothing: :meth:`_cache_get` counts it.
+
+        A hit is counted and traced as :meth:`_cache_get` does.  Its
+        body is rendered on the entry's first hit with this echo and
+        reused until the entry is evicted or replaced."""
+        start = None if trace is None else trace.now()
+        entry = self.lru.get(key)
+        if entry is None:
+            return None
+        self.metrics.inc("repro_cache_hits_total", tier="memory")
+        if trace is not None:
+            trace.add_span("cache", start, trace.now(), tier="memory")
+        echo = (req.db, req.vector_batch)
+        body = entry.bodies.get(echo)
+        if body is None:
+            if len(entry.bodies) >= _BODIES_PER_ENTRY:
+                del entry.bodies[next(iter(entry.bodies))]
+            record = self._record(req, entry.doc, "cache", fingerprint, key)
+            body = entry.bodies[echo] = json.dumps(record).encode()
+        return body
+
     def _remember(self, key: str, doc: dict) -> None:
-        evicted = self.lru.put(key, doc)
+        evicted = self.lru.put(key, _Cached(doc))
         if evicted:
             self.metrics.inc("repro_cache_evictions_total", evicted)
 
@@ -476,8 +523,20 @@ class PredictionService:
         client's retry ordinal, logged but never interpreted.  When the
         service has a tracer, the response echoes the trace ID back as
         ``X-Repro-Trace`` and the finished trace lands in the ring
-        buffer behind ``GET /trace``.
+        buffer behind ``GET /trace``.  Every call returns a document of
+        its own, which the caller may change.
         """
+        status, extra, doc = await self._serve_predict(body, headers)
+        if isinstance(doc, bytes):
+            doc = json.loads(doc)
+        return status, extra, doc
+
+    async def _serve_predict(
+        self, body: object, headers: dict | None = None
+    ) -> tuple[int, dict, dict | bytes]:
+        """:meth:`handle_predict` as the wire needs it: a memory-tier
+        hit's doc is its stored JSON body, which the server writes as
+        is."""
         headers = headers or {}
         trace = None
         if self.tracer is not None:
@@ -639,6 +698,11 @@ class PredictionService:
             self.metrics.inc("repro_bad_requests_total")
             return 400, {}, {"error": str(exc)}, None
         key = req.key(fingerprint)
+        # A memory hit is answered here, before any task is made, so no
+        # admission, breaker or deadline applies to it.
+        hit = self._memory_hit(req, key, fingerprint, trace)
+        if hit is not None:
+            return 200, {}, hit, "cache"
         deadline = req.deadline_s if req.deadline_s is not None else self.deadline_s
         # Shield the resolution task: a caller hitting its deadline must
         # not cancel a shared evaluation; the late result still lands in
@@ -717,15 +781,27 @@ class PredictionService:
             # response record below deliberately omits them).
             self._attach_engine_phases(trace, doc)
             self._attach_adaptive_rounds(trace, doc)
-        pred = prediction_from_doc(doc)
-        pred.cached = source != "engine"
-        pred.wall_time = float(doc.get("wall_time", 0.0))
+        record = self._record(req, doc, source, fingerprint, key)
         if source == "engine":
             # Spend accounting: how many MC runs each engine-served
             # prediction cost, split by who decided the count.
             self.metrics.observe_runs(
-                pred.runs, "adaptive" if req.adaptive else "fixed"
+                record["runs"], "adaptive" if req.adaptive else "fixed"
             )
+        return 200, {}, record, source
+
+    def _record(
+        self, req: PredictRequest, doc: dict, source: str, fingerprint: str,
+        key: str,
+    ) -> dict:
+        """The response record of *req*, served *doc* from *source*."""
+        pred = prediction_from_doc(doc)
+        pred.cached = source != "engine"
+        pred.wall_time = float(doc.get("wall_time", 0.0))
+        if pred.precision is not None:
+            # The record must not share the cached document's block: a
+            # caller may change its record, and later hits render *doc*.
+            pred.precision = copy.deepcopy(pred.precision)
         record = prediction_record(
             pred,
             seed=req.seed,
@@ -744,7 +820,7 @@ class PredictionService:
         )
         if req.db is not None:
             record["db_ref"] = req.db
-        return 200, {}, record, source
+        return record
 
     def _resolve_request_db(self, req: PredictRequest):
         """(fingerprint, DistributionDB) for one request's ``db`` ref.
@@ -1130,6 +1206,35 @@ def _tenant(headers: dict) -> str:
         raise RequestError(str(exc)) from None
 
 
+#: routes at one fixed path
+_FIXED_ROUTES = frozenset(
+    {"/healthz", "/metrics", "/trace", "/predict", "/chaos"}
+)
+#: collection -> its route templates, by the number of path parts below it
+_COLLECTION_ROUTES = {
+    "/models": ("/models", "/models/{name}"),
+    "/programs": ("/programs", "/programs/{ref}"),
+    "/distributions": (
+        "/distributions", "/distributions/{ref}", "/distributions/{ref}/alias",
+    ),
+}
+
+
+def _endpoint(path: str) -> str:
+    """The ``endpoint`` metric label of a request for *path*: the
+    template of the route :meth:`ServiceServer._route` takes, or
+    ``"unrouted"`` for every path none serves, so no client can add
+    series or latency reservoirs."""
+    if path in _FIXED_ROUTES:
+        return path
+    for collection, templates in _COLLECTION_ROUTES.items():
+        if path == collection or path.startswith(collection + "/"):
+            parts = [p for p in path.split("/") if p][1:]
+            if len(parts) < len(templates) and parts[1:] in ([], ["alias"]):
+                return templates[len(parts)]
+    return "unrouted"
+
+
 class ServiceServer(HTTPServer):
     """HTTP front-end binding a :class:`PredictionService` to a socket."""
 
@@ -1148,10 +1253,13 @@ class ServiceServer(HTTPServer):
 
     async def respond(self, method, target, headers, body):
         """Route one request, with its endpoint and status metrics.  The
-        one text document is ``/metrics``; every other answer is JSON."""
+        one text document is ``/metrics``; a memory-tier ``/predict`` hit
+        arrives as its stored JSON body; every other answer is encoded
+        here."""
         svc = self.service
         split = urlsplit(target)
-        svc.metrics.inc("repro_requests_total", endpoint=split.path)
+        endpoint = _endpoint(split.path)
+        svc.metrics.inc("repro_requests_total", endpoint=endpoint)
         t0 = _time.perf_counter()
         try:
             status, extra, doc = await self._route(method, split, headers, body)
@@ -1160,11 +1268,13 @@ class ServiceServer(HTTPServer):
         except Exception as exc:  # never tear the connection down
             svc.metrics.inc("repro_evaluation_errors_total")
             status, extra, doc = 500, {}, {"error": f"internal error: {exc}"}
-        svc.metrics.observe(split.path, _time.perf_counter() - t0)
+        svc.metrics.observe(endpoint, _time.perf_counter() - t0)
         svc.metrics.inc("repro_responses_total", code=str(status))
         if isinstance(doc, str):
             return status, doc.encode(), "text/plain; version=0.0.4", extra
-        return status, json.dumps(doc).encode(), "application/json", extra
+        if not isinstance(doc, bytes):
+            doc = json.dumps(doc).encode()
+        return status, doc, "application/json", extra
 
     async def _route(self, method: str, split, headers: dict, body: bytes):
         """Dispatch one request -> (status, headers, doc).  A malformed
@@ -1241,7 +1351,7 @@ class ServiceServer(HTTPServer):
         if path == "/predict":
             if method != "POST":
                 return 405, {}, {"error": "use POST"}
-            return await svc.handle_predict(_json_body(body), headers)
+            return await svc._serve_predict(_json_body(body), headers)
         if path == "/chaos" and svc.faults is not None:
             if method == "GET":
                 return 200, {}, {"chaos": svc.faults.snapshot()}

@@ -556,6 +556,8 @@ class TestPrometheusEscaping:
             ), line
 
     def test_hostile_endpoint_over_http_keeps_exposition_parseable(self, db):
+        import re
+
         service = PredictionService(db, spec=SPEC)
         with ServiceThread(service) as thread:
             client = ServiceClient(*thread.address)
@@ -564,7 +566,45 @@ class TestPrometheusEscaping:
                 text = client.metrics_text()
             finally:
                 client.close()
-        assert 'endpoint="/nope\\"quoted"' in text
+        # The endpoint label names a route, never the raw path: the
+        # hostile path is not echoed, and every unknown path shares one
+        # series.
+        assert "nope" not in text
+        assert 'repro_requests_total{endpoint="unrouted"} 1' in text
+        for line in text.splitlines():
+            assert line.startswith("#") or re.fullmatch(
+                r"[a-zA-Z_][\w:]*(\{.*\})? \S+", line
+            ), line
+
+    def test_unknown_paths_share_one_series(self, db):
+        service = PredictionService(db, spec=SPEC)
+        with ServiceThread(service) as thread:
+            client = ServiceClient(*thread.address)
+            try:
+                for i in range(50):
+                    assert client._request("GET", f"/junk-{i}")[0] == 404
+                for path in ("/models/jacobi", "/models/nope", "/models/a/b",
+                             "/distributions/x/alias", "/distributions/x/y",
+                             "/programs/abc", "/healthz"):
+                    client._request("GET", path)
+            finally:
+                client.close()
+        m = service.metrics
+        assert m.counter("repro_requests_total", endpoint="unrouted") == 52
+        assert m.counter(
+            "repro_requests_total", endpoint="/models/{name}"
+        ) == 2
+        assert m.counter(
+            "repro_requests_total", endpoint="/distributions/{ref}/alias"
+        ) == 1
+        assert m.counter(
+            "repro_requests_total", endpoint="/programs/{ref}"
+        ) == 1
+        assert m.counter("repro_requests_total", endpoint="/healthz") == 1
+        assert set(m.snapshot()["latency_seconds"]) == {
+            "unrouted", "/models/{name}", "/distributions/{ref}/alias",
+            "/programs/{ref}", "/healthz",
+        }
 
 
 # -- chaos endpoint + drain (tentpole parts 1 and 4, over HTTP) ----------------
