@@ -215,7 +215,8 @@ class TestHitContract:
     def test_mutating_a_returned_document_changes_no_later_response(
         self, db
     ):
-        # Seeds apart: the adaptive result's fixed twin is jacobi_request()
+        # Not seed 7: jacobi_request() is the adaptive result's fixed
+        # twin, whose entry the adaptive evaluation would replace.
         fixed = jacobi_request(seed=3)
         adaptive = adaptive_request()
 
