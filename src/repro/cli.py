@@ -778,6 +778,8 @@ def cmd_import_trace(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        finally:
+            client.close()
         if not args.json:
             print(f"uploaded program {meta['fingerprint']} "
                   f"to {args.host}:{args.port}")
@@ -1113,7 +1115,11 @@ def cmd_loadgen(args) -> int:
 
     # Fail fast (and warm the campaign-dependent code paths) before
     # unleashing the client threads.
-    ServiceClient(args.host, args.port).healthz()
+    probe = ServiceClient(args.host, args.port)
+    try:
+        probe.healthz()
+    finally:
+        probe.close()
     retry = None
     if args.retries > 0:
         retry = RetryPolicy(retries=args.retries, base=args.retry_base)

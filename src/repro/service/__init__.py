@@ -7,7 +7,8 @@ the request funnel a production serving layer needs:
 
 * :mod:`.http`    -- the one HTTP/1.1 wire layer: message reader and
   writer, the keep-alive connection loop and the background loop thread
-  that the server and the router share;
+  that the server and the router share, and the response reader the
+  client uses;
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
 * :mod:`.batcher` -- misses that queue while the evaluator is busy

@@ -1,14 +1,16 @@
 """Blocking service client and a closed-loop load generator.
 
-:class:`ServiceClient` is a thin stdlib (``http.client``) wrapper around
-the service's JSON endpoints -- what ``repro loadgen``, the end-to-end
-tests and the service benchmark drive.  It is *resilient by
-configuration*: a :class:`RetryPolicy` adds capped, jittered exponential
-backoff for idempotent requests -- every ``/predict`` is idempotent by
-the reproducibility contract (content-addressed, deterministic) -- that
-honours the server's ``Retry-After`` hint on 429/503 and retries 504s
-and transport resets.  Retries are counted in a
-:class:`~.metrics.ServiceMetrics` instance
+:class:`ServiceClient` is a thin wrapper around the service's JSON
+endpoints -- what ``repro loadgen``, the end-to-end tests and the
+service benchmark drive.  It speaks the service's own HTTP/1.1
+(:mod:`.http`, the codec the server and the router use) over one
+keep-alive socket, writing each request with one ``sendall``.  It is
+*resilient by configuration*: a :class:`RetryPolicy` adds capped,
+jittered exponential backoff for idempotent requests -- every
+``/predict`` is idempotent by the reproducibility contract
+(content-addressed, deterministic) -- that honours the server's
+``Retry-After`` hint on 429/503 and retries 504s and transport resets.
+Retries are counted in a :class:`~.metrics.ServiceMetrics` instance
 (``repro_client_retries_total{reason=...}``) so a chaos run can report
 exactly how much client-side masking happened.
 
@@ -24,16 +26,18 @@ for communication-time distributions.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
+import socket
 import threading
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable
+from urllib.parse import urlencode
 
 from ..mpibench.histogram import Histogram
+from .http import read_http_response_blocking, render_http_message
 from .metrics import ServiceMetrics
 
 __all__ = [
@@ -96,6 +100,15 @@ class ServiceError(RuntimeError):
         self.doc = doc
 
 
+def _header(headers: dict, name: str) -> str | None:
+    """The value of header *name* (lower case) in a response's
+    *headers*, whose names stay as the server wrote them."""
+    for key, value in headers.items():
+        if key.lower() == name:
+            return value
+    return None
+
+
 class ServiceClient:
     """Blocking JSON client with one persistent keep-alive connection."""
 
@@ -125,46 +138,74 @@ class ServiceClient:
         #: trace ID of the most recent ``/predict`` (client-minted, or
         #: the server-assigned ID echoed back in ``X-Repro-Trace``)
         self.last_trace_id: str | None = None
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._rfile = None  #: the socket's buffered reader
         self._sleep = _time.sleep  # injectable for tests
 
     # -- plumbing --------------------------------------------------------------
+    def _connect(self) -> None:
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._rfile = sock, sock.makefile("rb")
+
     def _attempt(self, method: str, path: str, payload, headers):
-        """One HTTP round trip (with the legacy single reconnect for a
-        stale keep-alive connection)."""
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        try:
-            self._conn.request(method, path, body=payload, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, OSError):
-            # Stale keep-alive connection: reconnect once.
+        """One HTTP round trip: ``(status, headers, doc)``.
+
+        The whole request goes out in one ``sendall``.  As the router's
+        ``_exchange`` does, a request whose reused keep-alive connection
+        turns out closed (:class:`ConnectionError`: the server may drop
+        an idle connection) is sent once more on a fresh connection.
+        Any other failure, a timeout included, and any failure on a
+        fresh connection is raised: a request is never sent twice
+        because its server was slow.
+        """
+        # Refuse a target or header value that would break the
+        # message's framing: a space or a control character (CR LF
+        # above all) there would end its field and start another.
+        if " " in path or not all(
+            text.isprintable() for text in (path, *headers.values())
+        ):
+            raise ValueError(f"unsafe request line or header: {path!r}")
+        body = payload or b""
+        request = render_http_message(
+            f"{method} {path} HTTP/1.1",
+            [
+                ("Host", f"{self.host}:{self.port}"),
+                *headers.items(),
+                ("Content-Length", len(body)),
+            ],
+            body,
+        )
+        for fresh in (False, True) if self._sock is not None else (True,):
+            if fresh:
+                self._connect()
+            try:
+                self._sock.sendall(request)
+                status, hdrs, raw = read_http_response_blocking(self._rfile)
+                break
+            except BaseException as exc:
+                # Where the next response starts is unknown: never
+                # reuse this connection.
+                self.close()
+                if fresh or not isinstance(exc, ConnectionError):
+                    raise
+        if _header(hdrs, "connection") == "close":
             self.close()
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._conn.request(method, path, body=payload, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        ctype = response.getheader("Content-Type", "")
+        ctype = _header(hdrs, "content-type") or ""
         if ctype.startswith("application/json"):
             doc = json.loads(raw) if raw else {}
         else:
             doc = raw.decode()
-        return response.status, dict(response.getheaders()), doc
+        return status, hdrs, doc
 
     @staticmethod
     def _retry_after(headers: dict) -> float | None:
-        for name, value in headers.items():
-            if name.lower() == "retry-after":
-                try:
-                    return float(value)
-                except (TypeError, ValueError):
-                    return None
-        return None
+        try:
+            return float(_header(headers, "retry-after"))
+        except (TypeError, ValueError):
+            return None
 
     def _request(
         self,
@@ -183,7 +224,7 @@ class ServiceClient:
         server's ``Retry-After`` -- between attempts.  The final attempt's
         outcome (or transport error) is returned/raised verbatim.
         """
-        payload = None if body is None else json.dumps(body)
+        payload = None if body is None else json.dumps(body).encode()
         headers = {} if payload is None else {"Content-Type": "application/json"}
         if self.tenant is not None:
             headers["X-Repro-Tenant"] = self.tenant
@@ -202,7 +243,7 @@ class ServiceClient:
                 headers["X-Repro-Attempt"] = str(attempt)
             try:
                 status, hdrs, doc = self._attempt(method, path, payload, headers)
-            except (http.client.HTTPException, OSError):
+            except OSError:
                 if not idempotent or attempt >= policy.retries:
                     raise
                 self.close()
@@ -226,10 +267,9 @@ class ServiceClient:
                 attempt += 1
                 continue
             if path == "/predict":
-                for name, value in hdrs.items():
-                    if name.lower() == "x-repro-trace":
-                        self.last_trace_id = value
-                        break
+                trace_id = _header(hdrs, "x-repro-trace")
+                if trace_id is not None:
+                    self.last_trace_id = trace_id
             return status, hdrs, doc
 
     def _checked(self, method: str, path: str, body: dict | None = None):
@@ -239,9 +279,10 @@ class ServiceClient:
         return doc
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     # -- endpoints --------------------------------------------------------------
     def healthz(self) -> dict:
@@ -269,7 +310,7 @@ class ServiceClient:
         return self._checked("POST", "/chaos", payload)
 
     def distributions(self, **query) -> dict:
-        qs = "&".join(f"{k}={v}" for k, v in query.items())
+        qs = urlencode(query)
         return self._checked(
             "GET", "/distributions" + (f"?{qs}" if qs else "")
         )
@@ -282,7 +323,7 @@ class ServiceClient:
     def registry_get(self, ref: str, **query) -> dict:
         """``GET /distributions/{ref}``: meta + aliases (plus a
         distribution description when ``size=`` is given)."""
-        qs = "&".join(f"{k}={v}" for k, v in query.items())
+        qs = urlencode(query)
         return self._checked(
             "GET", f"/distributions/{ref}" + (f"?{qs}" if qs else "")
         )
@@ -358,7 +399,7 @@ class ServiceClient:
         Raises :class:`ServiceError` when tracing is disabled server-side
         or the ID is unknown."""
         if trace_id is not None:
-            return self._checked("GET", f"/trace?id={trace_id}")
+            return self._checked("GET", "/trace?" + urlencode({"id": trace_id}))
         return self._checked("GET", f"/trace?limit={limit}")
 
 
@@ -493,7 +534,7 @@ class LoadGenerator:
                         )
                     else:
                         status, _, _ = client.predict_raw(request)
-                except (OSError, http.client.HTTPException, ValueError):
+                except (OSError, ValueError):
                     with lock:
                         result.errors += 1
                     continue

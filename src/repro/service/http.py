@@ -1,13 +1,16 @@
 """HTTP/1.1 for the prediction service: the one wire layer under the
-shard server (:class:`~.server.ServiceServer`) and the front router
-(:class:`~.router.ShardRouter`).
+shard server (:class:`~.server.ServiceServer`), the front router
+(:class:`~.router.ShardRouter`) and the blocking client
+(:class:`~.client.ServiceClient`).
 
-Stdlib-only and hand-rolled over ``asyncio`` streams (no
-``http.server``), so both ends of a forwarded request parse and write
-identically:
+Stdlib-only and hand-rolled over sockets and ``asyncio`` streams (no
+stdlib HTTP module), so every end of a request parses and writes by the
+same rules:
 
 * :func:`read_http_request` / :func:`read_http_response` -- read one
-  Content-Length framed message;
+  Content-Length framed message from an ``asyncio`` stream;
+  :func:`read_http_response_blocking` reads a response from a
+  blocking socket file by the same parse helpers;
 * :func:`render_http_message` / :func:`render_http_response` -- write
   one;
 * :class:`HTTPServer` -- the listener and the keep-alive connection
@@ -27,9 +30,14 @@ __all__ = [
     "LoopThread",
     "read_http_request",
     "read_http_response",
+    "read_http_response_blocking",
     "render_http_message",
     "render_http_response",
 ]
+
+#: longest line a blocking read accepts, as an ``asyncio`` stream's
+#: default limit does
+_LINE_LIMIT = 2 ** 16
 
 _STATUS_TEXT = {
     200: "OK",
@@ -46,33 +54,53 @@ _STATUS_TEXT = {
 }
 
 
-async def _read_message(reader, response: bool):
-    """Read one message: its start line's fields, then the lower-cased
-    headers and the body.  The start line is checked before any header
-    is read; a malformed one raises :class:`ConnectionError`.  Returns
-    ``None`` on a connection closed before a request line."""
-    line = await reader.readline()
-    if not line:
-        if response:
-            raise ConnectionError("backend closed connection")
-        return None
+def _start_line(line: bytes, response: bool) -> tuple:
+    """A start line's fields: ``(status,)`` for a response, ``(method,
+    target)`` for a request.  A malformed line, or a response that ends
+    before its status line, raises :class:`ConnectionError`."""
+    if not line and response:
+        raise ConnectionError("connection closed before the status line")
     parts = line.decode("latin-1").split()
     if response:
         if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError("malformed backend status line")
-        start = (int(parts[1]),)
-    elif len(parts) == 3:
-        start = (parts[0].upper(), parts[1])
-    else:
+            raise ConnectionError("malformed status line")
+        return (int(parts[1]),)
+    if len(parts) != 3:
         raise ConnectionError("malformed request line")
+    return (parts[0].upper(), parts[1])
+
+
+def _header_line(line: bytes) -> tuple[str, str] | None:
+    """A header line's ``(name, value)``, the name as written; ``None``
+    for the blank line (or end of input) that ends the head."""
+    if line in (b"\r\n", b"\n", b""):
+        return None
+    name, _, value = line.decode("latin-1").partition(":")
+    return name.strip(), value.strip()
+
+
+def _content_length(value: str | None) -> int:
+    """The body length a ``Content-Length`` value gives (``None``: no
+    body).  A value that is not a count raises :class:`ValueError`."""
+    length = int(value or 0)
+    if length < 0:
+        raise ValueError(f"negative Content-Length {length}")
+    return length
+
+
+async def _read_message(reader, response: bool):
+    """Read one message: its start line's fields, then the lower-cased
+    headers and the body.  The start line is checked before any header
+    is read.  Returns ``None`` on a connection closed before a request
+    line."""
+    line = await reader.readline()
+    if not line and not response:
+        return None
+    start = _start_line(line, response)
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    while (field := _header_line(await reader.readline())) is not None:
+        headers[field[0].lower()] = field[1]
+    length = _content_length(headers.get("content-length"))
     body = await reader.readexactly(length) if length else b""
     return (*start, headers, body)
 
@@ -87,6 +115,35 @@ async def read_http_response(reader):
     """Read one response: ``(status, headers, body)``.  A connection
     closed before the status line raises :class:`ConnectionError`."""
     return await _read_message(reader, response=True)
+
+
+def _readline(rfile) -> bytes:
+    """One line of *rfile*, at most :data:`_LINE_LIMIT` bytes long."""
+    line = rfile.readline(_LINE_LIMIT + 1)
+    if len(line) > _LINE_LIMIT:
+        raise ValueError("response line too long")
+    return line
+
+
+def read_http_response_blocking(rfile):
+    """Read one response from a blocking binary file (a socket's
+    ``makefile("rb")``) by the rules :func:`read_http_response` uses:
+    ``(status, headers, body)``, with header names as written.  A
+    response cut short raises :class:`ConnectionError`, and a line
+    longer than an ``asyncio`` stream accepts :class:`ValueError`."""
+    (status,) = _start_line(_readline(rfile), response=True)
+    headers: dict[str, str] = {}
+    length = None
+    while (field := _header_line(_readline(rfile))) is not None:
+        name, value = field
+        headers[name] = value
+        if name.lower() == "content-length":
+            length = value
+    length = _content_length(length)
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        raise ConnectionError("response body cut short")
+    return status, headers, body
 
 
 def render_http_message(start_line: str, headers, body: bytes) -> bytes:

@@ -405,6 +405,40 @@ def test_sharded_serve_removes_its_registry_plane(
     assert not list(tmp_path.glob("repro-registry-*"))
 
 
+
+def test_service_commands_close_their_clients(capsys, tmp_path):
+    # loadgen's fail-fast probe and import-trace --upload each open a
+    # client; neither may leave its socket to the garbage collector.
+    import gc
+    import warnings
+
+    from repro.mpibench import BenchSettings, MPIBench
+    from repro.service import PredictionService, ServiceThread
+    from repro.simnet import perseus
+    from repro.trace_import import sample_trace
+
+    spec = perseus(16)
+    bench = MPIBench(spec, seed=3, settings=BenchSettings(reps=10, warmup=2))
+    db = bench.sweep_isend([(2, 1), (4, 1)], sizes=[0, 1024])
+    trace = tmp_path / "ring.jsonl"
+    trace.write_text(sample_trace(nprocs=4).to_jsonl())
+    with ServiceThread(PredictionService(db, spec=spec)) as thread:
+        where = ["--host", thread.address[0], "--port", str(thread.address[1])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main([
+                "loadgen", *where, "--concurrency", "1", "--duration", "0.2",
+                "--nprocs", "4", "--runs", "2", "--json",
+                "--model-params", '{"iterations": 5}',
+            ]) == 0
+            assert main(["import-trace", str(trace), "--upload", *where]) == 0
+            gc.collect()
+    assert "uploaded program" in capsys.readouterr().out
+    assert [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning)
+    ] == []
+
 class TestPredictModels:
     """``repro predict --model`` reaches beyond jacobi."""
 
