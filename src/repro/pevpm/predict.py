@@ -49,6 +49,7 @@ __all__ = [
     "AdaptiveResult",
     "build_prediction",
     "prediction_from_doc",
+    "draws_as_fixed",
     "evaluate_with_precision",
     "precision_doc",
     "predict",
@@ -407,11 +408,10 @@ def _evaluate_predictions(
     of fewer than one run.
 
     Each result is stored under its own :func:`prediction_key`.  An
-    adaptive result's document carries its ``precision`` block there,
-    and is stored again without it under the fixed-runs key of the run
-    count it spent, so a later ``runs=N`` call drawing the same chunks
-    hits it: adaptive and fixed answers for the same content are
-    bit-identical by construction.
+    adaptive result's document carries its ``precision`` block there.
+    When a ``runs=N`` call at the run count it spent draws the same
+    chunks (:func:`draws_as_fixed`), it is stored again without the
+    block under that call's key, which then hits it.
     """
     if any(target is None and group.runs < 1 for group, target in pairs):
         raise ValueError("runs must be >= 1")
@@ -441,7 +441,8 @@ def _evaluate_predictions(
             continue
         doc = prediction_doc(group, pred)
         if target is not None:
-            cache.put(prediction_key(replace(group, runs=result.runs)), doc)
+            if draws_as_fixed(result.runs, group.vector_batch):
+                cache.put(prediction_key(replace(group, runs=result.runs)), doc)
             doc = dict(doc, precision=pred.precision)
         cache.put(keys[i], doc)
     return preds  # type: ignore[return-value]
@@ -459,6 +460,15 @@ def _resolve_precision(
     if precision is not None:
         raise ValueError("give either precision or target_rse, not both")
     return PrecisionTarget(rse=target_rse, min_runs=min_runs, max_runs=max_runs)
+
+
+def draws_as_fixed(runs: int, vector_batch: int) -> bool:
+    """Whether *runs* runs in chunks of *vector_batch* draw exactly what
+    a fixed ``predict(runs=runs)`` call draws, which chunks at
+    ``VECTOR_BATCH``: only then is an adaptive result that spent *runs*
+    also that call's answer (for a ``min_runs`` chunk, when the
+    stopping rule stopped at its first total)."""
+    return keyed_batch(runs, vector_batch) == keyed_batch(runs, VECTOR_BATCH)
 
 
 def _vector_batch(target: PrecisionTarget | None) -> int:

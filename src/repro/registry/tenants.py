@@ -9,9 +9,10 @@ A tenant is named by the ``X-Repro-Tenant`` request header (default
   partial state (and re-uploading already-stored content is always
   free: content-addressing makes it a no-op);
 * **request rate** -- a token bucket per tenant, plugged into the
-  service's :class:`~repro.service.jobs.JobQueue` admission path so a
-  throttled tenant gets the same 429 + ``Retry-After`` contract as a
-  full queue, before any engine work is done.
+  admission of the service's evaluation queue
+  (:class:`~repro.service.batcher.MicroBatcher`) so a throttled tenant
+  gets the same 429 + ``Retry-After`` contract as a full queue, before
+  any engine work is done.
 
 Both failures carry a ``retry_after`` hint, matching the admission
 layer's existing backpressure idiom.

@@ -11,13 +11,13 @@ the request funnel a production serving layer needs:
   client uses;
 * :mod:`.server`  -- asyncio HTTP server: ``/predict``,
   ``/distributions``, ``/healthz``, ``/metrics``;
-* :mod:`.batcher` -- misses that queue while the evaluator is busy
-  share its next :func:`~repro.pevpm.predict.evaluate_with_precision`
-  call, and so only the hop to the evaluator thread; a lone miss is
-  evaluated at once;
-* :mod:`.dedup`   -- singleflight collapse of identical in-flight
-  requests;
-* :mod:`.jobs`    -- bounded admission (429 + Retry-After), deadlines
+* :mod:`.batcher` -- the evaluation queue, one entry per content key:
+  identical misses share one evaluation (singleflight), a new key
+  beyond the bound is shed (429 + Retry-After), and the misses that
+  queue while the evaluator is busy share its next
+  :func:`~repro.pevpm.predict.evaluate_with_precision` call; a lone
+  miss is evaluated at once;
+* :mod:`.jobs`    -- the overload signals: queue shedding, deadlines
   (504) and the engine-health circuit breaker (503);
 * :mod:`.faults`  -- deterministic fault injection (cache corruption,
   cache delays, evaluator stalls) behind ``repro serve --chaos``;
@@ -46,9 +46,8 @@ from .client import (
     ServiceClient,
     ServiceError,
 )
-from .dedup import LeaderCancelled, SingleFlight
 from .faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
-from .jobs import BreakerOpen, CircuitBreaker, JobQueue, JobSlot, QueueFull
+from .jobs import BreakerOpen, CircuitBreaker, QueueFull
 from .metrics import ServiceMetrics
 from .records import (
     MODELS,
@@ -72,9 +71,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "HashRing",
-    "JobQueue",
-    "JobSlot",
-    "LeaderCancelled",
     "LoadGenerator",
     "LoadResult",
     "MODELS",
@@ -90,7 +86,6 @@ __all__ = [
     "ServiceServer",
     "ServiceThread",
     "ShardRouter",
-    "SingleFlight",
     "Supervisor",
     "prediction_record",
     "routing_key_for",

@@ -1,22 +1,38 @@
-"""Micro-batching: batch the misses that queue while the evaluator is busy.
+"""The evaluation queue: one keyed, bounded queue in front of the engine.
 
-Concurrent ``/predict`` misses are handed to the engine as **one**
-:func:`~repro.pevpm.predict.evaluate_with_precision` call per batch
-(``PredictionService._evaluate_requests``).  The
-collector takes the first queued request plus whatever else is already
-queued, up to ``max_batch``, evaluates that batch, and only then looks
-at the queue again.  A lone request is therefore evaluated at once --
-no window waits for batch-mates -- and requests that arrive during an
-evaluation share the next batch.
+Every ``/predict`` miss that reaches the engine passes through one
+:class:`MicroBatcher`, which holds **one entry per content key** from
+the moment the key is first submitted until its evaluation settles:
+
+* **singleflight** -- a submit whose key is already queued or
+  evaluating shares that entry's future instead of queueing again;
+  identical requests are guaranteed the same bit-identical answer
+  (:meth:`~repro.service.records.PredictRequest.key`), so sharing never
+  changes what any client receives, only how often the engine runs;
+* **admission** -- a new key is first passed to the optional tenant
+  *limiter*, then shed with :class:`~repro.service.jobs.QueueFull` (HTTP
+  429 + ``Retry-After``) when ``limit`` entries already exist, which
+  keeps time-to-decision constant under overload;
+* **micro-batching** -- the collector takes the first queued entry plus
+  whatever else queued while the evaluator was busy, up to
+  ``max_batch``, and hands them to the engine as **one**
+  :func:`~repro.pevpm.predict.evaluate_with_precision` call
+  (``PredictionService._evaluate_requests``).  A lone request is
+  evaluated at once -- no window waits for batch-mates.
+
+An entry's future belongs to the queue, not to any caller: a waiter
+that is cancelled or times out only stops waiting.  The dispatch hands
+each evaluated item to the ``settle(key, item, result)`` callback on
+the event loop, then drops the key, then resolves the future, so a
+request arriving in between finds the result wherever *settle* put it
+(the service's cache tiers) or the entry in the queue, never neither.
 
 A batch shares only the hop to the evaluator thread.  Each request
 stays its own :class:`~repro.pevpm.parallel.RunGroup` with its own seed
 streams, so every request's times remain bit-identical to a direct
-``predict(...)`` call; compiled programs, model trees and timing
-instances are cached for the whole process, batched or not.
-
-Evaluation runs on a single dedicated executor thread, so the engine's
-timing-model state is never shared between threads.
+``predict(...)`` call.  Evaluation runs on a single dedicated executor
+thread, so the engine's timing-model state is never shared between
+threads.
 """
 
 from __future__ import annotations
@@ -25,20 +41,30 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from .jobs import QueueFull
 from .metrics import ServiceMetrics
 
 __all__ = ["MicroBatcher"]
 
 
+def _ignore(key, item, result) -> None:
+    """The default ``settle``: keep nothing."""
+
+
 class MicroBatcher:
-    """Batch ``submit()`` items that queue while the evaluator is busy.
+    """One entry per key, at most *limit* of them, batched to *evaluate*.
 
     *evaluate* is called with a list of items on the evaluator thread
     and must return one result per item **in order**; a result may be an
-    exception instance, which is re-raised to that item's awaiter only
+    exception instance, which is re-raised to that item's waiters only
     (one poisoned request must not fail its batch-mates).  *max_batch*
     caps a batch, and so how long its first request waits for its
-    batch-mates to be evaluated.
+    batch-mates to be evaluated.  *limiter*, when given, is called with
+    a new key's tenant before the *limit* check and raises to shed it
+    (e.g. the registry's ``TenantManager.admit`` token bucket), so a
+    throttled tenant cannot crowd others out of the queue.  *settle* is
+    called on the event loop with each evaluated ``(key, item, result)``
+    before the key leaves the queue.
     """
 
     def __init__(
@@ -46,12 +72,22 @@ class MicroBatcher:
         evaluate: Callable[[list], list],
         metrics: ServiceMetrics,
         max_batch: int = 8,
+        limit: int = 64,
+        limiter: Callable[[str | None], None] | None = None,
+        settle: Callable[[str, object, object], None] = _ignore,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if limit < 1:
+            raise ValueError("queue limit must be >= 1")
         self._evaluate = evaluate
         self._metrics = metrics
         self.max_batch = max_batch
+        self.limit = limit
+        self._limiter = limiter
+        self._settle = settle
+        #: key -> the future its queued or evaluating entry resolves
+        self._entries: dict[str, asyncio.Future] = {}
         #: monotonically increasing batch ordinal (trace/log correlation)
         self._batch_seq = 0
         self._pending: asyncio.Queue | None = None
@@ -60,33 +96,91 @@ class MicroBatcher:
             max_workers=1, thread_name_prefix="repro-eval"
         )
 
-    async def submit(self, item, trace=None) -> object:
-        """Queue *item* for batched evaluation; await its result.
+    def __contains__(self, key: str) -> bool:
+        """Whether *key* is queued or evaluating."""
+        return key in self._entries
 
-        With *trace*, the whole stay in the batcher -- queueing behind
-        a busy evaluator plus evaluation -- is recorded as a ``batch``
-        span, and the dispatch adds a per-request ``engine`` span
-        covering the evaluator-thread call (tagged with batch ordinal
-        and size).
+    @property
+    def inflight(self) -> int:
+        """Entries queued or evaluating (what admission bounds)."""
+        return len(self._entries)
+
+    async def submit(
+        self, key: str, item, trace=None, tenant: str | None = None
+    ) -> tuple[object, str]:
+        """Await the result of *item*, evaluated once per *key*.
+
+        Returns ``(result, source)``: ``"engine"`` for the submit that
+        queued the entry, ``"singleflight"`` for one that joined it.
+        With *trace*, the submit is recorded as a ``dedup`` annotation
+        carrying its ``role``; a new entry adds the ``admission``
+        annotation and a ``batch`` span over its stay in the queue, and
+        the dispatch an ``engine`` span over the evaluator-thread call
+        (tagged with batch ordinal and size); a joiner's wait is a
+        ``singleflight.wait`` span.
         """
+        fut = self._entries.get(key)
+        if fut is not None:
+            self._metrics.inc("repro_singleflight_hits_total")
+            if trace is None:
+                return await asyncio.shield(fut), "singleflight"
+            trace.annotate("dedup", role="follower")
+            with trace.span("singleflight.wait"):
+                return await asyncio.shield(fut), "singleflight"
+        self._metrics.inc("repro_singleflight_leads_total")
+        if trace is not None:
+            trace.annotate("dedup", role="leader")
+        self._admit(trace, tenant)
         start = None if trace is None else trace.now()
+        fut = self._entries[key] = asyncio.get_running_loop().create_future()
+        self._metrics.set_gauge("repro_queue_depth", len(self._entries))
+        if self._pending is None:
+            self._pending = asyncio.Queue()
+        if self._collector is None or self._collector.done():
+            # Crash recovery: a collector that died (or was torn down)
+            # would strand every queued entry; restart it and count the
+            # restart.
+            if self._collector is not None:
+                self._collector.cancelled() or self._collector.exception()
+                self._metrics.inc("repro_batcher_restarts_total")
+            self._collector = asyncio.create_task(self._collect())
+        self._pending.put_nowait((key, item, fut, trace))
         try:
-            fut = asyncio.get_running_loop().create_future()
-            if self._pending is None:
-                self._pending = asyncio.Queue()
-            if self._collector is None or self._collector.done():
-                # Crash recovery: a collector that died (or was torn
-                # down) would strand every queued submit in an un-awaited
-                # future; restart it and count the restart.
-                if self._collector is not None:
-                    self._collector.cancelled() or self._collector.exception()
-                    self._metrics.inc("repro_batcher_restarts_total")
-                self._collector = asyncio.create_task(self._collect())
-            self._pending.put_nowait((item, fut, trace))
-            return await fut
+            return await asyncio.shield(fut), "engine"
         finally:
             if trace is not None:
                 trace.add_span("batch", start, trace.now())
+
+    def _admit(self, trace=None, tenant: str | None = None) -> None:
+        """Admit a new entry or shed it.
+
+        The *limiter* runs first, then the *limit* check.  With
+        *trace*, the decision is recorded as an ``admission`` annotation
+        carrying the queue depth at the moment of the decision.
+        """
+        depth = len(self._entries)
+        if self._limiter is not None:
+            try:
+                self._limiter(tenant)
+            except Exception:
+                self._metrics.inc("repro_jobs_shed_total")
+                if trace is not None:
+                    trace.annotate(
+                        "admission", queue_depth=depth, status="throttled",
+                        tenant=tenant,
+                    )
+                raise
+        if depth >= self.limit:
+            self._metrics.inc("repro_jobs_shed_total")
+            self._metrics.set_gauge("repro_queue_depth", depth)
+            if trace is not None:
+                trace.annotate("admission", queue_depth=depth, status="shed")
+            raise QueueFull(self.limit)
+        self._metrics.inc("repro_jobs_admitted_total")
+        if trace is not None:
+            trace.annotate(
+                "admission", queue_depth=depth + 1, status="admitted"
+            )
 
     async def _collect(self) -> None:
         while True:
@@ -96,11 +190,17 @@ class MicroBatcher:
             try:
                 await self._dispatch(batch)
             finally:
-                for _, fut, _ in batch:
-                    # A no-op once resolved; a dispatch cut short (the
+                for key, _, fut, _ in batch:
+                    # No-ops once settled; a dispatch cut short (the
                     # collector cancelled) must not strand its waiters.
+                    self._drop(key, fut)
                     fut.cancel()
                     self._pending.task_done()
+
+    def _drop(self, key: str, fut: asyncio.Future) -> None:
+        if self._entries.get(key) is fut:
+            del self._entries[key]
+            self._metrics.set_gauge("repro_queue_depth", len(self._entries))
 
     async def _dispatch(self, batch: list[tuple]) -> None:
         self._batch_seq += 1
@@ -111,11 +211,11 @@ class MicroBatcher:
             self._metrics.inc("repro_coalesced_requests_total", len(batch) - 1)
         self._metrics.set_gauge("repro_batch_occupancy", len(batch))
         loop = asyncio.get_running_loop()
-        items = [item for item, _, _ in batch]
+        items = [item for _, item, _, _ in batch]
         # All traces of a service share one tracer clock, so one
         # timestamp pair brackets the evaluator call for every request
         # in the batch.
-        traces = [tr for _, _, tr in batch if tr is not None]
+        traces = [tr for _, _, _, tr in batch if tr is not None]
         t0 = traces[0].now() if traces else None
         try:
             results = await loop.run_in_executor(
@@ -130,16 +230,17 @@ class MicroBatcher:
                     "engine", t0, t1,
                     batch_id=batch_id, batch_size=len(batch),
                 )
-        for (_, fut, _), result in zip(batch, results):
-            if fut.done():
-                continue
+        for (key, item, fut, _), result in zip(batch, results):
+            self._settle(key, item, result)
+            self._drop(key, fut)
             if isinstance(result, BaseException):
                 fut.set_exception(result)
+                fut.exception()  # an entry nobody awaits logs nothing
             else:
                 fut.set_result(result)
 
     async def drain(self) -> None:
-        """Wait until every queued item has been evaluated and every
+        """Wait until every queued entry has been evaluated and every
         in-flight batch has resolved (the graceful-shutdown barrier:
         callers holding responses still get them)."""
         if self._pending is not None:

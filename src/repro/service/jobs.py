@@ -1,19 +1,20 @@
-"""Admission control: a bounded job queue with backpressure and deadlines.
+"""Overload signals: queue shedding, deadlines and the circuit breaker.
 
 A serving layer over a CPU-bound engine must bound its queue or latency
-grows without limit under overload.  The service admits at most
-``limit`` predictions in flight (queued in the micro-batcher or
-evaluating); requests beyond that are *shed* immediately with HTTP 429
-and a ``Retry-After`` hint, which keeps time-to-decision constant under
+grows without limit under overload.  The evaluation queue
+(:class:`~repro.service.batcher.MicroBatcher`) holds at most ``limit``
+entries, one per content key queued or evaluating; a new key beyond
+that is *shed* immediately with :class:`QueueFull` (HTTP 429 and a
+``Retry-After`` hint), which keeps time-to-decision constant under
 overload instead of letting every client time out.  Cache hits and
-singleflight followers do not occupy slots -- only work that will
-actually reach the engine is counted.
+requests that join an entry already queued take no slot -- only work
+that will actually reach the engine is counted.
 
 Deadlines are enforced at the handler: a request that cannot be answered
 within its (per-request or server-default) deadline gets HTTP 504.  The
-underlying evaluation is *not* cancelled -- it is shielded so its result
-still lands in the cache, turning a timed-out request into a warm entry
-for the next attempt.
+underlying evaluation is *not* cancelled -- its entry belongs to the
+queue, so its result still lands in the cache, turning a timed-out
+request into a warm entry for the next attempt.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from typing import Callable
 
 from .metrics import ServiceMetrics
 
-__all__ = ["BreakerOpen", "CircuitBreaker", "JobQueue", "JobSlot", "QueueFull"]
+__all__ = ["BreakerOpen", "CircuitBreaker", "QueueFull"]
 
 
 class QueueFull(RuntimeError):
-    """The job queue is at capacity; shed with 429 + Retry-After."""
+    """The evaluation queue is at capacity; shed with 429 + Retry-After."""
 
-    def __init__(self, limit: int, retry_after: float):
+    def __init__(self, limit: int, retry_after: float = 1.0):
         super().__init__(f"job queue full ({limit} in flight)")
         self.limit = limit
         self.retry_after = retry_after
@@ -41,125 +42,6 @@ class BreakerOpen(RuntimeError):
     def __init__(self, retry_after: float):
         super().__init__("circuit breaker open (engine failing)")
         self.retry_after = retry_after
-
-
-class JobSlot:
-    """One admission slot, released exactly once.
-
-    The single acquire/release point per request: every handler path --
-    success, engine error, cancellation, even a double ``__exit__`` from
-    nested cleanup -- releases the slot at most once, so no exception
-    path can leak a slot until restart (which would eventually wedge
-    admission at the 429 limit).
-    """
-
-    def __init__(self, queue: "JobQueue", trace=None, tenant: str | None = None):
-        self._queue = queue
-        self._trace = trace
-        self._tenant = tenant
-        self._held = False
-
-    def __enter__(self) -> "JobSlot":
-        self._queue.acquire(self._trace, tenant=self._tenant)
-        self._held = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def release(self) -> None:
-        if self._held:
-            self._held = False
-            self._queue.release()
-
-
-class JobQueue:
-    """Counting admission gate, used from the event-loop thread only."""
-
-    def __init__(
-        self,
-        limit: int,
-        metrics: ServiceMetrics,
-        retry_after: float = 1.0,
-        limiter: Callable[[str | None], None] | None = None,
-    ):
-        if limit < 1:
-            raise ValueError("queue limit must be >= 1")
-        self.limit = limit
-        self.retry_after = retry_after
-        #: optional per-tenant gate, called with the tenant name before
-        #: the global capacity check; raises to shed (e.g. the
-        #: registry's ``TenantManager.admit`` token bucket)
-        self.limiter = limiter
-        self._inflight = 0
-        self._peak = 0
-        self._metrics = metrics
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def peak(self) -> int:
-        return self._peak
-
-    def acquire(self, trace=None, tenant: str | None = None) -> None:
-        """Claim a slot or shed the request.
-
-        The per-tenant *limiter* (when configured) runs first, so a
-        throttled tenant cannot crowd other tenants out of the global
-        queue -- its requests are shed before they count against
-        capacity.  With *trace*, the admission decision is recorded as
-        an ``admission`` annotation carrying the queue depth at the
-        moment of the decision; either way the live depth is published
-        as the ``repro_queue_depth`` gauge.
-        """
-        if self.limiter is not None:
-            try:
-                self.limiter(tenant)
-            except Exception:
-                self._metrics.inc("repro_jobs_shed_total")
-                if trace is not None:
-                    trace.annotate(
-                        "admission",
-                        queue_depth=self._inflight,
-                        status="throttled",
-                        tenant=tenant,
-                    )
-                raise
-        if self._inflight >= self.limit:
-            self._metrics.inc("repro_jobs_shed_total")
-            self._metrics.set_gauge("repro_queue_depth", self._inflight)
-            if trace is not None:
-                trace.annotate(
-                    "admission", queue_depth=self._inflight, status="shed"
-                )
-            raise QueueFull(self.limit, self.retry_after)
-        self._inflight += 1
-        self._peak = max(self._peak, self._inflight)
-        self._metrics.inc("repro_jobs_admitted_total")
-        self._metrics.set_gauge("repro_queue_depth", self._inflight)
-        if trace is not None:
-            trace.annotate(
-                "admission", queue_depth=self._inflight, status="admitted"
-            )
-
-    def release(self) -> None:
-        if self._inflight <= 0:
-            raise RuntimeError("release without matching acquire")
-        self._inflight -= 1
-        self._metrics.set_gauge("repro_queue_depth", self._inflight)
-
-    def admit(self, trace=None, tenant: str | None = None) -> JobSlot:
-        """A fresh single-release slot guard (use ``with queue.admit():``)."""
-        return JobSlot(self, trace, tenant)
-
-    def __enter__(self) -> "JobQueue":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 class CircuitBreaker:

@@ -94,6 +94,28 @@ def unescape_label_value(value: str) -> str:
     return "".join(out)
 
 
+class _Histogram:
+    """One cumulative-bucket histogram family: per value of its one
+    *label*, a row of bucket counts (one per ``le`` bound), the +Inf
+    count and the sum.  Guarded by its :class:`ServiceMetrics` lock."""
+
+    def __init__(self, label: str, bounds: tuple):
+        self.label = label
+        self.bounds = bounds
+        #: label value -> [bucket cumulative counts..., +Inf count, sum]
+        self.rows: dict[str, list[float]] = {}
+
+    def observe(self, value: str, x: float) -> None:
+        row = self.rows.get(value)
+        if row is None:
+            row = self.rows[value] = [0.0] * (len(self.bounds) + 2)
+        for i, bound in enumerate(self.bounds):
+            if x <= bound:
+                row[i] += 1.0
+        row[-2] += 1.0  # +Inf
+        row[-1] += x  # sum
+
+
 def _label_str(labels) -> str:
     """Render a ``(key, value)`` label tuple as ``{k="v",...}``."""
     if not labels:
@@ -128,11 +150,12 @@ class ServiceMetrics:
         self._counters: dict[tuple[str, tuple], float] = {}
         #: endpoint -> bounded deque of latency samples (seconds)
         self._latencies: dict[str, deque] = {}
-        #: stage -> [bucket cumulative counts..., +Inf count, sum]
-        self._stages: dict[str, list[float]] = {}
-        #: mode ("adaptive" | "fixed") -> runs-spent histogram row,
-        #: same [buckets..., +Inf, sum] layout as the stage rows
-        self._runs: dict[str, list[float]] = {}
+        #: name -> histogram family: per-stage seconds, and Monte Carlo
+        #: runs spent per mode ("adaptive" | "fixed")
+        self._histograms = {
+            "repro_stage_seconds": _Histogram("stage", STAGE_BUCKETS),
+            "repro_prediction_runs": _Histogram("mode", RUNS_BUCKETS),
+        }
         #: (name, labels-tuple) -> stored gauge value
         self._gauges: dict[tuple[str, tuple], float] = {}
         #: (name, labels-tuple) -> callable sampled at render time
@@ -156,19 +179,15 @@ class ServiceMetrics:
                 buf = self._latencies[endpoint] = deque(maxlen=self._reservoir)
         buf.append(seconds)
 
+    def _observe(self, name: str, value: str, x: float) -> None:
+        with self._lock:
+            self._histograms[name].observe(value, x)
+
     def observe_stage(self, stage: str, seconds: float) -> None:
         """Record one per-stage duration into the stage histogram
         (``repro_stage_seconds{stage=...}``) -- called with funnel-span
         and engine-phase durations by the tracing layer."""
-        with self._lock:
-            row = self._stages.get(stage)
-            if row is None:
-                row = self._stages[stage] = [0.0] * (len(STAGE_BUCKETS) + 2)
-            for i, bound in enumerate(STAGE_BUCKETS):
-                if seconds <= bound:
-                    row[i] += 1.0
-            row[-2] += 1.0  # +Inf
-            row[-1] += seconds  # sum
+        self._observe("repro_stage_seconds", stage, seconds)
 
     def observe_runs(self, runs: int, mode: str) -> None:
         """Record the Monte Carlo run count of one engine-served
@@ -176,15 +195,7 @@ class ServiceMetrics:
         ``"adaptive"`` (stopping rule decided the spend) or ``"fixed"``
         (the request pinned it), so the runs-saved story of adaptive
         mode is readable straight off ``/metrics``."""
-        with self._lock:
-            row = self._runs.get(mode)
-            if row is None:
-                row = self._runs[mode] = [0.0] * (len(RUNS_BUCKETS) + 2)
-            for i, bound in enumerate(RUNS_BUCKETS):
-                if runs <= bound:
-                    row[i] += 1.0
-            row[-2] += 1.0  # +Inf
-            row[-1] += runs  # sum
+        self._observe("repro_prediction_runs", mode, runs)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Store a gauge value (last write wins)."""
@@ -229,23 +240,32 @@ class ServiceMetrics:
         except Exception:
             return None
 
+    def _count_sum(self, name: str, value: str) -> tuple[int, float]:
+        """(observations, sum) of one histogram row."""
+        with self._lock:
+            row = self._histograms[name].rows.get(value)
+            return (0, 0.0) if row is None else (int(row[-2]), row[-1])
+
     def stage_count(self, stage: str) -> int:
         """Observations recorded for one stage histogram."""
-        with self._lock:
-            row = self._stages.get(stage)
-            return 0 if row is None else int(row[-2])
+        return self._count_sum("repro_stage_seconds", stage)[0]
 
     def runs_count(self, mode: str) -> int:
         """Predictions recorded in the runs-spent histogram for *mode*."""
-        with self._lock:
-            row = self._runs.get(mode)
-            return 0 if row is None else int(row[-2])
+        return self._count_sum("repro_prediction_runs", mode)[0]
 
     def runs_sum(self, mode: str) -> float:
         """Total Monte Carlo runs spent across *mode*'s predictions."""
+        return self._count_sum("repro_prediction_runs", mode)[1]
+
+    def _histogram_rows(self) -> list[tuple[str, _Histogram, list]]:
+        """(name, family, sorted (label value, row copy) pairs) of each
+        histogram family, in a consistent snapshot."""
         with self._lock:
-            row = self._runs.get(mode)
-            return 0.0 if row is None else row[-1]
+            return [
+                (name, hist, sorted((k, list(v)) for k, v in hist.rows.items()))
+                for name, hist in self._histograms.items()
+            ]
 
     def latency_histogram(self, endpoint: str) -> Histogram | None:
         buf = self._latencies.get(endpoint)
@@ -275,8 +295,6 @@ class ServiceMetrics:
         """JSON-able view of every counter, gauge and latency summary."""
         with self._lock:
             items = sorted(self._counters.items())
-            stage_rows = {k: list(v) for k, v in self._stages.items()}
-            runs_rows = {k: list(v) for k, v in self._runs.items()}
         counters: dict[str, float] = {}
         for (name, labels), value in items:
             counters[name + _label_str(labels)] = value
@@ -294,21 +312,18 @@ class ServiceMetrics:
                 "mean": hist.mean,
                 **{f"p{int(q * 100)}": hist.quantile(q) for q in QUANTILES},
             }
-        stages = {
-            stage: {"count": int(row[-2]), "sum": row[-1]}
-            for stage, row in sorted(stage_rows.items())
-        }
-        runs = {
-            mode: {"count": int(row[-2]), "sum": row[-1]}
-            for mode, row in sorted(runs_rows.items())
-        }
-        return {
+        snap = {
             "counters": counters,
             "gauges": gauges,
             "latency_seconds": latencies,
-            "stage_seconds": stages,
-            "prediction_runs": runs,
         }
+        for name, _, rows in self._histogram_rows():
+            # repro_stage_seconds -> "stage_seconds", and so on
+            snap[name.removeprefix("repro_")] = {
+                value: {"count": int(row[-2]), "sum": row[-1]}
+                for value, row in rows
+            }
+        return snap
 
     # -- exposition ----------------------------------------------------------------
     def _stamped(self, labels: tuple) -> tuple:
@@ -333,44 +348,19 @@ class ServiceMetrics:
                 seen_names.add(name)
                 lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name}{_label_str(self._stamped(labels))} {value:g}")
-        with self._lock:
-            stage_rows = sorted(
-                (k, list(v)) for k, v in self._stages.items()
-            )
-        if stage_rows:
-            lines.append("# TYPE repro_stage_seconds histogram")
-        for stage, row in stage_rows:
-            base = self._stamped((("stage", stage),))
-            lbl = _label_str(base)[1:-1]  # inner 'k="v",...' text
-            for bound, count in zip(STAGE_BUCKETS, row):
-                lines.append(
-                    f'repro_stage_seconds_bucket{{{lbl},le="{bound:g}"}} '
-                    f"{count:g}"
-                )
-            lines.append(
-                f'repro_stage_seconds_bucket{{{lbl},le="+Inf"}} '
-                f"{row[-2]:g}"
-            )
-            lines.append(f"repro_stage_seconds_count{{{lbl}}} {row[-2]:g}")
-            lines.append(f"repro_stage_seconds_sum{{{lbl}}} {row[-1]:.6g}")
-        with self._lock:
-            runs_rows = sorted((k, list(v)) for k, v in self._runs.items())
-        if runs_rows:
-            lines.append("# TYPE repro_prediction_runs histogram")
-        for mode, row in runs_rows:
-            base = self._stamped((("mode", mode),))
-            lbl = _label_str(base)[1:-1]
-            for bound, count in zip(RUNS_BUCKETS, row):
-                lines.append(
-                    f'repro_prediction_runs_bucket{{{lbl},le="{bound:g}"}} '
-                    f"{count:g}"
-                )
-            lines.append(
-                f'repro_prediction_runs_bucket{{{lbl},le="+Inf"}} '
-                f"{row[-2]:g}"
-            )
-            lines.append(f"repro_prediction_runs_count{{{lbl}}} {row[-2]:g}")
-            lines.append(f"repro_prediction_runs_sum{{{lbl}}} {row[-1]:g}")
+        for name, hist, rows in self._histogram_rows():
+            if rows:
+                lines.append(f"# TYPE {name} histogram")
+            for value, row in rows:
+                base = self._stamped(((hist.label, value),))
+                lbl = _label_str(base)[1:-1]  # inner 'k="v",...' text
+                for bound, count in zip(hist.bounds, row):
+                    lines.append(
+                        f'{name}_bucket{{{lbl},le="{bound:g}"}} {count:g}'
+                    )
+                lines.append(f'{name}_bucket{{{lbl},le="+Inf"}} {row[-2]:g}')
+                lines.append(f"{name}_count{{{lbl}}} {row[-2]:g}")
+                lines.append(f"{name}_sum{{{lbl}}} {row[-1]:g}")
         for endpoint in sorted(self._latencies):
             buf = self._latencies[endpoint]
             hist = self.latency_histogram(endpoint)

@@ -223,8 +223,6 @@ class PredictRequest:
     timing_mode: str = "distribution"
     timing_source: str = "nxp"
     nic_serialisation: str = "tx"
-    #: runs per batched-VM chunk of a static program
-    vector_batch: int = VECTOR_BATCH
     deadline_s: float | None = None  #: per-request deadline override
     #: registry ref (alias or fingerprint) of the distribution database
     #: to predict against; ``None`` means the service's startup default
@@ -246,7 +244,7 @@ class PredictRequest:
         known = {
             "model", "nprocs", "model_params", "ppn", "runs", "seed",
             "timing_mode", "timing_source", "nic_serialisation",
-            "vector_batch", "deadline_s", "db",
+            "deadline_s", "db",
             "target_rse", "min_runs", "max_runs",
         }
         unknown = set(doc) - known
@@ -313,14 +311,6 @@ class PredictRequest:
         min_runs = _as_int(doc.get("min_runs", 4), "min_runs", 2)
         max_runs = _as_int(doc.get("max_runs", 256), "max_runs", 2)
         _require(max_runs >= min_runs, "max_runs must be >= min_runs")
-        if "vector_batch" in doc:
-            vector_batch = _as_int(doc.get("vector_batch"), "vector_batch", 1)
-        elif target_rse is not None:
-            # Adaptive chunks default to min_runs so a loose target can
-            # stop after its first chunk instead of a full default chunk.
-            vector_batch = min_runs
-        else:
-            vector_batch = VECTOR_BATCH
         return cls(
             model=model,
             nprocs=nprocs,
@@ -331,7 +321,6 @@ class PredictRequest:
             timing_mode=mode,
             timing_source=source,
             nic_serialisation=nic,
-            vector_batch=vector_batch,
             deadline_s=None if deadline is None else float(deadline),
             db=db_ref,
             target_rse=None if target_rse is None else float(target_rse),
@@ -343,6 +332,13 @@ class PredictRequest:
     def adaptive(self) -> bool:
         """Whether the run count is decided by the stopping rule."""
         return self.target_rse is not None
+
+    @property
+    def vector_batch(self) -> int:
+        """Runs per batched-VM chunk: the chunk ``predict()`` picks, 64
+        for a fixed run count and ``min_runs`` under a target (a loose
+        target can then stop after its first chunk)."""
+        return self.min_runs if self.adaptive else VECTOR_BATCH
 
     def precision_target(self):
         """The :class:`repro.stats.PrecisionTarget` of an adaptive
@@ -380,11 +376,12 @@ class PredictRequest:
         return doc
 
     def fixed_canonical(self, runs: int) -> dict:
-        """The canonical form of the *equivalent fixed request* of an
-        adaptive one: same content, ``runs`` pinned to the stopping
-        rule's achieved total, no precision block.  Adaptive results are
-        bit-identical to this request's by construction, so caching them
-        under its key lets later ``runs=N`` requests hit."""
+        """The canonical form of the fixed request of an adaptive one:
+        same content, ``runs`` pinned to the stopping rule's achieved
+        total, no precision block.  When the two draw the same chunks
+        (:func:`~repro.pevpm.predict.draws_as_fixed`) their results are
+        bit-identical, so caching the adaptive result under this key
+        lets a later ``runs=N`` request hit."""
         doc = self.canonical()
         doc.pop("precision", None)
         doc["runs"] = runs

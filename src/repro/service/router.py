@@ -16,11 +16,11 @@ Fault handling, in preference-ring order:
   retries the request against the key's next ring owner.  Only the dead
   shard's hash range moves; every other key keeps its owner, and
   :meth:`mark_up` snaps the range back after restart.
-* **shedding shard** -- a 503 (open circuit breaker, draining, or a
-  cancelled singleflight leader) is *per-process* state, so the router
-  retries once against the key's failover owner instead of bouncing the
-  client; 429 admission shedding is returned verbatim (overload must
-  stay visible to closed-loop clients).
+* **shedding shard** -- a 503 (open circuit breaker or draining) is
+  *per-process* state, so the router retries once against the key's
+  failover owner instead of bouncing the client; 429 admission shedding
+  is returned verbatim (overload must stay visible to closed-loop
+  clients).
 
 Every ``/predict`` response gains an ``X-Repro-Shard`` header naming
 the serving shard.  ``/metrics`` aggregates all live shards'
@@ -44,9 +44,9 @@ from .sharding import HashRing
 __all__ = ["Backend", "ShardRouter"]
 
 #: shard statuses a router retries against the failover owner: breaker
-#: open / draining / leader-cancelled are per-process conditions another
-#: shard may well not share.  429 is deliberately absent -- admission
-#: shedding is load, and load must surface to the client.
+#: open and draining are per-process conditions another shard may well
+#: not share.  429 is deliberately absent -- admission shedding is load,
+#: and load must surface to the client.
 FAILOVER_STATUSES = (503,)
 
 #: headers copied from the client request onto the forwarded request

@@ -27,15 +27,15 @@ exposing the PEVPM engine and the MPIBench distribution database:
 
 The ``/predict`` funnel, in order: parse/validate -> content key ->
 memory tier (a hit answers at once with its stored response body) ->
-disk cache (:mod:`repro.cas`) -> singleflight (:mod:`.dedup`) ->
-admission (:mod:`.jobs`, 429 when full) -> micro-batcher
-(:mod:`.batcher`, which batches what queues while the evaluator is
-busy) -> :func:`~repro.pevpm.predict.evaluate_with_precision`.
-Deadlines produce 504 without cancelling the evaluation (the result
-still warms the cache).  Every stage preserves the reproducibility
-contract: a served response's ``times`` are bit-identical to the same
-``predict(...)`` call made directly with the seed and engine flags the
-response echoes back.
+disk cache (:mod:`repro.cas`) -> the evaluation queue
+(:mod:`.batcher`: one entry per key, shared by identical requests,
+429 when full, batching what queues while the evaluator is busy) ->
+:func:`~repro.pevpm.predict.evaluate_with_precision`.  Deadlines
+produce 504 without cancelling the evaluation (the queue owns it, and
+its result still warms the cache).  Every stage preserves the
+reproducibility contract: a served response's ``times`` are
+bit-identical to the same ``predict(...)`` call made directly with the
+seed and engine flags the response echoes back.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from ..pevpm.parallel import RunGroup, as_seed_sequence
 from ..pevpm.predict import (
     PredictionCache,
     build_prediction,
+    draws_as_fixed,
     evaluate_with_precision,
     precision_doc,
     prediction_doc,
@@ -75,32 +76,32 @@ from ..registry.store import NotOwner
 from ..simnet import perseus
 from ..trace_import import ProgramStore, TraceError, parse_trace
 from .batcher import MicroBatcher
-from .dedup import LeaderCancelled, SingleFlight
 from .faults import FaultPlan
 from .http import HTTPServer, LoopThread
-from .jobs import BreakerOpen, CircuitBreaker, JobQueue, QueueFull
+from .jobs import BreakerOpen, CircuitBreaker, QueueFull
 from .metrics import ServiceMetrics
 from .records import MODELS, PredictRequest, RequestError, prediction_record
 
 __all__ = ["PredictionService", "ServiceServer", "ServiceThread"]
 
-#: response bodies one memory-tier entry keeps: one per echo seen, the
-#: oldest dropped first, so a client varying an echoed field cannot
+#: response bodies one memory-tier entry keeps: one per ``db`` ref
+#: seen, the oldest dropped first, so a client varying the ref cannot
 #: grow an entry without bound
 _BODIES_PER_ENTRY = 4
 
 
 class _Cached:
     """A memory-tier entry: one finished document and the ``/predict``
-    response bodies rendered from it.  A body also depends on the two
-    request fields a record echoes that its key does not fix -- the
-    ``db`` ref and the raw ``vector_batch`` -- so it is kept per echo."""
+    response bodies rendered from it.  A body also depends on the one
+    request field a record echoes that its key does not fix -- the
+    ``db`` ref (an alias and the fingerprint it names share a key) --
+    so it is kept per ref."""
 
     __slots__ = ("doc", "bodies")
 
     def __init__(self, doc: dict):
         self.doc = doc
-        self.bodies: dict[tuple, bytes] = {}
+        self.bodies: dict[str | None, bytes] = {}
 
 
 class PredictionService:
@@ -157,7 +158,6 @@ class PredictionService:
         # re-evaluating the request.
         self.lru = LRU(lru_size)
         self.disk = PredictionCache(cache_dir) if cache_dir else None
-        self.dedup = SingleFlight(self.metrics)
         # The registry is the data plane the service reads through: the
         # injected startup db is entry zero (registered under its
         # content fingerprint and frozen -- post-registration mutation
@@ -207,9 +207,6 @@ class PredictionService:
                 )
         if fault_injector is not None:
             fault_injector.stores = stores
-        self.jobs = JobQueue(
-            queue_limit, self.metrics, limiter=self.tenants.admit
-        )
         self.metrics.register_gauge(
             "repro_registry_dbs", lambda: len(self.registry)
         )
@@ -224,7 +221,12 @@ class PredictionService:
         #: set by graceful shutdown: new predictions are shed with 503
         self.draining = False
         self.batcher = MicroBatcher(
-            self._evaluate_requests, self.metrics, max_batch=max_batch
+            self._evaluate_requests,
+            self.metrics,
+            max_batch=max_batch,
+            limit=queue_limit,
+            limiter=self.tenants.admit,
+            settle=self._settle,
         )
         # Evaluator-thread caches: model trees and timing instances are
         # deterministic per key and reused across requests (both engines
@@ -375,60 +377,44 @@ class PredictionService:
         return results
 
     # -- request funnel (event-loop thread) -----------------------------------
-    async def _engine_submit(
-        self, req: PredictRequest, trace=None, tenant: str | None = None
-    ) -> dict:
-        """Admit one request to the engine, with breaker accounting.
-
-        The breaker watches engine *health*: infrastructure failures
-        (an evaluator crash) count against it;
-        request-shaped outcomes (deadlocking models, bad requests,
-        shedding, throttling, cancellation) do not.
-        """
-        if not self.breaker.allow():
-            raise BreakerOpen(self.breaker.retry_after)
-        try:
-            with self.jobs.admit(trace, tenant=tenant):
-                doc = await self.batcher.submit(req, trace)
-        except (
-            QueueFull, TenantThrottled, ModelDeadlock, RequestError,
-            asyncio.CancelledError,
-        ):
-            # Non-counting outcome: if this request was the half-open
-            # probe, free the probe slot so the next request can probe
-            # (otherwise the breaker wedges open until restart).
-            self.breaker.release_probe()
-            raise
-        except Exception:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return doc
-
     async def _predict(
         self, req: PredictRequest, key: str, trace=None,
         tenant: str | None = None,
     ) -> tuple[dict, str]:
-        """Resolve one validated request to (document, served-from)."""
+        """Resolve one validated request to (document, served-from).
+
+        Only a new key asks the breaker: a request joining an entry
+        already queued adds no engine work.
+        """
         doc = self._cache_get(key, trace)
         if doc is not None:
             return doc, "cache"
-        leader, fut = self.dedup.claim(key, trace)
-        if not leader:
-            if trace is None:
-                doc, _ = await fut
-            else:
-                with trace.span("singleflight.wait"):
-                    doc, _ = await fut
-            return doc, "singleflight"
+        if key not in self.batcher and not self.breaker.allow():
+            raise BreakerOpen(self.breaker.retry_after)
         try:
-            doc = await self._engine_submit(req, trace, tenant)
-            self._cache_store(req, key, doc)
-            self.dedup.resolve(key, (doc, "engine"))
-            return doc, "engine"
-        except BaseException as exc:
-            self.dedup.reject(key, exc)
+            return await self.batcher.submit(key, req, trace, tenant)
+        except (QueueFull, TenantThrottled):
+            # A shed half-open probe frees the probe slot, or the
+            # breaker wedges open until restart.
+            self.breaker.release_probe()
             raise
+
+    def _settle(self, key: str, req: PredictRequest, result) -> None:
+        """Account one finished evaluation (on the event loop, before
+        its key leaves the queue), whether or not anyone still waits.
+
+        The breaker watches engine *health*: infrastructure failures
+        (an evaluator crash) count against it; request-shaped failures
+        (deadlocking models, bad requests) only free a probe slot.  A
+        document is stored in the cache tiers.
+        """
+        if isinstance(result, (ModelDeadlock, RequestError)):
+            self.breaker.release_probe()
+        elif isinstance(result, BaseException):
+            self.breaker.record_failure()
+        else:
+            self.breaker.record_success()
+            self._cache_store(req, key, result)
 
     def _cache_get(self, key: str, trace=None) -> dict | None:
         """Memory tier, then disk (promoting a hit); traced as a ``cache``
@@ -458,8 +444,8 @@ class PredictionService:
         miss, which records nothing: :meth:`_cache_get` counts it.
 
         A hit is counted and traced as :meth:`_cache_get` does.  Its
-        body is rendered on the entry's first hit with this echo and
-        reused until the entry is evicted or replaced."""
+        body is rendered on the entry's first hit with this ``db`` ref
+        and reused until the entry is evicted or replaced."""
         start = None if trace is None else trace.now()
         entry = self.lru.get(key)
         if entry is None:
@@ -467,13 +453,12 @@ class PredictionService:
         self.metrics.inc("repro_cache_hits_total", tier="memory")
         if trace is not None:
             trace.add_span("cache", start, trace.now(), tier="memory")
-        echo = (req.db, req.vector_batch)
-        body = entry.bodies.get(echo)
+        body = entry.bodies.get(req.db)
         if body is None:
             if len(entry.bodies) >= _BODIES_PER_ENTRY:
                 del entry.bodies[next(iter(entry.bodies))]
             record = self._record(req, entry.doc, "cache", fingerprint, key)
-            body = entry.bodies[echo] = json.dumps(record).encode()
+            body = entry.bodies[req.db] = json.dumps(record).encode()
         return body
 
     def _remember(self, key: str, doc: dict) -> None:
@@ -495,22 +480,21 @@ class PredictionService:
     def _cache_store(self, req: PredictRequest, key: str, doc: dict) -> None:
         """Persist one engine result in the cache tiers.
 
-        Adaptive results are additionally stored -- with the
-        ``precision`` provenance stripped -- under the key of the
-        *equivalent fixed request* at the achieved run count: adaptive
-        and fixed evaluations of the same content are bit-identical by
-        construction, so a later ``runs=N`` request is a cache hit
-        instead of a re-evaluation.
+        An adaptive result is also stored -- with the ``precision``
+        provenance stripped -- under the key of the fixed request at
+        the achieved run count, when that request draws the same
+        chunks: a stopping rule that stopped at its first total.  A
+        later ``runs=N`` request is then a cache hit instead of a
+        re-evaluation.
         """
         self._cache_put(key, doc)
-        if req.adaptive and isinstance(doc.get("times"), list):
+        runs = len(doc["times"])
+        if req.adaptive and draws_as_fixed(runs, req.vector_batch):
             fixed_doc = {k: v for k, v in doc.items() if k != "precision"}
             fingerprint = (
                 getattr(req, "_registry_fpr", None) or self.db_fingerprint
             )
-            self._cache_put(
-                req.fixed_key(fingerprint, len(doc["times"])), fixed_doc
-            )
+            self._cache_put(req.fixed_key(fingerprint, runs), fixed_doc)
 
     async def handle_predict(
         self, body: object, headers: dict | None = None
@@ -704,21 +688,14 @@ class PredictionService:
         if hit is not None:
             return 200, {}, hit, "cache"
         deadline = req.deadline_s if req.deadline_s is not None else self.deadline_s
-        # Shield the resolution task: a caller hitting its deadline must
-        # not cancel a shared evaluation; the late result still lands in
-        # the cache for the next attempt.
-        task = asyncio.ensure_future(self._predict(req, key, trace, tenant))
         try:
+            # A caller hitting its deadline only stops waiting: the
+            # queue still settles the evaluation into the cache.
             doc, source = await asyncio.wait_for(
-                asyncio.shield(task), timeout=deadline
+                self._predict(req, key, trace, tenant), timeout=deadline
             )
         except asyncio.TimeoutError:
             self.metrics.inc("repro_deadline_exceeded_total")
-            # Observe (and discard) a late error so asyncio never logs a
-            # "never retrieved" warning for the shielded task.
-            task.add_done_callback(
-                lambda t: None if t.cancelled() else t.exception()
-            )
             return (
                 504,
                 {},
@@ -754,14 +731,6 @@ class PredictionService:
                     "error": "circuit breaker open",
                     "retry_after_s": retry_after,
                 },
-                None,
-            )
-        except LeaderCancelled as exc:
-            self.metrics.inc("repro_leader_cancelled_total")
-            return (
-                503,
-                {"Retry-After": "0.1"},
-                {"error": str(exc)},
                 None,
             )
         except ModelDeadlock as exc:
@@ -1173,8 +1142,8 @@ class PredictionService:
             "cluster": self.db.cluster,
             "models": sorted(MODELS),
             "db_fingerprint": self.db_fingerprint,
-            "inflight": self.jobs.inflight,
-            "queue_limit": self.jobs.limit,
+            "inflight": self.batcher.inflight,
+            "queue_limit": self.batcher.limit,
             "lru_entries": len(self.lru),
             "breaker": self.breaker.state,
             "draining": self.draining,

@@ -180,6 +180,24 @@ class TestAdaptiveCache:
         assert fixed.times == adaptive.times
         assert fixed.precision is None  # fixed key serves a plain doc
 
+    @pytest.mark.parametrize("target_rse, entries", [(1e-9, 1), (0.9, 2)])
+    def test_fixed_twin_written_only_when_the_chunks_agree(
+        self, db, jacobi_params, tmp_path, target_rse, entries
+    ):
+        # 16 runs in chunks of min_runs=4 draw otherwise than runs=16 in
+        # one chunk of 64; a first total of 4 draws alike.
+        adaptive = _predict(
+            db, jacobi_params, seed=5, target_rse=target_rse, max_runs=16,
+            cache_dir=tmp_path,
+        )
+        assert adaptive.runs == (16 if entries == 1 else 4)
+        assert len(list(tmp_path.rglob("predict-*.json"))) == entries
+        fixed = _predict(
+            db, jacobi_params, seed=5, runs=adaptive.runs, cache_dir=tmp_path
+        )
+        assert fixed.cached == (entries == 2)
+        assert (fixed.times == adaptive.times) == (entries == 2)
+
     def test_different_targets_do_not_collide(self, db, jacobi_params, tmp_path):
         a = _predict(db, jacobi_params, seed=7, target_rse=0.5, cache_dir=tmp_path)
         b = _predict(

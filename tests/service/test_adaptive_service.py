@@ -68,16 +68,38 @@ class TestAdaptiveServing:
         assert adaptive["runs"] < fixed["runs"] == 16
 
     def test_fixed_runs_request_hits_adaptive_result(self, db, tmp_path):
-        # Adaptive vector requests chunk at min_runs, so the equivalent
-        # fixed request must pin the same vector_batch to share content.
+        # Adaptive requests chunk at min_runs; a loose target stops at
+        # its first total, one chunk, which a fixed request of that
+        # many runs draws alike.
         with serve(db, cache_dir=tmp_path) as (_service, client):
             adaptive = client.predict(**adaptive_request(min_runs=4))
-            fixed = client.predict(
-                **jacobi_request(runs=adaptive["runs"], vector_batch=4)
-            )
+            fixed = client.predict(**jacobi_request(runs=adaptive["runs"]))
+        assert adaptive["runs"] == 4
         assert fixed["served_from"] == "cache"
         assert fixed["times"] == adaptive["times"]
         assert "precision" not in fixed
+
+    @pytest.mark.parametrize("target_rse, entries", [(1e-9, 1), (0.9, 2)])
+    def test_fixed_twin_stored_only_when_the_chunks_agree(
+        self, db, tmp_path, target_rse, entries
+    ):
+        adaptive = adaptive_request(seed=5, target_rse=target_rse, max_runs=16)
+
+        async def scenario(service):
+            _, _, first = await service.handle_predict(adaptive)
+            stored = (
+                len(service.lru), len(list(tmp_path.rglob("predict-*.json")))
+            )
+            fixed = jacobi_request(seed=5, runs=first["runs"])
+            return first, stored, fixed, (await service.handle_predict(fixed))
+
+        first, stored, fixed, (_, _, served) = run_service(
+            db, scenario, cache_dir=tmp_path
+        )
+        assert first["runs"] == (16 if entries == 1 else 4)
+        assert stored == (entries, entries)
+        assert served["served_from"] == ("cache" if entries == 2 else "engine")
+        assert served["times"] == direct_jacobi(db, fixed).times
 
     def test_repeat_adaptive_request_cached(self, db, tmp_path):
         request = adaptive_request()

@@ -1,12 +1,13 @@
 """Unit tests for the service building blocks.
 
-Each funnel stage -- metrics, admission, singleflight, cache tiers,
-micro-batcher, request schema -- is exercised in isolation here; the
-end-to-end behaviour (and the reproducibility contract) is covered by
-``test_service_e2e.py``.
+Each funnel stage -- metrics, cache tiers, the evaluation queue
+(singleflight, admission, micro-batching), request schema -- is
+exercised in isolation here; the end-to-end behaviour (and the
+reproducibility contract) is covered by ``test_service_e2e.py``.
 """
 
 import asyncio
+import gc
 import threading
 
 import pytest
@@ -14,14 +15,12 @@ import pytest
 from repro.mpibench import DistributionDB
 from repro.pevpm.parallel import VECTOR_BATCH
 from repro.service import (
-    JobQueue,
     MicroBatcher,
     PredictionService,
     PredictRequest,
     QueueFull,
     RequestError,
     ServiceMetrics,
-    SingleFlight,
 )
 
 pytestmark = pytest.mark.service
@@ -93,72 +92,6 @@ class TestServiceMetrics:
         for t in threads:
             t.join()
         assert m.counter("repro_evaluation_errors_total") == 4 * per_thread
-
-
-class TestJobQueue:
-    def test_sheds_beyond_limit(self):
-        m = ServiceMetrics()
-        q = JobQueue(2, m, retry_after=0.5)
-        q.acquire()
-        q.acquire()
-        with pytest.raises(QueueFull) as exc_info:
-            q.acquire()
-        assert exc_info.value.limit == 2
-        assert exc_info.value.retry_after == 0.5
-        assert q.inflight == 2
-        assert q.peak == 2
-        assert m.counter("repro_jobs_admitted_total") == 2
-        assert m.counter("repro_jobs_shed_total") == 1
-
-    def test_context_manager_releases_on_error(self):
-        q = JobQueue(1, ServiceMetrics())
-        with pytest.raises(RuntimeError):
-            with q:
-                assert q.inflight == 1
-                raise RuntimeError("boom")
-        assert q.inflight == 0
-
-    def test_release_without_acquire_rejected(self):
-        q = JobQueue(1, ServiceMetrics())
-        with pytest.raises(RuntimeError):
-            q.release()
-
-    def test_limit_validated(self):
-        with pytest.raises(ValueError):
-            JobQueue(0, ServiceMetrics())
-
-
-class TestSingleFlight:
-    def test_leader_and_followers_share_result(self):
-        async def scenario():
-            m = ServiceMetrics()
-            sf = SingleFlight(m)
-            leader, fut = sf.claim("k")
-            follower, fut2 = sf.claim("k")
-            assert leader and not follower
-            assert fut is fut2
-            assert sf.inflight == 1
-            sf.resolve("k", 42)
-            assert await fut2 == 42
-            assert sf.inflight == 0
-            # Key is released: the next claimant leads again.
-            leader_again, _ = sf.claim("k")
-            assert leader_again
-            assert m.counter("repro_singleflight_hits_total") == 1
-            assert m.counter("repro_singleflight_leads_total") == 2
-
-        asyncio.run(scenario())
-
-    def test_reject_propagates_to_followers(self):
-        async def scenario():
-            sf = SingleFlight(ServiceMetrics())
-            _, fut = sf.claim("k")
-            sf.claim("k")
-            sf.reject("k", RuntimeError("engine failed"))
-            with pytest.raises(RuntimeError, match="engine failed"):
-                await fut
-
-        asyncio.run(scenario())
 
 
 class TestTieredCache:
@@ -264,10 +197,12 @@ class TestMicroBatcher:
             try:
                 # Submitted in one event-loop turn: all four are queued
                 # before the collector first looks at the queue.
-                results = await asyncio.gather(*(b.submit(i) for i in range(4)))
+                results = await asyncio.gather(
+                    *(b.submit(i, i) for i in range(4))
+                )
             finally:
                 b.close()
-            assert results == [0, 10, 20, 30]
+            assert results == [(i * 10, "engine") for i in range(4)]
             assert len(batches) == 1
             assert m.counter("repro_batches_total") == 1
             assert m.counter("repro_batched_requests_total") == 4
@@ -285,7 +220,7 @@ class TestMicroBatcher:
         async def scenario():
             b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=2)
             try:
-                await asyncio.gather(*(b.submit(i) for i in range(5)))
+                await asyncio.gather(*(b.submit(i, i) for i in range(5)))
             finally:
                 b.close()
             assert [len(batch) for batch in batches] == [2, 2, 1]
@@ -301,12 +236,12 @@ class TestMicroBatcher:
         async def scenario():
             b = MicroBatcher(list, m, max_batch=8)
             try:
-                fut = asyncio.ensure_future(b.submit(7))
+                fut = asyncio.ensure_future(b.submit(7, 7))
                 turns = 0
                 while m.counter("repro_batches_total") == 0 and turns < 10**4:
                     await asyncio.sleep(0)
                     turns += 1
-                assert await fut == 7
+                assert await fut == (7, "engine")
             finally:
                 b.close()
             return turns
@@ -321,17 +256,20 @@ class TestMicroBatcher:
 
         async def scenario():
             b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=max_batch)
-            first = asyncio.ensure_future(b.submit(-1))
+            first = asyncio.ensure_future(b.submit(-1, -1))
             try:
                 await wait_until(lambda: batches)  # evaluator busy
                 later = [
-                    asyncio.ensure_future(b.submit(i)) for i in range(queued)
+                    asyncio.ensure_future(b.submit(i, i))
+                    for i in range(queued)
                 ]
                 await asyncio.sleep(0.01)  # they queue behind the batch
                 assert batches == [[-1]]
                 release.set()
-                assert await first == -1
-                assert await asyncio.gather(*later) == list(range(queued))
+                assert await first == (-1, "engine")
+                assert await asyncio.gather(*later) == [
+                    (i, "engine") for i in range(queued)
+                ]
             finally:
                 release.set()
                 b.close()
@@ -349,11 +287,11 @@ class TestMicroBatcher:
             b = MicroBatcher(evaluate, ServiceMetrics())
             try:
                 good, bad = await asyncio.gather(
-                    b.submit(2), b.submit(3), return_exceptions=True
+                    b.submit(2, 2), b.submit(3, 3), return_exceptions=True
                 )
             finally:
                 b.close()
-            assert good == 2
+            assert good == (2, "engine")
             assert isinstance(bad, ValueError)
 
         asyncio.run(scenario())
@@ -366,7 +304,7 @@ class TestMicroBatcher:
             b = MicroBatcher(evaluate, ServiceMetrics())
             try:
                 results = await asyncio.gather(
-                    b.submit(1), b.submit(2), return_exceptions=True
+                    b.submit(1, 1), b.submit(2, 2), return_exceptions=True
                 )
             finally:
                 b.close()
@@ -384,7 +322,7 @@ class TestMicroBatcher:
         async def scenario():
             b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=1)
             try:
-                await asyncio.gather(*(b.submit(i) for i in range(3)))
+                await asyncio.gather(*(b.submit(i, i) for i in range(3)))
             finally:
                 b.close()
             assert sorted(len(batch) for batch in batches) == [1, 1, 1]
@@ -406,7 +344,7 @@ class TestMicroBatcher:
         async def scenario():
             b = MicroBatcher(evaluate, ServiceMetrics(), max_batch=8)
             try:
-                fut = asyncio.ensure_future(b.submit(21))
+                fut = asyncio.ensure_future(b.submit(21, 21))
                 await wait_until(lambda: batches)  # popped and evaluating
                 drained = asyncio.ensure_future(b.drain())
                 await asyncio.sleep(0.01)
@@ -414,12 +352,257 @@ class TestMicroBatcher:
                 release.set()
                 await drained
                 assert fut.done()
-                assert fut.result() == 42
+                assert fut.result() == (42, "engine")
             finally:
                 release.set()
                 b.close()
 
         asyncio.run(scenario())
+
+
+class TestJobQueue:
+    """The job-queue bound (``repro_jobs_*``): at most ``limit`` entries
+    queued or evaluating, each freed however its evaluation ends."""
+
+    def test_sheds_beyond_limit(self):
+        evaluate, release, _ = held_evaluator(list)
+        m = ServiceMetrics()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, m, limit=2)
+            try:
+                held = [asyncio.ensure_future(b.submit(k, k)) for k in "ab"]
+                await asyncio.sleep(0)  # both have submitted
+                with pytest.raises(QueueFull) as exc_info:
+                    await b.submit("c", "c")
+                assert exc_info.value.limit == 2
+                assert exc_info.value.retry_after == 1.0
+                assert b.inflight == 2
+                assert "c" not in b  # a shed key leaves no entry
+                release.set()
+                await asyncio.gather(*held)
+                # The bound counts entries, not past submits: "c" fits now.
+                return await b.submit("c", "c")
+            finally:
+                release.set()
+                b.close()
+
+        assert asyncio.run(scenario()) == ("c", "engine")
+        assert m.counter("repro_jobs_admitted_total") == 3
+        assert m.counter("repro_jobs_shed_total") == 1
+
+    def test_context_manager_releases_on_error(self):
+        # No context manager holds the slot any more: the entry does,
+        # and an evaluator that raises outright still frees it.
+        def evaluate(items):
+            raise RuntimeError("boom")
+
+        async def scenario():
+            b = MicroBatcher(evaluate, ServiceMetrics(), limit=1)
+            try:
+                waiter = asyncio.ensure_future(b.submit("k", 1))
+                await asyncio.sleep(0)
+                assert b.inflight == 1
+                with pytest.raises(RuntimeError, match="boom"):
+                    await waiter
+                assert b.inflight == 0
+                # Admitted again (QueueFull is a RuntimeError too, but
+                # would not match "boom").
+                with pytest.raises(RuntimeError, match="boom"):
+                    await b.submit("j", 2)
+                return b.inflight
+            finally:
+                b.close()
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_limit_validated(self):
+        with pytest.raises(ValueError):
+            MicroBatcher(list, ServiceMetrics(), limit=0)
+
+
+class TestSingleFlight:
+    """One evaluation per key (``repro_singleflight_*``): every waiter
+    of a queued or evaluating key shares its entry's outcome."""
+
+    def test_leader_and_followers_share_result(self):
+        batches = []
+
+        def evaluate(items):
+            batches.append(list(items))
+            return [object() for _ in items]
+
+        m = ServiceMetrics()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, m)
+            try:
+                shared = await asyncio.gather(
+                    *(b.submit("k", 1) for _ in range(3))
+                )
+                # The key left the queue once settled: a new entry.
+                again = await b.submit("k", 1)
+            finally:
+                b.close()
+            return shared, again
+
+        shared, again = asyncio.run(scenario())
+        assert batches == [[1], [1]]
+        assert [source for _, source in shared] == [
+            "engine", "singleflight", "singleflight",
+        ]
+        assert len({id(result) for result, _ in shared}) == 1
+        assert again[1] == "engine" and again[0] is not shared[0][0]
+        assert m.counter("repro_singleflight_leads_total") == 2
+        assert m.counter("repro_singleflight_hits_total") == 2
+
+    def test_reject_propagates_to_followers(self):
+        settled = []
+
+        async def scenario():
+            b = MicroBatcher(
+                lambda items: [RuntimeError("engine failed") for _ in items],
+                ServiceMetrics(),
+                settle=lambda key, item, result: settled.append(
+                    (key, item, result)
+                ),
+            )
+            try:
+                return await asyncio.gather(
+                    b.submit("k", 1), b.submit("k", 1),
+                    return_exceptions=True,
+                )
+            finally:
+                b.close()
+
+        first, second = asyncio.run(scenario())
+        assert isinstance(first, RuntimeError) and second is first
+        assert settled == [("k", 1, first)]
+
+
+class Throttled(RuntimeError):
+    """A stand-in tenant limiter's rejection."""
+
+
+class TestEvaluationQueue:
+    """One entry per key, at most ``limit`` of them: singleflight and
+    admission, driven through ``MicroBatcher.submit``."""
+
+    def test_new_key_beyond_limit_is_shed_and_a_joiner_takes_no_slot(self):
+        evaluate, release, batches = held_evaluator(list)
+        m = ServiceMetrics()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, m, limit=2)
+            try:
+                first = asyncio.ensure_future(b.submit("a", 1))
+                second = asyncio.ensure_future(b.submit("b", 2))
+                joiner = asyncio.ensure_future(b.submit("a", 1))
+                await asyncio.sleep(0)  # all three have submitted
+                assert b.inflight == 2  # the joiner took no slot
+                with pytest.raises(QueueFull) as exc_info:
+                    await b.submit("c", 3)
+                assert exc_info.value.limit == 2
+                assert exc_info.value.retry_after == 1.0
+                release.set()
+                assert await first == (1, "engine")
+                assert await joiner == (1, "singleflight")
+                assert await second == (2, "engine")
+                return b.inflight
+            finally:
+                release.set()
+                b.close()
+
+        assert asyncio.run(scenario()) == 0
+        assert m.counter("repro_jobs_admitted_total") == 2
+        assert m.counter("repro_jobs_shed_total") == 1
+        assert m.gauge("repro_queue_depth") == 0
+
+    def test_limiter_runs_before_the_bound(self):
+        evaluate, release, _ = held_evaluator(list)
+        tenants = []
+
+        def limiter(tenant):
+            tenants.append(tenant)
+            if tenant == "noisy":
+                raise Throttled(tenant)
+
+        m = ServiceMetrics()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, m, limit=1, limiter=limiter)
+            try:
+                first = asyncio.ensure_future(b.submit("a", 1, tenant="t"))
+                await asyncio.sleep(0)
+                # The queue is full, but the limiter speaks first.
+                with pytest.raises(Throttled):
+                    await b.submit("b", 2, tenant="noisy")
+                with pytest.raises(QueueFull):
+                    await b.submit("b", 2, tenant="t")
+                # Joining a queued key asks neither.
+                joiner = asyncio.ensure_future(b.submit("a", 1, tenant="noisy"))
+                release.set()
+                assert await first == (1, "engine")
+                assert await joiner == (1, "singleflight")
+            finally:
+                release.set()
+                b.close()
+
+        asyncio.run(scenario())
+        assert tenants == ["t", "noisy", "t"]
+        assert m.counter("repro_jobs_shed_total") == 2
+
+    def test_failed_evaluation_frees_its_slot(self):
+        def evaluate(items):
+            return [ValueError("bad") if i < 0 else i for i in items]
+
+        async def scenario():
+            b = MicroBatcher(evaluate, ServiceMetrics(), limit=1)
+            try:
+                with pytest.raises(ValueError):
+                    await b.submit("bad", -1)
+                assert b.inflight == 0
+                return await b.submit("good", 2)  # the one slot, reused
+            finally:
+                b.close()
+
+        assert asyncio.run(scenario()) == (2, "engine")
+
+    def test_an_entry_nobody_awaits_still_settles_and_logs_nothing(self):
+        evaluate, release, _ = held_evaluator(
+            lambda items: [RuntimeError("late") for _ in items]
+        )
+        settled = []
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, ctx: errors.append(ctx)
+            )
+            b = MicroBatcher(
+                evaluate, ServiceMetrics(),
+                settle=lambda key, item, result: settled.append(result),
+            )
+            try:
+                waiter = asyncio.ensure_future(b.submit("k", 1))
+                await wait_until(lambda: b.inflight)
+                waiter.cancel()  # the only waiter leaves
+                await asyncio.wait([waiter])
+                assert waiter.cancelled()
+                del waiter  # its traceback holds the entry's future
+                release.set()
+                await b.drain()
+                assert b.inflight == 0
+            finally:
+                release.set()
+                b.close()
+            await asyncio.sleep(0)  # the collector finishes
+            gc.collect()  # an unretrieved exception reports here
+            await asyncio.sleep(0)
+            return errors
+
+        assert asyncio.run(scenario()) == []
+        assert [type(result) for result in settled] == [RuntimeError]
 
 
 class TestPredictRequest:
@@ -448,6 +631,8 @@ class TestPredictRequest:
             {"model": "jacobi", "nprocs": 8, "deadline_s": 0},
             # the program's shape picks the engine; no engine switch
             {"model": "jacobi", "nprocs": 8, "vector_runs": False},
+            # predict() picks the chunk size; no request sets it
+            {"model": "jacobi", "nprocs": 8, "vector_batch": 8},
         ],
     )
     def test_invalid_requests_rejected(self, body):
@@ -471,7 +656,7 @@ class TestPredictRequest:
             {"model_params": {"iterations": 50}},
             {"timing_mode": "average"},
             {"nic_serialisation": "off"},
-            {"vector_batch": 8},
+            {"timing_source": "2x1"},
         ],
     )
     def test_key_varies_with_request(self, variant):
@@ -483,16 +668,18 @@ class TestPredictRequest:
 
     def test_chunk_sizes_of_one_chunk_share_the_key(self):
         # Up to one chunk of runs draws alike whatever the chunk size,
-        # so the request key agrees with the prediction cache's.
+        # so the request key agrees with the prediction cache's: an
+        # adaptive request's first total (one min_runs chunk) keys as
+        # the fixed request of that many runs (one chunk of 64).
         a = PredictRequest.from_dict({"model": "jacobi", "nprocs": 8, "runs": 8})
-        b = PredictRequest.from_dict(
-            {"model": "jacobi", "nprocs": 8, "runs": 8, "vector_batch": 16}
-        )
-        assert a.key("db0") == b.key("db0")
         adaptive = PredictRequest.from_dict(
             {"model": "jacobi", "nprocs": 8, "target_rse": 0.05, "min_runs": 8}
         )
+        assert (a.vector_batch, adaptive.vector_batch) == (VECTOR_BATCH, 8)
         assert adaptive.fixed_key("db0", 8) == a.key("db0")
+        assert adaptive.fixed_key("db0", 16) != PredictRequest.from_dict(
+            {"model": "jacobi", "nprocs": 8, "runs": 16}
+        ).key("db0")
 
     def test_key_varies_with_db_fingerprint(self):
         req = PredictRequest.from_dict({"model": "jacobi", "nprocs": 8})

@@ -1,12 +1,12 @@
-"""Concurrency stress tests for singleflight + micro-batcher.
+"""Concurrency stress tests for the evaluation queue.
 
 The funnel's coalescing contract under load: however many concurrent
 ``/predict`` requests arrive for the same content key, the engine
-evaluates that key **exactly once** (singleflight elects one leader;
-followers share its future; later arrivals hit the cache), every
+evaluates that key **exactly once** (the first request queues one
+entry; the rest join its future; later arrivals hit the cache), every
 caller still gets a 200 with the key's bit-identical ``times``, and
-nothing leaks -- no in-flight singleflight entries left behind, no
-futures whose exceptions are never retrieved.
+nothing leaks -- no queue entries left behind, no futures whose
+exceptions are never retrieved.
 
 Two drivers: an asyncio variant where interleaving is adversarially
 shuffled but deterministic (seeded), and a threaded HTTP variant that
@@ -103,7 +103,7 @@ class TestAsyncStress:
             assert doc["times"] == times
         assert len(by_seed) == n_keys
         # Nothing left in flight once the dust settles.
-        assert service.dedup.inflight == 0
+        assert service.batcher.inflight == 0
         assert service.metrics.counter("repro_singleflight_leads_total") >= 1
 
     def test_follower_counts_add_up(self, db):
@@ -169,4 +169,4 @@ class TestThreadedHttpStress:
             times = by_seed.setdefault(record["seed"], record["times"])
             assert record["times"] == times
         assert len(by_seed) == n_keys
-        assert service.dedup.inflight == 0
+        assert service.batcher.inflight == 0

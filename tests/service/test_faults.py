@@ -27,18 +27,14 @@ from repro.service import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    JobQueue,
-    LeaderCancelled,
     LoadGenerator,
     PredictionService,
-    PredictRequest,
     QueueFull,
     RetryPolicy,
     ServiceClient,
     ServiceMetrics,
     ServiceServer,
     ServiceThread,
-    SingleFlight,
 )
 from repro.simnet import perseus
 
@@ -366,39 +362,6 @@ class TestCircuitBreaker:
         assert breaker.state == "closed" and breaker.allow()
 
 
-class TestJobSlot:
-    def test_slot_releases_exactly_once(self):
-        queue = JobQueue(2, ServiceMetrics())
-        with queue.admit() as slot:
-            assert queue.inflight == 1
-            slot.release()   # early release (e.g. handler cleanup)
-            assert queue.inflight == 0
-        # __exit__ after an explicit release must not double-release.
-        assert queue.inflight == 0
-        queue.admit().__enter__()
-        assert queue.inflight == 1  # no underflow corrupted the count
-
-    def test_exception_path_releases(self):
-        queue = JobQueue(1, ServiceMetrics())
-        with pytest.raises(RuntimeError):
-            with queue.admit():
-                raise RuntimeError("engine blew up")
-        assert queue.inflight == 0
-        with queue.admit():  # the slot is reusable
-            with pytest.raises(QueueFull):
-                queue.admit().__enter__()
-
-    def test_failed_acquire_leaks_nothing(self):
-        queue = JobQueue(1, ServiceMetrics())
-        with queue.admit():
-            slot = queue.admit()
-            with pytest.raises(QueueFull):
-                slot.__enter__()
-            slot.release()  # releasing an unacquired slot is a no-op
-            assert queue.inflight == 1
-        assert queue.inflight == 0
-
-
 class TestBreakerInService:
     def test_engine_failures_open_breaker_and_probe_recovers(self, db):
         clock = {"now": 0.0}
@@ -441,24 +404,49 @@ class TestBreakerInService:
         # released -- otherwise every later engine-bound request gets
         # 503 forever even though the engine is healthy again.
         clock = {"now": 0.0}
+        release = threading.Event()
 
         async def scenario(service):
             service.breaker = CircuitBreaker(
                 threshold=1, cooldown=1.0, metrics=service.metrics,
                 clock=lambda: clock["now"],
             )
+            healthy = service.batcher._evaluate
+            calls = []
+
+            def crash_first(reqs):
+                calls.append(reqs)
+                if len(calls) > 1:
+                    return healthy(reqs)
+                assert release.wait(timeout=30), "evaluator never released"
+                raise RuntimeError("evaluator crashed")
+
+            service.batcher._evaluate = crash_first
+            # A held evaluation fills admission (queue_limit=1).
+            held = asyncio.ensure_future(
+                service.handle_predict(jacobi_request(seed=1))
+            )
+            while service.batcher.inflight == 0:
+                await asyncio.sleep(0.001)
             service.breaker.record_failure()  # breaker opens
             clock["now"] = 2.0                # cooldown elapsed: half-open
-            service.jobs.acquire()            # admission full: probe is shed
             shed = await service.handle_predict(jacobi_request())
-            service.jobs.release()
+            # The held evaluation then crashes: it counts as a probe's
+            # failure, re-opening the breaker, only if the shed probe
+            # still held the probe slot.
+            release.set()
+            crashed = await held
             after = await service.handle_predict(jacobi_request())
-            return shed, after, service.breaker.state
+            return shed, crashed, after, service.breaker.state
 
-        shed, after, state = run_service(
-            db, scenario, lru_size=0, queue_limit=1
-        )
+        try:
+            shed, crashed, after, state = run_service(
+                db, scenario, lru_size=0, queue_limit=1
+            )
+        finally:
+            release.set()
         assert shed[0] == 429   # shed by admission, not by the breaker
+        assert crashed[0] == 500
         assert after[0] == 200  # the next request probed: no wedge
         assert state == "closed"
 
@@ -478,53 +466,133 @@ class TestBreakerInService:
         assert miss[0] == 503  # only engine-bound work is shed
 
 
-# -- singleflight leader cancellation (satellite d) ----------------------------
-class TestLeaderCancellation:
-    def test_followers_get_rejection_not_hang(self):
-        async def main():
-            flight = SingleFlight(ServiceMetrics())
-            leader, fut = flight.claim("k")
-            assert leader
-            follower_sees = asyncio.ensure_future(asyncio.wait_for(fut, 5))
-            await asyncio.sleep(0)
-            flight.reject("k", asyncio.CancelledError())
-            with pytest.raises(LeaderCancelled):
-                await follower_sees
-            assert flight.inflight == 0
+# -- job slots -----------------------------------------------------------------
+class TestJobSlot:
+    """A request's slot in the evaluation queue is given back on every
+    path through the service, so a full queue never outlives its work."""
 
-        asyncio.run(main())
+    def test_exception_path_releases(self, db):
+        async def scenario(service):
+            healthy = service.batcher._evaluate
 
-    def test_follower_gets_retryable_503_then_success(self, db):
+            def broken(reqs):
+                raise RuntimeError("engine blew up")
+
+            service.batcher._evaluate = broken
+            failed = await service.handle_predict(jacobi_request(seed=1))
+            slots = service.batcher.inflight
+            service.batcher._evaluate = healthy
+            reused = await service.handle_predict(jacobi_request(seed=2))
+            return failed, slots, reused
+
+        failed, slots, reused = run_service(
+            db, scenario, lru_size=0, queue_limit=1
+        )
+        assert failed[0] == 500
+        assert slots == 0
+        assert reused[0] == 200  # the one slot is reusable
+        assert reused[2]["served_from"] == "engine"
+        assert reused[2]["times"] == direct_jacobi(
+            db, jacobi_request(seed=2)
+        ).times
+
+    def test_failed_acquire_leaks_nothing(self, db):
+        release = threading.Event()
+
+        async def scenario(service):
+            hold_evaluator(service, release)
+            held = asyncio.ensure_future(
+                service.handle_predict(jacobi_request(seed=1))
+            )
+            while service.batcher.inflight == 0:
+                await asyncio.sleep(0.001)
+            shed = await service.handle_predict(jacobi_request(seed=2))
+            slots = service.batcher.inflight
+            release.set()
+            done = await held
+            settled = service.batcher.inflight
+            after = await service.handle_predict(jacobi_request(seed=2))
+            return shed, slots, done, settled, after, service.metrics
+
+        try:
+            shed, slots, done, settled, after, metrics = run_service(
+                db, scenario, lru_size=0, queue_limit=1
+            )
+        finally:
+            release.set()
+        assert shed[0] == 429
+        assert float(shed[1]["Retry-After"]) > 0
+        assert slots == 1  # the shed request took no slot
+        assert done[0] == 200
+        assert settled == 0
+        assert after[0] == 200 and after[2]["served_from"] == "engine"
+        assert metrics.counter("repro_jobs_admitted_total") == 2
+        assert metrics.counter("repro_jobs_shed_total") == 1
+
+
+# -- the queue owns each evaluation --------------------------------------------
+class TestQueueOwnsEvaluation:
+    """A waiter that stops waiting leaves the evaluation to the queue,
+    where it still holds its slot, settles into the cache and answers
+    every request that joined it."""
+
+    def test_timed_out_waiter_keeps_its_slot_until_settled(self, db):
+        body = jacobi_request(deadline_s=0.01)
+        release = threading.Event()
+
+        async def scenario(service):
+            hold_evaluator(service, release)
+            timed_out = await service.handle_predict(body)
+            slots = service.batcher.inflight
+            shed = await service.handle_predict(jacobi_request(seed=8))
+            release.set()
+            await service.batcher.drain()
+            settled = service.batcher.inflight
+            retry = dict(body)
+            del retry["deadline_s"]
+            return timed_out, slots, shed, settled, (
+                await service.handle_predict(retry)
+            )
+
+        try:
+            timed_out, slots, shed, settled, retry = run_service(
+                db, scenario, queue_limit=1
+            )
+        finally:
+            release.set()
+        assert timed_out[0] == 504
+        assert slots == 1     # the evaluation still holds the one slot
+        assert shed[0] == 429
+        assert settled == 0
+        assert retry[0] == 200
+        assert retry[2]["served_from"] == "cache"
+        assert retry[2]["times"] == direct_jacobi(db, body).times
+
+    def test_cancelled_first_waiter_leaves_its_joiner_the_answer(self, db):
         body = jacobi_request()
         release = threading.Event()
 
         async def scenario(service):
-            # The leader's evaluation is held, so it is still in flight
-            # when the leader is cancelled.
             hold_evaluator(service, release)
-            req = PredictRequest.from_dict(body)
-            key = req.key(service.db_fingerprint)
-            leader = asyncio.ensure_future(service._predict(req, key))
-            while service.dedup.inflight == 0:  # leader has claimed
+            first = asyncio.ensure_future(service.handle_predict(body))
+            while service.batcher.inflight == 0:  # its entry is queued
                 await asyncio.sleep(0.001)
-            follower = asyncio.ensure_future(service.handle_predict(body))
-            await asyncio.sleep(0.01)  # follower is awaiting the future
-            leader.cancel()
-            status, headers, doc = await follower
+            joiner = asyncio.ensure_future(service.handle_predict(body))
+            await asyncio.sleep(0.01)  # the joiner awaits the entry
+            first.cancel()
             with pytest.raises(asyncio.CancelledError):
-                await leader
+                await first
             release.set()
-            retry = await service.handle_predict(body)
-            return (status, doc), retry
+            return await joiner, service.metrics
 
         try:
-            (status, doc), retry = run_service(db, scenario, lru_size=0)
+            (status, _, doc), metrics = run_service(db, scenario, lru_size=0)
         finally:
             release.set()
-        assert status == 503
-        assert "leader" in doc["error"]
-        assert retry[0] == 200  # a retry elects a new leader
-        assert retry[2]["times"] == direct_jacobi(db, body).times
+        assert status == 200
+        assert doc["served_from"] == "singleflight"
+        assert doc["times"] == direct_jacobi(db, body).times
+        assert metrics.counter("repro_batches_total") == 1
 
 
 # -- prometheus escaping (satellite b) -----------------------------------------
@@ -691,7 +759,7 @@ class TestDrain:
         try:
             client = ServiceClient(host, port)
             inflight = pool.submit(client.predict, **request)
-            while service.jobs.inflight == 0 and not inflight.done():
+            while service.batcher.inflight == 0 and not inflight.done():
                 pass  # busy-wait: the request has reached admission
             # Its evaluation is held until the drain has begun.
             drained = pool.submit(thread.drain, 30.0)
@@ -756,16 +824,16 @@ class TestLoadGeneratorRetries:
         # The first evaluation is held until admission has shed a
         # request, so the clients must retry.
         shed = threading.Event()
-        acquire = service.jobs.acquire
+        admit = service.batcher._admit
 
-        def acquire_or_flag(*args, **kwargs):
+        def admit_or_flag(*args, **kwargs):
             try:
-                return acquire(*args, **kwargs)
+                return admit(*args, **kwargs)
             except QueueFull:
                 shed.set()
                 raise
 
-        service.jobs.acquire = acquire_or_flag
+        service.batcher._admit = admit_or_flag
         hold_evaluator(service, shed)
         with ServiceThread(service) as thread:
             host, port = thread.address

@@ -2,9 +2,9 @@
 
 A request's content key fixes its seed streams, so a cache hit's
 response is a fixed byte string.  The service answers a memory-tier hit
-before any task is made, from a body rendered once per (key, echo) --
-the echo being the two request fields a record repeats that its key
-does not fix, the ``db`` ref and the raw ``vector_batch``.  The contract
+before any task is made, from a body rendered once per (key, ``db``
+ref) -- the ref being the one request field a record repeats that its
+key does not fix (an alias and its fingerprint share a key).  The contract
 pinned here: every hit body is byte-identical to rendering the cached
 document afresh for that request (``prediction_from_doc`` ->
 ``prediction_record`` -> ``json.dumps``), and the hit keeps its
@@ -92,21 +92,22 @@ def served_from(payload: bytes) -> str:
 
 class TestHitBodies:
     def test_echo_variants_of_one_key(self, db):
-        """``vector_batch`` 64 and 128 at ``runs=16`` share a key, as do
-        no ``db``, its alias and its fingerprint; each gets its own
-        body, equal to a fresh rendering, on every hit."""
+        """No ``db``, either of two aliases and the fingerprint share a
+        key, as does a deadline; each ref gets its own body, equal to a
+        fresh rendering, on every hit."""
         base = jacobi_request(runs=16)
 
         async def scenario(service, post):
             status, payload, _ = await post(base)
             assert (status, served_from(payload)) == (200, "engine")
+            service.registry.set_alias("mirror", service.db_fingerprint)
             variants = [
                 base,
-                dict(base, vector_batch=64),
-                dict(base, vector_batch=128),
+                dict(base, deadline_s=30.0),
+                dict(base, db="mirror"),
                 dict(base, db="default"),
                 dict(base, db=service.db_fingerprint),
-                dict(base, db="default", vector_batch=128),
+                dict(base, db="mirror", deadline_s=30.0),
             ]
             keys = {
                 PredictRequest.from_dict(v).key(service.db_fingerprint)
@@ -123,12 +124,12 @@ class TestHitBodies:
             return bodies
 
         bodies = run_wire(db, scenario)
-        # Only the db-less 64 pair shares an echo; every body names its
-        # own echo, and the times never differ.
-        assert bodies[0] == bodies[1]
-        assert len(set(bodies)) == len(bodies) - 1
+        # Only the deadline pairs share a ref; every body names its own
+        # ref, and the times never differ.
+        assert bodies[0] == bodies[1] and bodies[2] == bodies[5]
+        assert len(set(bodies)) == len(bodies) - 2
         assert len({json.dumps(json.loads(b)["times"]) for b in bodies}) == 1
-        assert json.loads(bodies[2])["engine"]["vector_batch"] == 128
+        assert json.loads(bodies[2])["db_ref"] == "mirror"
         assert json.loads(bodies[3])["db_ref"] == "default"
         assert "db_ref" not in json.loads(bodies[0])
 
@@ -138,7 +139,8 @@ class TestHitBodies:
         async def scenario(service, post):
             _, first, _ = await post(adaptive)
             runs = json.loads(first)["runs"]
-            twin = jacobi_request(runs=runs, vector_batch=4)
+            assert runs == 4  # stopped at its first total: a twin
+            twin = jacobi_request(runs=runs)
             _, again, _ = await post(adaptive)
             _, fixed, _ = await post(twin)
             return first, again, rendered(service, adaptive), fixed, (
@@ -195,14 +197,15 @@ class TestHitBodies:
         assert [payload for _, payload, _ in hits] == [want] * 3
 
     def test_bodies_per_entry_are_bounded(self, db):
-        """A client varying an echoed field cannot grow one entry."""
+        """A client varying the ``db`` ref cannot grow one entry."""
         body = jacobi_request(runs=4)
 
         async def scenario(service, post):
             await post(body)
             key = PredictRequest.from_dict(body).key(service.db_fingerprint)
-            for batch in range(4, 14):
-                variant = dict(body, vector_batch=batch)
+            for i in range(10):
+                service.registry.set_alias(f"ref{i}", service.db_fingerprint)
+                variant = dict(body, db=f"ref{i}")
                 status, payload, _ = await post(variant)
                 assert status == 200
                 assert payload == rendered(service, variant)
@@ -310,7 +313,7 @@ class TestHitContract:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("vector_batch"))
+            calls.append(kwargs["extra"]["served_from"])
             return prediction_record(*args, **kwargs)
 
         monkeypatch.setattr(service_server, "prediction_record", counting)
@@ -320,10 +323,10 @@ class TestHitContract:
             await post(body)
             for _ in range(20):
                 await post(body)
-                await post(dict(body, vector_batch=128))
+                await post(dict(body, db="default"))
             return service.metrics
 
         m = run_wire(db, scenario)
         assert m.counter("repro_cache_hits_total", tier="memory") == 40
-        # The engine's response, then one rendering per echo.
-        assert calls == [64, 64, 128]
+        # The engine's response, then one rendering per ref.
+        assert calls == ["engine", "cache", "cache"]

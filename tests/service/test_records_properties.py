@@ -28,7 +28,6 @@ _DEFAULTS = {
     "timing_mode": "distribution",
     "timing_source": "nxp",
     "nic_serialisation": "tx",
-    "vector_batch": 64,
 }
 
 
@@ -59,7 +58,6 @@ _request_fields = st.fixed_dictionaries(
         ),
         "timing_source": st.sampled_from(["nxp", "2x1"]),
         "nic_serialisation": st.sampled_from(["off", "tx", "txrx"]),
-        "vector_batch": st.sampled_from([16, 64]),
     }
 )
 

@@ -139,6 +139,38 @@ class TestReproducibilityContract:
         assert record["db_fingerprint"] == db.fingerprint()
         assert record["runs"] == 4
 
+    def test_chunk_size_is_the_one_predict_picks(self, db):
+        # No request field sets the chunk size, which would give times
+        # no predict() call gives: a fixed request chunks at 64, an
+        # adaptive one at min_runs, as predict() does.
+        body = jacobi_request(nprocs=8, runs=16, seed=3)
+        adaptive = jacobi_request(nprocs=8, seed=3, target_rse=1e-9,
+                                  max_runs=16)
+        del adaptive["runs"]
+
+        async def scenario(service):
+            return [
+                await service.handle_predict(b)
+                for b in (dict(body, vector_batch=8), body, adaptive)
+            ]
+
+        (rejected, _, error), (_, _, fixed), (_, _, adapt) = run_service(
+            db, scenario
+        )
+        assert rejected == 400
+        assert error["error"] == "unknown request fields: ['vector_batch']"
+        assert fixed["engine"]["vector_batch"] == VECTOR_BATCH
+        assert fixed["times"] == direct_jacobi(db, body).times
+        direct = predict(
+            parse_jacobi(), 8, timing_from_db(db, mode="distribution", nprocs=8),
+            seed=3, params={"iterations": ITER, "xsize": 256,
+                            "serial_time": SPEC.jacobi_serial_time},
+            target_rse=1e-9, max_runs=16,
+        )
+        assert adapt["engine"]["vector_batch"] == 4
+        assert adapt["runs"] == 16
+        assert adapt["times"] == direct.times
+
     def test_engine_never_starts_a_process_pool(self, db):
         # The engine evaluates in the server's own process.  Both
         # requests span several evaluation steps -- the fixed one two
